@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Hashable, List, Optional
+from typing import FrozenSet, Hashable, List, Optional
 
 from repro.objects.oid import OID
 
@@ -27,7 +27,7 @@ SetValue = FrozenSet[Hashable]
 
 @dataclass(frozen=True)
 class BatchQuerySpec:
-    """One query's search parameters inside a facility batch.
+    """One query's search parameters, as plain data.
 
     Mirrors the keyword surface of ``search_superset`` / ``search_subset``
     / ``search_overlap``: ``mode`` selects the drop test, the optional
@@ -128,7 +128,7 @@ class SetAccessFacility(abc.ABC):
         raise NotImplementedError(f"{self.name} does not support overlap search")
 
     def search_spec(self, spec: BatchQuerySpec) -> SearchResult:
-        """Run one :class:`BatchQuerySpec` through the sequential search."""
+        """Run the search one :class:`BatchQuerySpec` describes."""
         if spec.mode == "superset":
             if spec.use_elements is not None:
                 return self.search_superset(
@@ -144,21 +144,6 @@ class SetAccessFacility(abc.ABC):
         if spec.mode == "overlap":
             return self.search_overlap(spec.query)
         raise ValueError(f"unknown search mode: {spec.mode!r}")
-
-    def prepare_batch(
-        self, specs: List[BatchQuerySpec]
-    ) -> List[Callable[[], SearchResult]]:
-        """Stage a batch of searches; return one completion per spec.
-
-        Phase 1 (this call) may do arbitrary *uncharged* shared work — e.g.
-        decode the signature matrix once for the whole batch. Each returned
-        completion, invoked later in query order, performs that query's
-        page-access charging and candidate resolution, producing a
-        :class:`SearchResult` identical to the sequential search's. The
-        base implementation stages nothing: every completion just runs the
-        sequential search, so any facility is batch-safe by default.
-        """
-        return [(lambda s=spec: self.search_spec(s)) for spec in specs]
 
     @abc.abstractmethod
     def storage_pages(self) -> dict:

@@ -311,7 +311,7 @@ class BitSlicedSignatureFile(SetAccessFacility):
             signature.words[np.newaxis, :], self.signature_bits
         )[0]
 
-    def _or_scan(self, positions, charge: bool = True):
+    def _or_scan(self, positions):
         """OR the listed slices in order; return ``(acc_words, slices_read)``.
 
         Chunked ``bitwise_or.reduce`` over rows gathered from the stacked
@@ -320,11 +320,6 @@ class BitSlicedSignatureFile(SetAccessFacility):
         finds the minimal covering prefix — exactly the slice where the
         naive per-slice loop's ``eliminated.all()`` break fires — and only
         slices up to that point are counted and charged.
-
-        ``charge=False`` performs the identical scan without touching any
-        counters; the batch path uses it and replays the charge later
-        (``_charge_slices(positions[:slices_read])`` — the same files in
-        the same order, so the accounting is bit-identical).
         """
         acc = np.zeros(self._slice_word_count, dtype=np.uint64)
         if len(positions) == 0:
@@ -337,8 +332,7 @@ class BitSlicedSignatureFile(SetAccessFacility):
             rows = matrix[chunk]
             total = np.bitwise_or.reduce(rows, axis=0) | acc
             if not kernels.covers_all(total, full):
-                if charge:
-                    self._charge_slices(chunk)
+                self._charge_slices(chunk)
                 acc = total
                 read += len(chunk)
                 continue
@@ -351,12 +345,11 @@ class BitSlicedSignatureFile(SetAccessFacility):
                 else:
                     lo = mid + 1
             acc = np.bitwise_or.reduce(rows[:lo], axis=0) | acc
-            if charge:
-                self._charge_slices(chunk[:lo])
+            self._charge_slices(chunk[:lo])
             return acc, read + lo
         return acc, read
 
-    def _and_scan(self, positions, charge: bool = True):
+    def _and_scan(self, positions):
         """AND the listed slices in order; return ``(acc_words, slices_read)``.
 
         Mirror of :meth:`_or_scan` for the superset search: survivor
@@ -374,8 +367,7 @@ class BitSlicedSignatureFile(SetAccessFacility):
             rows = matrix[chunk]
             total = np.bitwise_and.reduce(rows, axis=0) & acc
             if kernels.any_bit(total):
-                if charge:
-                    self._charge_slices(chunk)
+                self._charge_slices(chunk)
                 acc = total
                 read += len(chunk)
                 continue
@@ -388,8 +380,7 @@ class BitSlicedSignatureFile(SetAccessFacility):
                 else:
                     hi = mid
             acc = np.bitwise_and.reduce(rows[:lo], axis=0) & acc
-            if charge:
-                self._charge_slices(chunk[:lo])
+            self._charge_slices(chunk[:lo])
             return acc, read + lo
         return acc, read
 
@@ -555,71 +546,6 @@ class BitSlicedSignatureFile(SetAccessFacility):
                     break
             drop_indices = np.nonzero(overlapping)[0].tolist()
         return self._resolve(drop_indices, "overlap", slices_read)
-
-    # ------------------------------------------------------------------
-    # Batched search
-    # ------------------------------------------------------------------
-    def prepare_batch(self, specs):
-        """Stage many slice scans against one stacked-slice decode.
-
-        The ``(F, W)`` slice matrix is decoded (uncharged) once and every
-        spec's scan runs against it with ``charge=False``; the returned
-        completions replay each query's charge —
-        ``_charge_slices(positions[:slices_read])``, the same files in the
-        same order as the sequential scan — and resolve OIDs, in call
-        order. Early-exit points (and hence ``slices_read``) are computed
-        per query exactly as the sequential scans compute them.
-        """
-        if not self.use_kernels or self.entry_count == 0:
-            return super().prepare_batch(specs)
-        self._stacked_slices()  # one shared decode for the whole batch
-        completions = [None] * len(specs)
-
-        def completion(positions, slices_read, drop_indices, mode):
-            def run():
-                self._charge_slices(positions[:slices_read])
-                return self._resolve(drop_indices, mode, slices_read)
-
-            return run
-
-        for i, spec in enumerate(specs):
-            if not spec.query or spec.mode not in ("superset", "subset", "overlap"):
-                completions[i] = lambda s=spec: self.search_spec(s)
-                continue
-            if spec.mode == "superset":
-                if spec.use_elements is not None:
-                    if spec.use_elements < 1:
-                        raise AccessFacilityError("use_elements must be >= 1")
-                    signature = self.scheme.partial_query_signature(
-                        sorted(spec.query, key=repr), spec.use_elements
-                    )
-                else:
-                    signature = self.scheme.set_signature(spec.query)
-                positions = np.flatnonzero(self._query_bits(signature))
-                surviving, slices_read = self._and_scan(positions, charge=False)
-                drop_indices = kernels.set_bit_indices(
-                    surviving, self.entry_count
-                ).tolist()
-            elif spec.mode == "subset":
-                if spec.slices_to_examine is not None and spec.slices_to_examine < 0:
-                    raise AccessFacilityError("slices_to_examine must be >= 0")
-                signature = self.scheme.set_signature(spec.query)
-                positions = np.flatnonzero(self._query_bits(signature) == 0)
-                if spec.slices_to_examine is not None:
-                    positions = positions[: spec.slices_to_examine]
-                eliminated, slices_read = self._or_scan(positions, charge=False)
-                drop_indices = kernels.cleared_bit_indices(
-                    eliminated, self.entry_count
-                ).tolist()
-            else:
-                signature = self.scheme.set_signature(spec.query)
-                positions = np.flatnonzero(self._query_bits(signature))
-                overlapping, slices_read = self._or_scan(positions, charge=False)
-                drop_indices = kernels.set_bit_indices(
-                    overlapping, self.entry_count
-                ).tolist()
-            completions[i] = completion(positions, slices_read, drop_indices, spec.mode)
-        return completions
 
     # ------------------------------------------------------------------
     # Internals

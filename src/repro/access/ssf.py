@@ -211,17 +211,6 @@ class SequentialSignatureFile(SetAccessFacility):
         would produce. The decoded matrix is memoized keyed on the file
         version.
         """
-        matrix = self._decoded_matrix()
-        self.signature_file.charge_reads(self.signature_file.num_pages)
-        return matrix
-
-    def _decoded_matrix(self) -> np.ndarray:
-        """The decoded signature matrix, *without* charging the scan.
-
-        Split from :meth:`_signature_matrix` so the batch path can decode
-        once for many queries and charge each query's full scan separately
-        (keeping per-query page accounting identical to sequential runs).
-        """
         num_pages = self.signature_file.num_pages
         version = self.signature_file.version
         name = self.signature_file.name
@@ -243,6 +232,7 @@ class SequentialSignatureFile(SetAccessFacility):
                     row_chunks.append(bits.reshape(count, self.signature_bits))
                 matrix = kernels.pack_rows(np.vstack(row_chunks))
             self._decode_cache.put(name, version, matrix)
+        self.signature_file.charge_reads(num_pages)
         return matrix
 
     # ------------------------------------------------------------------
@@ -366,67 +356,6 @@ class SequentialSignatureFile(SetAccessFacility):
             for local in np.nonzero(hits)[0]:
                 drop_indices.append(page_no * self.sigs_per_page + int(local))
         return self._resolve(drop_indices, mode="overlap")
-
-    # ------------------------------------------------------------------
-    # Batched search
-    # ------------------------------------------------------------------
-    def prepare_batch(self, specs):
-        """Stage many drop tests against one decoded signature matrix.
-
-        The matrix is decoded (uncharged) once; each mode group is
-        evaluated with a single batched kernel call. Completions charge
-        the full signature scan and resolve OIDs per query, in call order,
-        so per-query accounting is identical to the sequential searches.
-        Empty-query fast paths defer to the sequential method (which does
-        not scan, hence does not charge).
-        """
-        if not self.use_kernels or self.entry_count == 0:
-            return super().prepare_batch(specs)
-        completions = [None] * len(specs)
-        matrix = self._decoded_matrix()
-        groups = {"superset": [], "subset": [], "overlap": []}
-        for i, spec in enumerate(specs):
-            if not spec.query or spec.mode not in groups:
-                completions[i] = lambda s=spec: self.search_spec(s)
-                continue
-            if spec.mode == "superset":
-                words = self._query_signature(spec.query, spec.use_elements).words
-            elif spec.mode == "subset":
-                signature = self.scheme.set_signature(spec.query)
-                zero_mask_bits = 1 - kernels.unpack_rows(
-                    signature.words[np.newaxis, :], self.signature_bits
-                )[0]
-                if spec.slices_to_examine is not None:
-                    zero_positions = np.nonzero(zero_mask_bits)[0]
-                    zero_positions = zero_positions[: spec.slices_to_examine]
-                    zero_mask_bits = np.zeros(self.signature_bits, dtype=np.uint8)
-                    zero_mask_bits[zero_positions] = 1
-                words = kernels.pack_rows(zero_mask_bits[np.newaxis, :])[0]
-            else:
-                words = self.scheme.set_signature(spec.query).words
-            groups[spec.mode].append((i, words))
-        kernel_for = {
-            "superset": kernels.rows_covering_many,
-            "subset": kernels.rows_disjoint_from_many,
-            "overlap": kernels.rows_intersecting_many,
-        }
-
-        def completion(drop_indices, mode):
-            def run():
-                self.signature_file.charge_reads(self.signature_file.num_pages)
-                return self._resolve(drop_indices, mode=mode)
-
-            return run
-
-        for mode, members in groups.items():
-            if not members:
-                continue
-            query_matrix = np.stack([words for _, words in members])
-            hit_rows = kernel_for[mode](matrix, query_matrix)
-            for (i, _), hits in zip(members, hit_rows):
-                drop_indices = np.nonzero(hits)[0].tolist()
-                completions[i] = completion(drop_indices, mode)
-        return completions
 
     # ------------------------------------------------------------------
     # Internals

@@ -93,13 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail unless the concurrent serving speedup reaches this",
     )
     bench.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="batch size for the batched execute_many sweep "
-        "(default: the benchmark mode's configured size)",
-    )
-    bench.add_argument(
         "--process-workers",
         type=int,
         default=None,
@@ -401,8 +394,6 @@ def _run_bench(args) -> int:
         forwarded.extend(
             ["--min-concurrent-speedup", str(args.min_concurrent_speedup)]
         )
-    if args.batch_size is not None:
-        forwarded.extend(["--batch-size", str(args.batch_size)])
     if args.process_workers is not None:
         forwarded.extend(["--process-workers", str(args.process_workers)])
     return module.main(forwarded)

@@ -129,57 +129,3 @@ def rows_disjoint_from(matrix: np.ndarray, mask_words: np.ndarray) -> np.ndarray
 def rows_intersecting(matrix: np.ndarray, query_words: np.ndarray) -> np.ndarray:
     """Per-row ``T ∩ Q ≠ ∅`` drop test: row shares a bit with the query."""
     return np.any(matrix & query_words, axis=1)
-
-
-# ----------------------------------------------------------------------
-# Batched (many-query) drop tests
-# ----------------------------------------------------------------------
-# One decoded signature matrix serves a whole batch of query signatures:
-# broadcasting ``(n, W)`` targets against ``(q, 1, W)`` queries evaluates
-# every (query, target) pair in a single vectorized pass, so the per-query
-# cost collapses to the match arithmetic — the decode, packing and Python
-# dispatch amortize across the batch. Large batches are chunked to bound
-# the (q, n, W) intermediate.
-
-_MATCH_CHUNK_ELEMS = 4_000_000
-
-
-def _query_chunks(queries: np.ndarray, n: int):
-    q, w = queries.shape
-    per = max(1, _MATCH_CHUNK_ELEMS // max(1, n * w))
-    for start in range(0, q, per):
-        yield start, queries[start : start + per]
-
-
-def rows_covering_many(matrix: np.ndarray, query_matrix: np.ndarray) -> np.ndarray:
-    """Batched ``T ⊇ Q``: boolean ``(q, n)``; row i == rows_covering(qi)."""
-    q = query_matrix.shape[0]
-    out = np.empty((q, matrix.shape[0]), dtype=bool)
-    for start, chunk in _query_chunks(query_matrix, matrix.shape[0]):
-        expanded = chunk[:, None, :]
-        out[start : start + chunk.shape[0]] = np.all(
-            (matrix[None, :, :] & expanded) == expanded, axis=2
-        )
-    return out
-
-
-def rows_disjoint_from_many(matrix: np.ndarray, mask_matrix: np.ndarray) -> np.ndarray:
-    """Batched no-bit-in-mask test: boolean ``(q, n)`` (``T ⊆ Q`` drops)."""
-    q = mask_matrix.shape[0]
-    out = np.empty((q, matrix.shape[0]), dtype=bool)
-    for start, chunk in _query_chunks(mask_matrix, matrix.shape[0]):
-        out[start : start + chunk.shape[0]] = ~np.any(
-            matrix[None, :, :] & chunk[:, None, :], axis=2
-        )
-    return out
-
-
-def rows_intersecting_many(matrix: np.ndarray, query_matrix: np.ndarray) -> np.ndarray:
-    """Batched ``T ∩ Q ≠ ∅``: boolean ``(q, n)``."""
-    q = query_matrix.shape[0]
-    out = np.empty((q, matrix.shape[0]), dtype=bool)
-    for start, chunk in _query_chunks(query_matrix, matrix.shape[0]):
-        out[start : start + chunk.shape[0]] = np.any(
-            matrix[None, :, :] & chunk[:, None, :], axis=2
-        )
-    return out

@@ -18,9 +18,9 @@ Tracing is **off by default** and adds near-zero overhead when off: the
 per-thread active tracer defaults to a :data:`NULL_TRACER` singleton whose
 ``span()`` returns one shared no-op context manager — no allocation, no
 snapshotting, no accounting side effects. Crucially the tracer only *reads*
-I/O counters (:meth:`IOStatistics.snapshot`); it never charges a page
-access, so logical/physical counts are bit-identical with tracing on or
-off (``tests/obs/test_no_overhead.py`` enforces this against the golden
+the thread's I/O journal (:meth:`IOStatistics.metered`); it never charges
+a page access, so logical/physical counts are bit-identical with tracing
+on or off (``tests/obs/test_no_overhead.py`` enforces this against the golden
 fixed-seed suite).
 """
 
@@ -32,8 +32,6 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
-
-from repro.storage.stats import JournalMark, diff_raw
 
 __all__ = [
     "NULL_TRACER",
@@ -60,8 +58,7 @@ class Span:
         "pool_misses",
         "_tracer",
         "_started",
-        "_io_raw_before",
-        "_io_raw_after",
+        "_meter",
         "_io_cache",
         "_pool_before",
     )
@@ -75,8 +72,7 @@ class Span:
         self.pool_misses = 0
         self._tracer = tracer
         self._started = 0.0
-        self._io_raw_before = None
-        self._io_raw_after = None
+        self._meter = None
         self._io_cache = None
         self._pool_before = (0, 0)
 
@@ -104,14 +100,14 @@ class Span:
     def io(self):
         """The span's per-file I/O delta, materialized on first access.
 
-        The tracer records only raw counter captures while the span is
-        open (microseconds); the :class:`IOSnapshot` subtraction —
-        the expensive part — happens here, on demand, and is cached.
-        Returns ``None`` when the tracer had no I/O source or the span
-        was skipped by sampling.
+        While the span is open the tracer only holds an
+        :class:`~repro.storage.stats.IOMeter` (two journal positions); the
+        replay into an :class:`IOSnapshot` happens here, on demand, and is
+        cached. Returns ``None`` when the tracer had no I/O source or the
+        span was skipped by sampling.
         """
-        if self._io_cache is None and self._io_raw_after is not None:
-            self._io_cache = diff_raw(self._io_raw_after, self._io_raw_before)
+        if self._io_cache is None and self._meter is not None:
+            self._io_cache = self._meter.delta()
         return self._io_cache
 
     @property
@@ -181,10 +177,10 @@ def _jsonable(value: Any) -> Any:
 class Tracer:
     """Collects a tree of spans around one storage manager's counters.
 
-    ``io_source`` is anything exposing ``snapshot() -> IOSnapshot`` and a
-    ``pool`` with ``hits`` / ``misses`` ints — in practice a
-    :class:`~repro.storage.paged_file.StorageManager`. ``None`` still
-    traces structure and timing, just without I/O deltas (unit tests).
+    ``io_source`` is a :class:`~repro.storage.paged_file.StorageManager`
+    (its ``stats`` are metered, its ``pool`` read for hits / misses) or a
+    bare :class:`~repro.storage.stats.IOStatistics`. ``None`` still traces
+    structure and timing, just without I/O deltas (unit tests).
 
     Finished *root* spans are appended to :attr:`roots` and emitted to
     every sink (objects with an ``emit(span)`` method).
@@ -197,23 +193,14 @@ class Tracer:
         sample_every: Optional[int] = None,
         max_roots: int = 1024,
     ):
-        self._io = io_source
+        self._stats = getattr(io_source, "stats", io_source)
         self.sinks = list(sinks or [])
         self._stack: List[Span] = []
         self._roots: Deque[Span] = deque(maxlen=max_roots)
         self._sample_every = sample_every if sample_every and sample_every > 1 else None
         self._root_seq = 0
         self._capture_io = False
-        # Journal marks (a list index) cost nanoseconds; raw captures
-        # (dict copies) cost microseconds; full IOSnapshot materialization
-        # costs milliseconds on stores with hundreds of files. Use the
-        # cheapest capture the source exposes.
-        stats = getattr(io_source, "stats", io_source)
-        self._journal_stats = stats if hasattr(stats, "journal_acquire") else None
-        self._raw_stats = stats if hasattr(stats, "raw_snapshot") else None
         self._pool = getattr(io_source, "pool", None)
-        self._journal = None
-        self._journal_owned = False
 
     @property
     def roots(self) -> List[Span]:
@@ -235,14 +222,6 @@ class Tracer:
     def active_span(self) -> Optional[Span]:
         return self._stack[-1] if self._stack else None
 
-    def _snap(self):
-        journal = self._journal
-        if journal is not None:
-            return JournalMark(journal, len(journal))
-        if self._raw_stats is not None:
-            return self._raw_stats.raw_snapshot()
-        return self._io.snapshot()
-
     def _enter(self, span: Span) -> None:
         if self._stack:
             self._stack[-1].children.append(span)
@@ -250,17 +229,13 @@ class Tracer:
             # Sampling decides once per root tree: a skipped tree still
             # records structure, attributes and timing, just no I/O deltas.
             self._root_seq += 1
-            self._capture_io = self._io is not None and (
+            self._capture_io = self._stats is not None and (
                 self._sample_every is None
                 or (self._root_seq - 1) % self._sample_every == 0
             )
-            if self._capture_io and self._journal_stats is not None:
-                self._journal, self._journal_owned = (
-                    self._journal_stats.journal_acquire()
-                )
         self._stack.append(span)
         if self._capture_io:
-            span._io_raw_before = self._snap()
+            span._meter = self._stats.metered().__enter__()
             pool = self._pool
             if pool is not None:
                 span._pool_before = (pool.hits, pool.misses)
@@ -268,8 +243,8 @@ class Tracer:
 
     def _exit(self, span: Span) -> None:
         span.elapsed_seconds = time.perf_counter() - span._started
-        if span._io_raw_before is not None:
-            span._io_raw_after = self._snap()
+        if span._meter is not None:
+            span._meter.__exit__(None, None, None)
             pool = self._pool
             if pool is not None:
                 span.pool_hits = pool.hits - span._pool_before[0]
@@ -281,11 +256,6 @@ class Tracer:
                 f"but {popped.name!r} was innermost"
             )
         if not self._stack:
-            if self._journal is not None:
-                if self._journal_owned:
-                    self._journal_stats.journal_release()
-                self._journal = None
-                self._journal_owned = False
             self._roots.append(span)
             for sink in self.sinks:
                 sink.emit(span)

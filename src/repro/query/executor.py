@@ -9,12 +9,11 @@ executor reports them, together with the I/O snapshot delta, in
 the quantities the cost model predicts.
 
 Execution behaviour is configured through one
-:class:`~repro.query.options.ExecutionOptions` object (the old
-``context=`` / ``prefer_facility=`` / ``smart=`` keywords still work for a
-release, with a ``DeprecationWarning``). With ``ExecutionOptions(trace=True)``
-the executor records a span tree (see :mod:`repro.obs`) attached to
-``QueryResult.trace``; :meth:`QueryExecutor.explain_analyze` renders it as
-an ``EXPLAIN ANALYZE``-style report.
+:class:`~repro.query.options.ExecutionOptions` object. With
+``ExecutionOptions(trace=True)`` the executor records a span tree (see
+:mod:`repro.obs`) attached to ``QueryResult.trace``;
+:meth:`QueryExecutor.explain_analyze` renders it as an
+``EXPLAIN ANALYZE``-style report.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.access.base import BatchQuerySpec, SearchResult
+from repro.access.base import SearchResult
 from repro.errors import AccessFacilityError, PlanningError, StorageError
 from repro.objects.database import Database
 from repro.objects.oid import OID
@@ -35,7 +34,7 @@ from repro.query.options import ExecutionMode, ExecutionOptions, coerce_options
 from repro.query.parser import ParsedQuery, parse_query
 from repro.query.planner import AccessPlan, plan_query
 from repro.query.predicates import SubqueryPredicate
-from repro.storage.stats import IOSnapshot, diff_raw
+from repro.storage.stats import IOSnapshot
 
 
 @dataclass
@@ -99,16 +98,14 @@ class QueryExecutor:
         self,
         text: str,
         options: Optional[ExecutionOptions] = None,
-        **legacy: Any,
     ) -> QueryResult:
         """Parse, plan and run a query given in the SQL-like language."""
-        return self.execute(parse_query(text), coerce_options(options, legacy))
+        return self.execute(parse_query(text), options)
 
     def explain(
         self,
         text: str,
         options: Optional[ExecutionOptions] = None,
-        **legacy: Any,
     ) -> str:
         """Render the chosen plan and its alternatives without executing.
 
@@ -116,7 +113,7 @@ class QueryExecutor:
         query's ``Dq``, which the cost model needs), but the outer query is
         only planned.
         """
-        opts = coerce_options(options, legacy)
+        opts = coerce_options(options)
         query = self._resolve_subqueries(parse_query(text), opts)
         plan = plan_query(
             self.database,
@@ -144,7 +141,6 @@ class QueryExecutor:
         self,
         text: str,
         options: Optional[ExecutionOptions] = None,
-        **legacy: Any,
     ) -> str:
         """Execute the query with tracing on and render the span tree.
 
@@ -153,7 +149,7 @@ class QueryExecutor:
         span tree with per-span page attribution — the executed counterpart
         of :meth:`explain`.
         """
-        opts = coerce_options(options, legacy)
+        opts = coerce_options(options)
         if not opts.tracing_requested:
             opts = opts.evolve(trace=True)
         result = self.execute(parse_query(text), opts)
@@ -175,9 +171,8 @@ class QueryExecutor:
         self,
         query: ParsedQuery,
         options: Optional[ExecutionOptions] = None,
-        **legacy: Any,
     ) -> QueryResult:
-        opts = coerce_options(options, legacy)
+        opts = coerce_options(options)
         tracer = self._tracer_for(opts)
         if tracer is None:
             # Either tracing is off, or an outer execute() already
@@ -200,8 +195,7 @@ class QueryExecutor:
         """Run a batch of query texts through the configured backend.
 
         ``options.resolved_mode()`` picks the backend: ``SERIAL`` runs on
-        the calling thread (with the batched kernel fast path when
-        ``batch_size > 1``), ``THREAD`` serves through a transient
+        the calling thread, ``THREAD`` serves through a transient
         :class:`~repro.server.QueryService`, ``PROCESS`` through a
         :class:`~repro.server.ProcessQueryService` over a read-only
         snapshot, and ``REMOTE`` through a transient
@@ -210,7 +204,7 @@ class QueryExecutor:
         every backend, with rows and per-query page accounting identical
         to a sequential one-at-a-time run.
         """
-        opts = coerce_options(options, {})
+        opts = coerce_options(options)
         mode = opts.resolved_mode()
         if mode is ExecutionMode.REMOTE:
             from repro.errors import ConfigurationError
@@ -226,9 +220,7 @@ class QueryExecutor:
             from repro.server.process import ProcessQueryService
 
             with ProcessQueryService(
-                self.database,
-                max_workers=opts.max_workers or 4,
-                batch_size=opts.batch_size,
+                self.database, max_workers=opts.max_workers or 4
             ) as service:
                 return service.execute_many(queries, opts)
         if mode is ExecutionMode.THREAD:
@@ -238,176 +230,7 @@ class QueryExecutor:
                 self.database, max_workers=opts.max_workers or 4
             ) as service:
                 return service.execute_many(queries, opts)
-        if opts.batch_size is not None and opts.batch_size > 1:
-            return self.execute_batched(queries, opts)
         return [self.execute_text(text, opts) for text in queries]
-
-    def execute_batched(
-        self,
-        queries: List[str],
-        options: Optional[ExecutionOptions] = None,
-    ) -> List[QueryResult]:
-        """Serial batch execution through the facilities' batch protocol.
-
-        Consecutive queries that drive the *same* facility are grouped (up
-        to ``options.batch_size`` per group) and staged with one
-        :meth:`~repro.access.base.SetAccessFacility.prepare_batch` call, so
-        the facility decodes its signature matrix / slice set once and
-        evaluates the whole group with the ``match_many`` kernels. Each
-        query's completion then charges its page accesses exactly as the
-        sequential search would, keeping rows, statistics and per-file page
-        counts bit-identical to :meth:`execute_text` in a loop.
-
-        Queries that cannot ride a batch — scans, subqueries, intersection
-        plans, degraded facilities — fall out to the sequential path in
-        their original position; tracing also disables batching, since a
-        span tree describes exactly one query's execution.
-        """
-        opts = coerce_options(options, {})
-        batch_size = opts.batch_size or 1
-        if batch_size <= 1 or opts.tracing_requested:
-            return [self.execute_text(text, opts) for text in queries]
-        results: List[Optional[QueryResult]] = [None] * len(queries)
-        pending: List[Tuple[int, AccessPlan, ParsedQuery]] = []
-        pending_key: Optional[Tuple[str, str, str]] = None
-
-        def flush() -> None:
-            nonlocal pending, pending_key
-            if pending:
-                self._run_batch_group(pending, opts, results)
-                pending = []
-                pending_key = None
-
-        for position, text in enumerate(queries):
-            query = parse_query(text)
-            if query.has_unresolved_subqueries():
-                flush()
-                results[position] = self.execute(query, opts)
-                continue
-            plan = plan_query(
-                self.database,
-                query,
-                context=opts.context,
-                prefer_facility=opts.prefer_facility,
-                smart=opts.smart,
-            )
-            key = self._batch_key(plan)
-            if key is None:
-                flush()
-                results[position] = self.execute_plan(plan, query)
-                continue
-            if pending and (key != pending_key or len(pending) >= batch_size):
-                flush()
-            pending.append((position, plan, query))
-            pending_key = key
-        flush()
-        REGISTRY.counter("query.batched").inc(len(queries))
-        return results  # type: ignore[return-value]
-
-    def _batch_key(self, plan: AccessPlan) -> Optional[Tuple[str, str, str]]:
-        """Grouping key for the batch path, or ``None`` if unbatchable.
-
-        A plan can join a batch only when one healthy facility fully
-        drives it: index plans without an intersection leg, on a facility
-        that is not marked degraded. (Every facility supports
-        ``prepare_batch`` — the base class stages sequential searches — so
-        capability is not part of the test.)
-        """
-        if plan.is_scan or plan.intersect_with is not None:
-            return None
-        attribute = plan.driving_predicate.attribute
-        if self.database.is_degraded(
-            plan.class_name, attribute, plan.facility_name
-        ):
-            return None
-        return (plan.class_name, attribute, plan.facility_name)
-
-    def _run_batch_group(
-        self,
-        group: List[Tuple[int, AccessPlan, ParsedQuery]],
-        opts: ExecutionOptions,
-        results: List[Optional[QueryResult]],
-    ) -> None:
-        """Execute one same-facility group through the batch protocol.
-
-        Mirrors :meth:`execute_plan` per query — read latch, isolated I/O
-        scope, drop resolution, metrics — with phase 1 (the shared decode)
-        hoisted in front. On a :class:`StorageError` anywhere in the batch
-        path the whole group re-runs query-by-query through
-        :meth:`execute_plan`, which owns the degradation protocol.
-        """
-        class_name, attribute, facility_name = self._batch_key_of(group)
-        specs = [
-            BatchQuerySpec(
-                mode=plan.search_mode,
-                query=plan.driving_predicate.constant,
-                use_elements=plan.use_elements,
-                slices_to_examine=plan.slices_to_examine,
-            )
-            for _, plan, _ in group
-        ]
-        stats_source = self.database.storage.stats
-        fallback: List[Tuple[int, AccessPlan, ParsedQuery]] = []
-        with self.database.read_scope(class_name):
-            try:
-                facility = self.database.index(
-                    class_name, attribute, facility_name
-                )
-                completions = facility.prepare_batch(specs)
-            except (StorageError, AccessFacilityError):
-                completions = None
-            if completions is None:
-                fallback = list(group)
-            else:
-                for (position, plan, query), complete in zip(
-                    group, completions
-                ):
-                    with stats_source.isolated():
-                        raw_before = stats_source.raw_snapshot()
-                        started = time.perf_counter()
-                        try:
-                            result = complete()
-                        except StorageError:
-                            fallback.append((position, plan, query))
-                            continue
-                        rows = []
-                        for oid in result.candidates:
-                            values = self.database.get(oid)
-                            if all(
-                                p.matches(values) for p in query.predicates
-                            ):
-                                rows.append((oid, values))
-                        elapsed = time.perf_counter() - started
-                        io_delta = diff_raw(
-                            stats_source.raw_snapshot(), raw_before
-                        )
-                    detail = dict(result.detail)
-                    detail["exact_search"] = result.exact
-                    stats = QueryStatistics(
-                        plan=plan.describe(),
-                        candidates=len(result.candidates),
-                        false_drops=len(result.candidates) - len(rows),
-                        results=len(rows),
-                        io=io_delta,
-                        elapsed_seconds=elapsed,
-                        detail=detail,
-                    )
-                    self._record_metrics(stats)
-                    results[position] = QueryResult(rows=rows, statistics=stats)
-        # Outside the latch: execute_plan re-acquires it per query.
-        for position, plan, query in fallback:
-            results[position] = self.execute_plan(plan, query)
-
-    @staticmethod
-    def _batch_key_of(
-        group: List[Tuple[int, AccessPlan, ParsedQuery]],
-    ) -> Tuple[str, str, str]:
-        plan = group[0][1]
-        return (
-            plan.class_name,
-            plan.driving_predicate.attribute,
-            plan.facility_name,
-        )
 
     def _tracer_for(self, opts: ExecutionOptions) -> Optional[Tracer]:
         """The tracer to activate for this call, or ``None`` to not activate."""
@@ -474,13 +297,10 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     def execute_plan(self, plan: AccessPlan, query: ParsedQuery) -> QueryResult:
         # Read latch for the whole plan execution (keyed by class for a
-        # sharded latch), plus a per-thread I/O scope: under concurrent
-        # serving the before/after metering below must see only this
-        # thread's page accesses, and the scope's merge-on-exit keeps the
-        # shared totals bit-identical to a sequential run.
+        # sharded latch). The meter reads this thread's I/O journal, so
+        # under concurrent serving it sees only this query's page accesses.
         with self.database.read_scope(plan.class_name):
-            with self.database.storage.stats.isolated():
-                before = self.database.io_snapshot()
+            with self.database.storage.stats.metered() as meter:
                 started = time.perf_counter()
                 if plan.is_scan:
                     with trace.span("query.scan", class_name=plan.class_name):
@@ -490,7 +310,7 @@ class QueryExecutor:
                 else:
                     rows, stats_detail, candidates = self._run_index(plan, query)
                 elapsed = time.perf_counter() - started
-                io_delta = self.database.io_snapshot() - before
+        io_delta = meter.delta()
         described = plan.describe()
         if "degraded" in stats_detail:
             described += f" -> degraded-fallback scan({plan.class_name})"

@@ -6,16 +6,11 @@ and now ``trace``). :class:`ExecutionOptions` collapses them into a single
 immutable dataclass::
 
     executor.execute_text(text, ExecutionOptions(prefer_facility="bssf"))
-
-The old keywords still work for one release through
-:func:`coerce_options`, which converts them and emits a
-``DeprecationWarning``.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
@@ -30,8 +25,7 @@ class ExecutionMode(enum.Enum):
     """How :meth:`QueryExecutor.execute_many` distributes a batch.
 
     ``SERIAL``
-        Run on the calling thread (batched kernel evaluation still applies
-        when ``batch_size > 1``).
+        Run on the calling thread, one query at a time.
     ``THREAD``
         Serve through a transient thread-pool
         :class:`~repro.server.QueryService` — wins when simulated device
@@ -50,9 +44,6 @@ class ExecutionMode(enum.Enum):
     THREAD = "thread"
     PROCESS = "process"
     REMOTE = "remote"
-
-#: keywords accepted by the pre-ExecutionOptions API, shimmed for one release
-_LEGACY_KEYS = ("context", "prefer_facility", "smart", "trace")
 
 
 @dataclass(frozen=True)
@@ -80,12 +71,6 @@ class ExecutionOptions:
         :class:`~repro.server.QueryService`). ``None`` means serve
         sequentially on the calling thread; single-query execution ignores
         it.
-    ``batch_size``
-        Evaluate batch entry points in groups of up to this many queries
-        against one shared signature-matrix / slice decode (the
-        ``match_many`` fast path). ``None`` or ``1`` evaluates one query
-        at a time. Results and per-query page accounting are identical
-        either way; only wall-clock changes.
     ``execution_mode``
         Backend for :meth:`QueryExecutor.execute_many`. ``None`` infers:
         ``REMOTE`` when ``remote_url`` is set, ``THREAD`` when
@@ -111,7 +96,6 @@ class ExecutionOptions:
     trace: bool = False
     tracer: Optional["Tracer"] = None
     max_workers: Optional[int] = None
-    batch_size: Optional[int] = None
     execution_mode: Optional[ExecutionMode] = None
     remote_url: Optional[str] = None
     deadline_ms: Optional[float] = None
@@ -149,7 +133,6 @@ class ExecutionOptions:
             "smart": self.smart,
             "trace": self.trace,
             "max_workers": self.max_workers,
-            "batch_size": self.batch_size,
             "execution_mode": (
                 self.execution_mode.value
                 if self.execution_mode is not None
@@ -181,41 +164,12 @@ class ExecutionOptions:
             smart=bool(data.get("smart", True)),
             trace=bool(data.get("trace", False)),
             max_workers=data.get("max_workers"),
-            batch_size=data.get("batch_size"),
             execution_mode=mode,
             remote_url=data.get("remote_url"),
             deadline_ms=data.get("deadline_ms"),
         )
 
 
-def coerce_options(
-    options: Optional[ExecutionOptions], legacy: Dict[str, Any]
-) -> ExecutionOptions:
-    """Resolve the new-style ``options`` object against legacy keywords.
-
-    Legacy keywords (``context=``, ``prefer_facility=``, ``smart=``,
-    ``trace=``) are accepted for one release: they are converted into an
-    :class:`ExecutionOptions` and a ``DeprecationWarning`` is emitted.
-    Mixing both styles in one call is an error, as is any unknown keyword.
-    """
-    if not legacy:
-        return options if options is not None else ExecutionOptions()
-    unknown = set(legacy) - set(_LEGACY_KEYS)
-    if unknown:
-        raise TypeError(
-            f"unknown execution keyword(s) {sorted(unknown)}; "
-            f"supported legacy keywords are {list(_LEGACY_KEYS)}"
-        )
-    if options is not None:
-        raise TypeError(
-            "pass either an ExecutionOptions object or legacy keywords, "
-            "not both"
-        )
-    warnings.warn(
-        "QueryExecutor keyword arguments "
-        "(context=, prefer_facility=, smart=, trace=) are deprecated; "
-        "pass ExecutionOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ExecutionOptions(**legacy)
+def coerce_options(options: Optional[ExecutionOptions]) -> ExecutionOptions:
+    """``options``, or the defaults when the caller passed ``None``."""
+    return options if options is not None else ExecutionOptions()

@@ -9,10 +9,9 @@ and each worker *process* lazily loads its own read-only replica on first
 use, so query evaluation scales across cores with zero shared state.
 
 Accounting still matches a sequential run exactly. Every query executes in
-the worker under its own isolated I/O scope, so its
-``QueryStatistics.io`` delta covers precisely that query (the replica
-load is not charged); the parent folds each delta back into the serving
-database's shared statistics with
+the worker under its own I/O meter, so its ``QueryStatistics.io`` delta
+covers precisely that query (the replica load is not charged); the parent
+folds each delta back into the serving database's shared statistics with
 :meth:`~repro.storage.stats.IOStatistics.merge_snapshot`, leaving the
 golden page totals identical to ``execute_text`` in a loop.
 
@@ -71,10 +70,7 @@ def _run_chunk(
 ) -> List[QueryResult]:
     """Execute one contiguous slice of the batch inside a worker process."""
     executor = _worker_executor()
-    if options is not None and (options.batch_size or 1) > 1:
-        results = executor.execute_batched(texts, options)
-    else:
-        results = [executor.execute_text(text, options) for text in texts]
+    results = [executor.execute_text(text, options) for text in texts]
     for result in results:
         # Span trees hold live Tracer/IOStatistics references; they are a
         # per-process debugging aid, not part of the serving contract.
@@ -91,11 +87,6 @@ class ProcessQueryService:
         frozen state.
     ``max_workers``
         Number of worker processes.
-    ``batch_size``
-        When > 1, workers run their slice through
-        :meth:`~repro.query.executor.QueryExecutor.execute_batched`
-        (shared-decode kernels) instead of a per-query loop. An explicit
-        ``options.batch_size`` passed to :meth:`execute_many` wins.
     ``snapshot_path``
         Save location override; default is a private temporary directory
         removed on :meth:`shutdown`.
@@ -108,7 +99,6 @@ class ProcessQueryService:
         self,
         database,
         max_workers: int = 4,
-        batch_size: Optional[int] = None,
         snapshot_path: Optional[str] = None,
     ):
         if max_workers < 1:
@@ -119,7 +109,6 @@ class ProcessQueryService:
 
         self.database = database
         self.max_workers = max_workers
-        self.batch_size = batch_size
         self._tmpdir: Optional[str] = None
         if snapshot_path is None:
             self._tmpdir = tempfile.mkdtemp(prefix="repro-procpool-")
@@ -228,15 +217,13 @@ class ProcessQueryService:
     def _worker_options(
         self, options: Optional[ExecutionOptions]
     ) -> Optional[ExecutionOptions]:
-        """Options as shipped to workers: serial, trace-free, batch-aware."""
+        """Options as shipped to workers: serial and trace-free."""
         opts = options or ExecutionOptions()
-        batch = opts.batch_size if opts.batch_size is not None else self.batch_size
         # Workers must run the serial in-process path: no nested pools, no
         # tracers (spans cannot cross the pickle boundary).
         return opts.evolve(
             max_workers=None,
             execution_mode=None,
-            batch_size=batch,
             trace=False,
             tracer=None,
         )
@@ -274,6 +261,5 @@ class ProcessQueryService:
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return (
-            f"ProcessQueryService(workers={self.max_workers}, "
-            f"batch_size={self.batch_size}, {state})"
+            f"ProcessQueryService(workers={self.max_workers}, {state})"
         )

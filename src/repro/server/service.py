@@ -5,7 +5,7 @@ many at once. :class:`QueryService` is the serving layer: a fixed pool of
 worker threads executes queries through one shared
 :class:`~repro.query.executor.QueryExecutor`, relying on the facade latch
 (readers share, mutators exclude) and the thread-safe storage substrate for
-correctness, and on per-thread I/O scopes for exact per-query metering.
+correctness, and on the per-thread I/O journal for exact per-query metering.
 
 Admission is bounded: at most ``max_workers + queue_depth`` queries may be
 in flight or waiting. A ``submit`` past that limit blocks for
@@ -109,7 +109,6 @@ class QueryService:
         self._m_admitted = REGISTRY.counter("server.admitted")
         self._m_shed = REGISTRY.counter("server.shed")
         self._m_completed = REGISTRY.counter("server.completed")
-        self._m_batched = REGISTRY.counter("server.batched_queries")
         self._m_errors = REGISTRY.counter("server.errors")
         self._h_wait = REGISTRY.histogram("server.admission_wait_seconds")
         self._h_query = REGISTRY.histogram("server.query_seconds")
@@ -225,24 +224,12 @@ class QueryService:
     ) -> List[QueryResult]:
         """Serve a batch; results come back in submission order.
 
-        With ``options.batch_size > 1`` (and tracing off) the batch drains
-        in groups: each group of up to ``batch_size`` consecutive queries
-        is admitted as one unit and served by one worker through
-        :meth:`~repro.query.executor.QueryExecutor.execute_batched`, so
-        the facility-level shared-decode fast path applies *and* groups
-        overlap across the pool. Per-query results and page accounting are
-        identical to one-at-a-time serving.
-
         Admission backpressure applies while submitting: if the pool and
         queue stay full through the whole admission policy, the batch
         fails with :class:`~repro.errors.AdmissionError` after the results
         already in flight complete. A query that itself raises re-raises
         here, after all futures have settled.
         """
-        batch_size = getattr(options, "batch_size", None) or 1
-        tracing = options is not None and options.tracing_requested
-        if batch_size > 1 and not tracing:
-            return self._execute_many_batched(queries, options, batch_size)
         futures: List["Future[QueryResult]"] = []
         try:
             for text in queries:
@@ -255,66 +242,6 @@ class QueryService:
             if error is not None:
                 raise error
         return [future.result() for _, future in done]
-
-    def _execute_many_batched(
-        self,
-        queries: List[str],
-        options: Optional[ExecutionOptions],
-        batch_size: int,
-    ) -> List[QueryResult]:
-        """Drain the batch in ``batch_size`` groups across the pool."""
-        # Each worker runs its group serially in-process; stripping the
-        # pool knobs stops execute_many from recursing into a new service.
-        opts = (options or ExecutionOptions()).evolve(
-            max_workers=None, execution_mode=None
-        )
-        chunks = [
-            queries[start : start + batch_size]
-            for start in range(0, len(queries), batch_size)
-        ]
-        futures: List["Future[List[QueryResult]]"] = []
-        try:
-            for chunk in chunks:
-                if self._closed:
-                    raise AdmissionError("query service is shut down")
-                self._m_submitted.inc(len(chunk))
-                self._admit()
-                try:
-                    futures.append(
-                        self._pool.submit(self._run_chunk, chunk, opts)
-                    )
-                except RuntimeError:
-                    self._slots.release()
-                    self._m_shed.inc()
-                    raise AdmissionError(
-                        "query service is shut down"
-                    ) from None
-        finally:
-            done = [(future.exception(), future) for future in futures]
-        for error, _ in done:
-            if error is not None:
-                raise error
-        results: List[QueryResult] = []
-        for _, future in done:
-            results.extend(future.result())
-        return results
-
-    def _run_chunk(
-        self, chunk: List[str], options: ExecutionOptions
-    ) -> List[QueryResult]:
-        started = time.perf_counter()
-        try:
-            results = self.executor.execute_batched(chunk, options)
-        except Exception:
-            self._m_errors.inc()
-            raise
-        else:
-            self._m_completed.inc(len(results))
-            self._m_batched.inc(len(results))
-            return results
-        finally:
-            self._h_query.record(time.perf_counter() - started)
-            self._slots.release()
 
     # ------------------------------------------------------------------
     # Lifecycle

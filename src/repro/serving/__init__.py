@@ -24,15 +24,11 @@ and two blessed constructors pick the right one:
     database — a :class:`RemoteClient`).
 
 Direct construction of the three classes keeps working; the factories are
-the documented entry point, and legacy keyword spellings (``workers=``,
-``process_workers=`` — the pre-unification CLI vocabulary) are accepted
-for one release with a ``DeprecationWarning``, mirroring the
-``ExecutionOptions`` migration.
+the documented entry point.
 """
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import Future
 from typing import Any, List, Optional, Protocol, Union, runtime_checkable
 
@@ -166,13 +162,6 @@ def _shard_router(shard_specs, kwargs):
     return ShardRouter(shards, **router_kwargs)
 
 
-#: legacy keyword -> (new keyword, implied mode); shimmed for one release
-_LEGACY_SERVICE_KEYS = {
-    "workers": ("max_workers", None),
-    "process_workers": ("max_workers", ExecutionMode.PROCESS),
-}
-
-
 def make_service(
     db_or_url,
     mode: Union[ExecutionMode, str, None] = None,
@@ -201,27 +190,9 @@ def make_service(
     ``max_workers`` and remaining keywords
         Forwarded to the chosen backend's constructor
         (``queue_depth`` / ``admission_policy`` for thread serving,
-        ``batch_size`` / ``snapshot_path`` for process serving,
+        ``snapshot_path`` for process serving,
         ``token`` / ``pool_size`` / ``retry_policy`` for remote).
     """
-    for legacy, (replacement, implied_mode) in _LEGACY_SERVICE_KEYS.items():
-        if legacy in kwargs:
-            warnings.warn(
-                f"make_service({legacy}=...) is deprecated; pass "
-                f"{replacement}="
-                + (
-                    f" with mode=ExecutionMode.{implied_mode.name}"
-                    if implied_mode is not None
-                    else ""
-                ),
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            value = kwargs.pop(legacy)
-            if max_workers is None:
-                max_workers = value
-            if implied_mode is not None and mode is None:
-                mode = implied_mode
     if isinstance(mode, str):
         try:
             mode = ExecutionMode(mode.lower())

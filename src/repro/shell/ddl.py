@@ -347,19 +347,6 @@ def execute_statement(
     raise QueryError(f"unhandled statement type: {type(statement).__name__}")
 
 
-def is_plain_select(text: str) -> bool:
-    """True when ``text`` is a bare ``select`` statement.
-
-    These are the statements the shell's ``\\batch`` mode may group into
-    one :meth:`~repro.query.executor.QueryExecutor.execute_batched` call;
-    ``explain``, DDL and mutations always run one at a time.
-    """
-    stripped = text.strip().rstrip(";").lower()
-    return stripped.startswith("select") and (
-        len(stripped) == len("select") or not stripped[len("select")].isalnum()
-    )
-
-
 def format_query_result(result, max_rows: int = 20, trace: bool = False) -> str:
     """Render one :class:`~repro.query.executor.QueryResult` for the shell."""
     summary = (

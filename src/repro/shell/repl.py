@@ -25,9 +25,6 @@ meta-commands::
                           sigfile://host:port server (see `sigfile-repro
                           serve`); DDL and mutations stay local
     \\disconnect           drop the remote connection
-    \\batch N              in scripts, run consecutive select statements
-                          in groups of N through the batched kernel path
-                          (1 restores statement-at-a-time execution)
     \\help                 this text
     \\quit                 leave
 
@@ -45,11 +42,7 @@ from typing import Iterable, List, Optional
 from repro.errors import ReproError
 from repro.objects.database import Database
 from repro.persistence.snapshot import load_database, save_database
-from repro.shell.ddl import (
-    execute_statement,
-    format_query_result,
-    is_plain_select,
-)
+from repro.shell.ddl import execute_statement
 
 _HELP = __doc__
 
@@ -65,7 +58,6 @@ class Shell:
         self.tracing = False
         self.service = None  # QueryService when \workers N (N > 1) is active
         self.remote = None  # RemoteClient when \connect is active
-        self.batch_size = 1  # \batch N groups script selects when N > 1
 
     def _backend(self):
         """The serving backend selects go through; remote wins over pool."""
@@ -207,60 +199,15 @@ class Shell:
             return f"error: {exc}"
 
     def run_script(self, lines: Iterable[str]) -> List[str]:
-        """Run many lines; returns non-empty responses in order.
-
-        With ``\\batch N`` (N > 1) active and tracing off, consecutive
-        plain ``select`` statements are grouped and executed through the
-        batched kernel path; responses still come back one per statement,
-        in statement order, identical to line-at-a-time execution.
-        """
-        responses: List[str] = []
-        batch: List[str] = []
-
-        def flush() -> None:
-            if batch:
-                responses.extend(self._run_select_batch(batch))
-                batch.clear()
-
+        """Run many lines; returns non-empty responses in order."""
+        responses = []
         for line in lines:
             if self.finished:
                 break
-            stripped = line.strip()
-            if (
-                self.batch_size > 1
-                and not self.tracing
-                and stripped
-                and not stripped.startswith(("\\", "--"))
-                and is_plain_select(stripped)
-            ):
-                batch.append(stripped)
-                continue
-            flush()
             response = self.run_line(line)
             if response:
                 responses.append(response)
-        flush()
         return responses
-
-    def _run_select_batch(self, texts: List[str]) -> List[str]:
-        """Serve one group of selects through the batched executor path."""
-        from repro.query.executor import QueryExecutor
-        from repro.query.options import ExecutionOptions
-
-        options = ExecutionOptions(batch_size=self.batch_size)
-        backend = self._backend()
-        try:
-            if backend is not None:
-                results = backend.execute_many(texts, options)
-            else:
-                results = QueryExecutor(self.database).execute_batched(
-                    texts, options
-                )
-        except ReproError:
-            # One bad statement (e.g. a parse error) fails a whole group;
-            # re-running line-at-a-time preserves per-statement errors.
-            return [self.run_line(text) for text in texts]
-        return [format_query_result(result) for result in results]
 
     # ------------------------------------------------------------------
     # Meta-commands
@@ -373,13 +320,6 @@ class Shell:
             if workers == 1:
                 return "serving sequentially"
             return f"serving through {workers} worker(s)"
-        if command == "batch":
-            if len(args) != 1 or not args[0].isdigit() or int(args[0]) < 1:
-                return "usage: \\batch N (N >= 1)"
-            self.batch_size = int(args[0])
-            if self.batch_size == 1:
-                return "batched execution off"
-            return f"batching script selects in groups of {self.batch_size}"
         if command == "save":
             if len(args) != 1:
                 return "usage: \\save <path>"

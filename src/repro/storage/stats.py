@@ -16,21 +16,18 @@ two layers of counts per file:
 Counters are cheap plain ints; snapshots are immutable and subtractable so
 an experiment can meter a single query as ``after - before``.
 
-Concurrency: the shared counters are guarded by a lock, and a thread may
-open an :meth:`IOStatistics.isolated` scope that routes its own recording
-into a private :class:`PageAccessStats` delta, merged into the shared
-counters when the scope closes. Inside the scope, :meth:`snapshot` returns
-the scope's entry snapshot plus the thread's own delta — so a worker's
-``after - before`` metering sees exactly its own page accesses, never a
-concurrent neighbour's — and because merging is pure addition, the totals
-after all scopes close are bit-identical to a sequential run of the same
-work.
+Concurrency: every counter update happens under one lock, so the shared
+totals are pure addition and bit-identical to a sequential run of the same
+work. A thread that wants *its own* page accesses — one query, one span —
+opens :meth:`IOStatistics.metered`: while a meter is open the thread also
+appends each ``record_*`` call to a thread-local journal, and the meter's
+:meth:`IOMeter.delta` replays its slice of that journal. The journal is
+per thread, so a concurrent neighbour's accesses never appear in it.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Mapping, Tuple
 
@@ -116,128 +113,6 @@ class IOSnapshot:
         return self.total().physical_total
 
 
-class _RawCounts:
-    """Plain-dict capture of per-file counters.
-
-    The cheap cousin of :class:`IOSnapshot`: four dicts of ints, no frozen
-    dataclass per file. Copying ~500 small dicts costs microseconds where
-    materializing 500 :class:`FileIOCounts` costs milliseconds — this is
-    what makes always-on tracing affordable. Materialize to a real
-    :class:`IOSnapshot` only when someone asks.
-    """
-
-    __slots__ = ("lr", "lw", "pr", "pw")
-
-    def __init__(self, lr, lw, pr, pw) -> None:
-        self.lr = lr
-        self.lw = lw
-        self.pr = pr
-        self.pw = pw
-
-    def merged(self, delta: "PageAccessStats") -> "_RawCounts":
-        """New counts = self plus a private delta's counts."""
-        out = _RawCounts(dict(self.lr), dict(self.lw), dict(self.pr), dict(self.pw))
-        for mine, theirs in (
-            (out.lr, delta._logical_reads),
-            (out.lw, delta._logical_writes),
-            (out.pr, delta._physical_reads),
-            (out.pw, delta._physical_writes),
-        ):
-            for name, pages in theirs.items():
-                mine[name] = mine.get(name, 0) + pages
-        return out
-
-    def to_snapshot(self) -> IOSnapshot:
-        names = set(self.lr) | set(self.lw) | set(self.pr) | set(self.pw)
-        return IOSnapshot(
-            {
-                name: FileIOCounts(
-                    self.lr.get(name, 0),
-                    self.lw.get(name, 0),
-                    self.pr.get(name, 0),
-                    self.pw.get(name, 0),
-                )
-                for name in names
-            }
-        )
-
-    def diff(self, other: "_RawCounts") -> IOSnapshot:
-        """Sparse ``self - other``: only files whose counters changed.
-
-        Observably equivalent to the dense :meth:`IOSnapshot.__sub__` for
-        every consumer (totals, ``for_file``, non-zero ``pages_by_file``)
-        — it merely omits the zero-delta entries the dense form carries.
-        """
-        names = (
-            set(self.lr) | set(self.lw) | set(self.pr) | set(self.pw)
-            | set(other.lr) | set(other.lw) | set(other.pr) | set(other.pw)
-        )
-        out = {}
-        for name in names:
-            counts = FileIOCounts(
-                self.lr.get(name, 0) - other.lr.get(name, 0),
-                self.lw.get(name, 0) - other.lw.get(name, 0),
-                self.pr.get(name, 0) - other.pr.get(name, 0),
-                self.pw.get(name, 0) - other.pw.get(name, 0),
-            )
-            if (
-                counts.logical_reads or counts.logical_writes
-                or counts.physical_reads or counts.physical_writes
-            ):
-                out[name] = counts
-        return IOSnapshot(out)
-
-
-class RawIOSnapshot:
-    """A near-free capture of counter state, diffable later.
-
-    ``token`` identifies the recording context the capture was taken in
-    (the thread's private :class:`PageAccessStats` inside an
-    :meth:`IOStatistics.isolated` scope, else the shared
-    :class:`IOStatistics`). Two captures with the same token diff by their
-    relative ``counts`` alone; captures straddling a scope boundary fall
-    back to absolute counts (``base`` + ``counts``), still exact.
-    """
-
-    __slots__ = ("token", "counts", "base")
-
-    def __init__(self, token, counts: _RawCounts, base) -> None:
-        self.token = token
-        self.counts = counts
-        self.base = base
-
-    def absolute(self) -> _RawCounts:
-        if self.base is None:
-            return self.counts
-        out = _RawCounts(
-            dict(self.base.lr), dict(self.base.lw),
-            dict(self.base.pr), dict(self.base.pw),
-        )
-        for mine, theirs in (
-            (out.lr, self.counts.lr), (out.lw, self.counts.lw),
-            (out.pr, self.counts.pr), (out.pw, self.counts.pw),
-        ):
-            for name, pages in theirs.items():
-                mine[name] = mine.get(name, 0) + pages
-        return out
-
-
-class JournalMark:
-    """An O(1) position capture in a thread's I/O journal.
-
-    The cheapest possible "snapshot": the journal list plus an index.
-    Two marks bracket a span; replaying the entries between them yields
-    the exact per-file delta this thread charged — lazily, only when
-    someone reads ``span.io``.
-    """
-
-    __slots__ = ("journal", "index")
-
-    def __init__(self, journal: list, index: int) -> None:
-        self.journal = journal
-        self.index = index
-
-
 def _replay(journal: list, start: int, stop: int) -> IOSnapshot:
     """Fold journal entries ``[start:stop)`` into a sparse snapshot."""
     lr: Dict[str, int] = {}
@@ -264,96 +139,56 @@ def _replay(journal: list, start: int, stop: int) -> IOSnapshot:
     )
 
 
-def diff_raw(after, before) -> IOSnapshot:
-    """Exact I/O delta between two captures taken on the same statistics.
+class IOMeter:
+    """The page accesses one thread charges while the meter is open.
 
-    Accepts :class:`JournalMark` pairs (the tracer's fast path),
-    :class:`RawIOSnapshot` pairs (the batch executor's fast path) or plain
-    :class:`IOSnapshot` pairs (eager fallback for exotic ``io_source``
-    objects that only expose ``snapshot()``).
-    """
-    if isinstance(after, JournalMark):
-        return _replay(after.journal, before.index, after.index)
-    if isinstance(after, IOSnapshot):
-        return after - before
-    if after.token is before.token:
-        return after.counts.diff(before.counts)
-    return after.absolute().diff(before.absolute())
-
-
-class PageAccessStats:
-    """One thread's private page-access delta.
-
-    Same recording surface as :class:`IOStatistics`, but unshared: no lock
-    is needed because exactly one thread writes it. Created by
-    :meth:`IOStatistics.isolated` and merged into the shared counters when
-    the scope exits — merging is pure addition, so concurrent workers'
-    merged totals equal the sequential totals of the same work.
+    Entering costs O(1): it notes the current length of the thread's I/O
+    journal, starting the journal if no enclosing meter has. Leaving notes
+    the length again, and the outermost meter stops the journal. Meters
+    nest freely — a query's meter inside a tracer span, spans inside a
+    query's meter — because each is only a pair of positions in the one
+    list. :meth:`delta` replays the entries between the two positions, so
+    its cost follows the files the thread touched, not the files the store
+    holds.
     """
 
-    __slots__ = (
-        "_logical_reads",
-        "_logical_writes",
-        "_physical_reads",
-        "_physical_writes",
-    )
+    __slots__ = ("_local", "_journal", "_owned", "_start", "_stop")
 
-    def __init__(self) -> None:
-        self._logical_reads: Dict[str, int] = {}
-        self._logical_writes: Dict[str, int] = {}
-        self._physical_reads: Dict[str, int] = {}
-        self._physical_writes: Dict[str, int] = {}
+    def __init__(self, local) -> None:
+        self._local = local
+        self._stop = None
 
-    def record_logical_read(self, file_name: str, pages: int = 1) -> None:
-        self._logical_reads[file_name] = self._logical_reads.get(file_name, 0) + pages
+    def __enter__(self) -> "IOMeter":
+        journal = getattr(self._local, "journal", None)
+        self._owned = journal is None
+        if self._owned:
+            journal = self._local.journal = []
+        self._journal = journal
+        self._start = len(journal)
+        return self
 
-    def record_logical_write(self, file_name: str, pages: int = 1) -> None:
-        self._logical_writes[file_name] = self._logical_writes.get(file_name, 0) + pages
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._stop = len(self._journal)
+        if self._owned:
+            self._local.journal = None
+        return False
 
-    def record_physical_read(self, file_name: str, pages: int = 1) -> None:
-        self._physical_reads[file_name] = self._physical_reads.get(file_name, 0) + pages
+    def delta(self) -> IOSnapshot:
+        """Per-file counts charged so far (or in total, once closed).
 
-    def record_physical_write(self, file_name: str, pages: int = 1) -> None:
-        self._physical_writes[file_name] = (
-            self._physical_writes.get(file_name, 0) + pages
-        )
-
-    def record_logical_read_many(self, file_names, pages_each: int) -> None:
-        counters = self._logical_reads
-        for name in file_names:
-            counters[name] = counters.get(name, 0) + pages_each
-
-    def record_physical_read_many(self, file_names, pages_each: int) -> None:
-        counters = self._physical_reads
-        for name in file_names:
-            counters[name] = counters.get(name, 0) + pages_each
-
-    def snapshot(self) -> IOSnapshot:
-        names = (
-            set(self._logical_reads)
-            | set(self._logical_writes)
-            | set(self._physical_reads)
-            | set(self._physical_writes)
-        )
-        return IOSnapshot(
-            {
-                name: FileIOCounts(
-                    self._logical_reads.get(name, 0),
-                    self._logical_writes.get(name, 0),
-                    self._physical_reads.get(name, 0),
-                    self._physical_writes.get(name, 0),
-                )
-                for name in names
-            }
-        )
+        Sparse: only files this thread touched appear.
+        """
+        stop = self._stop if self._stop is not None else len(self._journal)
+        return _replay(self._journal, self._start, stop)
 
 
 class IOStatistics:
     """Mutable counter registry shared by a storage manager's files.
 
-    Thread-safe: shared counters are mutated under a lock, and a thread
-    inside an :meth:`isolated` scope records into its own
-    :class:`PageAccessStats` without touching the lock at all.
+    Thread-safe: every counter update happens under one lock. Each
+    ``record_*`` first appends to the calling thread's journal when a
+    :meth:`metered` block is open on it (one list append per *call*, not
+    per file; one attribute read when none is open).
     """
 
     def __init__(self) -> None:
@@ -364,45 +199,14 @@ class IOStatistics:
         self._physical_reads: Dict[str, int] = {}
         self._physical_writes: Dict[str, int] = {}
 
-    def _delta(self):
-        scope = getattr(self._local, "scope", None)
-        return scope[1] if scope is not None else None
-
-    # ------------------------------------------------------------------
-    # Tracing journal
-    # ------------------------------------------------------------------
-    # When a tracer is active on this thread, every record_* call appends
-    # one entry to a thread-local journal (an O(1) list append per *call*,
-    # not per file). Spans capture journal positions instead of snapshots,
-    # making the per-span capture cost independent of how many files the
-    # store holds. With no tracer active the journal is None and each
-    # record path pays one attribute read.
-    def journal_acquire(self):
-        """Enable (or join) this thread's I/O journal.
-
-        Returns ``(journal, owned)``; the caller that received
-        ``owned=True`` enabled journaling and must call
-        :meth:`journal_release` when its root span closes.
-        """
-        journal = getattr(self._local, "journal", None)
-        if journal is not None:
-            return journal, False
-        journal = []
-        self._local.journal = journal
-        return journal, True
-
-    def journal_release(self) -> None:
-        """Stop journaling on this thread (spans keep their entries alive)."""
-        self._local.journal = None
+    def metered(self) -> IOMeter:
+        """A context manager metering this thread's accesses for its body."""
+        return IOMeter(self._local)
 
     def record_logical_read(self, file_name: str, pages: int = 1) -> None:
         journal = getattr(self._local, "journal", None)
         if journal is not None:
             journal.append(("lr", file_name, pages))
-        delta = self._delta()
-        if delta is not None:
-            delta.record_logical_read(file_name, pages)
-            return
         with self._lock:
             self._logical_reads[file_name] = (
                 self._logical_reads.get(file_name, 0) + pages
@@ -412,10 +216,6 @@ class IOStatistics:
         journal = getattr(self._local, "journal", None)
         if journal is not None:
             journal.append(("lw", file_name, pages))
-        delta = self._delta()
-        if delta is not None:
-            delta.record_logical_write(file_name, pages)
-            return
         with self._lock:
             self._logical_writes[file_name] = (
                 self._logical_writes.get(file_name, 0) + pages
@@ -425,10 +225,6 @@ class IOStatistics:
         journal = getattr(self._local, "journal", None)
         if journal is not None:
             journal.append(("pr", file_name, pages))
-        delta = self._delta()
-        if delta is not None:
-            delta.record_physical_read(file_name, pages)
-            return
         with self._lock:
             self._physical_reads[file_name] = (
                 self._physical_reads.get(file_name, 0) + pages
@@ -438,10 +234,6 @@ class IOStatistics:
         journal = getattr(self._local, "journal", None)
         if journal is not None:
             journal.append(("pw", file_name, pages))
-        delta = self._delta()
-        if delta is not None:
-            delta.record_physical_write(file_name, pages)
-            return
         with self._lock:
             self._physical_writes[file_name] = (
                 self._physical_writes.get(file_name, 0) + pages
@@ -458,10 +250,6 @@ class IOStatistics:
         if journal is not None:
             file_names = list(file_names)
             journal.append(("LR", file_names, pages_each))
-        delta = self._delta()
-        if delta is not None:
-            delta.record_logical_read_many(file_names, pages_each)
-            return
         with self._lock:
             counters = self._logical_reads
             for name in file_names:
@@ -473,103 +261,10 @@ class IOStatistics:
         if journal is not None:
             file_names = list(file_names)
             journal.append(("PR", file_names, pages_each))
-        delta = self._delta()
-        if delta is not None:
-            delta.record_physical_read_many(file_names, pages_each)
-            return
         with self._lock:
             counters = self._physical_reads
             for name in file_names:
                 counters[name] = counters.get(name, 0) + pages_each
-
-    # ------------------------------------------------------------------
-    # Per-thread isolation
-    # ------------------------------------------------------------------
-    @contextmanager
-    def isolated(self):
-        """Route this thread's recording into a private delta for the body.
-
-        On entry the shared snapshot is captured once; inside the scope
-        :meth:`snapshot` returns *entry snapshot + own delta*, so metering
-        a query as ``after - before`` observes exactly this thread's page
-        accesses regardless of concurrent neighbours. On exit the delta
-        merges into the shared counters (or the enclosing scope's delta —
-        scopes nest). Yields the :class:`PageAccessStats` delta.
-        """
-        base = self._raw_base()
-        delta = PageAccessStats()
-        previous = getattr(self._local, "scope", None)
-        self._local.scope = (base, delta)
-        try:
-            yield delta
-        finally:
-            self._local.scope = previous
-            self._merge(delta)
-
-    def _merge(self, delta: PageAccessStats) -> None:
-        """Fold a finished delta into the enclosing scope or shared state."""
-        outer = self._delta()
-        if outer is not None:
-            for mine, theirs in (
-                (outer._logical_reads, delta._logical_reads),
-                (outer._logical_writes, delta._logical_writes),
-                (outer._physical_reads, delta._physical_reads),
-                (outer._physical_writes, delta._physical_writes),
-            ):
-                for name, pages in theirs.items():
-                    mine[name] = mine.get(name, 0) + pages
-            return
-        with self._lock:
-            for mine, theirs in (
-                (self._logical_reads, delta._logical_reads),
-                (self._logical_writes, delta._logical_writes),
-                (self._physical_reads, delta._physical_reads),
-                (self._physical_writes, delta._physical_writes),
-            ):
-                for name, pages in theirs.items():
-                    mine[name] = mine.get(name, 0) + pages
-
-    def _raw_base(self) -> _RawCounts:
-        """Counter state visible to this thread, as cheap raw dicts."""
-        scope = getattr(self._local, "scope", None)
-        if scope is not None:
-            base, delta = scope
-            return base.merged(delta)
-        with self._lock:
-            return _RawCounts(
-                dict(self._logical_reads),
-                dict(self._logical_writes),
-                dict(self._physical_reads),
-                dict(self._physical_writes),
-            )
-
-    def raw_snapshot(self) -> RawIOSnapshot:
-        """Capture counter state without materializing an :class:`IOSnapshot`.
-
-        Costs a handful of dict copies (microseconds) instead of building
-        one frozen dataclass per file (milliseconds on a bit-sliced store
-        with hundreds of slice files). Pair two captures with
-        :func:`diff_raw` for an exact per-file delta. This is the tracer's
-        hot path.
-        """
-        scope = getattr(self._local, "scope", None)
-        if scope is not None:
-            base, delta = scope
-            counts = _RawCounts(
-                dict(delta._logical_reads),
-                dict(delta._logical_writes),
-                dict(delta._physical_reads),
-                dict(delta._physical_writes),
-            )
-            return RawIOSnapshot(delta, counts, base)
-        with self._lock:
-            counts = _RawCounts(
-                dict(self._logical_reads),
-                dict(self._logical_writes),
-                dict(self._physical_reads),
-                dict(self._physical_writes),
-            )
-        return RawIOSnapshot(self, counts, None)
 
     def merge_snapshot(self, snap: IOSnapshot) -> None:
         """Fold an externally metered :class:`IOSnapshot` into the counters.
@@ -577,37 +272,24 @@ class IOStatistics:
         Used by the process-pool execution mode: each worker process meters
         its queries against its own private store, ships the per-query
         delta back, and the parent merges it here so shared totals match a
-        sequential run of the same work (merging is pure addition, exactly
-        like :meth:`isolated` scope exits).
+        sequential run of the same work (merging is pure addition).
         """
-        delta = self._delta()
-        if delta is not None:
-            for name, counts in snap.per_file.items():
-                if counts.logical_reads:
-                    delta.record_logical_read(name, counts.logical_reads)
-                if counts.logical_writes:
-                    delta.record_logical_write(name, counts.logical_writes)
-                if counts.physical_reads:
-                    delta.record_physical_read(name, counts.physical_reads)
-                if counts.physical_writes:
-                    delta.record_physical_write(name, counts.physical_writes)
-            return
-        with self._lock:
-            for name, counts in snap.per_file.items():
-                for store, pages in (
-                    (self._logical_reads, counts.logical_reads),
-                    (self._logical_writes, counts.logical_writes),
-                    (self._physical_reads, counts.physical_reads),
-                    (self._physical_writes, counts.physical_writes),
-                ):
-                    if pages:
-                        store[name] = store.get(name, 0) + pages
+        for name, counts in snap.per_file.items():
+            if counts.logical_reads:
+                self.record_logical_read(name, counts.logical_reads)
+            if counts.logical_writes:
+                self.record_logical_write(name, counts.logical_writes)
+            if counts.physical_reads:
+                self.record_physical_read(name, counts.physical_reads)
+            if counts.physical_writes:
+                self.record_physical_write(name, counts.physical_writes)
 
     def snapshot(self) -> IOSnapshot:
-        scope = getattr(self._local, "scope", None)
-        if scope is not None:
-            base, delta = scope
-            return base.merged(delta).to_snapshot()
+        """Every file's counters, dense — cost grows with the file count.
+
+        For experiments and tests that meter as ``after - before`` on a
+        quiet store; the query path uses :meth:`metered` instead.
+        """
         with self._lock:
             names = (
                 set(self._logical_reads)

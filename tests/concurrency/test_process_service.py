@@ -94,7 +94,6 @@ class TestProcessService:
             ExecutionOptions(
                 execution_mode=ExecutionMode.PROCESS,
                 max_workers=2,
-                batch_size=4,
             ),
         )
         for left, right in zip(sequential, served):

@@ -225,24 +225,3 @@ class TestLifecycle:
             )
         assert REGISTRY.counter("server.submitted").value == submitted + 5
         assert REGISTRY.counter("server.completed").value == completed + 5
-
-    def test_batched_drain_counts_and_matches_sequential(self):
-        db = _student_db()
-        texts = [
-            'select Student where hobbies has-subset ("Chess")',
-            'select Student where hobbies overlaps ("Golf", "Tennis")',
-            'select Student where hobbies in-subset '
-            '("Chess", "Golf", "Tennis", "Fishing", "Hiking")',
-        ] * 4
-        batched_before = REGISTRY.counter("server.batched_queries").value
-        with QueryService(db, max_workers=2) as service:
-            results = service.execute_many(
-                texts, ExecutionOptions(batch_size=4)
-            )
-            sequential = [service.executor.execute_text(t) for t in texts]
-        assert (
-            REGISTRY.counter("server.batched_queries").value
-            == batched_before + len(texts)
-        )
-        for got, want in zip(results, sequential):
-            assert got.oids() == want.oids()

@@ -1,12 +1,14 @@
-"""Batched execution equivalence: ``execute_many`` vs one-at-a-time.
+"""``execute_many`` vs one-at-a-time, and the meter vs dense snapshots.
 
-The batch fast path (facility ``prepare_batch`` + ``match_many`` kernels +
-raw-counter accounting) must be *observably invisible*: identical rows in
-identical order, identical plans and statistics, and bit-identical
-per-file page accounting — for every facility, every search mode, every
-batch size, and through every fallback (scans, subqueries, degraded
-facilities). Fixed-seed golden checks pin that contract; a hypothesis
-sweep searches for query mixes that break it.
+``execute_many`` must answer a batch exactly as ``execute_text`` in a loop
+does — identical rows in identical order, identical plans and statistics —
+however the caller chunks it, for every facility, every search mode and
+every fallback (scans, subqueries, degraded facilities). The reference
+side meters each query the old way, as the difference of two dense
+``io_snapshot()`` calls; the served side reports ``statistics.io`` from
+the per-thread journal meter. The two must agree file by file, and the
+meter must list touched files only. Fixed-seed golden checks pin that; a
+hypothesis sweep searches for query mixes that break it.
 """
 
 import random
@@ -51,25 +53,49 @@ def golden_queries(count=30, seed=9):
     return texts
 
 
-def page_profile(stats):
-    """Nonzero per-file counters — the comparable core of an I/O snapshot.
-
-    The sequential path diffs dense snapshots (zero-count files survive as
-    explicit zeros) while the batch path diffs raw counters (only touched
-    files appear), so equality is defined over nonzero entries.
-    """
-    assert stats.io is not None
+def page_profile(io):
+    """Nonzero per-file counters — the comparable core of an I/O snapshot."""
     return sorted(
         (name, counts.logical_reads, counts.logical_writes,
          counts.physical_reads, counts.physical_writes)
-        for name, counts in stats.io.files()
+        for name, counts in io.files()
         if counts.logical_total or counts.physical_total
     )
 
 
-def assert_equivalent(sequential, batched):
-    assert len(sequential) == len(batched)
-    for left, right in zip(sequential, batched):
+class DenseMeteredExecutor(QueryExecutor):
+    """Reference: meters each plan execution as two dense snapshots."""
+
+    def execute_plan(self, plan, query):
+        before = self.database.io_snapshot()
+        result = super().execute_plan(plan, query)
+        # A subquery's plan runs first; the outer plan's delta lands last.
+        self.dense_delta = self.database.io_snapshot() - before
+        return result
+
+
+def run_one_at_a_time(db, texts, opts=None):
+    """Reference run: each result with its dense before/after page delta."""
+    executor = DenseMeteredExecutor(db)
+    observed = []
+    for text in texts:
+        result = executor.execute_text(text, opts)
+        observed.append((result, executor.dense_delta))
+    return observed
+
+
+def run_chunked(db, texts, chunk, opts=None):
+    """``execute_many`` over consecutive chunks of ``chunk`` queries."""
+    executor = QueryExecutor(db)
+    results = []
+    for start in range(0, len(texts), chunk):
+        results.extend(executor.execute_many(texts[start : start + chunk], opts))
+    return results
+
+
+def assert_equivalent(sequential, served):
+    assert len(sequential) == len(served)
+    for (left, dense_delta), right in zip(sequential, served):
         assert left.rows == right.rows
         a, b = left.statistics, right.statistics
         assert a.plan == b.plan
@@ -78,39 +104,26 @@ def assert_equivalent(sequential, batched):
         assert a.results == b.results
         assert a.detail.get("exact_search") == b.detail.get("exact_search")
         assert ("degraded" in a.detail) == ("degraded" in b.detail)
-        assert page_profile(a) == page_profile(b)
+        assert page_profile(dense_delta) == page_profile(b.io)
+        assert len(b.io.per_file) == len(page_profile(b.io))
 
 
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("prefer", ["ssf", "bssf", "nix", None])
-    @pytest.mark.parametrize("batch_size", [2, 8, 64])
-    def test_rows_stats_and_pages_identical(self, prefer, batch_size):
+    @pytest.mark.parametrize("chunk", [2, 8, 64])
+    def test_rows_stats_and_pages_identical(self, prefer, chunk):
         texts = golden_queries()
         db_seq, db_bat = build_db(), build_db()
         opts = ExecutionOptions(prefer_facility=prefer)
-        sequential = [
-            QueryExecutor(db_seq).execute_text(text, opts) for text in texts
-        ]
-        batched = QueryExecutor(db_bat).execute_many(
-            texts, opts.evolve(batch_size=batch_size)
-        )
-        assert_equivalent(sequential, batched)
-        # Merged shared totals — not just per-query deltas — must agree.
+        sequential = run_one_at_a_time(db_seq, texts, opts)
+        served = run_chunked(db_bat, texts, chunk, opts)
+        assert_equivalent(sequential, served)
+        # Shared totals — not just per-query deltas — must agree.
         assert db_seq.io_snapshot().total() == db_bat.io_snapshot().total()
 
-    def test_batch_size_one_is_plain_sequential(self):
-        texts = golden_queries(count=6)
-        db = build_db()
-        executor = QueryExecutor(db)
-        sequential = [executor.execute_text(t) for t in texts]
-        unbatched = executor.execute_many(
-            texts, ExecutionOptions(batch_size=1)
-        )
-        assert_equivalent(sequential, unbatched)
-
     def test_scan_queries_fall_out_of_batches(self):
-        # Scalar-only predicates plan as scans; interleaved with index
-        # queries they must break batches without perturbing anything.
+        # Scalar-only predicates plan as scans, interleaved with index
+        # queries.
         texts = [
             'select Student where hobbies contains "Chess"',
             'select Student where name = "s001"',
@@ -118,13 +131,9 @@ class TestGoldenEquivalence:
             'select Student where name = "s002"',
         ]
         db_seq, db_bat = build_db(), build_db()
-        sequential = [
-            QueryExecutor(db_seq).execute_text(text) for text in texts
-        ]
-        batched = QueryExecutor(db_bat).execute_many(
-            texts, ExecutionOptions(batch_size=4)
-        )
-        assert_equivalent(sequential, batched)
+        sequential = run_one_at_a_time(db_seq, texts)
+        served = QueryExecutor(db_bat).execute_many(texts)
+        assert_equivalent(sequential, served)
 
     def test_subqueries_fall_out_of_batches(self):
         def build_courses():
@@ -161,13 +170,9 @@ class TestGoldenEquivalence:
             '(select Course where category = "AI")',
         ]
         db_seq, db_bat = build_courses(), build_courses()
-        sequential = [
-            QueryExecutor(db_seq).execute_text(text) for text in texts
-        ]
-        batched = QueryExecutor(db_bat).execute_many(
-            texts, ExecutionOptions(batch_size=4)
-        )
-        assert_equivalent(sequential, batched)
+        sequential = run_one_at_a_time(db_seq, texts)
+        served = QueryExecutor(db_bat).execute_many(texts)
+        assert_equivalent(sequential, served)
 
 
 class TestDegradedFallback:
@@ -177,14 +182,10 @@ class TestDegradedFallback:
         for db in (db_seq, db_bat):
             db.mark_degraded("Student", "hobbies", "bssf", "injected for test")
         opts = ExecutionOptions(prefer_facility="bssf")
-        sequential = [
-            QueryExecutor(db_seq).execute_text(text, opts) for text in texts
-        ]
-        batched = QueryExecutor(db_bat).execute_many(
-            texts, opts.evolve(batch_size=8)
-        )
-        assert_equivalent(sequential, batched)
-        for result in batched:
+        sequential = run_one_at_a_time(db_seq, texts, opts)
+        served = QueryExecutor(db_bat).execute_many(texts, opts)
+        assert_equivalent(sequential, served)
+        for result in served:
             assert result.statistics.plan.endswith(
                 "-> degraded-fallback scan(Student)"
             )
@@ -195,13 +196,9 @@ class TestDegradedFallback:
         db_seq, db_bat = build_db(), build_db()
         for db in (db_seq, db_bat):
             db.mark_degraded("Student", "hobbies", "ssf", "injected for test")
-        sequential = [
-            QueryExecutor(db_seq).execute_text(text) for text in texts
-        ]
-        batched = QueryExecutor(db_bat).execute_many(
-            texts, ExecutionOptions(batch_size=8)
-        )
-        assert_equivalent(sequential, batched)
+        sequential = run_one_at_a_time(db_seq, texts)
+        served = QueryExecutor(db_bat).execute_many(texts)
+        assert_equivalent(sequential, served)
 
 
 @st.composite
@@ -217,21 +214,18 @@ def query_text(draw):
     return f"select Student where hobbies {op} ({literals})"
 
 
-# One database pair for the whole sweep: queries are read-only, so reuse
-# keeps the property test fast enough to run as tier-1.
+# One database for the whole sweep: queries are read-only, so reuse keeps
+# the property test fast enough to run as tier-1.
 _DB = build_db()
-_EXECUTOR = QueryExecutor(_DB)
 
 
 class TestBatchedProperties:
     @settings(max_examples=30, deadline=None)
     @given(
         texts=st.lists(query_text(), min_size=1, max_size=12),
-        batch_size=st.integers(2, 6),
+        chunk=st.integers(2, 6),
     )
-    def test_any_query_mix_is_equivalent(self, texts, batch_size):
-        sequential = [_EXECUTOR.execute_text(text) for text in texts]
-        batched = _EXECUTOR.execute_many(
-            texts, ExecutionOptions(batch_size=batch_size)
-        )
-        assert_equivalent(sequential, batched)
+    def test_any_query_mix_is_equivalent(self, texts, chunk):
+        sequential = run_one_at_a_time(_DB, texts)
+        served = run_chunked(_DB, texts, chunk)
+        assert_equivalent(sequential, served)

@@ -1,4 +1,4 @@
-"""ExecutionOptions and the legacy-keyword deprecation shim."""
+"""ExecutionOptions: the one object that configures an execution."""
 
 import inspect
 
@@ -53,48 +53,22 @@ class TestExecutionOptions:
 
 class TestCoerceOptions:
     def test_no_arguments_yields_defaults(self):
-        assert coerce_options(None, {}) == ExecutionOptions()
+        assert coerce_options(None) == ExecutionOptions()
 
     def test_options_object_passes_through(self):
         opts = ExecutionOptions(smart=False)
-        assert coerce_options(opts, {}) is opts
+        assert coerce_options(opts) is opts
 
-    def test_legacy_keywords_warn_and_convert(self):
-        with pytest.warns(DeprecationWarning, match="ExecutionOptions"):
-            opts = coerce_options(None, {"context": CTX, "smart": False})
-        assert opts.context is CTX
-        assert opts.smart is False
+    def test_mixing_styles_is_an_error(self, executor):
+        # The pre-ExecutionOptions keywords are gone from every entry point.
+        with pytest.raises(TypeError):
+            executor.execute_text(QUERY, ExecutionOptions(), smart=False)
+        with pytest.raises(TypeError):
+            executor.explain(QUERY, context=CTX)
 
-    def test_mixing_styles_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            coerce_options(ExecutionOptions(), {"smart": False})
-
-    def test_unknown_keyword_is_an_error(self):
-        with pytest.raises(TypeError, match="unknown execution keyword"):
-            coerce_options(None, {"facility": "bssf"})
-
-
-class TestLegacyShimOnExecutor:
-    def test_old_keywords_still_work(self, executor):
-        new_style = executor.execute_text(
-            QUERY, ExecutionOptions(context=CTX, prefer_facility="bssf")
-        )
-        with pytest.warns(DeprecationWarning):
-            old_style = executor.execute_text(
-                QUERY, context=CTX, prefer_facility="bssf"
-            )
-        assert old_style.oids() == new_style.oids()
-        assert old_style.statistics.plan == new_style.statistics.plan
-
-    def test_explain_accepts_legacy_keywords(self, executor):
-        with pytest.warns(DeprecationWarning):
-            text = executor.explain(QUERY, context=CTX)
-        assert "plan  :" in text
-
-    def test_legacy_trace_keyword(self, executor):
-        with pytest.warns(DeprecationWarning):
-            result = executor.execute_text(QUERY, context=CTX, trace=True)
-        assert result.trace is not None
+    def test_unknown_keyword_is_an_error(self, executor):
+        with pytest.raises(TypeError):
+            executor.execute_text(QUERY, facility="bssf")
 
 
 class TestElapsedClock:

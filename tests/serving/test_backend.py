@@ -289,20 +289,6 @@ class TestShardedEquivalence:
 
 
 class TestLegacyShims:
-    def test_workers_keyword_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="workers"):
-            service = make_service(_build_db(), workers=2)
-        with service:
-            assert isinstance(service, QueryService)
-            assert service.max_workers == 2
-
-    def test_process_workers_keyword_warns_and_implies_process_mode(self):
-        with pytest.warns(DeprecationWarning, match="process_workers"):
-            service = make_service(_build_db(), process_workers=2)
-        with service:
-            assert isinstance(service, ProcessQueryService)
-            assert service.max_workers == 2
-
     def test_explicit_arguments_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -226,7 +226,6 @@ class TestOptionsSerde:
             prefer_facility="bssf",
             smart=False,
             max_workers=4,
-            batch_size=8,
             execution_mode=ExecutionMode.THREAD,
             remote_url="sigfile://h:1",
         )
@@ -234,7 +233,6 @@ class TestOptionsSerde:
         assert restored.prefer_facility == "bssf"
         assert restored.smart is False
         assert restored.max_workers == 4
-        assert restored.batch_size == 8
         assert restored.execution_mode is ExecutionMode.THREAD
         assert restored.remote_url == "sigfile://h:1"
 
@@ -243,6 +241,14 @@ class TestOptionsSerde:
             {"smart": False, "from_the_future": {"x": 1}}
         )
         assert restored.smart is False
+
+    def test_from_dict_ignores_an_older_clients_batch_size(self):
+        # Clients from before the batch path was removed still send the key.
+        payload = dict(ExecutionOptions(prefer_facility="bssf").to_dict())
+        payload["batch_size"] = 16
+        restored = ExecutionOptions.from_dict(payload)
+        assert restored == ExecutionOptions(prefer_facility="bssf")
+        assert "batch_size" not in restored.to_dict()
 
     def test_from_dict_tolerates_unknown_execution_mode(self):
         restored = ExecutionOptions.from_dict({"execution_mode": "quantum"})

@@ -1,5 +1,12 @@
-"""Tests for I/O statistics and snapshot arithmetic."""
+"""Tests for I/O statistics, snapshot arithmetic and per-thread metering."""
 
+import sys
+import threading
+
+import pytest
+
+from repro.obs.tracer import Tracer
+from repro.storage.paged_file import StorageManager
 from repro.storage.stats import FileIOCounts, IOSnapshot, IOStatistics
 
 
@@ -75,3 +82,114 @@ class TestSnapshotArithmetic:
         empty = IOSnapshot({})
         later = IOSnapshot({"new": FileIOCounts(1, 0, 0, 0)})
         assert (later - empty).for_file("new").logical_reads == 1
+
+
+def _nonzero(snapshot):
+    return {
+        name: counts
+        for name, counts in snapshot.files()
+        if counts.logical_total or counts.physical_total
+    }
+
+
+def _work(stats, tag):
+    stats.record_logical_read(f"{tag}:a", 2)
+    stats.record_logical_write(f"{tag}:a")
+    stats.record_physical_write(f"{tag}:b", 3)
+    stats.record_logical_read_many([f"{tag}:s1", f"{tag}:s2"], 4)
+    stats.record_physical_read_many([f"{tag}:s1"], 5)
+
+
+class TestMetering:
+    def test_meter_inside_span_and_span_inside_meter_agree_with_snapshots(self):
+        manager = StorageManager(page_size=256, pool_capacity=0)
+        stats = manager.stats
+        tracer = Tracer(io_source=manager)
+
+        before = stats.snapshot()
+        with tracer.span("outer"):
+            _work(stats, "pre")
+            with stats.metered() as inner_meter:
+                _work(stats, "in")
+        span_delta = stats.snapshot() - before
+        assert _nonzero(tracer.last_root.io) == _nonzero(span_delta)
+        assert set(inner_meter.delta().per_file) == {
+            "in:a", "in:b", "in:s1", "in:s2"
+        }
+
+        before = stats.snapshot()
+        with stats.metered() as outer_meter:
+            _work(stats, "pre")
+            with tracer.span("inner"):
+                _work(stats, "in")
+        assert _nonzero(outer_meter.delta()) == _nonzero(stats.snapshot() - before)
+        # Same work inside both inner brackets, so the same delta.
+        assert tracer.last_root.io.per_file == inner_meter.delta().per_file
+        assert stats._local.journal is None
+
+    def test_delta_is_sparse_and_readable_while_open(self):
+        stats = IOStatistics()
+        stats.record_logical_read("untouched-later", 9)
+        with stats.metered() as meter:
+            stats.record_logical_read("a")
+            assert meter.delta().for_file("a").logical_reads == 1
+            stats.record_logical_read("a")
+        stats.record_logical_read("a")  # after the meter closed
+        assert meter.delta().per_file == {"a": FileIOCounts(2, 0, 0, 0)}
+
+    def test_journal_stops_when_the_outermost_meter_closes_on_error(self):
+        manager = StorageManager(page_size=256, pool_capacity=0)
+        stats = manager.stats
+        tracer = Tracer(io_source=manager)
+        with pytest.raises(RuntimeError):
+            with stats.metered():
+                with tracer.span("doomed"):
+                    with stats.metered():
+                        stats.record_logical_read("a")
+                        raise RuntimeError("boom")
+        assert stats._local.journal is None
+        assert tracer.last_root.io.for_file("a").logical_reads == 1
+        assert stats.snapshot().for_file("a").logical_reads == 1
+
+    def test_merge_snapshot_is_metered_like_any_other_recording(self):
+        stats = IOStatistics()
+        shipped = IOSnapshot({"a": FileIOCounts(1, 2, 3, 4), "z": FileIOCounts()})
+        with stats.metered() as meter:
+            stats.merge_snapshot(shipped)
+        assert meter.delta().per_file == {"a": FileIOCounts(1, 2, 3, 4)}
+        assert stats.snapshot().for_file("a") == FileIOCounts(1, 2, 3, 4)
+
+    def test_threads_meter_only_their_own_accesses(self):
+        stats = IOStatistics()
+        rounds, workers = 400, 8
+        barrier = threading.Barrier(workers)
+        deltas = {}
+
+        def run(tag):
+            barrier.wait(timeout=10)
+            with stats.metered() as meter:
+                for _ in range(rounds):
+                    stats.record_logical_read("shared")
+                    stats.record_logical_read(tag)
+            deltas[tag] = meter.delta()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(f"t{i}",))
+                for i in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        for tag, delta in deltas.items():
+            assert delta.per_file == {
+                "shared": FileIOCounts(rounds, 0, 0, 0),
+                tag: FileIOCounts(rounds, 0, 0, 0),
+            }
+        assert stats.snapshot().for_file("shared").logical_reads == rounds * workers

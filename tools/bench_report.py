@@ -71,20 +71,6 @@ def render(report: dict) -> str:
             f"off {overhead['off_ms']:.2f} ms → on {overhead['on_ms']:.2f} ms "
             f"({overhead['overhead_ratio']:.2f}x){verdict}"
         )
-    batched = report.get("batched")
-    if batched:
-        floor = thresholds.get("batched")
-        verdict = ""
-        if floor is not None:
-            state = "PASS" if batched["batched_speedup"] >= floor else "FAIL"
-            verdict = f" — {state} (≥{floor:g}x)"
-        lines.append("")
-        lines.append(
-            f"Batched execute_many (batch={int(batched['batch_size'])}, "
-            f"{int(batched['queries'])} queries): "
-            f"{batched['sequential_ms']:.2f} ms → {batched['batched_ms']:.2f} ms "
-            f"({batched['batched_speedup']:.2f}x){verdict}"
-        )
     process = report.get("process")
     if process:
         floor = thresholds.get("process")

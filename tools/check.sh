@@ -48,12 +48,22 @@ echo "== concurrency (latches, service, equivalence, stress) =="
 # above so failures reproduce exactly.
 python -m pytest tests/concurrency -q
 
+echo "== ledger benchmark (its own tests + one smoke run) =="
+# The ledger (BENCHMARK.json) imports planner, facility, wire and
+# sharding internals from src/; running its tests and a smoke pass here
+# makes a src/ change that breaks those imports fail in check, not in
+# the benchmark run.
+python -m pytest benchmarks/ledger/tests -q
+python3 benchmarks/ledger/run.py --all --smoke > /dev/null
+
 echo "== smoke benchmark =="
 # Thresholds are the baked smoke-mode gates (SMOKE_THRESHOLDS in
 # benchmarks/bench_wallclock.py): kernel-sweep and bulk-load speedup
-# floors, batched/process serving floors, and the active-tracer
-# overhead-ratio ceiling. Any breach exits non-zero here and again in
-# bench_report.py (which renders the verdict table for the CI log).
+# floors, sharded/LSM floors, and the active-tracer overhead-ratio
+# ceiling; the process-pool sweep is checked for identical answers only
+# (docs/PERFORMANCE.md says why). Any breach exits non-zero here and
+# again in bench_report.py (which renders the verdict table for the CI
+# log).
 python benchmarks/bench_wallclock.py --smoke --json \
     --out /tmp/BENCH_wallclock_smoke.json > /dev/null
 python tools/bench_report.py /tmp/BENCH_wallclock_smoke.json
@@ -104,8 +114,8 @@ python tools/sharding_smoke.py
 echo "== network serving smoke (loopback TCP) =="
 # Sustained-QPS floor and p99 latency ceiling for the wire protocol +
 # RemoteClient pool against a loopback TcpQueryServer (smoke gates in
-# benchmarks/bench_serving.py: ≥60 qps, p99 ≤400 ms — the dev machine
-# sustains 300+ qps, so only a real serving regression trips this).
+# benchmarks/bench_serving.py: ≥420 qps, p99 ≤400 ms — half the 841 qps
+# median of the ten smoke runs recorded in docs/PERFORMANCE.md).
 python benchmarks/bench_serving.py --smoke --json \
     --out /tmp/BENCH_serving_smoke.json > /dev/null
 python tools/bench_report.py /tmp/BENCH_serving_smoke.json
