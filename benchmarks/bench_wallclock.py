@@ -113,6 +113,10 @@ SMOKE = {
 # answers identical to the sequential loop, but its two sides are tens of
 # milliseconds and the ratio swings from 0.7 to 1.9 with whether a second
 # core is free (runs in docs/PERFORMANCE.md).
+# ``lsm_wal_overhead`` is one ceiling for both modes: each runs the same
+# 512-update sweep, and the log's cost per sweep (8-17 ms) is a larger
+# share of it since flushes stopped re-encoding every run (ten runs in
+# docs/PERFORMANCE.md, Layer 5).
 FULL_THRESHOLDS = {
     "bssf_subset_sweep": 3.0,
     "ssf_scan_sweep": 3.0,
@@ -122,7 +126,7 @@ FULL_THRESHOLDS = {
     "process": 1.5,
     "sharded": 1.5,
     "lsm_update": 1.5,
-    "lsm_wal_overhead": 1.1,
+    "lsm_wal_overhead": 1.35,
     "tracer_overhead": 1.15,
 }
 SMOKE_THRESHOLDS = {

@@ -7,12 +7,13 @@ path restructures writes as append-only:
 * :class:`~repro.lsm.memtable.MemTable` — absorbs inserts/deletes in
   memory; the WAL alone makes them durable, so fsyncs can be amortized
   with a group-commit interval.
-* :class:`~repro.lsm.run.SignatureRun` — an immutable, sequentially
-  written signature segment (SSF- or BSSF-format, reusing the packed
-  kernels and per-page CRC sidecars) sealed from a flushed memtable.
+* :class:`~repro.lsm.run.SignatureRun` — an immutable signature segment
+  (reusing the packed kernels and per-page CRC sidecars) that owns its
+  entry table: sequential when sealed from a flushed memtable, in the
+  facility's kind when bulk-loaded or merged.
 * :class:`~repro.lsm.manifest.RunManifest` — dual-slot, versioned,
-  checksummed installs of the live run set; a torn install rolls back
-  to the previous version.
+  checksummed installs of one fixed-size descriptor per live run; a torn
+  install rolls back to the previous version.
 * :class:`~repro.lsm.compactor.Compactor` — tiered merges of runs,
   inline (deterministic) or on a background thread.
 * :class:`~repro.lsm.facility.LSMSignatureFacility` — the

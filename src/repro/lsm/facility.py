@@ -18,7 +18,8 @@ Equivalence with the in-place path is by construction:
   on the entry's signature bits at positions fixed by the query. The
   memtable mirrors the tests bit for bit and runs delegate to real
   SSF/BSSF searches, so the union of live drops equals the in-place drop
-  set exactly — including false drops.
+  set exactly — including false drops — whichever layout a run has
+  (flushes seal sequential runs; see :mod:`repro.lsm.run`).
 * **Shadowing.** The facility keeps an authoritative ``OID -> seq`` map
   of live versions (uncharged bookkeeping, like the object directory). A
   run candidate counts only if its entry's seq is the live seq; memtable
@@ -29,6 +30,7 @@ Equivalence with the in-place path is by construction:
 from __future__ import annotations
 
 import threading
+import time
 from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -40,8 +42,9 @@ from repro.core.signature import SignatureScheme
 from repro.errors import AccessFacilityError, IndexCorruptionError
 from repro.lsm.manifest import RunManifest
 from repro.lsm.memtable import MemTable
-from repro.lsm.run import RUN_KINDS, SignatureRun
+from repro.lsm.run import RUN_KINDS, SEQUENTIAL, SignatureRun
 from repro.objects.oid import OID
+from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import traced_search
 from repro.storage.paged_file import StorageManager
 
@@ -138,26 +141,17 @@ class LSMSignatureFacility(SetAccessFacility):
             worst_case_insert=worst_case_insert,
             use_kernels=use_kernels,
         )
-        run_states, _ = facility.manifest.load()
-        for run_state in run_states:
-            run_id, level, entries, tombstones = SignatureRun.state_tables(run_state)
-            facility.runs.append(
-                SignatureRun.attach(
-                    storage,
-                    scheme,
-                    file_prefix,
-                    run_id,
-                    level,
-                    kind,
-                    entries,
-                    tombstones,
-                    use_kernels=use_kernels,
-                )
+        descriptors, _ = facility.manifest.load()
+        facility.runs = [
+            SignatureRun.attach(
+                storage, scheme, file_prefix, descriptor, use_kernels=use_kernels
             )
+            for descriptor in descriptors
+        ]
         facility.memtable = MemTable.from_state(memtable_state, scheme)
         facility._next_seq = next_seq
         facility._next_run_id = next_run_id
-        facility._rebuild_live()
+        facility._live = facility._layered_live()
         facility.verify()
         return facility
 
@@ -176,17 +170,19 @@ class LSMSignatureFacility(SetAccessFacility):
             ]
         )
 
-    def _rebuild_live(self) -> None:
-        self._live.clear()
+    def _layered_live(self) -> Dict[OID, int]:
+        """``OID -> seq`` of every live version, derived from the layers."""
+        live: Dict[OID, int] = {}
         for run in self.runs:  # oldest -> newest
             for oid in run.tombstones:
-                self._live.pop(oid, None)
+                live.pop(oid, None)
             for oid, (_, seq) in run.entries.items():
-                self._live[oid] = seq
+                live[oid] = seq
         for oid in self.memtable.tombstones:
-            self._live.pop(oid, None)
+            live.pop(oid, None)
         for oid, (_, seq, _) in self.memtable.entries.items():
-            self._live[oid] = seq
+            live[oid] = seq
+        return live
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -211,7 +207,7 @@ class LSMSignatureFacility(SetAccessFacility):
             self._next_seq += 1
             count += 1
         if count:
-            self.flush()
+            self._seal(self.kind)
         self.memtable.ops = 0
         return count
 
@@ -239,17 +235,28 @@ class LSMSignatureFacility(SetAccessFacility):
             self.flush()
 
     def flush(self) -> Optional[SignatureRun]:
-        """Seal the memtable into a fresh level-0 run and install it.
+        """Seal the memtable into a sequential level-0 run and install it.
+
+        The work is proportional to the memtable: one signature file, one
+        OID file, one entry table and a manifest of fixed-size descriptors,
+        whatever the facility already holds. Bit-slicing waits for the
+        merge that compaction was going to do anyway.
+        """
+        return self._seal(SEQUENTIAL)
+
+    def _seal(self, layout: str) -> Optional[SignatureRun]:
+        """Seal the memtable into a level-0 run of ``layout``; compact after.
 
         Tombstones are carried into the run only when some older run still
         holds a version of the OID; otherwise nothing needs shadowing.
-        Deterministic: the run id, entry order (by seq) and manifest bytes
-        are functions of the operation history alone, which is what lets
-        WAL replay reproduce flushed state byte for byte.
+        Deterministic: the run id, entry order (by seq), entry table and
+        manifest bytes are functions of the operation history alone, which
+        is what lets WAL replay reproduce flushed state byte for byte.
         """
         if self.memtable.is_empty:
             self.memtable.ops = 0
             return None
+        started = time.perf_counter()
         entries = {
             oid: (elements, seq)
             for oid, (elements, seq, _) in self.memtable.entries.items()
@@ -270,7 +277,7 @@ class LSMSignatureFacility(SetAccessFacility):
             self.file_prefix,
             self._allocate_run_id(),
             0,
-            self.kind,
+            layout,
             entries,
             tombstones,
             use_kernels=self.use_kernels,
@@ -279,6 +286,9 @@ class LSMSignatureFacility(SetAccessFacility):
         self.memtable = MemTable()
         self.counters["flushes"] += 1
         self._install()
+        REGISTRY.histogram("lsm.flush_seconds").record(
+            time.perf_counter() - started
+        )
         if self.auto_compact:
             self.compact()
         return run
@@ -320,6 +330,7 @@ class LSMSignatureFacility(SetAccessFacility):
             victims = self.compaction_candidates()
             if victims is None:
                 return None
+        started = time.perf_counter()
         merged_entries: Dict[OID, Tuple[SetValue, int]] = {}
         merged_tombstones: Set[OID] = set()
         for run in victims:  # oldest -> newest within the tier
@@ -346,6 +357,9 @@ class LSMSignatureFacility(SetAccessFacility):
             merged_entries,
             merged_tombstones,
             use_kernels=self.use_kernels,
+        )
+        REGISTRY.histogram("lsm.compaction_seconds").record(
+            time.perf_counter() - started
         )
         return victims, output
 
@@ -528,23 +542,17 @@ class LSMSignatureFacility(SetAccessFacility):
     def predicted_run_pages(self) -> List[dict]:
         """Per-run predicted signature-page reads for a full-scan search.
 
-        Extends the paper's cost model with the run count: an SSF-format
-        run scans exactly its signature pages, a BSSF-format run reads at
+        Extends the paper's cost model with the run count: a sequential
+        run scans exactly its signature pages, a bit-sliced run reads at
         most every slice page. Actual reads can only be lower (BSSF early
-        exits), never higher — the differential suite pins the SSF case to
-        equality and the BSSF case as an upper bound.
+        exits), never higher — the differential suite pins the sequential
+        case to equality and the bit-sliced case as an upper bound.
         """
-        predictions = []
-        for run in self.runs:
-            if self.kind == "ssf":
-                pages = run.inner.signature_file.num_pages
-            else:
-                pages = run.inner.slice_pages * self.scheme.signature_bits
-            predictions.append(
-                {"run": run.run_id, "level": run.level,
-                 "entries": run.entry_count, "pages": pages}
-            )
-        return predictions
+        return [
+            {"run": run.run_id, "level": run.level, "layout": run.layout,
+             "entries": run.entry_count, "pages": run.signature_pages()}
+            for run in self.runs
+        ]
 
     # ------------------------------------------------------------------
     # Facility contract plumbing
@@ -564,16 +572,7 @@ class LSMSignatureFacility(SetAccessFacility):
             )
         for run in self.runs:
             run.verify()
-        expected: Dict[OID, int] = {}
-        for run in self.runs:
-            for oid in run.tombstones:
-                expected.pop(oid, None)
-            for oid, (_, seq) in run.entries.items():
-                expected[oid] = seq
-        for oid in self.memtable.tombstones:
-            expected.pop(oid, None)
-        for oid, (_, seq, _) in self.memtable.entries.items():
-            expected[oid] = seq
+        expected = self._layered_live()
         if expected != self._live:
             raise IndexCorruptionError(
                 f"{self.file_prefix}: live map out of sync with layers "

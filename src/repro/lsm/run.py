@@ -8,31 +8,51 @@ the page-accounting semantics of the paper's facilities for free — a
 run's search is exactly an in-place facility's search over its slice of
 the entries.
 
-Alongside the storage files each run keeps an in-memory table of its
-entries (``OID -> (elements, seq)``) and its tombstone set. Signatures
-are not invertible, so the element sets must ride along for compaction
-merges and for the checkpoint manifest — this is uncharged bookkeeping,
-the same category as the object directory.
+Which of the two formats a run has is its *layout*, recorded in its
+manifest descriptor. It follows how the run was made, not the facility's
+kind: a memtable flush seals a sequential run (one signature file, a
+handful of pages — the paper's ~1-page SSF insertion), while bulk loads
+and compaction outputs are laid out in the facility's kind (bit-slicing
+costs up to F page writes, paid once per merge). Drop tests depend only on
+signature bits at positions the query fixes, so either layout returns the
+same candidates.
+
+Signatures are not invertible, so the element sets must ride along for
+compaction merges. Each run writes its entry table — ``(oid, seq,
+elements)`` rows in seq order, then its tombstones — once, into a
+checksummed ``…:entries`` file beside the signature files, and keeps the
+decoded table in memory; the manifest carries only the table's checksum.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, FrozenSet, Hashable, Optional, Set, Tuple
 
 from repro.access.bssf import BitSlicedSignatureFile
 from repro.access.ssf import SequentialSignatureFile
 from repro.core.signature import SignatureScheme
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, IndexCorruptionError
+from repro.lsm.manifest import read_blob, write_blob
 from repro.objects.oid import OID
+from repro.objects.serde import decode_value, encode_value
 from repro.storage.paged_file import StorageManager
 
 SetValue = FrozenSet[Hashable]
 
-RUN_KINDS = ("ssf", "bssf")
+#: layout -> (inner facility class, the signature files of an instance)
+_LAYOUTS = {
+    "ssf": (SequentialSignatureFile, lambda inner: [inner.signature_file]),
+    "bssf": (BitSlicedSignatureFile, lambda inner: inner._slice_files),
+}
+RUN_KINDS = tuple(_LAYOUTS)
+SEQUENTIAL = "ssf"
+
+_ENTRIES_MAGIC = b"SIGENT01"
 
 
 def run_prefix(file_prefix: str, run_id: int) -> str:
-    """Storage-file prefix for one run's inner facility files.
+    """Storage-file prefix for one run's files.
 
     The prefix stays under the facility's ``{kind}:{Class}.{attr}:``
     namespace so :func:`repro.recovery.rebuild.facility_of_file` attributes
@@ -42,6 +62,13 @@ def run_prefix(file_prefix: str, run_id: int) -> str:
     return f"{file_prefix}:r{run_id:06d}"
 
 
+def _layout(layout: str):
+    try:
+        return _LAYOUTS[layout]
+    except KeyError:
+        raise ConfigurationError(f"unknown run layout: {layout!r}") from None
+
+
 class SignatureRun:
     """One immutable run: inner signature facility + entry/tombstone tables."""
 
@@ -49,19 +76,21 @@ class SignatureRun:
         self,
         run_id: int,
         level: int,
-        kind: str,
+        layout: str,
         inner,
         entries: Dict[OID, Tuple[SetValue, int]],
         tombstones: Set[OID],
+        entries_file,
+        table_crc: int,
     ):
         self.run_id = run_id
         self.level = level
-        self.kind = kind
+        self.layout = layout
         self.inner = inner
         self.entries = entries
         self.tombstones = tombstones
-        # OID-file order of the inner facility == seq order (built that way).
-        self._ordered = sorted(entries.items(), key=lambda item: item[1][1])
+        self.entries_file = entries_file
+        self.table_crc = table_crc
 
     # ------------------------------------------------------------------
     # Construction
@@ -74,21 +103,30 @@ class SignatureRun:
         file_prefix: str,
         run_id: int,
         level: int,
-        kind: str,
+        layout: str,
         entries: Dict[OID, Tuple[SetValue, int]],
         tombstones: Set[OID],
         *,
         use_kernels: bool = True,
     ) -> "SignatureRun":
         """Seal ``entries`` into fresh storage files, bulk-loaded in seq order."""
-        if kind not in RUN_KINDS:
-            raise ConfigurationError(f"unknown run kind: {kind!r}")
-        inner = cls._create_inner(
-            storage, scheme, run_prefix(file_prefix, run_id), kind, use_kernels
+        inner_class, _ = _layout(layout)
+        prefix = run_prefix(file_prefix, run_id)
+        inner = inner_class(
+            storage, scheme, file_prefix=prefix, use_kernels=use_kernels
         )
         ordered = sorted(entries.items(), key=lambda item: item[1][1])
         inner.bulk_load([(elements, oid) for oid, (elements, _) in ordered])
-        return cls(run_id, level, kind, inner, dict(entries), set(tombstones))
+        blob = encode_value([
+            [[oid.to_int(), seq, elements] for oid, (elements, seq) in ordered],
+            sorted(oid.to_int() for oid in tombstones),
+        ])
+        entries_file = storage.create_file(f"{prefix}:entries")
+        write_blob(entries_file, _ENTRIES_MAGIC, run_id, blob)
+        return cls(
+            run_id, level, layout, inner, dict(entries), set(tombstones),
+            entries_file, zlib.crc32(blob),
+        )
 
     @classmethod
     def attach(
@@ -96,41 +134,45 @@ class SignatureRun:
         storage: StorageManager,
         scheme: SignatureScheme,
         file_prefix: str,
-        run_id: int,
-        level: int,
-        kind: str,
-        entries: Dict[OID, Tuple[SetValue, int]],
-        tombstones: Set[OID],
+        descriptor: list,
         *,
         use_kernels: bool = True,
     ) -> "SignatureRun":
-        """Re-open a run whose storage files already exist (checkpoint load)."""
-        if kind == "ssf":
-            inner = SequentialSignatureFile.attach(
-                storage,
-                scheme,
-                file_prefix=run_prefix(file_prefix, run_id),
-                entry_count=len(entries),
-                use_kernels=use_kernels,
+        """Re-open the run a :meth:`to_state` descriptor names (checkpoint load)."""
+        run_id, level, layout, entry_count, tombstone_count, table_crc = descriptor
+        inner_class, _ = _layout(layout)
+        prefix = run_prefix(file_prefix, run_id)
+        entries_file = storage.open_file(f"{prefix}:entries")
+        framed = read_blob(entries_file, _ENTRIES_MAGIC)
+        if framed is None:
+            raise IndexCorruptionError(
+                f"run {run_id}: entry table {entries_file.name!r} is damaged"
             )
-        else:
-            inner = BitSlicedSignatureFile.attach(
-                storage,
-                scheme,
-                file_prefix=run_prefix(file_prefix, run_id),
-                entry_count=len(entries),
-                use_kernels=use_kernels,
+        blob = framed[1]
+        if zlib.crc32(blob) != table_crc:
+            raise IndexCorruptionError(
+                f"run {run_id}: entry table {entries_file.name!r} does not "
+                f"carry the checksum {table_crc:#010x} the manifest records"
             )
-        return cls(run_id, level, kind, inner, dict(entries), set(tombstones))
-
-    @staticmethod
-    def _create_inner(storage, scheme, prefix, kind, use_kernels):
-        if kind == "ssf":
-            return SequentialSignatureFile(
-                storage, scheme, file_prefix=prefix, use_kernels=use_kernels
+        entry_rows, tombstone_ints = decode_value(blob)
+        if (len(entry_rows), len(tombstone_ints)) != (entry_count, tombstone_count):
+            raise IndexCorruptionError(
+                f"run {run_id}: entry table holds {len(entry_rows)} entries and "
+                f"{len(tombstone_ints)} tombstones, manifest says "
+                f"{entry_count} and {tombstone_count}"
             )
-        return BitSlicedSignatureFile(
-            storage, scheme, file_prefix=prefix, use_kernels=use_kernels
+        inner = inner_class.attach(
+            storage, scheme, file_prefix=prefix, entry_count=entry_count,
+            use_kernels=use_kernels,
+        )
+        entries = {
+            OID.from_int(oid_int): (frozenset(elements), seq)
+            for oid_int, seq, elements in entry_rows
+        }
+        tombstones = {OID.from_int(value) for value in tombstone_ints}
+        return cls(
+            run_id, level, layout, inner, entries, tombstones,
+            entries_file, table_crc,
         )
 
     # ------------------------------------------------------------------
@@ -146,15 +188,20 @@ class SignatureRun:
     def entry_count(self) -> int:
         return len(self.entries)
 
+    def signature_pages(self) -> int:
+        """Signature pages a full scan of this run reads (its OID file aside)."""
+        pages = self.inner.storage_pages()
+        return sum(pages.values()) - pages["oid"]
+
     def storage_pages(self) -> int:
-        return sum(self.inner.storage_pages().values())
+        return sum(self.inner.storage_pages().values()) + self.entries_file.num_pages
 
     def file_names(self):
         """Names of this run's storage files (for GC after compaction)."""
-        if self.kind == "ssf":
-            return [self.inner.signature_file.name, self.inner.oid_file.file.name]
-        names = [sf.name for sf in self.inner._slice_files]
+        _, signature_files = _layout(self.layout)
+        names = [file.name for file in signature_files(self.inner)]
         names.append(self.inner.oid_file.file.name)
+        names.append(self.entries_file.name)
         return names
 
     def drop_files(self, storage: StorageManager) -> None:
@@ -164,9 +211,9 @@ class SignatureRun:
     def verify(self) -> None:
         self.inner.verify()
         if self.inner.entry_count != len(self.entries):
-            raise ConfigurationError(
+            raise IndexCorruptionError(
                 f"run {self.run_id}: inner facility holds "
-                f"{self.inner.entry_count} entries, manifest says "
+                f"{self.inner.entry_count} entries, entry table says "
                 f"{len(self.entries)}"
             )
 
@@ -200,27 +247,19 @@ class SignatureRun:
     # Manifest descriptor
     # ------------------------------------------------------------------
     def to_state(self) -> list:
+        """Fixed-size descriptor; :meth:`attach` re-opens the run from it."""
         return [
             self.run_id,
             self.level,
-            [[oid.to_int(), seq, elements] for oid, (elements, seq) in self._ordered],
-            sorted(oid.to_int() for oid in self.tombstones),
+            self.layout,
+            len(self.entries),
+            len(self.tombstones),
+            self.table_crc,
         ]
-
-    @staticmethod
-    def state_tables(state: list):
-        """Decode a :meth:`to_state` row into (run_id, level, entries, tombstones)."""
-        run_id, level, entry_rows, tombstone_ints = state
-        entries = {
-            OID.from_int(oid_int): (frozenset(elements), seq)
-            for oid_int, seq, elements in entry_rows
-        }
-        tombstones = {OID.from_int(value) for value in tombstone_ints}
-        return run_id, level, entries, tombstones
 
     def __repr__(self) -> str:
         return (
             f"SignatureRun(id={self.run_id}, level={self.level}, "
-            f"kind={self.kind!r}, entries={len(self.entries)}, "
+            f"layout={self.layout!r}, entries={len(self.entries)}, "
             f"tombstones={len(self.tombstones)})"
         )

@@ -15,7 +15,7 @@ know sizes against the 4 KiB page), and cannot execute code on load.
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.errors import ObjectStoreError
 from repro.objects.oid import OID
@@ -34,11 +34,6 @@ _TAG_LIST = 0x08
 _TAG_TUPLE = 0x09
 _TAG_SET = 0x0A
 _TAG_FROZENSET = 0x0B
-
-
-def _sort_key(value: Any) -> Tuple[str, bytes]:
-    """Total order over heterogeneous set members via their encoding."""
-    return (type(value).__name__, encode_value(value))
 
 
 def encode_value(value: Any) -> bytes:
@@ -69,13 +64,14 @@ def encode_value(value: Any) -> bytes:
             set: _TAG_SET,
             frozenset: _TAG_FROZENSET,
         }[type(value)]
-        items: List[Any]
+        encoded = [encode_value(item) for item in value]
         if isinstance(value, (set, frozenset)):
-            items = sorted(value, key=_sort_key)
-        else:
-            items = list(value)
-        body = b"".join(encode_value(item) for item in items)
-        return bytes([tag]) + struct.pack("<I", len(items)) + body
+            # Total order over heterogeneous members: type name, then bytes.
+            # Each member is encoded once; the sorted pairs carry the bytes.
+            pairs = sorted(zip((type(item).__name__ for item in value), encoded))
+            encoded = [item_bytes for _, item_bytes in pairs]
+        body = b"".join(encoded)
+        return bytes([tag]) + struct.pack("<I", len(encoded)) + body
     raise ObjectStoreError(
         f"cannot serialize value of type {type(value).__name__}: {value!r}"
     )

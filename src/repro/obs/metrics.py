@@ -231,8 +231,10 @@ def file_kind(name: str) -> str:
 
     ``ssf:…:signatures`` → ``ssf.signature``; ``bssf:…:slice:NNNN`` →
     ``bssf.slice``; either facility's ``…:oids`` → ``<facility>.oid``;
-    ``nix:…:btree`` → ``nix``; ``objects:Class`` → ``object``. Anything
-    else falls back to its leading component.
+    an LSM run's ``…:entries`` table → ``<facility>.entries`` and a
+    ``…:manifest:a|b`` slot → ``<facility>.manifest`` (bookkeeping pages,
+    not signature pages); ``nix:…:btree`` → ``nix``; ``objects:Class`` →
+    ``object``. Anything else falls back to its leading component.
     """
     parts = name.split(":")
     head = parts[0]
@@ -241,6 +243,10 @@ def file_kind(name: str) -> str:
     if head in ("ssf", "bssf"):
         if parts[-1] == "oids":
             return f"{head}.oid"
+        if parts[-1] == "entries":
+            return f"{head}.entries"
+        if len(parts) >= 2 and parts[-2] == "manifest":
+            return f"{head}.manifest"
         if len(parts) >= 2 and parts[-2] == "slice":
             return "bssf.slice"
         return f"{head}.signature"

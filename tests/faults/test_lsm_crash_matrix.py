@@ -4,8 +4,8 @@ Same durable-prefix method as ``test_wal_crash_matrix.py`` — a WAL-free
 baseline database applying the first ``p`` operations is the exact state
 recovery must reproduce when ``p`` records survive — but the workload runs
 against LSM facilities with a tiny flush threshold, so the sampled crash
-points land *inside* memtable flushes, compaction-output builds and
-manifest slot installs. All of those are deterministic functions of the
+points land *inside* memtable flushes, compaction-output builds, entry-table
+writes and manifest slot installs. All of those are deterministic functions of the
 operation history (that is the design invariant the matrix enforces), so
 recovery after a crash at any of them must be byte-identical to the
 durable prefix, run files and manifest slots included.
@@ -40,10 +40,13 @@ LSM_PARAMS = dict(
 )
 
 #: device-write crash dimensions: run-file builds (memtable flushes and
-#: compaction outputs share the run writer) and manifest slot installs
+#: compaction outputs share the run writer), the entry table each build
+#: ends with, and manifest slot installs
 WRITE_PATTERNS = [
     "ssf:Student.hobbies:r*",
     "bssf:Student.hobbies:r*",
+    "ssf:Student.hobbies:r*:entries",
+    "bssf:Student.hobbies:r*:entries",
     "ssf:Student.hobbies:manifest:*",
     "bssf:Student.hobbies:manifest:*",
 ]

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import AccessFacilityError, IndexCorruptionError
 from repro.lsm import LSMSignatureFacility
 from repro.objects.oid import OID
+from repro.obs.metrics import REGISTRY
 from repro.storage.paged_file import StorageManager
 
 from tests.lsm.conftest import (
@@ -96,6 +97,73 @@ class TestFlush:
                 for name in sorted(store.file_names())
             })
         assert fingerprints[0] == fingerprints[1]
+
+
+class TestFlushCost:
+    """A flush costs what the memtable holds, not what the facility holds."""
+
+    def test_manifest_blob_length_ignores_run_sizes(self):
+        lengths = []
+        for per_run in (10, 5000):
+            facility, _ = make_facility(flush_threshold=10**9, fanout=10**9)
+            installed = REGISTRY.counter("lsm.manifest_install_bytes")
+            for batch in range(3):
+                fill(facility, per_run, offset=batch * per_run)
+                before = installed.value
+                facility.flush()
+            assert [run.entry_count for run in facility.runs] == [per_run] * 3
+            lengths.append(installed.value - before)
+        assert lengths[0] == lengths[1]
+
+    @pytest.mark.parametrize("kind", ["ssf", "bssf"])
+    def test_flush_page_writes_ignore_preloaded_size(self, kind):
+        charged = []
+        for preloaded in (200, 4000):
+            facility, storage = make_facility(
+                kind, flush_threshold=10**9, fanout=10**9
+            )
+            facility.bulk_load(
+                (frozenset({DOMAIN[i % len(DOMAIN)]}), OID(1, i))
+                for i in range(preloaded)
+            )
+            fill(facility, 20, offset=preloaded)
+            facility.delete(frozenset({DOMAIN[0]}), OID(1, 0))
+            before = storage.snapshot()
+            facility.flush()
+            delta = storage.snapshot() - before
+            total = delta.total()
+            charged.append((total.logical_writes, total.logical_reads))
+        assert charged[0] == charged[1]
+        assert charged[0][0] > 0
+
+    def test_bssf_flush_is_sequential_and_merges_are_bit_sliced(self):
+        facility, storage = make_facility(
+            "bssf", flush_threshold=100, fanout=2
+        )
+        fill(facility, 5)
+        run = facility.flush()
+        assert run.layout == "ssf"
+        assert not any(
+            ":slice:" in name for name in storage.store.file_names()
+        )
+        fill(facility, 5, offset=5)
+        facility.flush()  # tier of 2 -> one merged run
+        assert [r.layout for r in facility.runs] == ["bssf"]
+        assert any(":slice:" in name for name in storage.store.file_names())
+
+    @pytest.mark.parametrize("kind", ["ssf", "bssf"])
+    def test_bulk_load_keeps_the_facility_kind(self, kind):
+        facility, _ = make_facility(kind)
+        facility.bulk_load(
+            [(frozenset({DOMAIN[i]}), OID(1, i)) for i in range(6)]
+        )
+        assert [run.layout for run in facility.runs] == [kind]
+
+    def test_flush_and_compaction_feed_the_registry(self):
+        facility, _ = make_facility(flush_threshold=2, fanout=2)
+        fill(facility, 4)
+        assert REGISTRY.histogram("lsm.flush_seconds").count == 2
+        assert REGISTRY.histogram("lsm.compaction_seconds").count == 1
 
 
 class TestCompaction:
@@ -207,10 +275,13 @@ class TestAccounting:
                 for name in run.file_names()
                 if "oid" not in name
             )
-            if kind == "ssf":
+            assert prediction["layout"] == run.layout
+            if run.layout == "ssf":
                 assert actual == prediction["pages"]
             else:
                 assert actual <= prediction["pages"]
+        if kind == "bssf":  # both layouts were exercised
+            assert {run.layout for run in facility.runs} == {"ssf", "bssf"}
 
     def test_storage_pages_split_runs_and_manifest(self):
         facility, _ = make_facility(flush_threshold=2)

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import StorageError
 from repro.lsm import RunManifest
 from repro.lsm.manifest import SLOT_SUFFIXES, manifest_slot_name
-from repro.objects.oid import OID
 from repro.storage.paged_file import StorageManager
 
 
@@ -14,7 +13,7 @@ def make_manifest():
     return RunManifest(storage, "ssf:T.s"), storage
 
 
-STATES = [[0, 0, [[OID(1, 5).to_int(), 0, ["a", "b"]]], []]]
+STATES = [[0, 0, "ssf", 1, 0, 0x1234ABCD]]
 
 
 def test_empty_facility_loads_as_empty_run_set():
@@ -46,8 +45,7 @@ def test_installs_alternate_slots_and_versions_advance():
 
 def test_large_payload_spans_pages():
     manifest, _ = make_manifest()  # 512-byte pages force multi-page blobs
-    big = [[i, 0, [[i, i, [f"element-{i}-{j}" for j in range(8)]]], []]
-           for i in range(40)]
+    big = [[i, 0, "bssf", 100 + i, i, 7 * i] for i in range(40)]
     manifest.install(big)
     states, rolled_back = manifest.load()
     assert states == big
@@ -89,3 +87,28 @@ def test_single_slot_damage_with_no_fallback_raises():
     )
     with pytest.raises(StorageError):
         RunManifest(storage, "ssf:T.s").load()
+
+
+def test_old_format_slot_fails_loudly_instead_of_loading_empty():
+    """A SIGMAN01 slot (entry rows inline) must never read as "no runs"."""
+    from repro.lsm.manifest import write_blob
+    from repro.objects.serde import encode_value
+
+    manifest, storage = make_manifest()
+    blob = encode_value([1, [[0, 0, [[5, 0, ["a", "b"]]], []]]])
+    slot = storage.create_file(manifest_slot_name("ssf:T.s", "b"))
+    write_blob(slot, b"SIGMAN01", 1, blob)
+    with pytest.raises(StorageError, match="damaged"):
+        manifest.load()
+
+
+def test_install_bytes_are_counted():
+    from repro.obs.metrics import REGISTRY
+
+    from repro.objects.serde import encode_value
+
+    counter = REGISTRY.counter("lsm.manifest_install_bytes")
+    before = counter.value
+    manifest, _ = make_manifest()
+    manifest.install(STATES)
+    assert counter.value - before == len(encode_value([1, STATES]))

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, IndexCorruptionError
 from repro.lsm import SignatureRun
 from repro.lsm.run import run_prefix
 from repro.objects.oid import OID
+from repro.objects.serde import encode_value
 from repro.storage.paged_file import StorageManager
 
 from tests.lsm.conftest import make_scheme
@@ -61,8 +62,7 @@ def test_unknown_kind_and_mode_rejected():
 def test_attach_reopens_identical_run(kind):
     run, storage = _build(kind)
     reopened = SignatureRun.attach(
-        storage, make_scheme(), f"{kind}:T.s", 0, 0, kind,
-        dict(run.entries), set(run.tombstones),
+        storage, make_scheme(), f"{kind}:T.s", run.to_state()
     )
     reopened.verify()
     query = frozenset({"e1", "e2"})
@@ -86,20 +86,79 @@ def test_drop_files_removes_every_file(kind):
 
 
 def test_state_roundtrip():
-    run, _ = _build(tombstones=[40, 41])
-    run_id, level, entries, tombstones = SignatureRun.state_tables(
-        run.to_state()
+    run, storage = _build(tombstones=[40, 41])
+    state = run.to_state()
+    assert state[:5] == [0, 0, "ssf", 6, 2]
+    reopened = SignatureRun.attach(storage, make_scheme(), "ssf:T.s", state)
+    assert reopened.entries == run.entries
+    assert reopened.tombstones == run.tombstones
+    assert reopened.to_state() == state
+
+
+def test_descriptor_size_does_not_depend_on_the_entries():
+    small, _ = _build(count=3)
+    large, _ = _build(count=300)
+    assert len(encode_value(small.to_state())) == len(
+        encode_value(large.to_state())
     )
-    assert run_id == 0 and level == 0
-    assert entries == run.entries
-    assert tombstones == run.tombstones
+
+
+def test_entry_table_is_counted_and_dropped_with_the_run():
+    run, storage = _build(count=300)
+    table = f"{run_prefix('ssf:T.s', 0)}:entries"
+    assert table in run.file_names()
+    table_pages = storage.open_file(table).num_pages
+    assert table_pages >= 2  # header + blob
+    assert run.storage_pages() == (
+        sum(run.inner.storage_pages().values()) + table_pages
+    )
 
 
 def test_verify_detects_entry_count_mismatch():
     run, _ = _build()
     run.entries[OID(1, 77)] = (frozenset({"e9"}), 99)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(IndexCorruptionError):
         run.verify()
+
+
+def test_attach_rejects_a_table_the_descriptor_does_not_describe():
+    run, storage = _build(tombstones=[40])
+    scheme = make_scheme()
+    run_id, level, layout, entries, tombstones, crc = run.to_state()
+    for descriptor in (
+        [run_id, level, layout, entries, tombstones, crc ^ 1],
+        [run_id, level, layout, entries + 1, tombstones, crc],
+        [run_id, level, layout, entries, tombstones - 1, crc],
+    ):
+        with pytest.raises(IndexCorruptionError):
+            SignatureRun.attach(storage, scheme, "ssf:T.s", descriptor)
+
+
+def test_attach_rejects_a_damaged_entry_table():
+    run, storage = _build()
+    table = f"{run_prefix('ssf:T.s', 0)}:entries"
+    storage.store._apply_corruption(table, 0, b"\xff" * 4096)
+    with pytest.raises(IndexCorruptionError, match="damaged"):
+        SignatureRun.attach(storage, make_scheme(), "ssf:T.s", run.to_state())
+
+
+def test_sequential_and_bit_sliced_runs_answer_identically():
+    """Layout is invisible to drop tests, partial evaluation included."""
+    sequential, _ = _build("ssf", count=40)
+    sliced, _ = _build("bssf", count=40)
+    for query in (frozenset({"e3", "e4"}), frozenset({"e7", "e8", "e20"})):
+        for mode, options in (
+            ("superset", {}),
+            ("superset", {"use_elements": 1}),
+            ("subset", {}),
+            ("subset", {"slices_to_examine": 0}),
+            ("subset", {"slices_to_examine": 3}),
+            ("overlap", {}),
+        ):
+            assert (
+                sequential.search(mode, query, **options).candidates
+                == sliced.search(mode, query, **options).candidates
+            )
 
 
 def test_run_prefix_stays_inside_facility_namespace():

@@ -175,3 +175,57 @@ def test_property_value_roundtrip(value):
 )
 def test_property_object_roundtrip(obj):
     assert decode_object(encode_object(obj)) == obj
+
+
+def _reference_encode_value(value):
+    """``encode_value`` as it stood before set members were encoded once.
+
+    Kept verbatim (members encoded in the sort key and again in the body)
+    as the byte-for-byte reference for the single-encoding version.
+    """
+    import struct
+
+    if value is None:
+        return bytes([0x00])
+    if value is False:
+        return bytes([0x01])
+    if value is True:
+        return bytes([0x02])
+    if isinstance(value, OID):
+        return bytes([0x07]) + value.to_bytes()
+    if isinstance(value, int):
+        return bytes([0x03]) + struct.pack("<q", value)
+    if isinstance(value, float):
+        return bytes([0x04]) + struct.pack("<d", value)
+    if isinstance(value, str):
+        payload = value.encode("utf-8")
+        return bytes([0x05]) + struct.pack("<I", len(payload)) + payload
+    if isinstance(value, bytes):
+        return bytes([0x06]) + struct.pack("<I", len(value)) + value
+    tag = {list: 0x08, tuple: 0x09, set: 0x0A, frozenset: 0x0B}[type(value)]
+    if isinstance(value, (set, frozenset)):
+        items = sorted(
+            value,
+            key=lambda item: (type(item).__name__, _reference_encode_value(item)),
+        )
+    else:
+        items = list(value)
+    body = b"".join(_reference_encode_value(item) for item in items)
+    return bytes([tag]) + struct.pack("<I", len(items)) + body
+
+
+_hashable = st.recursive(
+    _scalar,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3).map(tuple),
+        st.frozensets(children, max_size=5),
+    ),
+    max_leaves=16,
+)
+_any_value = st.one_of(_hashable, st.lists(_hashable, max_size=4))
+
+
+@settings(max_examples=300)
+@given(value=_any_value)
+def test_property_encoding_is_byte_identical_to_the_double_encoding_one(value):
+    assert encode_value(value) == _reference_encode_value(value)

@@ -99,6 +99,11 @@ class TestFileKind:
         ("ssf:Student.hobbies:oids", "ssf.oid"),
         ("bssf:Student.hobbies:slice:0042", "bssf.slice"),
         ("bssf:Student.hobbies:oids", "bssf.oid"),
+        ("bssf:Student.hobbies:r000003:signatures", "bssf.signature"),
+        ("bssf:Student.hobbies:r000004:slice:0007", "bssf.slice"),
+        ("bssf:Student.hobbies:r000003:entries", "bssf.entries"),
+        ("ssf:Student.hobbies:manifest:a", "ssf.manifest"),
+        ("bssf:Student.hobbies:manifest:b", "bssf.manifest"),
         ("nix:Student.courses:btree", "nix"),
         ("weird", "weird"),
     ])

@@ -11,8 +11,8 @@ asserts:
    non-vacuous (multiple flushes, at least one compaction, several live
    runs);
 2. **Crash recovery** — the workload is re-run under ``durability="lsm"``
-   with a fault injector that crashes the device mid-run-file build and
-   mid-manifest install; recovery from the surviving log must answer
+   with a fault injector that crashes the device mid-run-file build,
+   mid-entry-table write and mid-manifest install; recovery from the surviving log must answer
    every canonical query exactly like a WAL-free replay of the durable
    prefix, and deep fsck must come back clean.
 
@@ -58,15 +58,20 @@ STUDENT_CLASS_ID = 1
 LSM_PARAMS = dict(flush_threshold=8, fanout=2)
 
 #: device-write crash dimensions for the recovery drill: mid-run-file
-#: build (flushes and compaction outputs share the run writer) and
-#: mid-manifest slot install
+#: build (flushes and compaction outputs share the run writer), mid-entry-
+#: table write and mid-manifest slot install. Each at_call sits near the
+#: middle of what the workload writes to its pattern (about 310 / 4,900 /
+#: 155 / 80 page writes; flushes seal sequential runs, so the bssf count is
+#: all compaction outputs), clear of the vacuity check at either end.
 CRASH_RULES = [
     ("run-file crash", FaultRule(
-        "write", "crash", file="ssf:Student.hobbies:r*", at_call=100)),
+        "write", "crash", file="ssf:Student.hobbies:r*", at_call=150)),
     ("run-file crash (bssf)", FaultRule(
-        "write", "crash", file="bssf:Student.hobbies:r*", at_call=5000)),
+        "write", "crash", file="bssf:Student.hobbies:r*", at_call=2500)),
+    ("entry-table crash", FaultRule(
+        "write", "crash", file="bssf:Student.hobbies:r*:entries", at_call=80)),
     ("manifest crash", FaultRule(
-        "write", "crash", file="ssf:Student.hobbies:manifest:*", at_call=60)),
+        "write", "crash", file="ssf:Student.hobbies:manifest:*", at_call=40)),
 ]
 
 
