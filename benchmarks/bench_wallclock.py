@@ -1,19 +1,18 @@
-"""Wall-clock benchmark: packed kernels + decode caches vs the naive paths.
+"""Wall-clock benchmark: tracer, WAL, LSM and serving ratio gates.
 
-The paper's metric is logical page accesses — which both execution paths
-produce bit-identically (see ``tests/access/test_golden_page_accesses.py``).
-This bench measures the *simulator's own* wall-clock cost at the empirical
-design point (N = 4096, F = 500, m = 2), comparing ``use_kernels=True``
-against the per-entry reference path on:
+The paper's metric is logical page accesses, pinned by
+``tests/access/test_golden_page_accesses.py``. This bench measures the
+*simulator's own* wall-clock cost at the empirical design point
+(N = 4096, F = 500, m = 2) as ratios between two ways of doing the same
+work. How fast a search or a bulk load is in absolute terms is the
+ledger's business (``benchmarks/ledger``: ``setup_s`` and the
+``access.{ssf,bssf}.*_us`` lines). Measured here:
 
-* the BSSF subset sweep (the ``F − m_q`` slice-OR path — the heaviest
-  retrieval loop in the repo),
-* the SSF full-scan search (superset + subset + overlap over every
-  signature page),
-* bulk load of both facilities,
 * the wall-clock overhead of an *active* span tracer (``repro.obs``) on
-  the BSSF subset sweep — recorded under the report's ``tracer_overhead``
-  key (tracing *off* is the null-tracer default in every other number),
+  the BSSF subset sweep (the ``F − m_q`` slice-OR path — the heaviest
+  retrieval loop in the repo) — recorded under the report's
+  ``tracer_overhead`` key (tracing *off* is the null-tracer default in
+  every other number),
 * the wall-clock overhead of ``durability="wal"`` on the update path —
   each update appends + fsyncs one logical record before mutating —
   against an identical WAL-off database, recorded under the report's
@@ -40,11 +39,11 @@ Run standalone::
         [--concurrent-only]
 
 Writes a JSON report (default ``BENCH_wallclock.json`` at the repo root;
-``--json`` also dumps it to stdout). Every number is gated: each mode
-bakes in default speedup floors (and a tracer-overhead ceiling) in
-``FULL_THRESHOLDS`` / ``SMOKE_THRESHOLDS``; ``--min-*`` / ``--max-*``
-flags override them, and any breach makes the run exit non-zero with
-``"pass": false`` in the report.
+``--json`` also dumps it to stdout). Each mode bakes in default speedup
+floors and overhead ceilings in ``FULL_THRESHOLDS`` /
+``SMOKE_THRESHOLDS``; ``--min-*`` / ``--max-*`` flags override them, and
+any breach makes the run exit non-zero with ``"pass": false`` in the
+report.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ import time
 from pathlib import Path
 
 from repro.access.bssf import BitSlicedSignatureFile
-from repro.access.ssf import SequentialSignatureFile
 from repro.core.signature import SignatureScheme
 from repro.objects.oid import OID
 from repro.obs.sinks import RingBufferSink
@@ -76,7 +74,6 @@ FULL = {
     "target_seed": 42,
     "query_seed": 43,
     "subset_dq": [10, 30, 100, 300],
-    "scan_dq": [5, 20, 100],
     "min_seconds": 1.0,
     "concurrent_queries": 48,
     "concurrent_objects": 512,
@@ -95,7 +92,6 @@ SMOKE = {
     "target_seed": 42,
     "query_seed": 43,
     "subset_dq": [5, 20],
-    "scan_dq": [5, 20],
     "min_seconds": 0.2,
     "concurrent_queries": 24,
     "concurrent_objects": 256,
@@ -104,8 +100,8 @@ SMOKE = {
     "serving_queries": 32,
 }
 
-# Default gates per mode. Every entry is a minimum speedup except
-# ``tracer_overhead``, a *maximum* on/off ratio. The full-mode floors
+# Default gates per mode. Every entry is a minimum speedup except the two
+# ``*_overhead`` keys, which are *maximum* ratios. The full-mode floors
 # reflect roughly half the speedups measured on the development machine
 # (see docs/PERFORMANCE.md); smoke floors are looser — tiny configs leave
 # less work to amortize fixed costs over and CI machines are noisy.
@@ -118,10 +114,6 @@ SMOKE = {
 # share of it since flushes stopped re-encoding every run (ten runs in
 # docs/PERFORMANCE.md, Layer 5).
 FULL_THRESHOLDS = {
-    "bssf_subset_sweep": 3.0,
-    "ssf_scan_sweep": 3.0,
-    "ssf_bulk_load": 1.0,
-    "bssf_bulk_load": 1.0,
     "concurrent": 2.0,
     "process": 1.5,
     "sharded": 1.5,
@@ -130,10 +122,6 @@ FULL_THRESHOLDS = {
     "tracer_overhead": 1.15,
 }
 SMOKE_THRESHOLDS = {
-    "bssf_subset_sweep": 1.5,
-    "ssf_scan_sweep": 1.2,
-    "ssf_bulk_load": 1.0,
-    "bssf_bulk_load": 1.0,
     "concurrent": 1.5,
     "sharded": 1.2,
     "lsm_update": 1.2,
@@ -142,7 +130,8 @@ SMOKE_THRESHOLDS = {
 }
 
 
-def build(config, use_kernels):
+def build(config):
+    """A bulk-loaded bare BSSF (no database around it) and its manager."""
     manager = StorageManager(
         page_size=config["page_size"], pool_capacity=0
     )
@@ -151,8 +140,7 @@ def build(config, use_kernels):
         config["bits_per_element"],
         seed=config["target_seed"],
     )
-    ssf = SequentialSignatureFile(manager, scheme, use_kernels=use_kernels)
-    bssf = BitSlicedSignatureFile(manager, scheme, use_kernels=use_kernels)
+    bssf = BitSlicedSignatureFile(manager, scheme)
     gen = SetWorkloadGenerator(
         WorkloadSpec(
             num_objects=config["num_objects"],
@@ -161,17 +149,11 @@ def build(config, use_kernels):
             seed=config["target_seed"],
         )
     )
-    pairs = [(s, OID(1, i)) for i, s in enumerate(gen.target_sets())]
-    t0 = time.perf_counter()
-    ssf.bulk_load(pairs)
-    t1 = time.perf_counter()
-    bssf.bulk_load(list(pairs))
-    t2 = time.perf_counter()
-    times = {"ssf_bulk_load_s": t1 - t0, "bssf_bulk_load_s": t2 - t1}
-    return ssf, bssf, manager, times
+    bssf.bulk_load((s, OID(1, i)) for i, s in enumerate(gen.target_sets()))
+    return bssf, manager
 
 
-def queries_for(config, key):
+def subset_queries(config):
     qgen = SetWorkloadGenerator(
         WorkloadSpec(
             num_objects=0,
@@ -180,7 +162,7 @@ def queries_for(config, key):
             seed=config["query_seed"],
         )
     )
-    return [qgen.random_query_set(dq) for dq in config[key]]
+    return [qgen.random_query_set(dq) for dq in config["subset_dq"]]
 
 
 def best_sweep_time(sweep, min_seconds):
@@ -197,7 +179,7 @@ def best_sweep_time(sweep, min_seconds):
     return best
 
 
-def measure_tracer_overhead(config, bssf, manager):
+def measure_tracer_overhead(config):
     """Wall-clock cost of an *active* tracer on the BSSF subset sweep.
 
     The off path is the production default (module-level null tracer); the
@@ -206,7 +188,8 @@ def measure_tracer_overhead(config, bssf, manager):
     worst case — per-query tracing amortizes the same work over far more
     time than a bare facility sweep does.
     """
-    queries = queries_for(config, "subset_dq")
+    bssf, manager = build(config)
+    queries = subset_queries(config)
 
     def sweep():
         return [bssf.search_subset(q) for q in queries]
@@ -574,56 +557,6 @@ def measure_sharded_speedup(config, num_shards):
     }
 
 
-def measure_bulk_loads(config):
-    """Best-of-reps bulk-load timings, naive vs kernels, both facilities.
-
-    Each rep builds a fresh facility over fresh storage (bulk load is
-    build-from-empty by definition); ``best_sweep_time`` repeats until the
-    per-combination time budget is spent, so the reported speedup is not a
-    single-shot measurement racing the page cache and the allocator.
-    """
-    gen = SetWorkloadGenerator(
-        WorkloadSpec(
-            num_objects=config["num_objects"],
-            domain_cardinality=config["domain_cardinality"],
-            target_cardinality=config["target_cardinality"],
-            seed=config["target_seed"],
-        )
-    )
-    pairs = [(s, OID(1, i)) for i, s in enumerate(gen.target_sets())]
-    classes = {
-        "ssf_bulk_load": SequentialSignatureFile,
-        "bssf_bulk_load": BitSlicedSignatureFile,
-    }
-    results = {}
-    for name, facility_class in classes.items():
-        timings = {}
-        for label, use_kernels in (("naive", False), ("kernels", True)):
-
-            def load_once():
-                manager = StorageManager(
-                    page_size=config["page_size"], pool_capacity=0
-                )
-                scheme = SignatureScheme(
-                    config["signature_bits"],
-                    config["bits_per_element"],
-                    seed=config["target_seed"],
-                )
-                facility_class(
-                    manager, scheme, use_kernels=use_kernels
-                ).bulk_load(pairs)
-
-            timings[label] = best_sweep_time(
-                load_once, config["min_seconds"] / 2
-            )
-        results[name] = {
-            "naive_ms": timings["naive"] * 1000,
-            "kernels_ms": timings["kernels"] * 1000,
-            "speedup": timings["naive"] / timings["kernels"],
-        }
-    return results
-
-
 def serving_fixture(config):
     """A BSSF-indexed database plus a deterministic query batch.
 
@@ -722,63 +655,6 @@ def measure_process_speedup(config, workers):
     }
 
 
-def run_benchmarks(config):
-    facilities = {}
-    managers = {}
-    for use_kernels in (False, True):
-        label = "kernels" if use_kernels else "naive"
-        ssf, bssf, manager, times = build(config, use_kernels)
-        facilities[label] = (ssf, bssf)
-        managers[label] = manager
-
-    subset_queries = queries_for(config, "subset_dq")
-    scan_queries = queries_for(config, "scan_dq")
-
-    def bssf_subset(bssf):
-        return [bssf.search_subset(q) for q in subset_queries]
-
-    def ssf_scan(ssf):
-        out = []
-        for q in scan_queries:
-            out.append(ssf.search_superset(q))
-            out.append(ssf.search_subset(q))
-            out.append(ssf.search_overlap(q))
-        return out
-
-    # Both paths must agree before timing means anything.
-    for runner, index in ((bssf_subset, 1), (ssf_scan, 0)):
-        naive_results = runner(facilities["naive"][index])
-        fast_results = runner(facilities["kernels"][index])
-        for a, b in zip(naive_results, fast_results):
-            if a.candidates != b.candidates or a.detail != b.detail:
-                raise AssertionError(
-                    f"kernel/naive result divergence in {runner.__name__}"
-                )
-
-    results = {}
-    for name, runner, index in (
-        ("bssf_subset_sweep", bssf_subset, 1),
-        ("ssf_scan_sweep", ssf_scan, 0),
-    ):
-        timings = {}
-        for label in ("naive", "kernels"):
-            facility = facilities[label][index]
-            timings[label] = best_sweep_time(
-                lambda: runner(facility), config["min_seconds"]
-            )
-        results[name] = {
-            "naive_ms": timings["naive"] * 1000,
-            "kernels_ms": timings["kernels"] * 1000,
-            "speedup": timings["naive"] / timings["kernels"],
-        }
-    results.update(measure_bulk_loads(config))
-    tracer_overhead = measure_tracer_overhead(
-        config, facilities["kernels"][1], managers["kernels"]
-    )
-    wal_overhead = measure_wal_overhead(config)
-    return results, tracer_overhead, wal_overhead
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -792,18 +668,6 @@ def main(argv=None):
         default=None,
         help="output JSON path (default: BENCH_wallclock.json at repo root; "
         "BENCH_wallclock_smoke.json with --smoke)",
-    )
-    parser.add_argument(
-        "--min-bssf-speedup",
-        type=float,
-        default=None,
-        help="override the BSSF subset sweep speedup floor",
-    )
-    parser.add_argument(
-        "--min-ssf-speedup",
-        type=float,
-        default=None,
-        help="override the SSF scan sweep speedup floor",
     )
     parser.add_argument(
         "--json",
@@ -874,8 +738,6 @@ def main(argv=None):
     config = dict(SMOKE if args.smoke else FULL)
     thresholds = dict(SMOKE_THRESHOLDS if args.smoke else FULL_THRESHOLDS)
     for key, override in (
-        ("bssf_subset_sweep", args.min_bssf_speedup),
-        ("ssf_scan_sweep", args.min_ssf_speedup),
         ("concurrent", args.min_concurrent_speedup),
         ("process", args.min_process_speedup),
         ("sharded", args.min_sharded_speedup),
@@ -891,21 +753,17 @@ def main(argv=None):
         out_path = REPO_ROOT / name
 
     if args.concurrent_only:
-        results, tracer_overhead, wal_overhead = {}, {}, {}
+        tracer_overhead, wal_overhead = {}, {}
         process, sharded, lsm = {}, {}, {}
     else:
-        results, tracer_overhead, wal_overhead = run_benchmarks(config)
+        tracer_overhead = measure_tracer_overhead(config)
+        wal_overhead = measure_wal_overhead(config)
         process = measure_process_speedup(config, args.process_workers)
         sharded = measure_sharded_speedup(config, args.shards)
         lsm = measure_lsm(config)
     concurrency = measure_concurrent_speedup(config, args.workers)
 
-    failures = [
-        f"{name}: speedup {results[name]['speedup']:.2f}x "
-        f"< required {thresholds[name]:.2f}x"
-        for name in sorted(results)
-        if name in thresholds and results[name]["speedup"] < thresholds[name]
-    ]
+    failures = []
     for name, section, key in (
         ("concurrent", concurrency, "concurrent_speedup"),
         ("process", process, "process_speedup"),
@@ -934,10 +792,6 @@ def main(argv=None):
     report = {
         "mode": "smoke" if args.smoke else "full",
         "config": config,
-        "results": {
-            name: {k: round(v, 3) for k, v in metrics.items()}
-            for name, metrics in results.items()
-        },
         "tracer_overhead": {
             k: round(v, 3) for k, v in tracer_overhead.items()
         },
@@ -956,12 +810,6 @@ def main(argv=None):
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        for name, metrics in report["results"].items():
-            print(
-                f"{name:20s} naive {metrics['naive_ms']:9.2f} ms   "
-                f"kernels {metrics['kernels_ms']:9.2f} ms   "
-                f"speedup {metrics['speedup']:6.2f}x"
-            )
         if tracer_overhead:
             overhead = report["tracer_overhead"]
             print(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable, List, Optional
+from typing import FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.objects.oid import OID
 
@@ -144,6 +144,18 @@ class SetAccessFacility(abc.ABC):
         if spec.mode == "overlap":
             return self.search_overlap(spec.query)
         raise ValueError(f"unknown search mode: {spec.mode!r}")
+
+    @abc.abstractmethod
+    def create_params(self) -> Tuple[str, list]:
+        """``(kind, params)`` that make another facility like this one.
+
+        The pair a ``create_index`` WAL record logs; feeding it to
+        :meth:`Database.create_index` on any database (a shard, this one
+        after its files were dropped) builds an empty facility with the
+        same configuration. An in-place facility's list stops before the
+        lsm options, so its copy takes the layout its database's
+        durability mode selects, as ``create_*_index(lsm=None)`` does.
+        """
 
     @abc.abstractmethod
     def storage_pages(self) -> dict:

@@ -21,34 +21,27 @@ slice. Slice files are fully materialized (``ceil(N / P·b)`` pages each) as
 entries grow; that extension is bulk file formatting, charged to storage
 (the model's SC) rather than to any single operation's I/O.
 
-Two execution paths produce bit-identical results and bit-identical
-*logical page-access counts* (the paper's metric):
-
-``use_kernels=True`` (default)
-    Slice columns stay packed in uint64 words end-to-end
-    (:mod:`repro.core.kernels`). All ``F`` slices are decoded once into a
-    stacked ``(F, W)`` word matrix memoized in a version-keyed
-    :class:`~repro.storage.decode_cache.DecodeCache` (validated in O(1)
-    through a :meth:`DiskStore.register_version_group` counter spanning
-    every slice file). Decoding reads page images through the
-    accounting-free :meth:`PagedFile.peek_page`; each search then charges
-    exactly the slices it examines through the pool's read-through
-    ``touch`` machinery, so every logical/physical counter and the buffer
-    pool's LRU state match the naive per-slice reads bit for bit. The
-    per-slice AND/OR loops collapse into chunked ``np.bitwise_*.reduce``
-    sweeps; survivor extinction and coverage are monotone along the scan,
-    so a binary search inside the stopping chunk replays the naive loop's
-    early exit at exactly the same slice.
-
-``use_kernels=False``
-    The original per-entry ``unpackbits``-into-bools path, kept as the
-    executable reference for parity tests and the wall-clock benchmark's
-    before/after comparison.
+Slice columns stay packed in uint64 words end-to-end
+(:mod:`repro.core.kernels`). All ``F`` slices are decoded once into a
+stacked ``(F, W)`` word matrix memoized in a version-keyed
+:class:`~repro.storage.decode_cache.DecodeCache` (validated in O(1)
+through a :meth:`DiskStore.register_version_group` counter spanning every
+slice file). Decoding reads page images through the accounting-free
+:meth:`PagedFile.peek_page`; each search then charges exactly the slices
+it examines through the pool's read-through ``touch`` machinery, so every
+logical/physical counter and the buffer pool's LRU state match per-slice
+page reads bit for bit. The per-slice AND/OR loops collapse into chunked
+``np.bitwise_*.reduce`` sweeps; survivor extinction and coverage are
+monotone along the scan, so a binary search inside the stopping chunk
+replays a slice-at-a-time loop's early exit at exactly the same slice.
+That slice-at-a-time loop is the oracle in ``tests/reference/``: it reads
+the same page files with real per-page fetches, and the parity and golden
+suites demand identical results, ``slices_read`` and page counters.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -75,21 +68,17 @@ class BitSlicedSignatureFile(SetAccessFacility):
         scheme: SignatureScheme,
         file_prefix: str = "bssf",
         worst_case_insert: bool = False,
-        use_kernels: bool = True,
     ):
         self.scheme = scheme
         self.signature_bits = scheme.signature_bits
         self.entries_per_slice_page = storage.page_size * 8
         self.worst_case_insert = worst_case_insert
-        self.use_kernels = use_kernels
         self._storage = storage
         self._slice_files: List[PagedFile] = [
             storage.create_file(f"{file_prefix}:slice:{i:04d}")
             for i in range(self.signature_bits)
         ]
-        self.oid_file = OIDFile(
-            storage.create_file(f"{file_prefix}:oids"), use_cache=use_kernels
-        )
+        self.oid_file = OIDFile(storage.create_file(f"{file_prefix}:oids"))
         self._formatted_pages = 0
         self._group_name = f"{file_prefix}:slices"
         storage.store.register_version_group(
@@ -105,7 +94,6 @@ class BitSlicedSignatureFile(SetAccessFacility):
         file_prefix: str,
         entry_count: int,
         worst_case_insert: bool = False,
-        use_kernels: bool = True,
     ) -> "BitSlicedSignatureFile":
         """Bind to an existing BSSF's files (snapshot rehydration)."""
         facility = cls.__new__(cls)
@@ -113,16 +101,13 @@ class BitSlicedSignatureFile(SetAccessFacility):
         facility.signature_bits = scheme.signature_bits
         facility.entries_per_slice_page = storage.page_size * 8
         facility.worst_case_insert = worst_case_insert
-        facility.use_kernels = use_kernels
         facility._storage = storage
         facility._slice_files = [
             storage.open_file(f"{file_prefix}:slice:{i:04d}")
             for i in range(scheme.signature_bits)
         ]
         facility.oid_file = OIDFile(
-            storage.open_file(f"{file_prefix}:oids"),
-            entry_count=entry_count,
-            use_cache=use_kernels,
+            storage.open_file(f"{file_prefix}:oids"), entry_count=entry_count
         )
         facility._formatted_pages = facility.slice_pages
         facility._group_name = f"{file_prefix}:slices"
@@ -164,58 +149,33 @@ class BitSlicedSignatureFile(SetAccessFacility):
     def bulk_load(self, pairs) -> int:
         """Build the BSSF from scratch, slice-column-at-a-time.
 
-        On the kernel path the full bit matrix is produced by one
-        ``unpackbits`` over the stacked signature words and written out with
-        a single transpose + ``packbits`` covering every slice; the naive
-        path keeps the original per-entry row construction and per-slice
-        packing. Both charge identical I/O: two logical writes (append +
-        write-back) per slice page. Only valid on an empty facility;
-        returns the entry count.
+        The full bit matrix is produced by one ``unpackbits`` over the
+        stacked signature words and written out with a single transpose +
+        ``packbits`` covering every slice, charging two logical writes
+        (append + write-back) per slice page. Only valid on an empty
+        facility; returns the entry count.
         """
         if self.entry_count:
             raise AccessFacilityError("bulk_load requires an empty BSSF")
-        oids: List[OID] = []
-        if self.use_kernels:
-            pairs = list(pairs)
-            oids = [oid for _, oid in pairs]
-            if not oids:
-                return 0
-            word_rows = self.scheme.set_signature_words_many(
-                [elements for elements, _ in pairs]
-            )
-            matrix = kernels.unpack_rows(word_rows, self.signature_bits)
-        else:
-            rows: List[np.ndarray] = []
-            for elements, oid in pairs:
-                signature = self.scheme.set_signature(elements)
-                row = np.zeros(self.signature_bits, dtype=np.uint8)
-                row[signature.set_positions()] = 1
-                rows.append(row)
-                oids.append(oid)
-            if not rows:
-                return 0
-            matrix = np.stack(rows)
+        pairs = list(pairs)
+        oids: List[OID] = [oid for _, oid in pairs]
+        if not oids:
+            return 0
+        word_rows = self.scheme.set_signature_words_many(
+            [elements for elements, _ in pairs]
+        )
+        matrix = kernels.unpack_rows(word_rows, self.signature_bits)
         entries = len(oids)
         pages_needed = -(-entries // self.entries_per_slice_page)
         page_bytes = self._storage.page_size
-        if self.use_kernels:
-            padded = np.zeros(
-                (self.signature_bits, pages_needed * self.entries_per_slice_page),
-                dtype=np.uint8,
-            )
-            padded[:, :entries] = matrix.T
-            packed_slices = np.packbits(padded, axis=1, bitorder="little")
-        else:
-            packed_slices = None
+        padded = np.zeros(
+            (self.signature_bits, pages_needed * self.entries_per_slice_page),
+            dtype=np.uint8,
+        )
+        padded[:, :entries] = matrix.T
+        packed_slices = np.packbits(padded, axis=1, bitorder="little")
         for position in range(self.signature_bits):
-            if packed_slices is not None:
-                packed = packed_slices[position].tobytes()
-            else:
-                column = np.zeros(
-                    pages_needed * self.entries_per_slice_page, dtype=np.uint8
-                )
-                column[:entries] = matrix[:, position]
-                packed = np.packbits(column, bitorder="little").tobytes()
+            packed = packed_slices[position].tobytes()
             slice_file = self._slice_files[position]
             for page_no in range(pages_needed):
                 new_page_no, page = slice_file.append_page()
@@ -317,9 +277,11 @@ class BitSlicedSignatureFile(SetAccessFacility):
         Chunked ``bitwise_or.reduce`` over rows gathered from the stacked
         matrix. Coverage is monotone under OR, so when a chunk's total
         first covers every live entry, a binary search over its prefixes
-        finds the minimal covering prefix — exactly the slice where the
-        naive per-slice loop's ``eliminated.all()`` break fires — and only
-        slices up to that point are counted and charged.
+        finds the minimal covering prefix — exactly the slice where a
+        slice-at-a-time loop (the ``tests/reference/`` oracle) stops because
+        everything is eliminated — and only slices up to that point are
+        counted and charged. Remaining slices cannot change the answer; a
+        real system would stop here too.
         """
         acc = np.zeros(self._slice_word_count, dtype=np.uint64)
         if len(positions) == 0:
@@ -354,8 +316,8 @@ class BitSlicedSignatureFile(SetAccessFacility):
 
         Mirror of :meth:`_or_scan` for the superset search: survivor
         extinction is monotone under AND, so the binary search finds the
-        minimal prefix with no survivors — the naive loop's
-        ``not surviving.any()`` break point — and charging stops there.
+        minimal prefix with no survivors — the slice-at-a-time loop's
+        break point — and charging stops there.
         """
         acc = kernels.ones_mask(self.entry_count, self._slice_word_count)
         if len(positions) == 0:
@@ -393,26 +355,16 @@ class BitSlicedSignatureFile(SetAccessFacility):
             raise AccessFacilityError(
                 f"slice {position} out of range [0, {self.signature_bits})"
             )
-        if self.use_kernels:
-            words = self._stacked_slices()[position]
-            self._slice_files[position].charge_reads(self.slice_pages)
-            if words.size == 0:
-                return np.zeros(0, dtype=bool)
-            bits = np.unpackbits(
-                np.ascontiguousarray(words).view(np.uint8),
-                bitorder="little",
-                count=self.entry_count,
-            )
-            return bits.astype(bool)
-        chunks = []
-        slice_file = self._slice_files[position]
-        for page_no in range(self.slice_pages):
-            page = slice_file.read_page(page_no)
-            raw = np.frombuffer(bytes(page.data), dtype=np.uint8)
-            chunks.append(np.unpackbits(raw, bitorder="little"))
-        if not chunks:
+        words = self._stacked_slices()[position]
+        self._slice_files[position].charge_reads(self.slice_pages)
+        if words.size == 0:
             return np.zeros(0, dtype=bool)
-        return np.concatenate(chunks)[: self.entry_count].astype(bool)
+        bits = np.unpackbits(
+            np.ascontiguousarray(words).view(np.uint8),
+            bitorder="little",
+            count=self.entry_count,
+        )
+        return bits.astype(bool)
 
     @property
     def _slice_word_count(self) -> int:
@@ -446,23 +398,11 @@ class BitSlicedSignatureFile(SetAccessFacility):
             )
         else:
             signature = self.scheme.set_signature(query)
-        if self.use_kernels:
-            positions = np.flatnonzero(self._query_bits(signature))
-            surviving, slices_read = self._and_scan(positions)
-            drop_indices = kernels.set_bit_indices(
-                surviving, self.entry_count
-            ).tolist()
-        else:
-            surviving = np.ones(self.entry_count, dtype=bool)
-            slices_read = 0
-            for position in signature.set_positions():
-                surviving &= self.read_slice(position)
-                slices_read += 1
-                if not surviving.any():
-                    # Remaining slices cannot resurrect entries; a real
-                    # system would stop here too. Counted slices stay honest.
-                    break
-            drop_indices = np.nonzero(surviving)[0].tolist()
+        positions = np.flatnonzero(self._query_bits(signature))
+        surviving, slices_read = self._and_scan(positions)
+        drop_indices = kernels.set_bit_indices(
+            surviving, self.entry_count
+        ).tolist()
         return self._resolve(drop_indices, "superset", slices_read)
 
     @traced_search("bssf.search.subset")
@@ -492,29 +432,13 @@ class BitSlicedSignatureFile(SetAccessFacility):
                                         "drops": self.entry_count,
                                         "live_drops": len(live)})
         signature = self.scheme.set_signature(query)
-        if self.use_kernels:
-            zero_positions = np.flatnonzero(self._query_bits(signature) == 0)
-            if slices_to_examine is not None:
-                zero_positions = zero_positions[:slices_to_examine]
-            eliminated, slices_read = self._or_scan(zero_positions)
-            drop_indices = kernels.cleared_bit_indices(
-                eliminated, self.entry_count
-            ).tolist()
-        else:
-            one_positions = set(signature.set_positions())
-            zero_positions = [
-                i for i in range(self.signature_bits) if i not in one_positions
-            ]
-            if slices_to_examine is not None:
-                zero_positions = zero_positions[:slices_to_examine]
-            eliminated = np.zeros(self.entry_count, dtype=bool)
-            slices_read = 0
-            for position in zero_positions:
-                eliminated |= self.read_slice(position)
-                slices_read += 1
-                if eliminated.all():
-                    break
-            drop_indices = np.nonzero(~eliminated)[0].tolist()
+        zero_positions = np.flatnonzero(self._query_bits(signature) == 0)
+        if slices_to_examine is not None:
+            zero_positions = zero_positions[:slices_to_examine]
+        eliminated, slices_read = self._or_scan(zero_positions)
+        drop_indices = kernels.cleared_bit_indices(
+            eliminated, self.entry_count
+        ).tolist()
         return self._resolve(drop_indices, "subset", slices_read)
 
     @traced_search("bssf.search.overlap")
@@ -529,22 +453,12 @@ class BitSlicedSignatureFile(SetAccessFacility):
                                 detail={"mode": "overlap", "slices_read": 0,
                                         "drops": 0, "live_drops": 0})
         signature = self.scheme.set_signature(query)
-        if self.use_kernels:
-            overlapping, slices_read = self._or_scan(
-                np.flatnonzero(self._query_bits(signature))
-            )
-            drop_indices = kernels.set_bit_indices(
-                overlapping, self.entry_count
-            ).tolist()
-        else:
-            overlapping = np.zeros(self.entry_count, dtype=bool)
-            slices_read = 0
-            for position in signature.set_positions():
-                overlapping |= self.read_slice(position)
-                slices_read += 1
-                if overlapping.all():
-                    break
-            drop_indices = np.nonzero(overlapping)[0].tolist()
+        overlapping, slices_read = self._or_scan(
+            np.flatnonzero(self._query_bits(signature))
+        )
+        drop_indices = kernels.set_bit_indices(
+            overlapping, self.entry_count
+        ).tolist()
         return self._resolve(drop_indices, "overlap", slices_read)
 
     # ------------------------------------------------------------------
@@ -566,6 +480,13 @@ class BitSlicedSignatureFile(SetAccessFacility):
                 "live_drops": len(live),
             },
         )
+
+    def create_params(self) -> Tuple[str, list]:
+        scheme = self.scheme
+        return "bssf", [
+            scheme.signature_bits, scheme.bits_per_element, scheme.seed,
+            self.worst_case_insert,
+        ]
 
     def storage_pages(self) -> dict:
         return {

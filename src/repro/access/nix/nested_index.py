@@ -23,7 +23,7 @@ the result is then no longer exact.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.access.base import SearchResult, SetAccessFacility, SetValue
 from repro.access.nix.btree import BPlusTree
@@ -53,6 +53,9 @@ class NestedIndex(SetAccessFacility):
     @property
     def overflow_chains(self) -> bool:
         return self.tree.overflow_chains
+
+    def create_params(self) -> Tuple[str, list]:
+        return "nix", [self.overflow_chains]
 
     @classmethod
     def attach(

@@ -11,7 +11,7 @@ requires a sequential scan, hence the paper's expected deletion cost of
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -28,15 +28,13 @@ _TOMBSTONE = b"\xff" * OID_BYTES
 class OIDFile:
     """Sequential OID file with delete flags.
 
-    With ``use_cache=True`` the decoded entry table is memoized against the
-    underlying file's version, so drop-index materialization skips per-entry
-    byte decoding on repeat lookups. Logical and physical page accesses are
-    charged identically either way (see :meth:`get_many`).
+    The decoded entry table is memoized against the underlying file's
+    version, so drop-index materialization skips per-entry byte decoding on
+    repeat lookups; the pages a lookup logically touches are charged all
+    the same (see :meth:`get_many`).
     """
 
-    def __init__(
-        self, paged_file: PagedFile, entry_count: int = 0, use_cache: bool = True
-    ):
+    def __init__(self, paged_file: PagedFile, entry_count: int = 0):
         self.file = paged_file
         self.entries_per_page = self.file.page_size // OID_BYTES
         if entry_count < 0:
@@ -49,7 +47,7 @@ class OIDFile:
                 f"entry_count {entry_count} exceeds file capacity {max_entries}"
             )
         self._count = entry_count
-        self._decode_cache = DecodeCache(max_entries=1) if use_cache else None
+        self._decode_cache = DecodeCache(max_entries=1)
 
     @property
     def entry_count(self) -> int:
@@ -116,34 +114,22 @@ class OIDFile:
 
         This is the executor's OID-list lookup step; its page cost is the
         number of *distinct* pages the indices fall on, matching the
-        ``LC_OID`` term of the cost model. The cached path answers from the
-        decoded entry table but charges exactly the same distinct pages, in
-        the same ascending order, as the per-entry reference path below.
+        ``LC_OID`` term of the cost model. Entries are answered from the
+        decoded entry table; the distinct pages are charged in ascending
+        order, exactly as reading each of them once would, and an
+        out-of-range index raises before any page is charged.
         """
-        if self._decode_cache is not None:
-            if not indices:
-                return []
-            unique = np.unique(np.asarray(indices, dtype=np.int64))
-            if unique[0] < 0:
-                self._check_index(int(unique[0]))
-            elif unique[-1] >= self._count:
-                self._check_index(int(unique[unique >= self._count][0]))
-            entries = self._decoded_entries()
-            for page_no in np.unique(unique // self.entries_per_page):
-                self.file.charge_read(int(page_no))
-            return [entries[index] for index in indices]
-        by_page: Dict[int, List[int]] = {}
-        for index in sorted(set(indices)):
-            self._check_index(index)
-            by_page.setdefault(index // self.entries_per_page, []).append(index)
-        results: Dict[int, Optional[OID]] = {}
-        for page_no in sorted(by_page):
-            page = self.file.read_page(page_no)
-            for index in by_page[page_no]:
-                offset = (index % self.entries_per_page) * OID_BYTES
-                raw = page.read_bytes(offset, OID_BYTES)
-                results[index] = None if raw == _TOMBSTONE else OID.from_bytes(raw)
-        return [results[index] for index in indices]
+        if not indices:
+            return []
+        unique = np.unique(np.asarray(indices, dtype=np.int64))
+        if unique[0] < 0:
+            self._check_index(int(unique[0]))
+        elif unique[-1] >= self._count:
+            self._check_index(int(unique[unique >= self._count][0]))
+        entries = self._decoded_entries()
+        for page_no in np.unique(unique // self.entries_per_page):
+            self.file.charge_read(int(page_no))
+        return [entries[index] for index in indices]
 
     def delete(self, oid: OID) -> int:
         """Tombstone the entry holding ``oid``; returns its index.

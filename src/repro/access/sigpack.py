@@ -2,8 +2,10 @@
 
 The cost model stores ``floor(P·b / F)`` signatures per page — signatures
 are packed bit-contiguously within a page (never crossing a page boundary).
-These helpers convert between :class:`BitVector` signatures, page images,
-and numpy 0/1 bit arrays.
+These helpers size a signature page and install one :class:`BitVector`
+signature into a page image — the SSF insert path. Searches and bulk loads
+never come through here: they decode and build whole files in packed words
+(:mod:`repro.core.kernels`).
 
 Bit order: position ``j`` of a page's bitstream lives in byte ``j // 8`` at
 in-byte position ``j % 8``, LSB first — exactly numpy's
@@ -39,16 +41,6 @@ def signature_to_bits(signature: BitVector) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little")[: signature.nbits]
 
 
-def bits_to_signature(bits: np.ndarray) -> BitVector:
-    """Inverse of :func:`signature_to_bits`."""
-    nbits = len(bits)
-    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-    nwords = (nbits + 63) // 64
-    padded = np.zeros(nwords * 8, dtype=np.uint8)
-    padded[: len(packed)] = packed
-    return BitVector.from_bytes(nbits, padded.tobytes())
-
-
 def page_bit_array(page: Page) -> np.ndarray:
     """The page's full bitstream as a 0/1 uint8 array (P·b long)."""
     raw = np.frombuffer(bytes(page.data), dtype=np.uint8)
@@ -76,13 +68,3 @@ def write_signature_in_page(page: Page, slot: int, signature: BitVector) -> None
     start = slot * signature.nbits
     bits[start : start + signature.nbits] = signature_to_bits(signature)
     store_bit_array(page, bits)
-
-
-def read_signature_matrix(page: Page, signature_bits: int, count: int) -> np.ndarray:
-    """The first ``count`` signatures of a page as a (count, F) 0/1 matrix."""
-    capacity = signatures_per_page(page.page_size, signature_bits)
-    if not 0 <= count <= capacity:
-        raise ConfigurationError(f"count {count} exceeds page capacity {capacity}")
-    bits = page_bit_array(page)
-    used = bits[: count * signature_bits]
-    return used.reshape(count, signature_bits)

@@ -11,30 +11,23 @@ page accesses in the model); deletion tombstones the OID file only
 (``UC_D = SC_OID / 2``), leaving a stale signature that later searches
 filter out via the tombstone.
 
-Like BSSF, the SSF has two execution paths with bit-identical results and
-logical page-access counts: the default kernel path decodes the whole
-signature file into one packed ``(N, F/64)`` uint64 matrix — memoized in a
-version-keyed :class:`~repro.storage.decode_cache.DecodeCache` with
-read-through charging — and runs the drop tests as row-wise word kernels;
-``use_kernels=False`` keeps the original page-at-a-time unpacked-matrix
-scan as the executable reference.
+Like BSSF, a search decodes the whole signature file into one packed
+``(N, F/64)`` uint64 matrix — memoized in a version-keyed
+:class:`~repro.storage.decode_cache.DecodeCache` with read-through
+charging — and runs the drop tests as row-wise word kernels. The
+page-at-a-time scan this replaces is the oracle in ``tests/reference/``,
+which pins results and page accounting.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.access.base import SearchResult, SetAccessFacility, SetValue
 from repro.access.oid_file import OIDFile
-from repro.access.sigpack import (
-    read_signature_matrix,
-    signature_to_bits,
-    signatures_per_page,
-    store_bit_array,
-    write_signature_in_page,
-)
+from repro.access.sigpack import signatures_per_page, write_signature_in_page
 from repro.core import kernels
 from repro.core.signature import SignatureScheme
 from repro.errors import AccessFacilityError
@@ -55,18 +48,14 @@ class SequentialSignatureFile(SetAccessFacility):
         storage: StorageManager,
         scheme: SignatureScheme,
         file_prefix: str = "ssf",
-        use_kernels: bool = True,
     ):
         self.scheme = scheme
         self.signature_bits = scheme.signature_bits
         self.sigs_per_page = signatures_per_page(
             storage.page_size, self.signature_bits
         )
-        self.use_kernels = use_kernels
         self.signature_file = storage.create_file(f"{file_prefix}:signatures")
-        self.oid_file = OIDFile(
-            storage.create_file(f"{file_prefix}:oids"), use_cache=use_kernels
-        )
+        self.oid_file = OIDFile(storage.create_file(f"{file_prefix}:oids"))
         self._decode_cache = DecodeCache(max_entries=1)
 
     @classmethod
@@ -76,7 +65,6 @@ class SequentialSignatureFile(SetAccessFacility):
         scheme: SignatureScheme,
         file_prefix: str,
         entry_count: int,
-        use_kernels: bool = True,
     ) -> "SequentialSignatureFile":
         """Bind to an existing SSF's files (snapshot rehydration)."""
         facility = cls.__new__(cls)
@@ -85,12 +73,9 @@ class SequentialSignatureFile(SetAccessFacility):
         facility.sigs_per_page = signatures_per_page(
             storage.page_size, scheme.signature_bits
         )
-        facility.use_kernels = use_kernels
         facility.signature_file = storage.open_file(f"{file_prefix}:signatures")
         facility.oid_file = OIDFile(
-            storage.open_file(f"{file_prefix}:oids"),
-            entry_count=entry_count,
-            use_cache=use_kernels,
+            storage.open_file(f"{file_prefix}:oids"), entry_count=entry_count
         )
         facility._decode_cache = DecodeCache(max_entries=1)
         facility.verify()
@@ -107,42 +92,13 @@ class SequentialSignatureFile(SetAccessFacility):
         """Build the SSF from scratch, page-at-a-time.
 
         ``pairs`` is an iterable of ``(set value, OID)``. Each signature
-        page and each OID page is written once, instead of once per entry.
-        The kernel path builds every page image with one batched
-        ``unpackbits``/``packbits`` pass over the stacked signature words;
-        the naive path fills a per-page bit buffer entry by entry. Only
-        valid on an empty facility; returns the entry count.
+        page and each OID page is written once, instead of once per entry:
+        every page image comes out of one batched ``unpackbits``/``packbits``
+        pass over the stacked signature words. Only valid on an empty
+        facility; returns the entry count.
         """
         if self.entry_count:
             raise AccessFacilityError("bulk_load requires an empty SSF")
-        if self.use_kernels:
-            return self._bulk_load_packed(pairs)
-        oids: List[OID] = []
-        page_bits = np.zeros(self.signature_file.page_size * 8, dtype=np.uint8)
-        slot = 0
-        page_dirty = False
-        for elements, oid in pairs:
-            signature = self.scheme.set_signature(elements)
-            start = slot * self.signature_bits
-            page_bits[start : start + self.signature_bits] = signature_to_bits(
-                signature
-            )
-            page_dirty = True
-            oids.append(oid)
-            slot += 1
-            if slot == self.sigs_per_page:
-                self._flush_bulk_page(page_bits)
-                page_bits[:] = 0
-                slot = 0
-                page_dirty = False
-        if page_dirty:
-            self._flush_bulk_page(page_bits)
-        self.oid_file.bulk_append(oids)
-        self.verify()
-        return len(oids)
-
-    def _bulk_load_packed(self, pairs) -> int:
-        """Vectorized bulk path: one bit-matrix pass, one write per page."""
         pairs = list(pairs)
         oids: List[OID] = [oid for _, oid in pairs]
         if not oids:
@@ -171,11 +127,6 @@ class SequentialSignatureFile(SetAccessFacility):
         self.oid_file.bulk_append(oids)
         self.verify()
         return entries
-
-    def _flush_bulk_page(self, page_bits) -> None:
-        page_no, page = self.signature_file.append_page()
-        store_bit_array(page, page_bits)
-        self.signature_file.write_page(page_no, page)
 
     def insert(self, elements: SetValue, oid: OID) -> None:
         """Append signature + OID entry (the model's 2 page accesses)."""
@@ -253,22 +204,9 @@ class SequentialSignatureFile(SetAccessFacility):
             # Every target contains the empty set.
             return self._all_live("superset", drops=self.entry_count)
         signature = self._query_signature(query, use_elements)
-        if self.use_kernels:
-            matrix = self._signature_matrix()
-            hits = kernels.rows_covering(matrix, signature.words)
-            drop_indices = np.nonzero(hits)[0].tolist()
-            return self._resolve(drop_indices, mode="superset")
-        query_bits = signature_to_bits(signature)
-        drop_indices: List[int] = []
-        for page_no in range(self.signature_file.num_pages):
-            count = self._entries_on_page(page_no)
-            matrix = read_signature_matrix(
-                self.signature_file.read_page(page_no), self.signature_bits, count
-            )
-            # target covers query  <=>  no position has query=1, target=0
-            misses = np.any(query_bits & ~matrix.astype(bool), axis=1)
-            for local in np.nonzero(~misses)[0]:
-                drop_indices.append(page_no * self.sigs_per_page + int(local))
+        matrix = self._signature_matrix()
+        hits = kernels.rows_covering(matrix, signature.words)
+        drop_indices = np.nonzero(hits)[0].tolist()
         return self._resolve(drop_indices, mode="superset")
 
     @traced_search("ssf.search.subset")
@@ -293,38 +231,20 @@ class SequentialSignatureFile(SetAccessFacility):
                 "subset", drops=self.entry_count, exact=False
             )
         signature = self.scheme.set_signature(query)
-        if self.use_kernels:
-            zero_mask_bits = 1 - kernels.unpack_rows(
-                signature.words[np.newaxis, :], self.signature_bits
-            )[0]
-            zero_positions = np.nonzero(zero_mask_bits)[0]
-            if slices_to_examine is not None:
-                zero_positions = zero_positions[:slices_to_examine]
-                zero_mask_bits = np.zeros(self.signature_bits, dtype=np.uint8)
-                zero_mask_bits[zero_positions] = 1
-            mask_words = kernels.pack_rows(zero_mask_bits[np.newaxis, :])[0]
-            matrix = self._signature_matrix()
-            hits = kernels.rows_disjoint_from(matrix, mask_words)
-            drop_indices = np.nonzero(hits)[0].tolist()
-            return self._resolve(drop_indices, mode="subset")
-        query_bits = signature_to_bits(signature).astype(bool)
-        zero_positions = np.nonzero(~query_bits)[0]
+        # target covered by query <=> target has 0 at every examined zero
+        # position of the query signature
+        zero_mask_bits = 1 - kernels.unpack_rows(
+            signature.words[np.newaxis, :], self.signature_bits
+        )[0]
+        zero_positions = np.nonzero(zero_mask_bits)[0]
         if slices_to_examine is not None:
             zero_positions = zero_positions[:slices_to_examine]
-        drop_indices: List[int] = []
-        for page_no in range(self.signature_file.num_pages):
-            count = self._entries_on_page(page_no)
-            matrix = read_signature_matrix(
-                self.signature_file.read_page(page_no), self.signature_bits, count
-            )
-            # target covered by query <=> target has 0 at every examined
-            # zero position of the query signature
-            if len(zero_positions):
-                hits = ~np.any(matrix[:, zero_positions].astype(bool), axis=1)
-            else:
-                hits = np.ones(count, dtype=bool)
-            for local in np.nonzero(hits)[0]:
-                drop_indices.append(page_no * self.sigs_per_page + int(local))
+            zero_mask_bits = np.zeros(self.signature_bits, dtype=np.uint8)
+            zero_mask_bits[zero_positions] = 1
+        mask_words = kernels.pack_rows(zero_mask_bits[np.newaxis, :])[0]
+        matrix = self._signature_matrix()
+        hits = kernels.rows_disjoint_from(matrix, mask_words)
+        drop_indices = np.nonzero(hits)[0].tolist()
         return self._resolve(drop_indices, mode="subset")
 
     @traced_search("ssf.search.overlap")
@@ -339,22 +259,10 @@ class SequentialSignatureFile(SetAccessFacility):
             return SearchResult([], exact=True, facility=self.name,
                                 detail={"mode": "overlap", "drops": 0,
                                         "live_drops": 0})
-        if self.use_kernels:
-            signature = self.scheme.set_signature(query)
-            matrix = self._signature_matrix()
-            hits = kernels.rows_intersecting(matrix, signature.words)
-            drop_indices = np.nonzero(hits)[0].tolist()
-            return self._resolve(drop_indices, mode="overlap")
-        query_bits = signature_to_bits(self.scheme.set_signature(query))
-        drop_indices: List[int] = []
-        for page_no in range(self.signature_file.num_pages):
-            count = self._entries_on_page(page_no)
-            matrix = read_signature_matrix(
-                self.signature_file.read_page(page_no), self.signature_bits, count
-            )
-            hits = np.any(matrix.astype(bool) & query_bits.astype(bool), axis=1)
-            for local in np.nonzero(hits)[0]:
-                drop_indices.append(page_no * self.sigs_per_page + int(local))
+        signature = self.scheme.set_signature(query)
+        matrix = self._signature_matrix()
+        hits = kernels.rows_intersecting(matrix, signature.words)
+        drop_indices = np.nonzero(hits)[0].tolist()
         return self._resolve(drop_indices, mode="overlap")
 
     # ------------------------------------------------------------------
@@ -391,6 +299,10 @@ class SequentialSignatureFile(SetAccessFacility):
             facility=self.name,
             detail={"mode": mode, "drops": drops, "live_drops": len(live)},
         )
+
+    def create_params(self) -> Tuple[str, list]:
+        scheme = self.scheme
+        return "ssf", [scheme.signature_bits, scheme.bits_per_element, scheme.seed]
 
     def storage_pages(self) -> dict:
         return {

@@ -58,12 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench = subparsers.add_parser(
         "bench",
-        help="wall-clock benchmarks (kernels, WAL, concurrent serving)",
+        help="wall-clock benchmarks (tracer, WAL, LSM, concurrent serving)",
         description=(
             "Run benchmarks/bench_wallclock.py from the repository "
-            "checkout: packed-kernel speedups, tracer and WAL overhead, "
-            "and the concurrent serving sweep (sequential vs a "
-            "QueryService worker pool over a simulated-latency store)."
+            "checkout: tracer and WAL overhead, the process-pool, sharded "
+            "and LSM update sweeps, and the concurrent serving sweep "
+            "(sequential vs a QueryService worker pool over a "
+            "simulated-latency store)."
         ),
     )
     bench.add_argument(

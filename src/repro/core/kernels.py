@@ -1,18 +1,18 @@
 """Packed-word batch kernels for signature search.
 
-The naive search paths unpack every slice page (BSSF) or signature page
-(SSF) into per-entry ``bool``/0-1 arrays before combining them, which
-spends most of each query's wall-clock expanding bits 8× and walking
-Python loops. These kernels keep everything in ``uint64`` words — 64
-entries (or signature bits) per machine word — and only materialize
-indices at the very end, when the surviving drop positions are needed.
+Unpacking every slice page (BSSF) or signature page (SSF) into per-entry
+``bool``/0-1 arrays before combining them would spend most of each
+query's wall-clock expanding bits 8× and walking Python loops. These
+kernels keep everything in ``uint64`` words — 64 entries (or signature
+bits) per machine word — and only materialize indices at the very end,
+when the surviving drop positions are needed.
 
 Conventions match :mod:`repro.core.bits`: bit ``i`` lives in word
 ``i // 64`` at in-word position ``i % 64`` (``numpy``'s
 ``bitorder="little"``). All kernels are pure functions on numpy arrays;
 they never touch storage and therefore cannot perturb the paper's
-page-access accounting — the access methods charge I/O separately and
-identically on both the packed and the naive paths.
+page-access accounting — the access methods charge I/O separately, and
+the per-page oracle in ``tests/reference/`` pins what they charge.
 """
 
 from __future__ import annotations
@@ -29,15 +29,6 @@ def words_for_bits(nbits: int) -> int:
     return (nbits + WORD_BITS - 1) // WORD_BITS
 
 
-def packed_from_bytes(data: bytes) -> np.ndarray:
-    """View a little-endian byte string as packed uint64 words.
-
-    The length must be a multiple of 8 (page images always are). The
-    returned array shares the buffer and is read-only.
-    """
-    return np.frombuffer(data, dtype="<u8")
-
-
 def ones_mask(nbits: int, nwords: int) -> np.ndarray:
     """A ``nwords``-long word array with exactly the first ``nbits`` set."""
     mask = np.zeros(nwords, dtype=np.uint64)
@@ -47,16 +38,6 @@ def ones_mask(nbits: int, nwords: int) -> np.ndarray:
     if rem and full < nwords:
         mask[full] = np.uint64((1 << rem) - 1)
     return mask
-
-
-def and_into(acc: np.ndarray, words: np.ndarray) -> None:
-    """``acc &= words`` in place (slice-AND accumulation)."""
-    np.bitwise_and(acc, words, out=acc)
-
-
-def or_into(acc: np.ndarray, words: np.ndarray) -> None:
-    """``acc |= words`` in place (slice-OR accumulation)."""
-    np.bitwise_or(acc, words, out=acc)
 
 
 def any_bit(words: np.ndarray) -> bool:
@@ -74,8 +55,8 @@ def set_bit_indices(words: np.ndarray, nbits: int) -> np.ndarray:
     """Ascending indices (< ``nbits``) of the set bits of ``words``.
 
     This is the vectorized drop-index materialization: one ``unpackbits``
-    over exactly ``nbits`` positions plus one ``nonzero``, replacing the
-    per-entry Python loops of the naive paths.
+    over exactly ``nbits`` positions plus one ``nonzero``, in place of a
+    per-entry Python loop.
     """
     if nbits == 0 or words.size == 0:
         return np.zeros(0, dtype=np.int64)

@@ -99,15 +99,13 @@ class SignatureScheme:
         every element's memoized packed row into one stacked array and
         superimposes each set's segment with a single
         ``np.bitwise_or.reduceat`` — one vectorized pass instead of one
-        Python-level reduce per set, which is what made kernel bulk loads
-        lose to the naive path.
+        Python-level reduce per set.
         """
         signature_words = self.hasher.signature_words
         words = words_for_bits(self.signature_bits)
         # Hash each *distinct* element once and gather occurrences with one
         # fancy index — bulk loads repeat domain elements thousands of
-        # times, and a per-occurrence numpy call is what made the kernel
-        # path lose to naive.
+        # times, and a per-occurrence numpy call dominates the load.
         index_of: dict = {}
         unique_rows = []
         occurrences = []

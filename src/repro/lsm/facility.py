@@ -68,8 +68,6 @@ class LSMSignatureFacility(SetAccessFacility):
         *,
         flush_threshold: int = DEFAULT_FLUSH_THRESHOLD,
         fanout: int = DEFAULT_FANOUT,
-        worst_case_insert: bool = False,
-        use_kernels: bool = True,
     ):
         if kind not in RUN_KINDS:
             raise AccessFacilityError(f"unknown LSM run kind: {kind!r}")
@@ -87,8 +85,6 @@ class LSMSignatureFacility(SetAccessFacility):
         self.file_prefix = file_prefix
         self.flush_threshold = flush_threshold
         self.fanout = fanout
-        self.worst_case_insert = worst_case_insert
-        self.use_kernels = use_kernels
         self.memtable = MemTable()
         # Oldest -> newest by data recency. Tiered merges keep levels
         # non-increasing along this list, so a level's runs are contiguous.
@@ -116,9 +112,6 @@ class LSMSignatureFacility(SetAccessFacility):
         scheme: SignatureScheme,
         file_prefix: str,
         state_blob: bytes,
-        *,
-        worst_case_insert: bool = False,
-        use_kernels: bool = True,
     ) -> "LSMSignatureFacility":
         """Re-open a facility over existing run/manifest files.
 
@@ -138,14 +131,10 @@ class LSMSignatureFacility(SetAccessFacility):
             file_prefix,
             flush_threshold=flush_threshold,
             fanout=fanout,
-            worst_case_insert=worst_case_insert,
-            use_kernels=use_kernels,
         )
         descriptors, _ = facility.manifest.load()
         facility.runs = [
-            SignatureRun.attach(
-                storage, scheme, file_prefix, descriptor, use_kernels=use_kernels
-            )
+            SignatureRun.attach(storage, scheme, file_prefix, descriptor)
             for descriptor in descriptors
         ]
         facility.memtable = MemTable.from_state(memtable_state, scheme)
@@ -280,7 +269,6 @@ class LSMSignatureFacility(SetAccessFacility):
             layout,
             entries,
             tombstones,
-            use_kernels=self.use_kernels,
         )
         self.runs.append(run)
         self.memtable = MemTable()
@@ -356,7 +344,6 @@ class LSMSignatureFacility(SetAccessFacility):
             self.kind,
             merged_entries,
             merged_tombstones,
-            use_kernels=self.use_kernels,
         )
         REGISTRY.histogram("lsm.compaction_seconds").record(
             time.perf_counter() - started
@@ -557,6 +544,15 @@ class LSMSignatureFacility(SetAccessFacility):
     # ------------------------------------------------------------------
     # Facility contract plumbing
     # ------------------------------------------------------------------
+    def create_params(self) -> Tuple[str, list]:
+        scheme = self.scheme
+        params = [scheme.signature_bits, scheme.bits_per_element, scheme.seed]
+        if self.kind == "bssf":
+            # create_bssf_index takes an in-place insert option in this
+            # slot; runs are bulk-loaded, never inserted into.
+            params.append(False)
+        return self.kind, params + [True, self.flush_threshold, self.fanout]
+
     def storage_pages(self) -> dict:
         return {
             "runs": sum(run.storage_pages() for run in self.runs),

@@ -106,15 +106,11 @@ class SignatureRun:
         layout: str,
         entries: Dict[OID, Tuple[SetValue, int]],
         tombstones: Set[OID],
-        *,
-        use_kernels: bool = True,
     ) -> "SignatureRun":
         """Seal ``entries`` into fresh storage files, bulk-loaded in seq order."""
         inner_class, _ = _layout(layout)
         prefix = run_prefix(file_prefix, run_id)
-        inner = inner_class(
-            storage, scheme, file_prefix=prefix, use_kernels=use_kernels
-        )
+        inner = inner_class(storage, scheme, file_prefix=prefix)
         ordered = sorted(entries.items(), key=lambda item: item[1][1])
         inner.bulk_load([(elements, oid) for oid, (elements, _) in ordered])
         blob = encode_value([
@@ -135,8 +131,6 @@ class SignatureRun:
         scheme: SignatureScheme,
         file_prefix: str,
         descriptor: list,
-        *,
-        use_kernels: bool = True,
     ) -> "SignatureRun":
         """Re-open the run a :meth:`to_state` descriptor names (checkpoint load)."""
         run_id, level, layout, entry_count, tombstone_count, table_crc = descriptor
@@ -162,8 +156,7 @@ class SignatureRun:
                 f"{entry_count} and {tombstone_count}"
             )
         inner = inner_class.attach(
-            storage, scheme, file_prefix=prefix, entry_count=entry_count,
-            use_kernels=use_kernels,
+            storage, scheme, file_prefix=prefix, entry_count=entry_count
         )
         entries = {
             OID.from_int(oid_int): (frozenset(elements), seq)

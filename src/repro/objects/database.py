@@ -491,7 +491,10 @@ class Database:
         """Bit-sliced signature file on ``class.attribute``.
 
         ``lsm=True`` (default on ``durability="lsm"`` databases) builds the
-        LSM-structured variant over BSSF-format runs.
+        LSM-structured variant over BSSF-format runs. ``worst_case_insert``
+        is the in-place facility's insert option (touch every slice, the
+        paper's ``UC_I = F + 1``); LSM runs are bulk-loaded, so it has no
+        effect there.
         """
         lsm, flush_threshold, fanout = self._resolve_lsm(
             lsm, flush_threshold, fanout
@@ -520,7 +523,6 @@ class Database:
                         f"bssf:{class_name}.{attribute}",
                         flush_threshold=flush_threshold,
                         fanout=fanout,
-                        worst_case_insert=worst_case_insert,
                     )
                 else:
                     facility = BitSlicedSignatureFile(
@@ -560,6 +562,26 @@ class Database:
                 )
                 self._register(class_name, attribute, facility)
             return facility
+
+    def create_index(
+        self, kind: str, class_name: str, attribute: str, params: list
+    ) -> SetAccessFacility:
+        """Create a facility from a ``(kind, params)`` pair.
+
+        The pair is what a ``create_index`` WAL record logs and what
+        :meth:`SetAccessFacility.create_params` returns. ``params`` splats
+        positionally onto the kind's create method, so a shorter list —
+        an older record without the lsm/flush/fanout tail, an in-place
+        facility's — takes that method's defaults.
+        """
+        creators = {
+            "ssf": self.create_ssf_index,
+            "bssf": self.create_bssf_index,
+            "nix": self.create_nested_index,
+        }
+        if kind not in creators:
+            raise ConfigurationError(f"unknown facility kind: {kind!r}")
+        return creators[kind](class_name, attribute, *params)
 
     def indexes_on(self, class_name: str, attribute: str) -> Dict[str, SetAccessFacility]:
         return dict(self._indexes.get((class_name, attribute), {}))

@@ -52,7 +52,6 @@ def _index_descriptor(class_name: str, attribute: str, facility) -> Dict[str, An
             m=facility.scheme.bits_per_element,
             seed=facility.scheme.seed,
             entry_count=facility.entry_count,
-            worst_case_insert=facility.worst_case_insert,
             file_prefix=facility.file_prefix,
             lsm=base64.b64encode(facility.state_blob()).decode("ascii"),
         )
@@ -243,11 +242,7 @@ def _rehydrate_index(db: Database, descriptor: Dict[str, Any]) -> None:
         scheme = SignatureScheme(descriptor["F"], descriptor["m"],
                                  seed=descriptor["seed"])
         facility = LSMSignatureFacility.attach(
-            storage,
-            scheme,
-            prefix,
-            base64.b64decode(descriptor["lsm"]),
-            worst_case_insert=descriptor.get("worst_case_insert", False),
+            storage, scheme, prefix, base64.b64decode(descriptor["lsm"])
         )
     elif kind == "ssf":
         scheme = SignatureScheme(descriptor["F"], descriptor["m"],

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.access.bssf import BitSlicedSignatureFile
-from repro.access.ssf import SequentialSignatureFile
 from repro.errors import AccessFacilityError
 from repro.obs.metrics import REGISTRY
 
@@ -76,46 +74,11 @@ def _rebuild_body(
         if file_name.startswith(prefix):
             database.storage.drop_file(file_name)
     try:
-        if getattr(old, "is_lsm", False):
-            # Recreate the LSM facility with its layout options; the
-            # create path's backfill seals the surviving objects into a
-            # fresh level-0 run (the prefix drop above removed every run
-            # file and manifest slot).
-            creator = (
-                database.create_ssf_index
-                if old.kind == "ssf"
-                else database.create_bssf_index
-            )
-            kwargs = dict(
-                seed=old.scheme.seed,
-                lsm=True,
-                flush_threshold=old.flush_threshold,
-                fanout=old.fanout,
-            )
-            if old.kind == "bssf":
-                kwargs["worst_case_insert"] = old.worst_case_insert
-            rebuilt = creator(
-                class_name, attribute,
-                old.signature_bits, old.scheme.bits_per_element,
-                **kwargs,
-            )
-        elif isinstance(old, SequentialSignatureFile):
-            rebuilt = database.create_ssf_index(
-                class_name, attribute,
-                old.signature_bits, old.scheme.bits_per_element,
-                seed=old.scheme.seed,
-            )
-        elif isinstance(old, BitSlicedSignatureFile):
-            rebuilt = database.create_bssf_index(
-                class_name, attribute,
-                old.signature_bits, old.scheme.bits_per_element,
-                seed=old.scheme.seed,
-                worst_case_insert=old.worst_case_insert,
-            )
-        else:
-            rebuilt = database.create_nested_index(
-                class_name, attribute, overflow_chains=old.overflow_chains
-            )
+        # The create path's backfill bulk-loads the surviving objects (an
+        # LSM facility seals them into one fresh run; the prefix drop
+        # above removed every run file and manifest slot).
+        kind, params = old.create_params()
+        rebuilt = database.create_index(kind, class_name, attribute, params)
     except Exception:
         # The facility is gone and could not be recreated; leave the
         # degraded mark in place so queries keep falling back to scans.

@@ -57,56 +57,9 @@ def _replicate_schema(source: Database, shard: Database) -> None:
     for class_name in sorted(ids, key=ids.__getitem__):
         shard.define_class(source.schema(class_name))
     for class_name, attribute in source.indexed_paths():
-        for name, facility in source.indexes_on(class_name, attribute).items():
-            if getattr(facility, "is_lsm", False):
-                creator = (
-                    shard.create_ssf_index
-                    if facility.kind == "ssf"
-                    else shard.create_bssf_index
-                )
-                kwargs = dict(
-                    seed=facility.scheme.seed,
-                    lsm=True,
-                    flush_threshold=facility.flush_threshold,
-                    fanout=facility.fanout,
-                )
-                if facility.kind == "bssf":
-                    kwargs["worst_case_insert"] = facility.worst_case_insert
-                creator(
-                    class_name,
-                    attribute,
-                    facility.scheme.signature_bits,
-                    facility.scheme.bits_per_element,
-                    **kwargs,
-                )
-            elif name == "ssf":
-                shard.create_ssf_index(
-                    class_name,
-                    attribute,
-                    facility.scheme.signature_bits,
-                    facility.scheme.bits_per_element,
-                    seed=facility.scheme.seed,
-                )
-            elif name == "bssf":
-                shard.create_bssf_index(
-                    class_name,
-                    attribute,
-                    facility.scheme.signature_bits,
-                    facility.scheme.bits_per_element,
-                    seed=facility.scheme.seed,
-                    worst_case_insert=facility.worst_case_insert,
-                )
-            elif name == "nix":
-                shard.create_nested_index(
-                    class_name,
-                    attribute,
-                    overflow_chains=facility.overflow_chains,
-                )
-            else:
-                raise ConfigurationError(
-                    f"cannot replicate unknown facility {name!r} on "
-                    f"{class_name}.{attribute} onto a shard"
-                )
+        for facility in source.indexes_on(class_name, attribute).values():
+            kind, params = facility.create_params()
+            shard.create_index(kind, class_name, attribute, params)
 
 
 def partition_database(

@@ -150,18 +150,8 @@ def _apply_define_class(db: "Database", fields) -> None:
 
 
 def _apply_create_index(db: "Database", fields) -> None:
-    # The params list splats positionally onto the create method, so older
-    # (shorter) records — pre-LSM ones carry no lsm/flush/fanout tail —
-    # replay with the method's defaults and newer ones carry their options.
     _, kind, class_name, attribute, params = fields
-    if kind == "ssf":
-        db.create_ssf_index(class_name, attribute, *params)
-    elif kind == "bssf":
-        db.create_bssf_index(class_name, attribute, *params)
-    elif kind == "nix":
-        db.create_nested_index(class_name, attribute, overflow_chains=params[0])
-    else:
-        raise WalError(f"unknown facility kind in create_index record: {kind!r}")
+    db.create_index(kind, class_name, attribute, params)
 
 
 def _apply_insert(db: "Database", fields) -> None:

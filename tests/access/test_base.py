@@ -21,6 +21,9 @@ class _Stub(SetAccessFacility):
     def search_subset(self, query):  # pragma: no cover - trivial
         return SearchResult([], exact=True, facility=self.name)
 
+    def create_params(self):  # pragma: no cover - trivial
+        return "stub", []
+
     def storage_pages(self):
         return {"a": 2, "b": 3}
 

@@ -7,6 +7,8 @@ pools — must reproduce these numbers exactly, for an uncached pool
 (capacity 0, the paper's cost model) and a cached one (capacity 64), on a
 cold and a warm decode cache alike. Each entry is
 ``[logical_reads, logical_writes, candidates, drops]`` for one search.
+The ``naive`` parametrisation runs the same workload through the per-page
+oracle in ``tests/reference/``, which the constants were captured from.
 """
 
 import pytest
@@ -17,6 +19,7 @@ from repro.core.signature import SignatureScheme
 from repro.objects.oid import OID
 from repro.storage.paged_file import StorageManager
 from repro.workloads.generator import SetWorkloadGenerator, WorkloadSpec
+from tests.reference import ReferenceBSSF, ReferenceSSF
 
 N = 512
 F = 192
@@ -51,15 +54,19 @@ GOLDEN = {
 }
 
 
-def build(pool_capacity, use_kernels):
+#: parametrisation id -> (SSF class, BSSF class)
+PATHS = {
+    "kernels": (SequentialSignatureFile, BitSlicedSignatureFile),
+    "naive": (ReferenceSSF, ReferenceBSSF),
+}
+
+
+def build(pool_capacity, path):
     manager = StorageManager(page_size=4096, pool_capacity=pool_capacity)
     scheme = SignatureScheme(F, M, seed=SEED)
-    ssf = SequentialSignatureFile(
-        manager, scheme, file_prefix="ssf", use_kernels=use_kernels
-    )
-    bssf = BitSlicedSignatureFile(
-        manager, scheme, file_prefix="bssf", use_kernels=use_kernels
-    )
+    ssf_class, bssf_class = PATHS[path]
+    ssf = ssf_class(manager, scheme, file_prefix="ssf")
+    bssf = bssf_class(manager, scheme, file_prefix="bssf")
     gen = SetWorkloadGenerator(
         WorkloadSpec(
             num_objects=N, domain_cardinality=208, target_cardinality=10, seed=SEED
@@ -96,10 +103,10 @@ def meter(manager, op):
     return runs[0]
 
 
-@pytest.mark.parametrize("use_kernels", [True, False], ids=["kernels", "naive"])
+@pytest.mark.parametrize("path", list(PATHS))
 @pytest.mark.parametrize("pool_capacity", [0, 64], ids=["uncached", "cached"])
-def test_logical_page_accesses_match_golden(pool_capacity, use_kernels):
-    manager, ssf, bssf, qgen = build(pool_capacity, use_kernels)
+def test_logical_page_accesses_match_golden(pool_capacity, path):
+    manager, ssf, bssf, qgen = build(pool_capacity, path)
     observed = {}
     for label, facility in (("ssf", ssf), ("bssf", bssf)):
         for mode in ("superset", "subset", "overlap"):

@@ -1,12 +1,12 @@
-"""Kernel-path vs naive-path parity for SSF and BSSF.
+"""Shipped SSF/BSSF vs the per-page oracle in ``tests/reference/``.
 
-The packed-word fast paths (``use_kernels=True``) must be observationally
-identical to the original per-entry/per-bit reference paths: same
-candidates, same result detail (including ``slices_read`` early-exit
-points), and bit-identical logical *and* physical page-access accounting —
-the paper's metric must not know which implementation ran. The property
-tests also cross-check both implementations against the plain
-:class:`BitVector`-semantics drop conditions of §3.1.
+The packed-word facilities must be observationally identical to the
+per-entry/per-bit reference implementations run over a twin
+``StorageManager``: same candidates, same result detail (including
+``slices_read`` early-exit points), and bit-identical logical *and*
+physical page-access accounting — the paper's metric must not know which
+implementation ran. The property tests also cross-check both against the
+plain :class:`BitVector`-semantics drop conditions of §3.1.
 """
 
 import pytest
@@ -14,10 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.access.bssf import BitSlicedSignatureFile
+from repro.access.oid_file import OIDFile
 from repro.access.ssf import SequentialSignatureFile
 from repro.core.signature import SignatureScheme
+from repro.lsm.facility import LSMSignatureFacility
+from repro.lsm.run import SignatureRun
 from repro.objects.oid import OID
+from repro.obs.metrics import REGISTRY
 from repro.storage.paged_file import StorageManager
+from tests.reference import ReferenceBSSF, ReferenceSSF
 
 DOMAIN = list(range(24))
 
@@ -29,13 +34,13 @@ query_strategy = st.frozensets(st.sampled_from(DOMAIN), max_size=8)
 f_strategy = st.sampled_from([70, 128, 200])
 
 
-def build_pair(factory, sets, F, m, capacity, use_bulk, page_size=128):
-    """The same facility twice: kernel path and naive reference path."""
+def build_pair(classes, sets, F, m, capacity, use_bulk, page_size=128):
+    """The same entries twice: shipped facility, then its oracle on a twin."""
     out = []
-    for use_kernels in (True, False):
+    for facility_class in classes:
         manager = StorageManager(page_size=page_size, pool_capacity=capacity)
         scheme = SignatureScheme(F, m, seed=7)
-        facility = factory(manager, scheme, use_kernels=use_kernels)
+        facility = facility_class(manager, scheme)
         pairs = [(elements, OID(1, i)) for i, elements in enumerate(sets)]
         if use_bulk:
             facility.bulk_load(pairs)
@@ -43,15 +48,30 @@ def build_pair(factory, sets, F, m, capacity, use_bulk, page_size=128):
             for elements, oid in pairs:
                 facility.insert(elements, oid)
         out.append((facility, manager))
+    (_, fast_mgr), (_, twin_mgr) = out
+    assert page_images(fast_mgr) == page_images(twin_mgr)
+    # The build charged the same page traffic and left the same pool state.
+    assert fast_mgr.snapshot() == twin_mgr.snapshot()
+    assert (fast_mgr.pool.hits, fast_mgr.pool.misses) == (
+        twin_mgr.pool.hits, twin_mgr.pool.misses
+    )
     return out
 
 
-def make_ssf(manager, scheme, use_kernels):
-    return SequentialSignatureFile(manager, scheme, use_kernels=use_kernels)
+def page_images(manager):
+    """Every page of every file, read without accounting."""
+    files = [manager.open_file(name) for name in manager.store.file_names()]
+    return {
+        file.name: [
+            bytes(file.peek_page(page_no).data)
+            for page_no in range(file.num_pages)
+        ]
+        for file in files
+    }
 
 
-def make_bssf(manager, scheme, use_kernels):
-    return BitSlicedSignatureFile(manager, scheme, use_kernels=use_kernels)
+SSF_PAIR = (SequentialSignatureFile, ReferenceSSF)
+BSSF_PAIR = (BitSlicedSignatureFile, ReferenceBSSF)
 
 
 def metered(manager, op):
@@ -103,7 +123,7 @@ class TestBSSFParity:
         self, sets, query, F, m, capacity, use_bulk
     ):
         fast_pair, naive_pair = build_pair(
-            make_bssf, sets, F, m, capacity, use_bulk
+            BSSF_PAIR, sets, F, m, capacity, use_bulk
         )
         scheme = SignatureScheme(F, m, seed=7)
         target_sigs = [scheme.set_signature(s) for s in sets]
@@ -146,7 +166,7 @@ class TestBSSFParity:
     )
     def test_smart_strategies_match_naive(self, sets, query, F, k, use_elements):
         fast_pair, naive_pair = build_pair(
-            make_bssf, sets, F, 2, capacity=0, use_bulk=True
+            BSSF_PAIR, sets, F, 2, capacity=0, use_bulk=True
         )
         if query:
             assert_same_behavior(
@@ -169,7 +189,7 @@ class TestBSSFParity:
         paths identically."""
         sets = [frozenset({1, 2}), frozenset({3, 4}), frozenset({5})]
         fast_pair, naive_pair = build_pair(
-            make_bssf, sets, 128, 2, capacity=0, use_bulk=False
+            BSSF_PAIR, sets, 128, 2, capacity=0, use_bulk=False
         )
         query = frozenset({1, 2, 5})
         assert_same_behavior(fast_pair, naive_pair, "search_subset", query)
@@ -181,7 +201,7 @@ class TestBSSFParity:
     def test_delete_tombstones_match(self):
         sets = [frozenset({1}), frozenset({1, 2}), frozenset({2})]
         fast_pair, naive_pair = build_pair(
-            make_bssf, sets, 70, 2, capacity=0, use_bulk=True
+            BSSF_PAIR, sets, 70, 2, capacity=0, use_bulk=True
         )
         for facility, _ in (fast_pair, naive_pair):
             facility.delete(frozenset({1, 2}), OID(1, 1))
@@ -194,13 +214,24 @@ class TestBSSFParity:
         """Entry counts past one slice page (page_size 16 → 128 entries/page)."""
         sets = [frozenset({i % 11, (i * 7) % 11}) for i in range(300)]
         fast_pair, naive_pair = build_pair(
-            make_bssf, sets, 70, 2, capacity=0, use_bulk=True, page_size=16
+            BSSF_PAIR, sets, 70, 2, capacity=0, use_bulk=True, page_size=16
         )
         assert fast_pair[0].slice_pages == 3
         for query in (frozenset({3}), frozenset({1, 4, 9}), frozenset(range(11))):
             assert_same_behavior(fast_pair, naive_pair, "search_superset", query)
             assert_same_behavior(fast_pair, naive_pair, "search_subset", query)
             assert_same_behavior(fast_pair, naive_pair, "search_overlap", query)
+        (fast, fast_mgr), (naive, naive_mgr) = fast_pair, naive_pair
+        for position in (0, 17, 69):
+            for _ in range(2):
+                n_bits, n_delta, n_pool = metered(
+                    naive_mgr, lambda: naive.read_slice(position)
+                )
+                f_bits, f_delta, f_pool = metered(
+                    fast_mgr, lambda: fast.read_slice(position)
+                )
+                assert f_bits.tolist() == n_bits.tolist()
+                assert (f_delta, f_pool) == (n_delta, n_pool)
 
 
 class TestSSFParity:
@@ -217,7 +248,7 @@ class TestSSFParity:
         self, sets, query, F, m, capacity, use_bulk
     ):
         fast_pair, naive_pair = build_pair(
-            make_ssf, sets, F, m, capacity, use_bulk
+            SSF_PAIR, sets, F, m, capacity, use_bulk
         )
         scheme = SignatureScheme(F, m, seed=7)
         target_sigs = [scheme.set_signature(s) for s in sets]
@@ -259,7 +290,7 @@ class TestSSFParity:
     )
     def test_smart_strategies_match_naive(self, sets, query, k, use_elements):
         fast_pair, naive_pair = build_pair(
-            make_ssf, sets, 70, 2, capacity=0, use_bulk=True
+            SSF_PAIR, sets, 70, 2, capacity=0, use_bulk=True
         )
         assert_same_behavior(
             fast_pair, naive_pair, "search_superset", query, use_elements=use_elements
@@ -271,7 +302,7 @@ class TestSSFParity:
     def test_insert_invalidates_decode_cache(self):
         sets = [frozenset({1, 2}), frozenset({3})]
         fast_pair, naive_pair = build_pair(
-            make_ssf, sets, 128, 2, capacity=0, use_bulk=False
+            SSF_PAIR, sets, 128, 2, capacity=0, use_bulk=False
         )
         query = frozenset({1, 2, 3})
         assert_same_behavior(fast_pair, naive_pair, "search_subset", query)
@@ -279,3 +310,58 @@ class TestSSFParity:
             facility.insert(frozenset({2, 3}), OID(1, 50))
         assert_same_behavior(fast_pair, naive_pair, "search_subset", query)
         assert_same_behavior(fast_pair, naive_pair, "search_overlap", query)
+
+
+def decode_cache_traffic():
+    return tuple(
+        REGISTRY.counter(f"storage.decode_cache.{outcome}").value
+        for outcome in ("hits", "misses")
+    )
+
+
+class TestOracleIsNotTheKernelPath:
+    """The comparisons above mean nothing if both sides run the same code."""
+
+    @pytest.mark.parametrize("classes", [SSF_PAIR, BSSF_PAIR], ids=["ssf", "bssf"])
+    def test_oracle_reads_pages_and_never_decodes(self, classes):
+        sets = [frozenset({i % 7, (i * 3) % 7}) for i in range(40)]
+        (fast, fast_mgr), (oracle, oracle_mgr) = build_pair(
+            classes, sets, 70, 2, capacity=0, use_bulk=True, page_size=16
+        )
+        oracle.delete(sets[3], OID(1, 3))
+        query = frozenset({1, 3})
+        for search, kwargs in (
+            (oracle.search_superset, {}),
+            (oracle.search_superset, {"use_elements": 1}),
+            (oracle.search_subset, {}),
+            (oracle.search_subset, {"slices_to_examine": 9}),
+            (oracle.search_overlap, {}),
+        ):
+            traffic = decode_cache_traffic()
+            before = oracle_mgr.snapshot()
+            search(query, **kwargs)
+            delta = (oracle_mgr.snapshot() - before).total()
+            assert decode_cache_traffic() == traffic
+            assert delta.logical_reads > 0
+            assert delta.physical_reads == delta.logical_reads  # uncached pool
+        # ...while the shipped facility on the twin does use its decode cache.
+        traffic = decode_cache_traffic()
+        fast.search_superset(query)
+        assert decode_cache_traffic() != traffic
+
+    def test_the_switch_is_gone(self):
+        """A stale ``use_kernels=`` caller fails loudly, not silently."""
+        manager = StorageManager(page_size=128, pool_capacity=0)
+        scheme = SignatureScheme(70, 2, seed=7)
+        with pytest.raises(TypeError):
+            SequentialSignatureFile(manager, scheme, "a", use_kernels=False)
+        with pytest.raises(TypeError):
+            BitSlicedSignatureFile(manager, scheme, "b", use_kernels=False)
+        with pytest.raises(TypeError):
+            LSMSignatureFacility(manager, scheme, "ssf", "c", use_kernels=False)
+        with pytest.raises(TypeError):
+            SignatureRun.build(
+                manager, scheme, "d", 0, 0, "ssf", {}, set(), use_kernels=False
+            )
+        with pytest.raises(TypeError):
+            OIDFile(manager.create_file("e"), use_cache=False)

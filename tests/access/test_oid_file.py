@@ -1,11 +1,14 @@
 """Tests for the shared OID file."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.access.oid_file import OIDFile
 from repro.errors import AccessFacilityError
 from repro.objects.oid import OID
 from repro.storage.paged_file import StorageManager
+from tests.reference import ReferenceOIDFile
 
 
 def make_oid_file(page_size: int = 4096):
@@ -72,6 +75,88 @@ class TestGetMany:
     def test_empty_request(self):
         oid_file, _ = make_oid_file()
         assert oid_file.get_many([]) == []
+
+
+ENTRIES = 19  # five pages at 4 entries/page, the last one partial
+CAPACITY = 2  # smaller than the file, so LRU order shows the read order
+
+
+def twin_oid_files(capacity, tombstoned):
+    """The same entries and tombstones under OIDFile and its oracle."""
+    out = []
+    for oid_file_class in (OIDFile, ReferenceOIDFile):
+        manager = StorageManager(page_size=32, pool_capacity=capacity)
+        oid_file = oid_file_class(manager.create_file("oids"))
+        oid_file.bulk_append([OID(1, i) for i in range(ENTRIES)])
+        for i in sorted(tombstoned):
+            oid_file.delete(OID(1, i))
+        out.append((oid_file, manager))
+    return out
+
+
+def metered_get_many(oid_file, manager, indices):
+    """Result (or the error), I/O delta, pool hit/miss delta, LRU order."""
+    pool = manager.pool
+    before_pool = (pool.hits, pool.misses)
+    before = manager.snapshot()
+    try:
+        result = oid_file.get_many(indices)
+    except AccessFacilityError as exc:
+        result = str(exc)
+    return (
+        result,
+        manager.snapshot() - before,
+        (pool.hits - before_pool[0], pool.misses - before_pool[1]),
+        list(pool._frames),
+    )
+
+
+class TestGetManyAgainstReference:
+    """``get_many`` answers from the decoded table but must charge what the
+    per-entry lookup in ``tests/reference/`` really reads."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        indices=st.lists(st.integers(0, ENTRIES - 1), max_size=12),
+        tombstoned=st.sets(st.integers(0, ENTRIES - 1), max_size=5),
+        capacity=st.sampled_from([0, CAPACITY]),
+    )
+    def test_same_entries_same_charges(self, indices, tombstoned, capacity):
+        (fast, fast_mgr), (ref, ref_mgr) = twin_oid_files(capacity, tombstoned)
+        pages = sorted({index // fast.entries_per_page for index in indices})
+        for _ in range(2):  # cold, then warm decode cache and pool
+            observed = metered_get_many(fast, fast_mgr, indices)
+            assert observed == metered_get_many(ref, ref_mgr, indices)
+            result, delta, _, lru = observed
+            assert result == [
+                None if i in tombstoned else OID(1, i) for i in indices
+            ]
+            assert delta.for_file("oids").logical_reads == len(pages)
+            if capacity and pages:
+                # distinct pages, ascending: the most recently used frames
+                # are the highest pages, in order
+                tail = [("oids", page_no) for page_no in pages][-CAPACITY:]
+                assert lru[-len(tail):] == tail
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        indices=st.lists(st.integers(0, ENTRIES - 1), max_size=6),
+        bad=st.sampled_from([-1, -7, ENTRIES, ENTRIES + 40]),
+        position=st.integers(0, 6),
+        capacity=st.sampled_from([0, CAPACITY]),
+    )
+    def test_bad_index_raises_before_any_charge(
+        self, indices, bad, position, capacity
+    ):
+        (fast, fast_mgr), (ref, ref_mgr) = twin_oid_files(capacity, set())
+        indices = indices[:position] + [bad] + indices[position:]
+        observed = metered_get_many(fast, fast_mgr, indices)
+        assert observed == metered_get_many(ref, ref_mgr, indices)
+        message, delta, pool_delta, _ = observed
+        assert message.startswith("OID-file index")
+        assert delta.total().logical_reads == 0
+        assert delta.total().physical_reads == 0
+        assert pool_delta == (0, 0)
 
 
 class TestDelete:

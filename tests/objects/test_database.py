@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import AccessFacilityError, SchemaError
+from repro.errors import AccessFacilityError, ConfigurationError, SchemaError
 from repro.objects.database import Database
 from repro.objects.schema import ClassSchema
 
@@ -51,6 +51,63 @@ class TestIndexManagement:
         values = student_db.get(oids[0])
         element = next(iter(values["hobbies"]))
         assert oids[0] in nix.lookup_element(element)
+
+
+#: (creating call, its arguments) for every facility configuration
+FACILITY_CONFIGS = {
+    "ssf": ("create_ssf_index", dict(signature_bits=64, bits_per_element=2, seed=5)),
+    "bssf": (
+        "create_bssf_index",
+        dict(signature_bits=96, bits_per_element=3, seed=6, worst_case_insert=True),
+    ),
+    "nix": ("create_nested_index", dict(overflow_chains=True)),
+    "lsm-ssf": (
+        "create_ssf_index",
+        dict(signature_bits=64, bits_per_element=2, seed=7, lsm=True,
+             flush_threshold=9, fanout=3),
+    ),
+    "lsm-bssf": (
+        "create_bssf_index",
+        dict(signature_bits=64, bits_per_element=2, seed=8, lsm=True,
+             flush_threshold=11, fanout=5),
+    ),
+}
+
+
+class TestCreateIndexFromParams:
+    """``facility.create_params()`` → ``Database.create_index`` is the one
+    way replay, sharding and rebuild make "another facility like this"."""
+
+    @pytest.mark.parametrize("config", list(FACILITY_CONFIGS))
+    def test_copy_has_the_same_configuration(self, config, tmp_path):
+        method, kwargs = FACILITY_CONFIGS[config]
+        source = Database(wal_dir=str(tmp_path))
+        source.define_class(ClassSchema.build("Student", name="scalar", hobbies="set"))
+        original = getattr(source, method)("Student", "hobbies", **kwargs)
+        kind, params = original.create_params()
+        assert kind == original.name
+
+        # It is the create_index record's own list (in-place facilities
+        # leave the lsm tail off, so a copy follows its database's mode).
+        logged = [r.fields for r in source.wal.records() if r.type == "create_index"]
+        assert [fields[1] for fields in logged] == [kind]
+        assert logged[0][4][: len(params)] == params
+        if config.startswith("lsm"):
+            assert logged[0][4] == params
+        source.close()
+
+        target = Database()
+        target.define_class(ClassSchema.build("Student", name="scalar", hobbies="set"))
+        copy = target.create_index(kind, "Student", "hobbies", params)
+        assert type(copy) is type(original)
+        assert copy.create_params() == (kind, params)
+        for option in ("worst_case_insert", "overflow_chains", "flush_threshold",
+                       "fanout"):
+            assert getattr(copy, option, None) == getattr(original, option, None)
+
+    def test_unknown_kind_rejected(self, student_db):
+        with pytest.raises(ConfigurationError):
+            student_db.create_index("rtree", "Student", "hobbies", [])
 
 
 class TestIndexMaintenance:

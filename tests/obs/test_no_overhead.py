@@ -24,10 +24,10 @@ golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
 
 
-@pytest.mark.parametrize("use_kernels", [True, False], ids=["kernels", "naive"])
+@pytest.mark.parametrize("path", list(golden.PATHS))
 @pytest.mark.parametrize("pool_capacity", [0, 64], ids=["uncached", "cached"])
-def test_golden_counts_identical_with_tracing_on(pool_capacity, use_kernels):
-    manager, ssf, bssf, qgen = golden.build(pool_capacity, use_kernels)
+def test_golden_counts_identical_with_tracing_on(pool_capacity, path):
+    manager, ssf, bssf, qgen = golden.build(pool_capacity, path)
     sink = RingBufferSink(capacity=1024)
     tracer = Tracer(io_source=manager, sinks=[sink])
     observed = {}
@@ -64,7 +64,7 @@ def test_golden_counts_identical_with_tracing_on(pool_capacity, use_kernels):
 
 def test_traced_search_is_identity_when_off():
     """With the null tracer active the decorator adds no span objects."""
-    manager, ssf, _bssf, qgen = golden.build(0, True)
+    manager, ssf, _bssf, qgen = golden.build(0, "kernels")
     query = qgen.random_query_set(5)
     result = ssf.search_superset(query)
     assert result.facility == "ssf"

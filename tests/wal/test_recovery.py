@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.errors import StorageError, WalCorruptError
+from repro.errors import StorageError, WalCorruptError, WalError
 from repro.objects.database import CHECKPOINT_FILE_NAME, Database
 from repro.objects.oid import OID
 from repro.obs.metrics import REGISTRY
@@ -203,6 +203,17 @@ def test_rebuild_is_logged_and_replayed(tmp_path):
     assert fingerprint(recovered) == expected
     assert run_fsck(recovered, deep=True).ok
     recovered.close()
+
+
+def test_create_index_record_of_unknown_kind_fails_replay_with_its_lsn():
+    from repro.wal.log import WalRecord
+    from repro.wal.replay import replay_records
+
+    db = Database()
+    apply_ops(db, workload_ops()[:2])
+    record = WalRecord(40, 80, ("create_index", "rtree", "Student", "hobbies", []))
+    with pytest.raises(WalError, match="lsn 40.*unknown facility kind"):
+        replay_records(db, [record])
 
 
 def test_fsck_reports_wal_health(tmp_path):

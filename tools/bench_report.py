@@ -1,7 +1,7 @@
-"""Render a BENCH_wallclock.json report as a markdown table.
+"""Render a BENCH_wallclock.json report as a markdown summary.
 
 Reads the JSON written by ``benchmarks/bench_wallclock.py`` and prints a
-human-readable summary — configuration, per-benchmark timings/speedups and
+human-readable summary — configuration, per-section timings/ratios and
 threshold verdicts — suitable for pasting into a PR description::
 
     python tools/bench_report.py [BENCH_wallclock.json]
@@ -37,27 +37,6 @@ def render(report: dict) -> str:
     if summary:
         lines.extend(["", f"Configuration: {summary}"])
     thresholds = report.get("thresholds", {})
-    results = report.get("results", {})
-    if results:
-        lines.extend(
-            [
-                "",
-                "| benchmark | naive (ms) | kernels (ms) | speedup | threshold |",
-                "|---|---:|---:|---:|---|",
-            ]
-        )
-    for name, metrics in sorted(results.items()):
-        minimum = thresholds.get(name)
-        if minimum is None:
-            verdict = "—"
-        elif metrics["speedup"] >= minimum:
-            verdict = f"PASS (≥{minimum:g}x)"
-        else:
-            verdict = f"FAIL (<{minimum:g}x)"
-        lines.append(
-            f"| {name} | {metrics['naive_ms']:.2f} | {metrics['kernels_ms']:.2f} "
-            f"| {metrics['speedup']:.2f}x | {verdict} |"
-        )
     overhead = report.get("tracer_overhead")
     if overhead:
         ceiling = thresholds.get("tracer_overhead")
