@@ -191,23 +191,38 @@ class BitSlicedSignatureFile(SetAccessFacility):
 
     def insert(self, elements: SetValue, oid: OID) -> None:
         self.log_wal_maintenance("facility_insert", elements, oid)
+        store = self._storage.store
+        version = store.group_version(self._group_name)
         index = self.oid_file.append(oid)
         pages_needed = -(-(index + 1) // self.entries_per_slice_page)
         self._format_slices_to(pages_needed)
         page_no = index // self.entries_per_slice_page
         bit_in_page = index % self.entries_per_slice_page
         signature = self.scheme.set_signature(elements)
-        one_positions = set(signature.set_positions())
-        for position in range(self.signature_bits):
-            is_one = position in one_positions
-            if not is_one and not self.worst_case_insert:
-                continue
+        one_positions = signature.set_positions()  # ascending
+        if self.worst_case_insert:  # the paper's UC_I = F + 1: every slice
+            ones = frozenset(one_positions)
+            rewrites = [(p, p in ones) for p in range(self.signature_bits)]
+        else:
+            rewrites = [(p, True) for p in one_positions]
+        for position, is_one in rewrites:
             slice_file = self._slice_files[position]
             page = slice_file.read_page(page_no)
             if is_one:
-                byte_offset = bit_in_page // 8
-                page.data[byte_offset] |= 1 << (bit_in_page % 8)
+                page.data[bit_in_page // 8] |= 1 << (bit_in_page % 8)
             slice_file.write_page(page_no, page)
+
+        def set_bit(matrix: np.ndarray) -> Optional[np.ndarray]:
+            if matrix.shape[1] != self._slice_word_count:
+                return None  # the slice files grew a page: decode afresh
+            matrix[one_positions, index // kernels.WORD_BITS] |= np.uint64(
+                1 << (index % kernels.WORD_BITS)
+            )
+            return matrix
+
+        self._decode_cache.patch(
+            self._group_name, version, store.group_version(self._group_name), set_bit
+        )
 
     def delete(self, elements: SetValue, oid: OID) -> None:
         """Tombstone the OID entry only — slice bits stay (paper's model)."""
@@ -225,7 +240,8 @@ class BitSlicedSignatureFile(SetAccessFacility):
         store content, and what a search logically reads is charged
         separately (and exactly) by :meth:`_charge_slices`. The cache key
         is the slice files' shared version-group counter, so any slice
-        write invalidates in O(1). Bits at index ``>= entry_count`` are
+        write that :meth:`insert` does not carry the matrix across
+        invalidates in O(1). Bits at index ``>= entry_count`` are
         always zero (pages are born zeroed and only live entries set bits).
         """
         store = self._storage.store

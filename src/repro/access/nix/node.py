@@ -24,25 +24,69 @@ Overflow page
 Nodes are deserialized into plain Python objects, mutated, sized, and
 serialized back; callers split when :meth:`serialized_size` exceeds the
 page.
+
+The codec works on the page buffer directly: fixed fields go through
+precompiled :class:`struct.Struct` objects, a node leaves as one joined
+image, and decoding checks each entry's extent against the page once
+before slicing it. A page that does not hold what its counts claim raises
+:class:`~repro.errors.PageError` — never a bare ``struct.error``, never a
+silently truncated key.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import struct
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.errors import IndexCorruptionError
+from repro.errors import IndexCorruptionError, PageError
 from repro.storage.page import Page
 
 LEAF_KIND = 0
 INTERNAL_KIND = 1
 OVERFLOW_KIND = 2
 
-_LEAF_HEADER = 7  # kind(1) + count(2) + next(4)
-_INTERNAL_HEADER = 7  # kind(1) + count(2) + child0(4)
-_OVERFLOW_HEADER = 7  # kind(1) + next(4) + count(2)
+_TREE_HEAD = struct.Struct("<BHI")  # leaf and internal: kind, count, next+1 / child0
+_OVERFLOW_HEAD = struct.Struct("<BIH")  # kind, next+1, count
+_KEY_LEN = struct.Struct("<H")
+_POSTINGS = struct.Struct("<HI")  # oid_count, overflow_page+1
+_CHILD = struct.Struct("<I")
+
+_LEAF_HEADER = _INTERNAL_HEADER = _TREE_HEAD.size
+_OVERFLOW_HEADER = _OVERFLOW_HEAD.size
+
+
+def _page_errors(codec):
+    """Report what ``struct`` rejects as a :class:`PageError`.
+
+    That is a read past the end of the page when decoding and a value too
+    wide for its field when encoding.
+    """
+
+    @functools.wraps(codec)
+    def checked(*args):
+        try:
+            return codec(*args)
+        except struct.error as exc:
+            raise PageError(f"{codec.__qualname__}: {exc}") from exc
+
+    return checked
+
+
+def _link(raw: int) -> Optional[int]:
+    """A ``page+1`` link field: 0 means none."""
+    return None if raw == 0 else raw - 1
+
+
+def _raw_link(page_no: Optional[int]) -> int:
+    return 0 if page_no is None else page_no + 1
+
+
+def _install(page: Page, parts: List[bytes]) -> None:
+    """Make ``parts``, zero-padded, the page image."""
+    page.write_bytes(0, b"".join(parts).ljust(page.page_size, b"\0"))
 
 
 @dataclass
@@ -101,67 +145,54 @@ class LeafNode:
     def serialized_size(self) -> int:
         return _LEAF_HEADER + sum(e.serialized_size() for e in self.entries)
 
+    @_page_errors
     def serialize_into(self, page: Page) -> None:
         size = self.serialized_size()
         if size > page.page_size:
             raise IndexCorruptionError(
                 f"leaf of {size} bytes exceeds page ({page.page_size})"
             )
-        page.zero()
-        page.write_bytes(0, bytes([LEAF_KIND]))
-        page.write_u16(1, len(self.entries))
-        page.write_u32(3, 0 if self.next_leaf is None else self.next_leaf + 1)
-        offset = _LEAF_HEADER
+        parts = [
+            _TREE_HEAD.pack(LEAF_KIND, len(self.entries), _raw_link(self.next_leaf))
+        ]
         for entry in self.entries:
-            page.write_u16(offset, len(entry.key))
-            offset += 2
-            page.write_bytes(offset, entry.key)
-            offset += len(entry.key)
-            page.write_u16(offset, len(entry.oids))
-            offset += 2
-            page.write_u32(
-                offset,
-                0 if entry.overflow_page is None else entry.overflow_page + 1,
+            oids = entry.oids
+            parts += (
+                _KEY_LEN.pack(len(entry.key)),
+                entry.key,
+                _POSTINGS.pack(len(oids), _raw_link(entry.overflow_page)),
+                struct.pack(f"<{len(oids)}Q", *oids),
             )
-            offset += 4
-            if entry.oids:
-                page.write_bytes(
-                    offset, struct.pack(f"<{len(entry.oids)}Q", *entry.oids)
-                )
-                offset += 8 * len(entry.oids)
+        _install(page, parts)
 
     @classmethod
+    @_page_errors
     def deserialize(cls, page: Page) -> "LeafNode":
-        if page.read_bytes(0, 1)[0] != LEAF_KIND:
+        data = page.data
+        kind, count, next_raw = _TREE_HEAD.unpack_from(data, 0)
+        if kind != LEAF_KIND:
             raise IndexCorruptionError("page is not a leaf node")
-        count = page.read_u16(1)
-        next_raw = page.read_u32(3)
-        node = cls(next_leaf=None if next_raw == 0 else next_raw - 1)
+        entries = []
         offset = _LEAF_HEADER
         for _ in range(count):
-            key_len = page.read_u16(offset)
-            offset += 2
-            key = page.read_bytes(offset, key_len)
-            offset += key_len
-            oid_count = page.read_u16(offset)
-            offset += 2
-            overflow_raw = page.read_u32(offset)
-            offset += 4
-            if oid_count:
-                oids = list(
-                    struct.unpack_from(f"<{oid_count}Q", page.data, offset)
+            key_at = offset + 2
+            key_end = key_at + _KEY_LEN.unpack_from(data, offset)[0]
+            oid_count, overflow_raw = _POSTINGS.unpack_from(data, key_end)
+            oids_at = key_end + 6
+            offset = oids_at + 8 * oid_count
+            if offset > page.page_size:
+                raise PageError(
+                    f"leaf entry [{key_at - 2}, {offset}) runs past the page "
+                    f"({page.page_size} bytes)"
                 )
-                offset += 8 * oid_count
-            else:
-                oids = []
-            node.entries.append(
+            entries.append(
                 LeafEntry(
-                    key=key,
-                    oids=oids,
-                    overflow_page=None if overflow_raw == 0 else overflow_raw - 1,
+                    bytes(data[key_at:key_end]),
+                    list(struct.unpack_from(f"<{oid_count}Q", data, oids_at)),
+                    _link(overflow_raw),
                 )
             )
-        return node
+        return cls(entries=entries, next_leaf=_link(next_raw))
 
 
 @dataclass
@@ -188,6 +219,7 @@ class InternalNode:
     def serialized_size(self) -> int:
         return _INTERNAL_HEADER + sum(2 + len(k) + 4 for k in self.keys)
 
+    @_page_errors
     def serialize_into(self, page: Page) -> None:
         if len(self.children) != len(self.keys) + 1:
             raise IndexCorruptionError(
@@ -199,34 +231,33 @@ class InternalNode:
             raise IndexCorruptionError(
                 f"internal node of {size} bytes exceeds page ({page.page_size})"
             )
-        page.zero()
-        page.write_bytes(0, bytes([INTERNAL_KIND]))
-        page.write_u16(1, len(self.keys))
-        page.write_u32(3, self.children[0])
-        offset = _INTERNAL_HEADER
+        parts = [_TREE_HEAD.pack(INTERNAL_KIND, len(self.keys), self.children[0])]
         for key, child in zip(self.keys, self.children[1:]):
-            page.write_u16(offset, len(key))
-            offset += 2
-            page.write_bytes(offset, key)
-            offset += len(key)
-            page.write_u32(offset, child)
-            offset += 4
+            parts += (_KEY_LEN.pack(len(key)), key, _CHILD.pack(child))
+        _install(page, parts)
 
     @classmethod
+    @_page_errors
     def deserialize(cls, page: Page) -> "InternalNode":
-        if page.read_bytes(0, 1)[0] != INTERNAL_KIND:
+        data = page.data
+        kind, count, first_child = _TREE_HEAD.unpack_from(data, 0)
+        if kind != INTERNAL_KIND:
             raise IndexCorruptionError("page is not an internal node")
-        count = page.read_u16(1)
-        node = cls(children=[page.read_u32(3)])
+        keys = []
+        children = [first_child]
         offset = _INTERNAL_HEADER
         for _ in range(count):
-            key_len = page.read_u16(offset)
-            offset += 2
-            node.keys.append(page.read_bytes(offset, key_len))
-            offset += key_len
-            node.children.append(page.read_u32(offset))
-            offset += 4
-        return node
+            key_at = offset + 2
+            key_end = key_at + _KEY_LEN.unpack_from(data, offset)[0]
+            offset = key_end + 4
+            if offset > page.page_size:
+                raise PageError(
+                    f"internal entry [{key_at - 2}, {offset}) runs past the "
+                    f"page ({page.page_size} bytes)"
+                )
+            keys.append(bytes(data[key_at:key_end]))
+            children.append(_CHILD.unpack_from(data, key_end)[0])
+        return cls(keys=keys, children=children)
 
 
 @dataclass
@@ -246,36 +277,34 @@ class OverflowNode:
     def serialized_size(self) -> int:
         return _OVERFLOW_HEADER + 8 * len(self.oids)
 
+    @_page_errors
     def serialize_into(self, page: Page) -> None:
         if self.serialized_size() > page.page_size:
             raise IndexCorruptionError(
                 f"overflow bucket of {len(self.oids)} OIDs exceeds page"
             )
-        page.zero()
-        page.write_bytes(0, bytes([OVERFLOW_KIND]))
-        page.write_u32(1, 0 if self.next_page is None else self.next_page + 1)
-        page.write_u16(5, len(self.oids))
-        if self.oids:
-            page.write_bytes(
-                _OVERFLOW_HEADER, struct.pack(f"<{len(self.oids)}Q", *self.oids)
-            )
+        _install(
+            page,
+            [
+                _OVERFLOW_HEAD.pack(
+                    OVERFLOW_KIND, _raw_link(self.next_page), len(self.oids)
+                ),
+                struct.pack(f"<{len(self.oids)}Q", *self.oids),
+            ],
+        )
 
     @classmethod
+    @_page_errors
     def deserialize(cls, page: Page) -> "OverflowNode":
-        if page.read_bytes(0, 1)[0] != OVERFLOW_KIND:
+        kind, next_raw, count = _OVERFLOW_HEAD.unpack_from(page.data, 0)
+        if kind != OVERFLOW_KIND:
             raise IndexCorruptionError("page is not an overflow bucket")
-        next_raw = page.read_u32(1)
-        count = page.read_u16(5)
-        oids = (
-            list(struct.unpack_from(f"<{count}Q", page.data, _OVERFLOW_HEADER))
-            if count
-            else []
-        )
-        return cls(oids=oids, next_page=None if next_raw == 0 else next_raw - 1)
+        oids = list(struct.unpack_from(f"<{count}Q", page.data, _OVERFLOW_HEADER))
+        return cls(oids=oids, next_page=_link(next_raw))
 
 
 def node_kind(page: Page) -> int:
-    kind = page.read_bytes(0, 1)[0]
+    kind = page.data[0]
     if kind not in (LEAF_KIND, INTERNAL_KIND, OVERFLOW_KIND):
         raise IndexCorruptionError(f"unknown node kind byte: {kind}")
     return kind

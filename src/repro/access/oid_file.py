@@ -15,23 +15,40 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core import kernels
 from repro.errors import AccessFacilityError
 from repro.objects.oid import OID, OID_BYTES
 from repro.storage.decode_cache import DecodeCache
+from repro.storage.page import Page
 from repro.storage.paged_file import PagedFile
 
-# All-ones is not a constructible OID in practice (class id 0xFFFF is
-# reserved by convention), so it serves as the tombstone pattern.
+# All-ones is the tombstone pattern. It is also what ``OID(0xFFFF,
+# 0xFFFFFFFFFFFF)`` packs to, so that one OID cannot be stored: it would
+# read back as deleted (see :func:`_entry_word`).
 _TOMBSTONE = b"\xff" * OID_BYTES
+_TOMBSTONE_WORD = int.from_bytes(_TOMBSTONE, "little")
+_WORD = "<u8"  # one entry: OID.to_bytes() read as a little-endian uint64
+
+
+def _entry_word(oid: OID) -> int:
+    """``oid`` as the 64-bit word an entry holds; refuses the tombstone."""
+    word = oid.to_int()
+    if word == _TOMBSTONE_WORD:
+        raise AccessFacilityError(
+            f"{oid!r} packs to the OID file's tombstone pattern and "
+            "cannot be an entry"
+        )
+    return word
 
 
 class OIDFile:
     """Sequential OID file with delete flags.
 
-    The decoded entry table is memoized against the underlying file's
-    version, so drop-index materialization skips per-entry byte decoding on
-    repeat lookups; the pages a lookup logically touches are charged all
-    the same (see :meth:`get_many`).
+    The decoded entry table — one packed ``uint64`` word per entry — is
+    memoized against the underlying file's version and follows
+    :meth:`append` and :meth:`delete` in place, so neither a lookup nor
+    the read after a write decodes the file again; the pages an operation
+    logically touches are charged all the same (see :meth:`get_many`).
     """
 
     def __init__(self, paged_file: PagedFile, entry_count: int = 0):
@@ -67,9 +84,10 @@ class OIDFile:
         Touches each OID page once instead of once per entry; returns the
         index of the first appended entry.
         """
+        words = np.array([_entry_word(oid) for oid in oids], dtype=_WORD)
         first_index = self._count
         position = 0
-        while position < len(oids):
+        while position < len(words):
             index = self._count
             page_no, offset = self._locate(index)
             if page_no >= self.file.num_pages:
@@ -78,9 +96,8 @@ class OIDFile:
             else:
                 page = self.file.read_page(page_no)
             room = self.entries_per_page - (index % self.entries_per_page)
-            batch = oids[position : position + room]
-            payload = b"".join(oid.to_bytes() for oid in batch)
-            page.write_bytes(offset, payload)
+            batch = words[position : position + room]
+            page.write_bytes(offset, batch.tobytes())
             self.file.write_page(page_no, page)
             self._count += len(batch)
             position += len(batch)
@@ -88,8 +105,10 @@ class OIDFile:
 
     def append(self, oid: OID) -> int:
         """Append an entry; returns its index. One page touched."""
+        word = _entry_word(oid)
         index = self._count
         page_no, offset = self._locate(index)
+        version = self.file.version
         if page_no >= self.file.num_pages:
             page_no_new, page = self.file.append_page()
             assert page_no_new == page_no
@@ -98,6 +117,12 @@ class OIDFile:
         page.write_bytes(offset, oid.to_bytes())
         self.file.write_page(page_no, page)
         self._count += 1
+        self._decode_cache.patch(
+            self.file.name,
+            version,
+            self.file.version,
+            lambda table: kernels.append_row(table, index, word),
+        )
         return index
 
     def get(self, index: int) -> Optional[OID]:
@@ -115,38 +140,46 @@ class OIDFile:
         This is the executor's OID-list lookup step; its page cost is the
         number of *distinct* pages the indices fall on, matching the
         ``LC_OID`` term of the cost model. Entries are answered from the
-        decoded entry table; the distinct pages are charged in ascending
-        order, exactly as reading each of them once would, and an
-        out-of-range index raises before any page is charged.
+        decoded entry table, an :class:`OID` built only for each index
+        asked for; the distinct pages are charged in ascending order,
+        exactly as reading each of them once would, and an out-of-range
+        index raises before any page is charged.
         """
         if not indices:
             return []
-        unique = np.unique(np.asarray(indices, dtype=np.int64))
+        wanted = np.asarray(indices, dtype=np.int64)
+        unique = np.unique(wanted)
         if unique[0] < 0:
             self._check_index(int(unique[0]))
         elif unique[-1] >= self._count:
             self._check_index(int(unique[unique >= self._count][0]))
-        entries = self._decoded_entries()
+        words = self._entry_words()[wanted].tolist()
         for page_no in np.unique(unique // self.entries_per_page):
             self.file.charge_read(int(page_no))
-        return [entries[index] for index in indices]
+        return [
+            None if word == _TOMBSTONE_WORD else OID.from_int(word)
+            for word in words
+        ]
 
     def delete(self, oid: OID) -> int:
         """Tombstone the entry holding ``oid``; returns its index.
 
         Sequentially scans pages until the OID is found — expected cost
         ``SC_OID / 2`` page reads plus one write, the paper's ``UC_D``.
+        Each scanned page is compared a page of words at a time.
         """
-        needle = oid.to_bytes()
+        needle = _entry_word(oid)
         for page_no in range(self.file.num_pages):
             page = self.file.read_page(page_no)
-            page_entries = self._entries_on_page(page_no)
-            for slot in range(page_entries):
-                offset = slot * OID_BYTES
-                if page.read_bytes(offset, OID_BYTES) == needle:
-                    page.write_bytes(offset, _TOMBSTONE)
-                    self.file.write_page(page_no, page)
-                    return page_no * self.entries_per_page + slot
+            found = np.flatnonzero(self._page_words(page, page_no) == needle)
+            if found.size:
+                slot = int(found[0])
+                index = page_no * self.entries_per_page + slot
+                version = self.file.version
+                page.write_bytes(slot * OID_BYTES, _TOMBSTONE)
+                self.file.write_page(page_no, page)
+                self._flag_decoded(version, index)
+                return index
         raise AccessFacilityError(f"OID {oid} not present in OID file")
 
     def is_live(self, index: int) -> bool:
@@ -155,36 +188,55 @@ class OIDFile:
     def scan_live(self) -> Iterable[tuple]:
         """(index, OID) for every live entry, page-sequentially."""
         for page_no in range(self.file.num_pages):
-            page = self.file.read_page(page_no)
-            for slot in range(self._entries_on_page(page_no)):
-                raw = page.read_bytes(slot * OID_BYTES, OID_BYTES)
-                if raw != _TOMBSTONE:
-                    yield page_no * self.entries_per_page + slot, OID.from_bytes(raw)
+            words = self._page_words(self.file.read_page(page_no), page_no)
+            live = np.flatnonzero(words != _TOMBSTONE_WORD)
+            first = page_no * self.entries_per_page
+            for slot, word in zip(live.tolist(), words[live].tolist()):
+                yield first + slot, OID.from_int(word)
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _decoded_entries(self) -> List[Optional[OID]]:
-        """Every entry decoded once, memoized against the file version.
+    def _page_words(self, page: Page, page_no: int) -> np.ndarray:
+        """The entries of one page as words — a view of the page image."""
+        return np.frombuffer(page.data, _WORD, self._entries_on_page(page_no))
+
+    def _entry_words(self) -> np.ndarray:
+        """Every entry as one ``uint64`` array, memoized on the file version.
 
         Decoding goes through :meth:`PagedFile.peek_page`, which performs
         no accounting; callers charge the pages their lookup logically
-        touches themselves.
+        touches themselves. The decode is held as ``(word buffer, entries
+        decoded)`` — the shape :func:`kernels.append_row` grows — and the
+        table is the ``[:entries]`` view; :meth:`append` and :meth:`delete`
+        write behind and into it once their page write has succeeded.
         """
         name = self.file.name
         version = self.file.version
-        cached = self._decode_cache.get(name, version)
-        if cached is None:
-            cached = []
+        decoded = self._decode_cache.get(name, version)
+        if decoded is None:
+            buffer = np.zeros(self.file.num_pages * self.entries_per_page, _WORD)
             for page_no in range(self.file.num_pages):
-                data = bytes(self.file.peek_page(page_no).data)
-                for slot in range(self._entries_on_page(page_no)):
-                    raw = data[slot * OID_BYTES : (slot + 1) * OID_BYTES]
-                    cached.append(
-                        None if raw == _TOMBSTONE else OID.from_bytes(raw)
-                    )
-            self._decode_cache.put(name, version, cached)
-        return cached
+                first = page_no * self.entries_per_page
+                buffer[first : first + self.entries_per_page] = np.frombuffer(
+                    self.file.peek_page(page_no).data, _WORD, self.entries_per_page
+                )
+            decoded = (buffer, self._count)
+            self._decode_cache.put(name, version, decoded)
+        buffer, rows = decoded
+        return buffer[:rows]
+
+    def _flag_decoded(self, old_version: int, index: int) -> None:
+        """Make the decoded table follow a tombstone write that has succeeded."""
+
+        def flag(decoded: tuple) -> Optional[tuple]:
+            buffer, rows = decoded
+            if index >= rows:
+                return None
+            buffer[index] = _TOMBSTONE_WORD
+            return decoded
+
+        self._decode_cache.patch(self.file.name, old_version, self.file.version, flag)
 
     def _locate(self, index: int) -> tuple:
         return index // self.entries_per_page, (index % self.entries_per_page) * OID_BYTES
@@ -197,4 +249,4 @@ class OIDFile:
 
     def _entries_on_page(self, page_no: int) -> int:
         start = page_no * self.entries_per_page
-        return min(self.entries_per_page, self._count - start)
+        return max(0, min(self.entries_per_page, self._count - start))

@@ -14,7 +14,9 @@ filter out via the tombstone.
 Like BSSF, a search decodes the whole signature file into one packed
 ``(N, F/64)`` uint64 matrix — memoized in a version-keyed
 :class:`~repro.storage.decode_cache.DecodeCache` with read-through
-charging — and runs the drop tests as row-wise word kernels. The
+charging — and runs the drop tests as row-wise word kernels. An insert
+appends its row to the memoized matrix once its page write has
+succeeded, so the search after a write decodes nothing. The
 page-at-a-time scan this replaces is the oracle in ``tests/reference/``,
 which pins results and page accounting.
 """
@@ -135,6 +137,7 @@ class SequentialSignatureFile(SetAccessFacility):
         index = self.oid_file.append(oid)
         page_no = index // self.sigs_per_page
         slot = index % self.sigs_per_page
+        version = self.signature_file.version
         if page_no >= self.signature_file.num_pages:
             page_no_new, page = self.signature_file.append_page()
             assert page_no_new == page_no
@@ -142,6 +145,12 @@ class SequentialSignatureFile(SetAccessFacility):
             page = self.signature_file.read_page(page_no)
         write_signature_in_page(page, slot, signature)
         self.signature_file.write_page(page_no, page)
+        self._decode_cache.patch(
+            self.signature_file.name,
+            version,
+            self.signature_file.version,
+            lambda decoded: kernels.append_row(decoded, index, signature.words),
+        )
 
     def delete(self, elements: SetValue, oid: OID) -> None:
         """Tombstone the OID entry; the signature stays (paper's model)."""
@@ -159,15 +168,17 @@ class SequentialSignatureFile(SetAccessFacility):
         paper bills every SSF search for is charged uniformly — hit or
         miss — through :meth:`PagedFile.charge_reads`, which replays per
         page exactly the counters and pool state a real fetch sequence
-        would produce. The decoded matrix is memoized keyed on the file
-        version.
+        would produce. The decode is memoized keyed on the file version as
+        ``(row buffer, rows decoded)`` — the shape the OID file's table
+        shares and :func:`kernels.append_row` grows: the matrix is the
+        ``[:rows]`` view, and :meth:`insert` appends behind it.
         """
         num_pages = self.signature_file.num_pages
         version = self.signature_file.version
         name = self.signature_file.name
-        matrix = self._decode_cache.get(name, version)
-        trace.annotate(decode="miss" if matrix is None else "hit")
-        if matrix is None:
+        decoded = self._decode_cache.get(name, version)
+        trace.annotate(decode="miss" if decoded is None else "hit")
+        if decoded is None:
             nwords = kernels.words_for_bits(self.signature_bits)
             if self.entry_count == 0:
                 matrix = np.zeros((0, nwords), dtype=np.uint64)
@@ -182,9 +193,11 @@ class SequentialSignatureFile(SetAccessFacility):
                     )
                     row_chunks.append(bits.reshape(count, self.signature_bits))
                 matrix = kernels.pack_rows(np.vstack(row_chunks))
-            self._decode_cache.put(name, version, matrix)
+            decoded = (matrix, len(matrix))
+            self._decode_cache.put(name, version, decoded)
         self.signature_file.charge_reads(num_pages)
-        return matrix
+        buffer, rows = decoded
+        return buffer[:rows]
 
     # ------------------------------------------------------------------
     # Search

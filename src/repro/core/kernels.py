@@ -72,6 +72,26 @@ def cleared_bit_indices(words: np.ndarray, nbits: int) -> np.ndarray:
     return np.nonzero(bits == 0)[0]
 
 
+def append_row(table: tuple, index: int, row) -> "tuple | None":
+    """A growable ``(buffer, rows)`` table with ``row`` appended as row ``index``.
+
+    The table's content is the ``buffer[:rows]`` view; what lies behind it
+    is spare capacity. ``None`` when the table does not end at ``index``.
+    A full buffer is copied into one twice as long, so an append is
+    amortised O(row) — what lets a decoded table follow single-entry
+    writes (the OID file's words, the SSF's signature rows).
+    """
+    buffer, rows = table
+    if rows != index:
+        return None
+    if rows == buffer.shape[0]:
+        grown = np.zeros((max(1, 2 * rows),) + buffer.shape[1:], buffer.dtype)
+        grown[:rows] = buffer
+        buffer = grown
+    buffer[rows] = row
+    return buffer, rows + 1
+
+
 # ----------------------------------------------------------------------
 # Row (signature-matrix) kernels — the SSF full-scan fast path
 # ----------------------------------------------------------------------

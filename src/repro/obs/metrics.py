@@ -7,7 +7,9 @@ traffic" view the per-query :class:`QueryStatistics` cannot give:
 * ``storage.pool.hits`` / ``storage.pool.misses`` — buffer-pool counters
   (fed by :class:`~repro.storage.buffer_pool.BufferPool`);
 * ``storage.decode_cache.hits`` / ``storage.decode_cache.misses`` — decoded
-  page-payload cache counters (fed by
+  page-payload cache counters, and ``storage.decode_cache.patches`` /
+  ``storage.decode_cache.drops`` — payloads an in-place write carried to
+  the file's new version, or discarded (fed by
   :class:`~repro.storage.decode_cache.DecodeCache`);
 * ``storage.disk.page_reads`` / ``storage.disk.page_writes`` /
   ``storage.disk.pages_allocated`` — physical transfers at the simulated

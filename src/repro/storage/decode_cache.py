@@ -16,15 +16,22 @@ bit-identical whether or not the cache is warm.
 
 Lookups and insertions are serialized by a small internal lock so the LRU
 order, hit/miss counters, and entry map stay consistent under concurrent
-readers; payloads themselves are immutable once decoded, so sharing one
-across threads is safe.
+readers. Readers never mutate a payload, so sharing one across reader
+threads is safe. The one mutation is :meth:`DecodeCache.patch`: an in-place
+writer that has just moved the file from version ``v`` to ``v'`` applies
+the same change to the payload held at ``v`` and re-keys it at ``v'``, so
+the read after a write costs no decode. Writers run under the facade write
+latch (docs/CONCURRENCY.md), which already excludes every reader of the
+payload. The version check stays the only validity test: a write that
+fails part-way never reaches ``patch``, the payload stays keyed at a
+version the file has left, and the next reader decodes afresh.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import StorageError
 from repro.obs.metrics import REGISTRY
@@ -45,6 +52,8 @@ class DecodeCache:
         self.misses = 0
         self._metric_hits = REGISTRY.counter("storage.decode_cache.hits")
         self._metric_misses = REGISTRY.counter("storage.decode_cache.misses")
+        self._metric_patches = REGISTRY.counter("storage.decode_cache.patches")
+        self._metric_drops = REGISTRY.counter("storage.decode_cache.drops")
 
     def get(self, name: str, version: int) -> Optional[Any]:
         """The payload cached for ``name`` iff it was decoded at ``version``."""
@@ -69,6 +78,34 @@ class DecodeCache:
             self._entries.move_to_end(name)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
+
+    def patch(
+        self,
+        name: str,
+        old_version: int,
+        new_version: int,
+        apply: Callable[[Any], Optional[Any]],
+    ) -> None:
+        """Carry ``name``'s payload across a write from ``old_version``.
+
+        ``apply(payload)`` makes the change the write made to the file and
+        returns the payload to hold at ``new_version`` — the same object
+        patched in place, or a regrown copy — or ``None`` when it cannot
+        follow the write. A payload held at any other version, or one
+        ``apply`` gives up on, is dropped; nothing cached is a no-op.
+        Neither a hit nor a miss: no reader asked for anything.
+        """
+        with self._lock:
+            entry = self._entries.get(name)
+            if entry is None:
+                return
+            patched = apply(entry[1]) if entry[0] == old_version else None
+            if patched is None:
+                del self._entries[name]
+                self._metric_drops.inc()
+            else:
+                self._entries[name] = (new_version, patched)
+                self._metric_patches.inc()
 
     def invalidate(self, name: str) -> None:
         with self._lock:

@@ -9,6 +9,7 @@ implementation ran. The property tests also cross-check both against the
 plain :class:`BitVector`-semantics drop conditions of §3.1.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -365,3 +366,136 @@ class TestOracleIsNotTheKernelPath:
             )
         with pytest.raises(TypeError):
             OIDFile(manager.create_file("e"), use_cache=False)
+
+
+# ----------------------------------------------------------------------
+# Write-through: the decoded payloads follow in-place writes
+# ----------------------------------------------------------------------
+TINY_PAGE = 16  # 128 entries per slice page, 1 signature and 2 OIDs per page
+PRELOADED = 120  # so a handful of inserts crosses the slice-page boundary
+
+write_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("insert"),
+            st.frozensets(st.sampled_from(DOMAIN), max_size=5),
+        ),
+        st.tuples(st.just("delete"), st.integers(0, 10**6)),
+        st.tuples(
+            st.sampled_from(["search_superset", "search_subset", "search_overlap"]),
+            query_strategy,
+        ),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+def cached_payloads(facility):
+    """What the facility's searches would run on right now (hits, or the
+    misses the test is counting)."""
+    if isinstance(facility, BitSlicedSignatureFile):
+        signatures = facility._stacked_slices()
+    else:
+        signatures = facility._signature_matrix()
+    return signatures, facility.oid_file._entry_words()
+
+
+def decode_misses(facility):
+    return (
+        facility.decode_cache_stats()["misses"],
+        facility.oid_file._decode_cache.stats()["misses"],
+    )
+
+
+class TestWriteThrough:
+    """After every step of an insert/delete/search interleaving the cached
+    matrix and OID table equal a fresh decode of the page files, answers and
+    charges equal the oracle twin's, and nothing was decoded again — except
+    by the one search that follows a slice-page rollover."""
+
+    @pytest.mark.parametrize("classes", [SSF_PAIR, BSSF_PAIR], ids=["ssf", "bssf"])
+    @settings(max_examples=25, deadline=None)
+    @given(steps=write_steps, heavy=st.booleans())
+    def test_payloads_follow_writes(self, classes, steps, heavy):
+        preload = [
+            frozenset({i % 24, (i * 5) % 24, (i * 11) % 24}) for i in range(PRELOADED)
+        ]
+        fast_pair, oracle_pair = build_pair(
+            classes, preload, 70, 2, capacity=0, use_bulk=True, page_size=TINY_PAGE
+        )
+        (fast, fast_mgr), (oracle, oracle_mgr) = fast_pair, oracle_pair
+        scheme = SignatureScheme(70, 2, seed=7)
+        live = {OID(1, i): elements for i, elements in enumerate(preload)}
+        if heavy:  # enough inserts to cross the 128-entry slice page for sure
+            steps = [("insert", frozenset({i % 24})) for i in range(10)] + steps
+        cached_payloads(fast)  # warm-up: the only decodes a quiet history needs
+        expected_misses = decode_misses(fast)
+        next_serial = PRELOADED
+        for step, argument in steps:
+            slice_pages = getattr(fast, "slice_pages", None)
+            if step == "insert":
+                oid = OID(1, next_serial)
+                next_serial += 1
+                live[oid] = argument
+                op = lambda facility: facility.insert(argument, oid)
+            elif step == "delete":
+                if not live:
+                    continue
+                oid = sorted(live)[argument % len(live)]
+                elements = live.pop(oid)
+                op = lambda facility: facility.delete(elements, oid)
+            else:
+                op = lambda facility: getattr(facility, step)(argument)
+            o_result, o_delta, o_pool = metered(oracle_mgr, lambda: op(oracle))
+            f_result, f_delta, f_pool = metered(fast_mgr, lambda: op(fast))
+            assert (f_delta, f_pool) == (o_delta, o_pool)
+            if o_result is not None:
+                assert f_result.candidates == o_result.candidates
+                assert f_result.detail == o_result.detail
+                assert set(f_result.candidates) <= set(live)
+            assert page_images(fast_mgr) == page_images(oracle_mgr)
+            # A new shipped facility over the twin's (identical) page files
+            # has nothing cached: its payloads are the fresh decode.
+            fresh = classes[0].attach(
+                oracle_mgr, scheme, file_prefix=fast.name,  # the default prefix
+                entry_count=fast.entry_count,
+            )
+            signatures, entry_words = cached_payloads(fast)
+            fresh_signatures, fresh_words = cached_payloads(fresh)
+            assert np.array_equal(signatures, fresh_signatures)
+            assert np.array_equal(entry_words, fresh_words)
+            if getattr(fast, "slice_pages", None) != slice_pages:
+                # the slice files grew a page: dropped, decoded once, by us
+                expected_misses = (expected_misses[0] + 1, expected_misses[1])
+            assert decode_misses(fast) == expected_misses
+        assert fast.entry_count == next_serial
+        if heavy and classes is BSSF_PAIR:
+            assert fast.slice_pages == 2
+
+    @pytest.mark.parametrize("classes", [SSF_PAIR, BSSF_PAIR], ids=["ssf", "bssf"])
+    def test_patches_are_counted_and_stale_payloads_dropped(self, classes):
+        (fast, _), _ = build_pair(
+            classes, [frozenset({1, 2})] * 3, 70, 2, capacity=0, use_bulk=True
+        )
+        patches = REGISTRY.counter("storage.decode_cache.patches")
+        drops = REGISTRY.counter("storage.decode_cache.drops")
+        fast.search_superset(frozenset({1}))  # warm both payloads
+        before = (patches.value, drops.value)
+        fast.insert(frozenset({3}), OID(1, 3))
+        assert (patches.value, drops.value) == (before[0] + 2, before[1])
+        fast.delete(frozenset({3}), OID(1, 3))
+        assert (patches.value, drops.value) == (before[0] + 3, before[1])
+        # A write the facility did not make itself (here: raw corruption
+        # of a page it owns) leaves the payload keyed at a version the
+        # file has left; the next write finds it stale and drops it.
+        victim = (
+            fast._slice_files[0] if classes is BSSF_PAIR else fast.signature_file
+        )
+        store = victim._store
+        store._apply_corruption(
+            victim.name, 0, store.page_image(victim.name, 0)
+        )
+        fast.insert(frozenset({4}), OID(1, 4))
+        assert (patches.value, drops.value) == (before[0] + 4, before[1] + 1)
+        assert fast.search_superset(frozenset({4})).candidates == [OID(1, 4)]

@@ -50,6 +50,44 @@ class TestAppendGet:
             oid_file.get(-1)
 
 
+class TestTombstonePatternIsNotAnEntry:
+    """``OID(0xFFFF, 0xFFFFFFFFFFFF)`` packs to the all-ones tombstone."""
+
+    ALL_ONES = OID(0xFFFF, 0xFFFFFFFFFFFF)
+
+    def test_append_refuses_it_before_touching_a_page(self):
+        oid_file, manager = make_oid_file()
+        oid_file.append(OID(1, 0))
+        before = manager.snapshot()
+        with pytest.raises(AccessFacilityError, match="tombstone"):
+            oid_file.append(self.ALL_ONES)
+        assert manager.snapshot() == before
+        assert oid_file.entry_count == 1
+
+    def test_bulk_append_refuses_the_whole_batch(self):
+        oid_file, manager = make_oid_file(page_size=32)
+        batch = [OID(1, i) for i in range(6)] + [self.ALL_ONES]
+        with pytest.raises(AccessFacilityError, match="tombstone"):
+            oid_file.bulk_append(batch)
+        assert oid_file.entry_count == 0
+        assert oid_file.num_pages == 0
+
+    def test_delete_does_not_match_a_tombstone(self):
+        oid_file, _ = make_oid_file()
+        oid_file.append(OID(1, 0))
+        oid_file.delete(OID(1, 0))
+        with pytest.raises(AccessFacilityError):
+            oid_file.delete(self.ALL_ONES)
+
+    def test_its_neighbours_are_ordinary_entries(self):
+        oid_file, _ = make_oid_file()
+        neighbours = [OID(0xFFFF, 0xFFFFFFFFFFFE), OID(0xFFFE, 0xFFFFFFFFFFFF)]
+        oid_file.bulk_append(neighbours)
+        assert oid_file.get_many([0, 1]) == neighbours
+        assert oid_file.delete(neighbours[1]) == 1
+        assert [oid for _, oid in oid_file.scan_live()] == neighbours[:1]
+
+
 class TestGetMany:
     def test_preserves_request_order(self):
         oid_file, _ = make_oid_file()
@@ -94,21 +132,25 @@ def twin_oid_files(capacity, tombstoned):
     return out
 
 
-def metered_get_many(oid_file, manager, indices):
-    """Result (or the error), I/O delta, pool hit/miss delta, LRU order."""
+def metered(manager, op):
+    """Outcome (or the error), I/O delta, pool hit/miss delta, LRU order."""
     pool = manager.pool
     before_pool = (pool.hits, pool.misses)
     before = manager.snapshot()
     try:
-        result = oid_file.get_many(indices)
+        outcome = op()
     except AccessFacilityError as exc:
-        result = str(exc)
+        outcome = str(exc)
     return (
-        result,
+        outcome,
         manager.snapshot() - before,
         (pool.hits - before_pool[0], pool.misses - before_pool[1]),
         list(pool._frames),
     )
+
+
+def metered_get_many(oid_file, manager, indices):
+    return metered(manager, lambda: oid_file.get_many(indices))
 
 
 class TestGetManyAgainstReference:
@@ -157,6 +199,73 @@ class TestGetManyAgainstReference:
         assert delta.total().logical_reads == 0
         assert delta.total().physical_reads == 0
         assert pool_delta == (0, 0)
+
+
+def page_bytes(oid_file):
+    return [
+        bytes(oid_file.file.peek_page(page_no).data)
+        for page_no in range(oid_file.num_pages)
+    ]
+
+
+class TestScansAgainstReference:
+    """``delete`` and ``scan_live`` compare a page of words at a time; the
+    slot-at-a-time loops in ``tests/reference/`` say what they must return,
+    charge and leave on the pages."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("delete"), st.integers(0, ENTRIES + 2)),
+                st.tuples(st.just("append"), st.integers(100, 103)),
+                st.tuples(st.just("scan"), st.just(0)),
+                st.tuples(st.just("lookup"), st.integers(0, ENTRIES - 1)),
+            ),
+            min_size=1,
+            max_size=14,
+        ),
+        capacity=st.sampled_from([0, CAPACITY]),
+    )
+    def test_same_index_same_charges_same_bytes(self, steps, capacity):
+        (fast, fast_mgr), (ref, ref_mgr) = twin_oid_files(capacity, set())
+        for step, argument in steps:
+            if step == "delete":  # a live entry, a dead one or one never stored
+                op = lambda f: f.delete(OID(1, argument))
+            elif step == "append":
+                op = lambda f: f.append(OID(2, argument))
+            elif step == "scan":
+                op = lambda f: list(f.scan_live())
+            else:  # between writes, so the decoded table has to follow them
+                op = lambda f: f.get_many([argument, fast.entry_count - 1])
+            observed = metered(fast_mgr, lambda: op(fast))
+            assert observed == metered(ref_mgr, lambda: op(ref))
+            assert page_bytes(fast) == page_bytes(ref)
+            if step == "delete" and isinstance(observed[0], str):
+                # not found: said only after every page has been charged
+                assert observed[1].for_file("oids").logical_reads == fast.num_pages
+                assert observed[1].for_file("oids").logical_writes == 0
+        if capacity == 0:  # (a pool's dirty evictions are file writes too)
+            # one decode for the whole history: every write was followed in place
+            assert fast._decode_cache.stats()["misses"] <= 1
+
+    def test_tombstoning_costs_page_accessors_per_page_not_per_entry(
+        self, page_accessor_calls
+    ):
+        """Deleting the last entry of an 8-page file scans all 4096 slots;
+        it may not call into ``Page`` once per slot to do so."""
+        oid_file, _ = make_oid_file()
+        per_page = oid_file.entries_per_page
+        oid_file.bulk_append([OID(1, i) for i in range(8 * per_page)])
+        calls = page_accessor_calls
+        del calls[:]
+        assert oid_file.delete(OID(1, 8 * per_page - 1)) == 8 * per_page - 1
+        assert len(calls) <= 2 * oid_file.num_pages
+        reference = ReferenceOIDFile(oid_file.file, entry_count=oid_file.entry_count)
+        del calls[:]
+        with pytest.raises(AccessFacilityError):
+            reference.delete(OID(1, 8 * per_page - 1))  # already a tombstone
+        assert len(calls) == 8 * per_page  # what the guard is counting
 
 
 class TestDelete:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.objects.database import Database
 from repro.objects.schema import ClassSchema
+from repro.storage.page import Page
 
 
 @pytest.fixture
@@ -23,6 +24,25 @@ def student_db(database: Database) -> Database:
         ClassSchema.build("Student", name="scalar", hobbies="set")
     )
     return database
+
+
+@pytest.fixture
+def page_accessor_calls(monkeypatch) -> list:
+    """``(offset, length)`` of every bounds-checked ``Page`` accessor call.
+
+    All of ``read_*`` / ``write_*`` go through ``Page._check_span``; code
+    that works on ``page.data`` directly does not. The counting guards use
+    this to tell a per-page codec from a per-field one.
+    """
+    calls = []
+    real_check = Page._check_span
+
+    def counting_check(page, offset, length):
+        calls.append((offset, length))
+        real_check(page, offset, length)
+
+    monkeypatch.setattr(Page, "_check_span", counting_check)
+    return calls
 
 
 HOBBIES = [

@@ -101,3 +101,28 @@ class TestRowKernels:
         assert kernels.rows_covering(matrix, q).shape == (0,)
         assert kernels.rows_disjoint_from(matrix, q).shape == (0,)
         assert kernels.rows_intersecting(matrix, q).shape == (0,)
+
+
+class TestAppendRow:
+    def test_appends_behind_the_view_and_doubles_when_full(self):
+        table = (np.zeros((0, 2), dtype=np.uint64), 0)
+        capacities = []
+        for index in range(9):
+            table = kernels.append_row(table, index, [index, index + 100])
+            buffer, rows = table
+            assert rows == index + 1
+            assert buffer[:rows, 0].tolist() == list(range(rows))
+            assert buffer[:rows, 1].tolist() == [100 + i for i in range(rows)]
+            capacities.append(buffer.shape[0])
+        assert capacities == [1, 2, 4, 4, 8, 8, 8, 8, 16]
+
+    def test_spare_capacity_is_written_in_place(self):
+        buffer = np.zeros(4, dtype=np.uint64)
+        grown, rows = kernels.append_row((buffer, 1), 1, 7)
+        assert grown is buffer and rows == 2 and buffer[1] == 7
+
+    def test_refuses_a_table_that_does_not_end_at_the_index(self):
+        table = (np.zeros(4, dtype=np.uint64), 2)
+        assert kernels.append_row(table, 1, 7) is None
+        assert kernels.append_row(table, 3, 7) is None
+        assert table[0].tolist() == [0, 0, 0, 0]

@@ -1,4 +1,4 @@
-"""Per-page reference implementations of SSF, BSSF and the OID lookup.
+"""Per-page reference implementations of SSF, BSSF and the OID file.
 
 The shipped facilities answer searches from decoded word matrices and
 *charge* the pages the paper's algorithms read (``peek_page`` +
@@ -10,10 +10,13 @@ on a twin ``StorageManager`` holding the same page files, so every
 counter they produce is a real fetch the shipped path has to reproduce.
 
 Each oracle subclasses the shipped class and overrides exactly the methods
-that read or build signature pages in bulk (``bulk_load``, ``read_slice``,
-``search_*``, ``get_many``); single-page maintenance (``insert``,
-``delete``, ``scan_live``) has only ever had one implementation and is
-inherited.
+the shipped class answers from packed words: those that read or build
+signature pages in bulk (``bulk_load``, ``read_slice``, ``search_*``) and,
+on the OID file, ``get_many`` plus the ``delete`` and ``scan_live`` scans,
+which here compare one slot at a time through ``Page.read_bytes``. The
+page writes of ``insert`` and ``append`` are inherited: the oracles never
+read a decode cache, so the write-through that follows those writes in
+the shipped classes finds nothing to patch here.
 """
 
 from tests.reference.bssf import ReferenceBSSF

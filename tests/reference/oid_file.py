@@ -1,13 +1,14 @@
-"""OID-list lookup, one real page read per distinct page."""
+"""The OID file one slot at a time: every entry read through ``Page.read_bytes``."""
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.access.oid_file import _TOMBSTONE, OIDFile
+from repro.access.oid_file import _TOMBSTONE, OIDFile, _entry_word
+from repro.errors import AccessFacilityError
 from repro.objects.oid import OID, OID_BYTES
 
 
 class ReferenceOIDFile(OIDFile):
-    """:class:`OIDFile` whose ``get_many`` decodes entries from fetched pages."""
+    """:class:`OIDFile` whose lookups and scans decode entries from fetched pages."""
 
     def get_many(self, indices: Sequence[int]) -> List[Optional[OID]]:
         by_page: Dict[int, List[int]] = {}
@@ -22,3 +23,24 @@ class ReferenceOIDFile(OIDFile):
                 raw = page.read_bytes(offset, OID_BYTES)
                 results[index] = None if raw == _TOMBSTONE else OID.from_bytes(raw)
         return [results[index] for index in indices]
+
+    def delete(self, oid: OID) -> int:
+        _entry_word(oid)
+        needle = oid.to_bytes()
+        for page_no in range(self.file.num_pages):
+            page = self.file.read_page(page_no)
+            for slot in range(self._entries_on_page(page_no)):
+                offset = slot * OID_BYTES
+                if page.read_bytes(offset, OID_BYTES) == needle:
+                    page.write_bytes(offset, _TOMBSTONE)
+                    self.file.write_page(page_no, page)
+                    return page_no * self.entries_per_page + slot
+        raise AccessFacilityError(f"OID {oid} not present in OID file")
+
+    def scan_live(self) -> Iterable[tuple]:
+        for page_no in range(self.file.num_pages):
+            page = self.file.read_page(page_no)
+            for slot in range(self._entries_on_page(page_no)):
+                raw = page.read_bytes(slot * OID_BYTES, OID_BYTES)
+                if raw != _TOMBSTONE:
+                    yield page_no * self.entries_per_page + slot, OID.from_bytes(raw)

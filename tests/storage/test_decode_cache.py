@@ -51,3 +51,31 @@ class TestEviction:
         cache.clear()
         assert cache.get("b", 1) is None
         assert cache.stats()["entries"] == 0
+
+
+class TestPatch:
+    def test_carries_the_payload_to_the_new_version_uncounted(self):
+        cache = DecodeCache(max_entries=4)
+        cache.put("f", 1, ["a"])
+        cache.patch("f", 1, 2, lambda payload: payload + ["b"])
+        assert cache.stats()["hits"] == cache.stats()["misses"] == 0
+        assert cache.get("f", 2) == ["a", "b"]
+        assert cache.get("f", 1) is None
+
+    def test_drops_a_payload_held_at_another_version(self):
+        cache = DecodeCache(max_entries=4)
+        cache.put("f", 1, "old")
+        applied = []
+        cache.patch("f", 2, 3, applied.append)
+        assert applied == [] and cache.stats()["entries"] == 0
+
+    def test_drops_a_payload_the_patch_gives_up_on(self):
+        cache = DecodeCache(max_entries=4)
+        cache.put("f", 1, "old")
+        cache.patch("f", 1, 2, lambda payload: None)
+        assert cache.get("f", 2) is None and cache.get("f", 1) is None
+
+    def test_nothing_cached_is_a_no_op(self):
+        cache = DecodeCache(max_entries=4)
+        cache.patch("f", 1, 2, lambda payload: 1 / 0)
+        assert cache.stats() == DecodeCache(max_entries=4).stats()
