@@ -14,13 +14,28 @@ ignores structural reorganization.
 A single entry must fit one page (~500 OIDs at P = 4096); the paper's
 ``d = Dt·N/V`` keeps lists an order of magnitude below that. Overflowing
 that bound raises rather than silently corrupting.
+
+Decoded nodes are kept in one ``{page_no: node}`` map, held in a
+:class:`~repro.storage.decode_cache.DecodeCache` under the file's version
+and filled as pages are first read. Readers take a node from the map and
+charge the page read it stands for (:meth:`PagedFile.charge_read`), so
+every counter reads as if the page had been fetched; they never change a
+node. A writer changes only nodes it decoded for itself, and once the last
+page write of its insert, delete or bulk load has landed, the map is re-keyed at the
+new version with exactly the pages it wrote replaced. A write that fails
+part-way leaves the map at a version the file has left, and the next
+reader decodes afresh.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+import functools
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.access.nix.node import (
+    OID_WORD,
     InternalNode,
     LeafEntry,
     LeafNode,
@@ -29,7 +44,46 @@ from repro.access.nix.node import (
 )
 from repro.errors import AccessFacilityError, IndexCorruptionError
 from repro.objects.oid import OID
+from repro.storage.decode_cache import DecodeCache
+from repro.storage.page import Page
 from repro.storage.paged_file import PagedFile
+
+Node = Union[LeafNode, InternalNode, OverflowNode]
+
+
+def as_oids(words: np.ndarray) -> List[OID]:
+    """Packed ``OID_WORD`` words as :class:`OID` objects, in order."""
+    return [OID.from_int(word) for word in words.tolist()]
+
+
+def _written_through(write: Callable) -> Callable:
+    """Carry the node map across the page writes of one tree write.
+
+    The nodes ``write`` stored are what their pages now hold and are not
+    touched again, so they replace the map's entries for those pages and
+    the map moves to the file's new version. That happens only when
+    ``write`` returns: if a page write raised, the map keeps a version the
+    file has left, and the nodes stored so far are let go.
+    """
+
+    @functools.wraps(write)
+    def carrying(tree: "BPlusTree", *args):
+        before = tree.file.version
+        written = tree._written
+        try:
+            result = write(tree, *args)
+            if written:
+                tree._cache.patch(
+                    tree.file.name,
+                    before,
+                    tree.file.version,
+                    lambda nodes: nodes.update(written) or nodes,
+                )
+        finally:
+            tree._written = {}
+        return result
+
+    return carrying
 
 
 class BPlusTree:
@@ -48,6 +102,9 @@ class BPlusTree:
         # enabled) or raise (paper layout). A third of the page keeps at
         # least two entries per leaf splittable.
         self.inline_cap = self.file.page_size // 3
+        self._cache = DecodeCache(max_entries=1)
+        #: nodes the write in progress has stored, by page; empty between writes
+        self._written: Dict[int, Node] = {}
         if self.file.num_pages == 0:
             root_no, page = self.file.append_page()
             LeafNode().serialize_into(page)
@@ -55,65 +112,103 @@ class BPlusTree:
             self.root_page = root_no
         else:
             self.root_page = 0
-        self.height = self._measure_height()
+        #: internal levels above the leaves (0 = the root is a leaf)
+        self.height = len(self._descend(b"")[0]) - 1
 
     # ------------------------------------------------------------------
     # Node I/O
     # ------------------------------------------------------------------
-    def _load(self, page_no: int):
+    def _node(self, page_no: int) -> Node:
+        """A reader's node: shared, charged as one page read, never changed."""
+        name, version = self.file.name, self.file.version
+        nodes = self._cache.get(name, version)
+        if nodes is None:
+            nodes = {}
+            self._cache.put(name, version, nodes)
+        node = nodes.get(page_no)
+        if node is None:
+            node = nodes[page_no] = self._load(page_no)
+        else:
+            self.file.charge_read(page_no)
+        return node
+
+    def _load(self, page_no: int) -> Node:
+        """A writer's node: decoded for this caller alone, free to change."""
         return deserialize_node(self.file.read_page(page_no))
 
-    def _store(self, page_no: int, node) -> None:
-        page = self.file.read_page(page_no)
+    def _store(self, page_no: int, node: Node) -> None:
+        # The image is replaced whole, so the read half of this
+        # read-modify-write is charged, not fetched.
+        self.file.charge_read(page_no)
+        page = Page(self.file.page_size)
         node.serialize_into(page)
         self.file.write_page(page_no, page)
+        self._written[page_no] = node
 
-    def _allocate(self, node) -> int:
+    def _allocate(self, node: Node) -> int:
         page_no, page = self.file.append_page()
         node.serialize_into(page)
         self.file.write_page(page_no, page)
+        self._written[page_no] = node
         return page_no
 
-    def _measure_height(self) -> int:
-        """Number of internal levels above the leaves (0 = root is a leaf)."""
-        height = 0
-        node = self._load(self.root_page)
-        while isinstance(node, InternalNode):
-            height += 1
-            node = self._load(node.children[0])
-        return height
+    def decode_cache_stats(self) -> Dict[str, int]:
+        """Hit/miss counters of the node map (a miss = a new map)."""
+        return self._cache.stats()
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def _descend(self, key: bytes) -> Tuple[List[int], LeafNode]:
-        """Root-to-leaf path (page numbers) and the loaded leaf."""
-        path = [self.root_page]
-        node = self._load(self.root_page)
-        while isinstance(node, InternalNode):
-            child = node.child_for(key)
-            path.append(child)
-            node = self._load(child)
-        return path, node
+    def _descend(
+        self, key: bytes, for_update: bool = False
+    ) -> Tuple[List[int], LeafNode]:
+        """Root-to-leaf path (page numbers) and the leaf.
 
-    def lookup(self, key: bytes) -> List[OID]:
-        """OID list for ``key`` (empty if absent).
+        The internal levels are only read. ``for_update`` hands back a leaf
+        the caller may change: everything from ``height`` levels down is
+        decoded privately.
+        """
+        path = [self.root_page]
+        while True:
+            private = for_update and len(path) > self.height
+            node = (self._load if private else self._node)(path[-1])
+            if not isinstance(node, InternalNode):
+                return path, node
+            path.append(node.child_for(key))
+
+    def postings(self, key: bytes) -> np.ndarray:
+        """The key's OIDs as sorted packed words (empty if absent).
 
         Costs ``height + 1`` reads plus one per overflow bucket when the
-        posting list is chained.
+        posting list is chained. The array may be a decoded node's own:
+        callers must not write to it.
         """
         _, leaf = self._descend(key)
         entry = leaf.find(key)
         if entry is None:
-            return []
-        values = sorted(entry.oids + self._chain_collect(entry.overflow_page))
-        return [OID.from_int(value) for value in values]
+            return np.empty(0, dtype=OID_WORD)
+        return self._entry_words(entry)
+
+    def lookup(self, key: bytes) -> List[OID]:
+        """OID list for ``key`` (empty if absent), at :meth:`postings`' cost."""
+        return as_oids(self.postings(key))
+
+    def _entry_words(self, entry: LeafEntry) -> np.ndarray:
+        """Inline and chained OIDs of ``entry`` as one sorted array."""
+        if entry.overflow_page is None:
+            return entry.oids
+        chained = np.array(self._chain_collect(entry.overflow_page), dtype=OID_WORD)
+        return np.sort(np.concatenate([entry.oids, chained]))
 
     # ------------------------------------------------------------------
     # Overflow chains
     # ------------------------------------------------------------------
-    def _load_overflow(self, page_no: int) -> OverflowNode:
-        node = self._load(page_no)
+    def _overflow(
+        self, page_no: int, load: Callable[[int], Node]
+    ) -> OverflowNode:
+        """The bucket on ``page_no`` through ``load`` (``_node`` to read
+        it, ``_load`` to change it)."""
+        node = load(page_no)
         if not isinstance(node, OverflowNode):
             raise IndexCorruptionError(
                 f"page {page_no} expected to be an overflow bucket"
@@ -124,7 +219,7 @@ class BPlusTree:
         values: List[int] = []
         page_no = head
         while page_no is not None:
-            bucket = self._load_overflow(page_no)
+            bucket = self._overflow(page_no, self._node)
             values.extend(bucket.oids)
             page_no = bucket.next_page
         return values
@@ -132,7 +227,7 @@ class BPlusTree:
     def _chain_contains(self, head: "Optional[int]", oid_int: int) -> bool:
         page_no = head
         while page_no is not None:
-            bucket = self._load_overflow(page_no)
+            bucket = self._overflow(page_no, self._node)
             if oid_int in bucket.oids:
                 return True
             page_no = bucket.next_page
@@ -142,7 +237,7 @@ class BPlusTree:
         """Push one OID into the entry's chain (head bucket, else new)."""
         capacity = OverflowNode.capacity(self.file.page_size)
         if entry.overflow_page is not None:
-            head = self._load_overflow(entry.overflow_page)
+            head = self._overflow(entry.overflow_page, self._load)
             if len(head.oids) < capacity:
                 head.oids.append(oid_int)
                 self._store(entry.overflow_page, head)
@@ -155,7 +250,7 @@ class BPlusTree:
         previous_page: "Optional[int]" = None
         page_no = entry.overflow_page
         while page_no is not None:
-            bucket = self._load_overflow(page_no)
+            bucket = self._overflow(page_no, self._load)
             if oid_int in bucket.oids:
                 bucket.oids.remove(oid_int)
                 if bucket.oids:
@@ -163,7 +258,7 @@ class BPlusTree:
                 elif previous_page is None:
                     entry.overflow_page = bucket.next_page
                 else:
-                    previous = self._load_overflow(previous_page)
+                    previous = self._overflow(previous_page, self._load)
                     previous.next_page = bucket.next_page
                     self._store(previous_page, previous)
                 return True
@@ -178,6 +273,7 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # Bulk construction
     # ------------------------------------------------------------------
+    @_written_through
     def bulk_load(self, entries: "List[Tuple[bytes, List[int]]]") -> None:
         """Build the tree bottom-up from sorted ``(key, sorted oid ints)``.
 
@@ -197,7 +293,7 @@ class BPlusTree:
         leaves: List[LeafNode] = [LeafNode()]
         used = leaves[-1].serialized_size()
         for key, oid_ints in entries:
-            entry = LeafEntry(key=key, oids=list(oid_ints))
+            entry = LeafEntry(key=key, oids=oid_ints)
             if self.overflow_chains and entry.serialized_size() > self.inline_cap:
                 entry = self._bulk_chain_entry(key, list(oid_ints))
             size = entry.serialized_size()
@@ -263,12 +359,13 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # Insert
     # ------------------------------------------------------------------
+    @_written_through
     def insert(self, key: bytes, oid: OID) -> bool:
         """Add ``oid`` to the key's list; False if it was already there."""
-        path, leaf = self._descend(key)
+        path, leaf = self._descend(key, for_update=True)
         entry = leaf.find(key)
         if entry is None:
-            entry = LeafEntry(key=key, oids=[])
+            entry = LeafEntry(key=key)
             leaf.entries.insert(leaf.insert_position(key), entry)
         oid_int = oid.to_int()
         if entry.overflow_page is not None and self._chain_contains(
@@ -278,9 +375,10 @@ class BPlusTree:
         if not entry.add_oid(oid_int):
             return False
         if self.overflow_chains:
-            while entry.serialized_size() > self.inline_cap and entry.oids:
+            while entry.serialized_size() > self.inline_cap and len(entry.oids):
                 # spill the largest OID; the inline prefix stays sorted
-                self._chain_add(entry, entry.oids.pop())
+                self._chain_add(entry, int(entry.oids[-1]))
+                entry.oids = entry.oids[:-1]
         elif entry.serialized_size() > self.file.page_size - 16:
             raise AccessFacilityError(
                 f"OID list for key {key!r} no longer fits one page "
@@ -328,7 +426,6 @@ class BPlusTree:
             # root page number stays stable, then rebuild the root above.
             old_root = self._load(self.root_page)
             moved_page = self._allocate(old_root)
-            self._fix_moved_root_links(left_page, moved_page)
             new_root = InternalNode(
                 keys=[separator],
                 children=[
@@ -361,21 +458,13 @@ class BPlusTree:
         self._store(parent_page, left_node)
         self._propagate_split(ancestors[:-1], parent_page, up_key, new_right_page)
 
-    def _fix_moved_root_links(self, split_left_page: int, moved_page: int) -> None:
-        """After relocating the root's old content to ``moved_page``,
-        repair the next-leaf chain if the old root was a leaf being split."""
-        if split_left_page != self.root_page:
-            return
-        # The moved node is the left half of the split; nothing else pointed
-        # at the root as next_leaf (it was the only leaf), so no chain fix
-        # is needed beyond what the caller set on the node itself.
-
     # ------------------------------------------------------------------
     # Delete
     # ------------------------------------------------------------------
+    @_written_through
     def delete(self, key: bytes, oid: OID) -> bool:
         """Remove ``oid`` from the key's list; drop the entry when empty."""
-        path, leaf = self._descend(key)
+        path, leaf = self._descend(key, for_update=True)
         entry = leaf.find(key)
         if entry is None:
             return False
@@ -385,21 +474,22 @@ class BPlusTree:
             removed = self._chain_remove(entry, oid_int)
             if not removed:
                 return False
-        if not entry.oids and entry.overflow_page is not None:
+        if not len(entry.oids) and entry.overflow_page is not None:
             # Refill the inline portion from the chain head so the entry
             # never looks empty while OIDs remain chained. The refill is
             # capped so the entry stays within the inline budget.
             budget = max(1, (self.inline_cap - (8 + len(entry.key))) // 8)
             head_page = entry.overflow_page
-            head = self._load_overflow(head_page)
+            head = self._overflow(head_page, self._load)
             pulled = sorted(head.oids)[:budget]
-            head.oids = [v for v in head.oids if v not in set(pulled)]
-            entry.oids = pulled
+            taken = set(pulled)
+            head.oids = [v for v in head.oids if v not in taken]
+            entry.oids = np.array(pulled, dtype=OID_WORD)
             if head.oids:
                 self._store(head_page, head)
             else:
                 entry.overflow_page = head.next_page
-        if not entry.oids and entry.overflow_page is None:
+        if not len(entry.oids) and entry.overflow_page is None:
             leaf.entries = [e for e in leaf.entries if e.key != key]
         self._store(path[-1], leaf)
         return True
@@ -409,27 +499,15 @@ class BPlusTree:
     # ------------------------------------------------------------------
     def _leftmost_leaf(self) -> Tuple[int, LeafNode]:
         page_no = self.root_page
-        node = self._load(page_no)
+        node = self._node(page_no)
         while isinstance(node, InternalNode):
             page_no = node.children[0]
-            node = self._load(page_no)
+            node = self._node(page_no)
         return page_no, node
 
     def iterate_entries(self) -> Iterator[Tuple[bytes, List[OID]]]:
         """All entries in key order via the leaf chain."""
-        _, leaf = self._leftmost_leaf()
-        while True:
-            for entry in leaf.entries:
-                values = sorted(
-                    entry.oids + self._chain_collect(entry.overflow_page)
-                )
-                yield entry.key, [OID.from_int(value) for value in values]
-            if leaf.next_leaf is None:
-                return
-            node = self._load(leaf.next_leaf)
-            if not isinstance(node, LeafNode):
-                raise IndexCorruptionError("next_leaf points at an internal node")
-            leaf = node
+        return self.range_lookup(None, None)
 
     def range_lookup(
         self, low: Optional[bytes], high: Optional[bytes]
@@ -445,13 +523,10 @@ class BPlusTree:
                     continue
                 if high is not None and entry.key >= high:
                     return
-                values = sorted(
-                    entry.oids + self._chain_collect(entry.overflow_page)
-                )
-                yield entry.key, [OID.from_int(value) for value in values]
+                yield entry.key, as_oids(self._entry_words(entry))
             if leaf.next_leaf is None:
                 return
-            node = self._load(leaf.next_leaf)
+            node = self._node(leaf.next_leaf)
             if not isinstance(node, LeafNode):
                 raise IndexCorruptionError("next_leaf points at an internal node")
             leaf = node
@@ -469,7 +544,11 @@ class BPlusTree:
         return census["leaf"], census["nonleaf"]
 
     def page_census(self) -> dict:
-        """Page counts by role: leaf / nonleaf / overflow."""
+        """Page counts by role: leaf / nonleaf / overflow.
+
+        Like :meth:`verify`'s tree walk it decodes the pages themselves,
+        not the node map: it is what checks the one against the other.
+        """
         leaves = 0
         internals = 0
         overflow = 0
@@ -492,7 +571,7 @@ class BPlusTree:
                             )
                         seen.add(chain)
                         overflow += 1
-                        chain = self._load_overflow(chain).next_page
+                        chain = self._overflow(chain, self._load).next_page
             else:
                 internals += 1
                 stack.extend(node.children)

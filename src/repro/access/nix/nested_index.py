@@ -23,10 +23,12 @@ the result is then no longer exact.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.access.base import SearchResult, SetAccessFacility, SetValue
-from repro.access.nix.btree import BPlusTree
+from repro.access.nix.btree import BPlusTree, as_oids
 from repro.access.nix.keycodec import EMPTY_SET_KEY, encode_key
 from repro.errors import AccessFacilityError
 from repro.objects.oid import OID
@@ -139,17 +141,21 @@ class NestedIndex(SetAccessFacility):
                 raise AccessFacilityError("use_elements must be >= 1")
             elements = elements[:use_elements]
         partial = len(elements) < len(query)
-        result: Optional[Set[OID]] = None
+        words: Optional[np.ndarray] = None
         lookups = 0
         for element in elements:
-            oids = set(self.tree.lookup(encode_key(element)))
+            postings = self.tree.postings(encode_key(element))
             lookups += 1
-            result = oids if result is None else (result & oids)
-            if not result:
+            words = (
+                postings
+                if words is None
+                # posting lists are sorted and duplicate-free
+                else np.intersect1d(words, postings, assume_unique=True)
+            )
+            if not len(words):
                 break
-        candidates = sorted(result or set())
         return SearchResult(
-            candidates=candidates,
+            candidates=as_oids(words),
             exact=not partial,
             facility=self.name,
             detail={"mode": "superset", "lookups": lookups, "partial": partial},
@@ -158,33 +164,32 @@ class NestedIndex(SetAccessFacility):
     @traced_search("nix.search.subset")
     def search_subset(self, query: SetValue) -> SearchResult:
         """Union per-element OID lists plus the empty-set bucket."""
-        result: Set[OID] = set(self.tree.lookup(EMPTY_SET_KEY))
-        lookups = 1
-        for element in sorted(query, key=repr):
-            result |= set(self.tree.lookup(encode_key(element)))
-            lookups += 1
+        keys = [EMPTY_SET_KEY] + [encode_key(e) for e in sorted(query, key=repr)]
         return SearchResult(
-            candidates=sorted(result),
+            candidates=self._union(keys),
             exact=False,
             facility=self.name,
-            detail={"mode": "subset", "lookups": lookups},
+            detail={"mode": "subset", "lookups": len(keys)},
         )
 
     @traced_search("nix.search.overlap")
     def search_overlap(self, query: SetValue) -> SearchResult:
         """``T ∩ Q ≠ ∅`` (§6 extension): the union of posting lists is
         exactly the overlapping objects — an exact answer for NIX."""
-        result: Set[OID] = set()
-        lookups = 0
-        for element in sorted(query, key=repr):
-            result |= set(self.tree.lookup(encode_key(element)))
-            lookups += 1
+        keys = [encode_key(e) for e in sorted(query, key=repr)]
         return SearchResult(
-            candidates=sorted(result),
+            candidates=self._union(keys),
             exact=True,
             facility=self.name,
-            detail={"mode": "overlap", "lookups": lookups},
+            detail={"mode": "overlap", "lookups": len(keys)},
         )
+
+    def _union(self, keys: Iterable[bytes]) -> List[OID]:
+        """Every OID posted under any of ``keys``, looked up in order."""
+        lists = [self.tree.postings(key) for key in keys]
+        if not lists:
+            return []
+        return as_oids(np.unique(np.concatenate(lists)))
 
     def lookup_element(self, element) -> List[OID]:
         """Single-element lookup (the membership operator ∈)."""

@@ -23,7 +23,9 @@ Overflow page
 
 Nodes are deserialized into plain Python objects, mutated, sized, and
 serialized back; callers split when :meth:`serialized_size` exceeds the
-page.
+page. A leaf entry's posting list is the exception: it stays packed, one
+``<u8`` word per OID exactly as on the page (and as in the ``OIDFile``), so
+the nested index unions and intersects lists without unpacking them.
 
 The codec works on the page buffer directly: fixed fields go through
 precompiled :class:`struct.Struct` objects, a node leaves as one joined
@@ -39,7 +41,9 @@ import bisect
 import functools
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.errors import IndexCorruptionError, PageError
 from repro.storage.page import Page
@@ -53,6 +57,7 @@ _OVERFLOW_HEAD = struct.Struct("<BIH")  # kind, next+1, count
 _KEY_LEN = struct.Struct("<H")
 _POSTINGS = struct.Struct("<HI")  # oid_count, overflow_page+1
 _CHILD = struct.Struct("<I")
+OID_WORD = np.dtype("<u8")  # OID.to_int() as stored: the OIDFile word format
 
 _LEAF_HEADER = _INTERNAL_HEADER = _TREE_HEAD.size
 _OVERFLOW_HEADER = _OVERFLOW_HEAD.size
@@ -89,38 +94,59 @@ def _install(page: Page, parts: List[bytes]) -> None:
     page.write_bytes(0, b"".join(parts).ljust(page.page_size, b"\0"))
 
 
-@dataclass
+@dataclass(eq=False)
 class LeafEntry:
     """One nested-index entry: key bytes → sorted OID list.
 
-    OIDs are held as packed 64-bit ints (``OID.to_int`` order equals OID
-    order) so whole leaves (de)serialize with single ``struct`` calls; the
-    tree converts to :class:`OID` only at its public boundary.
+    OIDs are held packed, a ``<u8`` array of ``OID.to_int`` words (whose
+    order equals OID order); the tree converts to :class:`OID` only at its
+    public boundary. The array is never written in place — adding or
+    removing an OID rebinds ``oids`` to a new array — so entries of a
+    decoded node can be shared with readers.
     """
 
     key: bytes
-    oids: List[int] = field(default_factory=list)
+    oids: Union[np.ndarray, Sequence[int]] = ()
     #: page number of the first overflow bucket, when the posting list
     #: continues beyond the inline OIDs (None = fully inline)
     overflow_page: "Optional[int]" = None
 
+    def __post_init__(self) -> None:
+        try:
+            self.oids = np.asarray(self.oids, dtype=OID_WORD)
+        except OverflowError as exc:
+            raise PageError(f"OID too wide for its 8-byte field: {exc}") from exc
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LeafEntry):
+            return NotImplemented
+        return (
+            self.key == other.key
+            and self.overflow_page == other.overflow_page
+            and np.array_equal(self.oids, other.oids)
+        )
+
     def serialized_size(self) -> int:
         return 2 + len(self.key) + 2 + 4 + 8 * len(self.oids)
 
+    def _position(self, oid_int: int) -> "tuple[int, bool]":
+        """Where ``oid_int`` sorts, and whether it is already there."""
+        position = int(np.searchsorted(self.oids, np.uint64(oid_int)))
+        present = position < len(self.oids) and int(self.oids[position]) == oid_int
+        return position, present
+
     def add_oid(self, oid_int: int) -> bool:
         """Insert keeping sort order; False if already present."""
-        position = bisect.bisect_left(self.oids, oid_int)
-        if position < len(self.oids) and self.oids[position] == oid_int:
-            return False
-        self.oids.insert(position, oid_int)
-        return True
+        position, present = self._position(oid_int)
+        if not present:
+            self.oids = np.insert(self.oids, position, np.uint64(oid_int))
+        return not present
 
     def remove_oid(self, oid_int: int) -> bool:
-        position = bisect.bisect_left(self.oids, oid_int)
-        if position < len(self.oids) and self.oids[position] == oid_int:
-            del self.oids[position]
-            return True
-        return False
+        position, present = self._position(oid_int)
+        if present:
+            self.oids = np.delete(self.oids, position)
+        return present
 
 
 @dataclass
@@ -134,13 +160,23 @@ class LeafNode:
         return [entry.key for entry in self.entries]
 
     def find(self, key: bytes) -> Optional[LeafEntry]:
-        position = bisect.bisect_left(self.keys(), key)
+        position = self.insert_position(key)
         if position < len(self.entries) and self.entries[position].key == key:
             return self.entries[position]
         return None
 
     def insert_position(self, key: bytes) -> int:
-        return bisect.bisect_left(self.keys(), key)
+        """``bisect_left`` over the entries' keys (``bisect``'s own ``key=``
+        needs Python 3.10; the package declares 3.9)."""
+        entries = self.entries
+        low, high = 0, len(entries)
+        while low < high:
+            mid = (low + high) // 2
+            if entries[mid].key < key:
+                low = mid + 1
+            else:
+                high = mid
+        return low
 
     def serialized_size(self) -> int:
         return _LEAF_HEADER + sum(e.serialized_size() for e in self.entries)
@@ -161,7 +197,7 @@ class LeafNode:
                 _KEY_LEN.pack(len(entry.key)),
                 entry.key,
                 _POSTINGS.pack(len(oids), _raw_link(entry.overflow_page)),
-                struct.pack(f"<{len(oids)}Q", *oids),
+                oids.tobytes(),
             )
         _install(page, parts)
 
@@ -188,7 +224,8 @@ class LeafNode:
             entries.append(
                 LeafEntry(
                     bytes(data[key_at:key_end]),
-                    list(struct.unpack_from(f"<{oid_count}Q", data, oids_at)),
+                    # a copy: the page buffer may be a pool frame, written in place
+                    np.frombuffer(data, OID_WORD, oid_count, oids_at).copy(),
                     _link(overflow_raw),
                 )
             )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.access.base import SetAccessFacility
 from repro.access.bssf import BitSlicedSignatureFile
@@ -675,6 +675,11 @@ class Database:
 
     def get(self, oid: OID) -> Dict[str, Any]:
         return self.objects.fetch(oid)
+
+    def get_many(self, oids: Iterable[OID]) -> List[Dict[str, Any]]:
+        """``[get(oid) for oid in oids]`` with the same page charges, one
+        object-page fetch per run of OIDs that share a page."""
+        return list(self.objects.fetch_many(oids))
 
     def update(self, oid: OID, values: Dict[str, Any]) -> None:
         class_name = self.objects.class_name_of(oid)

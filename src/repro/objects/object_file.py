@@ -16,7 +16,8 @@ workloads (sets of up to a few hundred elements) satisfy this comfortably.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+import struct
+from typing import Iterable, Iterator, Tuple
 
 from repro.errors import ObjectStoreError
 from repro.storage.page import Page
@@ -27,6 +28,8 @@ _SLOT_BYTES = 4
 # Offset sentinel marking a deleted slot; legitimate offsets are < page size
 # (pages are at most 64 KiB because slot fields are u16).
 _DELETED_OFFSET = 0xFFFF
+# A header (slot_count, free_start) or a slot entry (offset, length).
+_U16_PAIR = struct.Struct("<HH")
 
 
 class RecordAddress(Tuple[int, int]):
@@ -106,11 +109,33 @@ class ObjectFile:
         return slot
 
     def read(self, address: RecordAddress) -> bytes:
-        page = self.file.read_page(address.page_no)
-        offset, length = self._slot(page, address)
-        if offset == _DELETED_OFFSET:
-            raise ObjectStoreError(f"record at {address} was deleted")
-        return page.read_bytes(offset, length)
+        return next(self.read_many((address,)))
+
+    def read_many(self, addresses: Iterable[RecordAddress]) -> Iterator[bytes]:
+        """The records at ``addresses``, in order, one logical read each.
+
+        Consecutive addresses on one page form a run: the first does the
+        real ``read_page`` (checksum, retries and injected faults included)
+        and the rest are cut from that verified image, charged through
+        :meth:`PagedFile.charge_read` — the same logical, physical and pool
+        accounting without fetching the page again. A write to the file
+        between two records (the consumer runs between them) ends the run.
+        A bad address raises at its position, after everything before it
+        has been yielded and charged.
+        """
+        file = self.file
+        run = None  # (page_no, file version) of the image in ``page``
+        for address in addresses:
+            page_no = address[0]
+            if run != (page_no, file.version):
+                page = file.read_page(page_no)
+                run = (page_no, file.version)
+            else:
+                file.charge_read(page_no)
+            offset, length = self._slot(page, address)
+            if offset == _DELETED_OFFSET:
+                raise ObjectStoreError(f"record at {address} was deleted")
+            yield page.read_bytes(offset, length)
 
     def delete(self, address: RecordAddress) -> None:
         """Mark a record deleted (offset sentinel). Space is not reclaimed —
@@ -140,14 +165,16 @@ class ObjectFile:
         return self.insert(record)
 
     def _slot(self, page: Page, address: RecordAddress) -> Tuple[int, int]:
-        slot_count = page.read_u16(0)
-        if not 0 <= address.slot < slot_count:
+        page_no, slot = address
+        slot_count = _U16_PAIR.unpack_from(page.data, 0)[0]
+        if not 0 <= slot < slot_count:
             raise ObjectStoreError(
-                f"slot {address.slot} out of range on page {address.page_no} "
+                f"slot {slot} out of range on page {page_no} "
                 f"({slot_count} slots)"
             )
-        entry = _slot_entry_offset(page.page_size, address.slot)
-        return page.read_u16(entry), page.read_u16(entry + 2)
+        return _U16_PAIR.unpack_from(
+            page.data, _slot_entry_offset(page.page_size, slot)
+        )
 
     # ------------------------------------------------------------------
     # Scans & introspection

@@ -11,7 +11,8 @@ object access costs exactly ``P_s``/``P_u`` = 1 page.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional, Tuple
+from itertools import groupby
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.errors import ObjectStoreError, SchemaError, UnknownOIDError
 from repro.objects.object_file import ObjectFile, RecordAddress
@@ -150,9 +151,18 @@ class ObjectStore:
 
     def fetch(self, oid: OID) -> Dict[str, Any]:
         """Fetch an object by OID — one logical page read, per the model."""
-        class_name = self.class_name_of(oid)
-        address = self._address(oid)
-        return decode_object(self._files[class_name].read(address))
+        return next(self.fetch_many((oid,)))
+
+    def fetch_many(self, oids: Iterable[OID]) -> Iterator[Dict[str, Any]]:
+        """The objects of ``oids``, in order and lazily, one logical page
+        read each; an unknown or deleted OID raises at its position.
+
+        Candidates in OID order sit on the same few object pages, and each
+        run of them costs one page fetch (:meth:`ObjectFile.read_many`).
+        """
+        for class_name, run in groupby(oids, key=self.class_name_of):
+            records = self._files[class_name].read_many(map(self._address, run))
+            yield from map(decode_object, records)
 
     def update(
         self,
@@ -198,15 +208,15 @@ class ObjectStore:
     def scan(self, class_name: str) -> Iterator[Tuple[OID, Dict[str, Any]]]:
         """All live objects of a class in OID order.
 
-        Costs one logical read per object page, like a heap scan would.
+        Costs one logical read per object, as the same ``fetch`` calls
+        would; consecutive objects on one page share its fetch.
         """
         self.schema(class_name)  # raises for unknown classes
         class_id = self._class_ids[class_name]
         oids = sorted(
             oid for oid in self._directory if oid.class_id == class_id
         )
-        for oid in oids:
-            yield oid, self.fetch(oid)
+        yield from zip(oids, self.fetch_many(oids))
 
     def count(self, class_name: str) -> int:
         """Live objects of a class — O(1) via the maintained counter.

@@ -35,6 +35,8 @@ _TAG_TUPLE = 0x09
 _TAG_SET = 0x0A
 _TAG_FROZENSET = 0x0B
 
+_INT_TAG = bytes([_TAG_INT])
+
 
 def encode_value(value: Any) -> bytes:
     """Encode one value to tagged bytes."""
@@ -112,10 +114,17 @@ def _decode_value(data: bytes, offset: int) -> Tuple[Any, int]:
         _check_span(data, offset, 4)
         count = struct.unpack_from("<I", data, offset)[0]
         offset += 4
-        items = []
-        for _ in range(count):
-            item, offset = _decode_value(data, offset)
-            items.append(item)
+        end = offset + 9 * count
+        if count and end <= len(data) and data[offset:end:9] == _INT_TAG * count:
+            # Every member is a tagged int: one strided tag comparison and
+            # one unpack ("x" skips each tag byte) replace the loop below.
+            items = list(struct.unpack_from("<" + "xq" * count, data, offset))
+            offset = end
+        else:
+            items = []
+            for _ in range(count):
+                item, offset = _decode_value(data, offset)
+                items.append(item)
         if tag == _TAG_LIST:
             return items, offset
         if tag == _TAG_TUPLE:

@@ -418,8 +418,7 @@ class QueryExecutor:
                 candidates = sorted(survivors)
         rows = []
         with trace.span("query.drop_resolution", candidates=len(candidates)) as sp:
-            for oid in candidates:
-                values = self.database.get(oid)
+            for oid, values in zip(candidates, self.database.get_many(candidates)):
                 if all(p.matches(values) for p in query.predicates):
                     rows.append((oid, values))
             sp.set("false_drops", len(candidates) - len(rows))

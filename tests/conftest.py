@@ -45,6 +45,29 @@ def page_accessor_calls(monkeypatch) -> list:
     return calls
 
 
+@pytest.fixture
+def node_decodes(monkeypatch) -> list:
+    """Every node the nested index's B+-tree decodes from a page.
+
+    The tree decodes through ``deserialize_node`` alone; a node it takes
+    from its decoded-node map does not pass here. The counting guards use
+    this to tell a lookup that reuses the map from one that decodes its
+    way down again.
+    """
+    from repro.access.nix import btree
+
+    decoded = []
+    real_deserialize = btree.deserialize_node
+
+    def counting_deserialize(page):
+        node = real_deserialize(page)
+        decoded.append(node)
+        return node
+
+    monkeypatch.setattr(btree, "deserialize_node", counting_deserialize)
+    return decoded
+
+
 HOBBIES = [
     "Baseball", "Fishing", "Tennis", "Football", "Golf", "Chess",
     "Photography", "Climbing", "Cycling", "Painting", "Cooking", "Sailing",

@@ -1,4 +1,4 @@
-"""Per-page reference implementations of SSF, BSSF and the OID file.
+"""Per-page reference implementations of SSF, BSSF, the OID file and NIX.
 
 The shipped facilities answer searches from decoded word matrices and
 *charge* the pages the paper's algorithms read (``peek_page`` +
@@ -17,10 +17,22 @@ which here compare one slot at a time through ``Page.read_bytes``. The
 page writes of ``insert`` and ``append`` are inherited: the oracles never
 read a decode cache, so the write-through that follows those writes in
 the shipped classes finds nothing to patch here.
+
+:mod:`tests.reference.nix_tree` does the same for the nested index: a
+B+-tree that fetches and decodes (one field at a time, through
+:mod:`tests.reference.nix_node`) every page it touches, under searches
+that loop over Python sets of ``OID`` objects.
 """
 
 from tests.reference.bssf import ReferenceBSSF
+from tests.reference.nix_tree import ReferenceBPlusTree, ReferenceNestedIndex
 from tests.reference.oid_file import ReferenceOIDFile
 from tests.reference.ssf import ReferenceSSF
 
-__all__ = ["ReferenceBSSF", "ReferenceOIDFile", "ReferenceSSF"]
+__all__ = [
+    "ReferenceBPlusTree",
+    "ReferenceBSSF",
+    "ReferenceNestedIndex",
+    "ReferenceOIDFile",
+    "ReferenceSSF",
+]

@@ -20,6 +20,16 @@ echo "== tracing overhead guard =="
 # future tier-1 reshuffle cannot silently drop it).
 python -m pytest tests/obs/test_no_overhead.py -q
 
+echo "== page-count parity =="
+# Every path that answers from decoded state and *charges* the pages it
+# stands for (SSF/BSSF kernels, the OID table, drop resolution by page
+# run, the nested index's node map) must leave logical, physical and pool
+# counters exactly where the per-page algorithms leave them (tier-1
+# covers this too; an explicit gate so a reshuffle cannot drop it).
+python -m pytest tests/access/test_golden_page_accesses.py \
+    tests/test_cached_mode.py tests/obs/test_no_overhead.py \
+    tests/objects/test_fetch_many.py tests/access/test_nix_cache.py -q
+
 echo "== fault injection (fixed seed) =="
 python -m pytest tests/faults -q
 
