@@ -636,6 +636,7 @@ class Database:
                 oid = self.objects.insert(
                     class_name, values, payload=encoded[0]
                 )
+                self.statistics.record(self.objects, class_name, None, values)
                 for (cls, attr), per_path in self._indexes.items():
                     if cls == class_name:
                         for facility in per_path.values():
@@ -667,6 +668,7 @@ class Database:
                 self.objects.insert_with_oid(
                     class_name, oid, values, payload=encoded[0]
                 )
+                self.statistics.record(self.objects, class_name, None, values)
                 for (cls, attr), per_path in self._indexes.items():
                     if cls == class_name:
                         for facility in per_path.values():
@@ -695,6 +697,9 @@ class Database:
             old_values = self.objects.fetch(oid)
             with self._wal_op(fields):
                 self.objects.update(oid, values, payload=encoded[0])
+                self.statistics.record(
+                    self.objects, class_name, old_values, values
+                )
                 for (cls, attr), per_path in self._indexes.items():
                     if cls != class_name:
                         continue
@@ -716,6 +721,7 @@ class Database:
                         for facility in per_path.values():
                             facility.delete(frozenset(values[attr]), oid)
                 self.objects.delete(oid)
+                self.statistics.record(self.objects, class_name, values, None)
 
     def scan(self, class_name: str) -> Iterator[Tuple[OID, Dict[str, Any]]]:
         return self.objects.scan(class_name)
@@ -825,11 +831,21 @@ class Database:
         The planner consults these automatically when no explicit
         :class:`~repro.query.planner.CostContext` is supplied, so one
         ``analyze`` per indexed path replaces per-query context plumbing.
+
+        Statistics within drift are returned as they are. Collecting them
+        — a scan the first time, the path's running aggregates after —
+        holds the class's read scope, so no write is half-applied in what
+        it reads (re-entrant for a caller that already reads or writes).
         """
         self._check_indexable(class_name, attribute)
-        return self.statistics.get(
-            self.objects, class_name, attribute, refresh=refresh
-        )
+        if not refresh:
+            cached = self.statistics.current(self.objects, class_name, attribute)
+            if cached is not None:
+                return cached
+        with self.read_scope(class_name):
+            return self.statistics.get(
+                self.objects, class_name, attribute, refresh=refresh
+            )
 
     def check_consistency(self, sample: int = 50) -> Dict[str, int]:
         """Cross-validate every index against the object store.

@@ -36,6 +36,16 @@ from repro.query.planner import AccessPlan, plan_query
 from repro.query.predicates import SubqueryPredicate
 from repro.storage.stats import IOSnapshot
 
+# The fixed instruments every query feeds, bound once (the registry zeroes
+# instruments in place on reset, so the references stay the live ones).
+_M_EXECUTED = REGISTRY.counter("query.executed")
+_M_CANDIDATES = REGISTRY.counter("query.candidates")
+_M_FALSE_DROPS = REGISTRY.counter("query.false_drops")
+_M_RESULTS = REGISTRY.counter("query.results")
+_M_PAGES = REGISTRY.histogram("query.pages")
+_M_ELAPSED = REGISTRY.histogram("query.elapsed_seconds")
+_M_FALSE_DROP_RATIO = REGISTRY.histogram("query.false_drop_ratio")
+
 
 @dataclass
 class QueryStatistics:
@@ -252,7 +262,8 @@ class QueryExecutor:
                 prefer_facility=opts.prefer_facility,
                 smart=opts.smart,
             )
-            sp.set("plan", plan.describe())
+            if trace.current() is not NULL_TRACER:
+                sp.set("plan", plan.describe())
             sp.set("estimated_pages", plan.estimated_cost)
         return self.execute_plan(plan, query)
 
@@ -333,21 +344,19 @@ class QueryExecutor:
     @staticmethod
     def _record_metrics(stats: QueryStatistics) -> None:
         """Feed the process-wide registry; pure arithmetic, no I/O."""
-        REGISTRY.counter("query.executed").inc()
-        REGISTRY.counter("query.candidates").inc(stats.candidates)
-        REGISTRY.counter("query.false_drops").inc(stats.false_drops)
-        REGISTRY.counter("query.results").inc(stats.results)
+        _M_EXECUTED.inc()
+        _M_CANDIDATES.inc(stats.candidates)
+        _M_FALSE_DROPS.inc(stats.false_drops)
+        _M_RESULTS.inc(stats.results)
         if stats.io is not None:
             for name, counts in stats.io.files():
                 pages = counts.logical_total
                 if pages:
                     REGISTRY.counter(f"query.pages.{file_kind(name)}").inc(pages)
-            REGISTRY.histogram("query.pages").record(stats.io.logical_total)
-        REGISTRY.histogram("query.elapsed_seconds").record(stats.elapsed_seconds)
+            _M_PAGES.record(stats.io.logical_total)
+        _M_ELAPSED.record(stats.elapsed_seconds)
         if stats.candidates:
-            REGISTRY.histogram("query.false_drop_ratio").record(
-                stats.false_drops / stats.candidates
-            )
+            _M_FALSE_DROP_RATIO.record(stats.false_drops / stats.candidates)
 
     def _run_scan(self, plan: AccessPlan, query: ParsedQuery):
         rows = []

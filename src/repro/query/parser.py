@@ -26,53 +26,156 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Hashable, List, Tuple
+from typing import FrozenSet, Hashable, List, NamedTuple, Optional, Tuple
 
 from repro.core.signature import SetPredicateKind
 from repro.errors import ParseError
 from repro.query.predicates import ScalarPredicate, SetPredicate, SubqueryPredicate
 
+_STRING = r'"(?:[^"\\]|\\.)*"'
+_FLOAT = r"-?\d+\.\d+"
+_INT = r"-?\d+"
+
+#: Leading whitespace, then exactly one token: ``end`` at the end of the
+#: text, ``bad`` for a character that starts no token. It cannot fail.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<float>-?\d+\.\d+)
-  | (?P<int>-?\d+)
+    rf"""\s*(?:
+    (?P<string>{_STRING})
+  | (?P<float>{_FLOAT})
+  | (?P<int>{_INT})
   | (?P<ident>[A-Za-z_][A-Za-z0-9_-]*)
   | (?P<lparen>\()
   | (?P<rparen>\))
-  | (?P<lbrace>\{)
-  | (?P<rbrace>\})
+  | (?P<lbrace>\{{)
+  | (?P<rbrace>\}})
   | (?P<comma>,)
   | (?P<dot>\.)
   | (?P<eq>=)
-    """,
+  | (?P<end>\Z)
+  | (?P<bad>\S)
+    )""",
     re.VERBOSE,
 )
+
+#: A whole ``( integer, … )`` anchored at its parenthesis.
+_LIST_RE = re.compile(rf"\(\s*({_INT}(?:\s*,\s*{_INT})*)\s*\)")
 
 _OPERATORS = {kind.value: kind for kind in SetPredicateKind}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     position: int
 
 
-def tokenize(text: str) -> List[Token]:
-    tokens: List[Token] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {text[position]!r} at offset {position}"
-            )
+def _literal_value(kind: str, text: str) -> Hashable:
+    if kind == "int":
+        return int(text)
+    if kind == "string":
+        return text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+    return float(text)
+
+
+class Scanner:
+    """One pass over a statement: a position and one token of lookahead.
+
+    Tokens are plain ``(kind, text, offset)`` tuples matched on demand, so
+    an error is reported at the first offset that offends the grammar and
+    nothing past it is lexed. ``what`` names the statement in the
+    end-of-text message ("query" here, "statement" in the shell's DDL).
+    """
+
+    __slots__ = ("text", "what", "position", "_ahead")
+
+    def __init__(self, text: str, what: str = "query"):
+        self.text = text
+        self.what = what
+        self.position = 0
+        self._ahead: Optional[Tuple[str, str, int]] = None
+
+    def _scan(self) -> Tuple[str, str, int]:
+        match = _TOKEN_RE.match(self.text, self.position)
         kind = match.lastgroup
-        if kind != "ws":
-            tokens.append(Token(kind=kind, text=match.group(), position=position))
-        position = match.end()
+        token = (kind, match.group(kind), match.start(kind))
+        if kind == "bad":
+            raise ParseError(
+                f"unexpected character {token[1]!r} at offset {token[2]}"
+            )
+        self._ahead = token
+        return token
+
+    def peek(self) -> Tuple[str, str, int]:
+        """The next token, unconsumed; its kind is ``"end"`` at the end."""
+        return self._ahead or self._scan()
+
+    def next(self) -> Tuple[str, str, int]:
+        token = self._ahead or self._scan()
+        if token[0] == "end":
+            raise ParseError(f"unexpected end of {self.what}: {self.text!r}")
+        self.position = token[2] + len(token[1])
+        self._ahead = None
+        return token
+
+    def expect(self, kind: str, word: Optional[str] = None) -> Tuple[str, str, int]:
+        token = self.next()
+        if token[0] != kind or (word is not None and token[1].lower() != word):
+            raise ParseError(
+                f"expected {(word or kind)!r} at offset {token[2]}, "
+                f"got {token[1]!r}"
+            )
+        return token
+
+    def accept(
+        self, kind: str, word: Optional[str] = None
+    ) -> Optional[Tuple[str, str, int]]:
+        token = self.peek()
+        if token[0] != kind or (word is not None and token[1].lower() != word):
+            return None
+        return self.next()
+
+    def require_end(self) -> None:
+        token = self.peek()
+        if token[0] != "end":
+            raise ParseError(f"unexpected {token[1]!r} at offset {token[2]}")
+
+    def literal(self) -> Hashable:
+        kind, text, offset = self.next()
+        if kind not in ("string", "int", "float"):
+            raise ParseError(
+                f"expected a literal at offset {offset}, got {text!r}"
+            )
+        return _literal_value(kind, text)
+
+    def literal_list(self, close: str) -> List[Hashable]:
+        """``literal (',' literal)*`` and the ``close`` token, one at a time."""
+        elements = [self.literal()]
+        while self.accept("comma"):
+            elements.append(self.literal())
+        self.expect(close)
+        return elements
+
+    def element_list(self) -> Optional[FrozenSet[Hashable]]:
+        """A well-formed ``( integer, … )`` at the next token, as one slice.
+
+        ``None`` (and nothing consumed) when the text there is anything
+        else — a subquery, strings or floats, or a list the token walk
+        will find the fault in.
+        """
+        match = _LIST_RE.match(self.text, self.peek()[2])
+        if match is None:
+            return None
+        self.position = match.end()
+        self._ahead = None
+        return frozenset(map(int, match.group(1).split(",")))
+
+
+def tokenize(text: str) -> List[Token]:
+    """Every token of ``text``, in order — a listing of what the scanner sees."""
+    scanner = Scanner(text)
+    tokens: List[Token] = []
+    while scanner.peek()[0] != "end":
+        tokens.append(Token(*scanner.next()))
     return tokens
 
 
@@ -95,82 +198,35 @@ class ParsedQuery:
         return f"select {self.class_name} where {body}"
 
 
-class _Cursor:
-    def __init__(self, tokens: List[Token], source: str):
-        self.tokens = tokens
-        self.source = source
-        self.index = 0
-
-    def peek(self) -> Token:
-        if self.index >= len(self.tokens):
-            raise ParseError(f"unexpected end of query: {self.source!r}")
-        return self.tokens[self.index]
-
-    def next(self) -> Token:
-        token = self.peek()
-        self.index += 1
-        return token
-
-    def expect(self, kind: str, text: str = None) -> Token:
-        token = self.next()
-        if token.kind != kind or (text is not None and token.text.lower() != text):
-            expected = text or kind
-            raise ParseError(
-                f"expected {expected!r} at offset {token.position}, "
-                f"got {token.text!r}"
-            )
-        return token
-
-    def done(self) -> bool:
-        return self.index >= len(self.tokens)
-
-
-def _parse_literal(cursor: _Cursor) -> Hashable:
-    token = cursor.next()
-    if token.kind == "string":
-        body = token.text[1:-1]
-        return body.replace('\\"', '"').replace("\\\\", "\\")
-    if token.kind == "int":
-        return int(token.text)
-    if token.kind == "float":
-        return float(token.text)
-    raise ParseError(
-        f"expected a literal at offset {token.position}, got {token.text!r}"
-    )
-
-
-def _parse_set_literal(cursor: _Cursor):
+def _parse_set_constant(scanner: Scanner):
     """A literal set, or a parenthesized subquery (returns a ParsedQuery)."""
-    if cursor.peek().kind != "lparen":
+    if scanner.peek()[0] != "lparen":
         # bare literal — convenient for `contains`
-        return frozenset([_parse_literal(cursor)])
-    cursor.expect("lparen")
-    head = cursor.peek()
-    if head.kind == "ident" and head.text.lower() == "select":
-        subquery = _parse_select(cursor, nested=True)
-        cursor.expect("rparen")
+        return frozenset([scanner.literal()])
+    elements = scanner.element_list()
+    if elements is not None:
+        return elements
+    scanner.next()
+    head = scanner.peek()
+    if head[0] == "ident" and head[1].lower() == "select":
+        subquery = _parse_select(scanner, nested=True)
+        scanner.expect("rparen")
         return subquery
-    elements = [_parse_literal(cursor)]
-    while cursor.peek().kind == "comma":
-        cursor.next()
-        elements.append(_parse_literal(cursor))
-    cursor.expect("rparen")
-    return frozenset(elements)
+    return frozenset(scanner.literal_list("rparen"))
 
 
-def _parse_predicate(cursor: _Cursor):
-    attribute = cursor.expect("ident").text
-    if cursor.peek().kind == "eq":
-        cursor.next()
-        return ScalarPredicate(attribute=attribute, value=_parse_literal(cursor))
-    op_token = cursor.expect("ident")
-    kind = _OPERATORS.get(op_token.text.lower())
+def _parse_predicate(scanner: Scanner):
+    attribute = scanner.expect("ident")[1]
+    if scanner.accept("eq"):
+        return ScalarPredicate(attribute=attribute, value=scanner.literal())
+    _, op_text, op_offset = scanner.expect("ident")
+    kind = _OPERATORS.get(op_text.lower())
     if kind is None:
         raise ParseError(
-            f"unknown operator {op_token.text!r} at offset {op_token.position}; "
+            f"unknown operator {op_text!r} at offset {op_offset}; "
             f"expected one of {sorted(_OPERATORS)} or '='"
         )
-    constant = _parse_set_literal(cursor)
+    constant = _parse_set_constant(scanner)
     if isinstance(constant, ParsedQuery):
         return SubqueryPredicate(attribute=attribute, kind=kind, subquery=constant)
     if kind is SetPredicateKind.CONTAINS and len(constant) != 1:
@@ -178,32 +234,24 @@ def _parse_predicate(cursor: _Cursor):
     return SetPredicate(attribute=attribute, kind=kind, constant=constant)
 
 
-def _parse_select(cursor: _Cursor, nested: bool) -> ParsedQuery:
-    cursor.expect("ident", "select")
-    class_name = cursor.expect("ident").text
-    cursor.expect("ident", "where")
-    predicates = [_parse_predicate(cursor)]
-    while True:
-        if cursor.done():
-            break
-        token = cursor.peek()
-        if nested and token.kind == "rparen":
-            break  # the caller consumes the closing paren
-        cursor.expect("ident", "and")
-        predicates.append(_parse_predicate(cursor))
+def _parse_select(scanner: Scanner, nested: bool) -> ParsedQuery:
+    scanner.expect("ident", "select")
+    class_name = scanner.expect("ident")[1]
+    scanner.expect("ident", "where")
+    predicates = [_parse_predicate(scanner)]
+    # a nested select's caller consumes the closing paren
+    closers = ("end", "rparen") if nested else ("end",)
+    while scanner.peek()[0] not in closers:
+        scanner.expect("ident", "and")
+        predicates.append(_parse_predicate(scanner))
     return ParsedQuery(class_name=class_name, predicates=tuple(predicates))
 
 
 def parse_query(text: str) -> ParsedQuery:
     """Parse one query; raises :class:`ParseError` with position info."""
-    tokens = tokenize(text)
-    if not tokens:
+    scanner = Scanner(text)
+    if scanner.peek()[0] == "end":
         raise ParseError("empty query")
-    cursor = _Cursor(tokens, text)
-    query = _parse_select(cursor, nested=False)
-    if not cursor.done():
-        token = cursor.peek()
-        raise ParseError(
-            f"unexpected {token.text!r} at offset {token.position}"
-        )
+    query = _parse_select(scanner, nested=False)
+    scanner.require_end()
     return query

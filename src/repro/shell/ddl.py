@@ -11,15 +11,16 @@ the shell accepts schema and maintenance statements::
     explain select Student where hobbies contains "Baseball"
     select Student where hobbies has-subset ("Baseball", "Fishing")
 
-Each statement is parsed against the same tokenizer as the query language
-and executed against a :class:`~repro.objects.database.Database`;
+Each statement is parsed on the query language's scanner
+(:class:`~repro.query.parser.Scanner`) and executed against a
+:class:`~repro.objects.database.Database`;
 :func:`execute_statement` returns a human-readable result string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.errors import ParseError, QueryError
 from repro.objects.database import Database
@@ -27,91 +28,26 @@ from repro.objects.schema import ClassSchema
 from repro.obs.sinks import render_span_tree
 from repro.query.executor import QueryExecutor
 from repro.query.options import ExecutionOptions
-from repro.query.parser import Token, tokenize
+from repro.query.parser import Scanner
 
 _INDEX_KINDS = ("ssf", "bssf", "nix")
 _SIGNATURE_DEFAULTS = {"F": 128, "m": 2, "seed": 0}
 
 
-class _Cursor:
-    """Token cursor (statement-level twin of the query parser's)."""
-
-    def __init__(self, tokens: List[Token], source: str):
-        self.tokens = tokens
-        self.source = source
-        self.index = 0
-
-    def peek(self) -> Optional[Token]:
-        if self.index >= len(self.tokens):
-            return None
-        return self.tokens[self.index]
-
-    def next(self) -> Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError(f"unexpected end of statement: {self.source!r}")
-        self.index += 1
-        return token
-
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        token = self.next()
-        if token.kind != kind or (text is not None and token.text.lower() != text):
-            raise ParseError(
-                f"expected {(text or kind)!r} at offset {token.position}, "
-                f"got {token.text!r}"
-            )
-        return token
-
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        token = self.peek()
-        if token is None or token.kind != kind:
-            return None
-        if text is not None and token.text.lower() != text:
-            return None
-        return self.next()
-
-    def done(self) -> bool:
-        return self.index >= len(self.tokens)
-
-    def require_done(self) -> None:
-        if not self.done():
-            token = self.peek()
-            raise ParseError(
-                f"unexpected {token.text!r} at offset {token.position}"
-            )
-
-
-def _literal(cursor: _Cursor) -> Any:
-    token = cursor.next()
-    if token.kind == "string":
-        return token.text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-    if token.kind == "int":
-        return int(token.text)
-    if token.kind == "float":
-        return float(token.text)
-    raise ParseError(
-        f"expected a literal at offset {token.position}, got {token.text!r}"
-    )
-
-
-def _value(cursor: _Cursor) -> Any:
+def _value(scanner: Scanner) -> Any:
     """A literal, or a set literal ``{a, b, c}`` / ``{}``."""
-    if cursor.accept("lbrace"):
-        if cursor.accept("rbrace"):
+    if scanner.accept("lbrace"):
+        if scanner.accept("rbrace"):
             return set()
-        elements = [_literal(cursor)]
-        while cursor.accept("comma"):
-            elements.append(_literal(cursor))
-        cursor.expect("rbrace")
-        return set(elements)
-    return _literal(cursor)
+        return set(scanner.literal_list("rbrace"))
+    return scanner.literal()
 
 
-def _path(cursor: _Cursor) -> Tuple[str, str]:
+def _path(scanner: Scanner) -> Tuple[str, str]:
     """``Class.attribute``."""
-    class_name = cursor.expect("ident").text
-    cursor.expect("dot")
-    attribute = cursor.expect("ident").text
+    class_name = scanner.expect("ident")[1]
+    scanner.expect("dot")
+    attribute = scanner.expect("ident")[1]
     return class_name, attribute
 
 
@@ -157,29 +93,28 @@ Statement = object  # union of the dataclasses above
 # ----------------------------------------------------------------------
 def parse_statement(text: str) -> Statement:
     stripped = text.strip().rstrip(";")
-    tokens = tokenize(stripped)
-    if not tokens:
+    scanner = Scanner(stripped, what="statement")
+    kind, head, offset = scanner.peek()
+    if kind == "end":
         raise ParseError("empty statement")
-    head = tokens[0]
-    if head.kind != "ident":
-        raise ParseError(f"statement must start with a keyword, got {head.text!r}")
-    keyword = head.text.lower()
+    if kind != "ident":
+        raise ParseError(f"statement must start with a keyword, got {head!r}")
+    keyword = head.lower()
     if keyword == "select":
         return RunQuery(text=stripped, explain=False)
     if keyword == "explain":
-        rest = stripped[head.position + len(head.text):].strip()
+        rest = stripped[offset + len(head):].strip()
         if not rest.lower().startswith("select"):
             raise ParseError("explain takes a select query")
         return RunQuery(text=rest, explain=True)
-    cursor = _Cursor(tokens, stripped)
     if keyword == "create":
-        return _parse_create(cursor)
+        return _parse_create(scanner)
     if keyword == "insert":
-        return _parse_insert(cursor)
+        return _parse_insert(scanner)
     if keyword == "analyze":
-        cursor.expect("ident", "analyze")
-        class_name, attribute = _path(cursor)
-        cursor.require_done()
+        scanner.expect("ident", "analyze")
+        class_name, attribute = _path(scanner)
+        scanner.require_end()
         return Analyze(class_name=class_name, attribute=attribute)
     raise ParseError(
         f"unknown statement {keyword!r}; expected create / insert / "
@@ -187,61 +122,61 @@ def parse_statement(text: str) -> Statement:
     )
 
 
-def _parse_create(cursor: _Cursor) -> Statement:
-    cursor.expect("ident", "create")
-    what = cursor.expect("ident").text.lower()
+def _parse_create(scanner: Scanner) -> Statement:
+    scanner.expect("ident", "create")
+    what = scanner.expect("ident")[1].lower()
     if what == "class":
-        return _parse_create_class(cursor)
+        return _parse_create_class(scanner)
     if what == "index":
-        return _parse_create_index(cursor)
+        return _parse_create_index(scanner)
     raise ParseError(f"create {what!r} is not supported (class / index)")
 
 
-def _parse_create_class(cursor: _Cursor) -> CreateClass:
-    class_name = cursor.expect("ident").text
-    cursor.expect("lparen")
+def _parse_create_class(scanner: Scanner) -> CreateClass:
+    class_name = scanner.expect("ident")[1]
+    scanner.expect("lparen")
     specs: Dict[str, str] = {}
     while True:
-        attr_name = cursor.expect("ident").text
-        kind = cursor.expect("ident").text.lower()
+        attr_name = scanner.expect("ident")[1]
+        kind = scanner.expect("ident")[1].lower()
         if kind not in ("scalar", "set"):
             raise ParseError(
                 f"attribute kind must be 'scalar' or 'set', got {kind!r}"
             )
         spec = kind
-        if cursor.accept("ident", "of"):
-            spec += ":" + cursor.expect("ident").text
+        if scanner.accept("ident", "of"):
+            spec += ":" + scanner.expect("ident")[1]
         if attr_name in specs:
             raise ParseError(f"duplicate attribute {attr_name!r}")
         specs[attr_name] = spec
-        if not cursor.accept("comma"):
+        if not scanner.accept("comma"):
             break
-    cursor.expect("rparen")
-    cursor.require_done()
+    scanner.expect("rparen")
+    scanner.require_end()
     return CreateClass(schema=ClassSchema.build(class_name, **specs))
 
 
-def _parse_create_index(cursor: _Cursor) -> CreateIndex:
-    kind = cursor.expect("ident").text.lower()
+def _parse_create_index(scanner: Scanner) -> CreateIndex:
+    kind = scanner.expect("ident")[1].lower()
     if kind not in _INDEX_KINDS:
         raise ParseError(
             f"index kind must be one of {_INDEX_KINDS}, got {kind!r}"
         )
-    cursor.expect("ident", "on")
-    class_name, attribute = _path(cursor)
+    scanner.expect("ident", "on")
+    class_name, attribute = _path(scanner)
     options: Dict[str, int] = {}
-    if cursor.accept("lparen"):
+    if scanner.accept("lparen"):
         while True:
-            name = cursor.expect("ident").text
-            cursor.expect("eq")
-            value = _literal(cursor)
+            name = scanner.expect("ident")[1]
+            scanner.expect("eq")
+            value = scanner.literal()
             if not isinstance(value, int):
                 raise ParseError(f"index option {name!r} must be an integer")
             options[name] = value
-            if not cursor.accept("comma"):
+            if not scanner.accept("comma"):
                 break
-        cursor.expect("rparen")
-    cursor.require_done()
+        scanner.expect("rparen")
+    scanner.require_end()
     if kind == "nix" and options:
         raise ParseError("nix takes no options")
     unknown = set(options) - set(_SIGNATURE_DEFAULTS)
@@ -255,22 +190,22 @@ def _parse_create_index(cursor: _Cursor) -> CreateIndex:
     )
 
 
-def _parse_insert(cursor: _Cursor) -> InsertObject:
-    cursor.expect("ident", "insert")
-    cursor.expect("ident", "into")
-    class_name = cursor.expect("ident").text
-    cursor.expect("lparen")
+def _parse_insert(scanner: Scanner) -> InsertObject:
+    scanner.expect("ident", "insert")
+    scanner.expect("ident", "into")
+    class_name = scanner.expect("ident")[1]
+    scanner.expect("lparen")
     values: Dict[str, Any] = {}
     while True:
-        attr_name = cursor.expect("ident").text
-        cursor.expect("eq")
+        attr_name = scanner.expect("ident")[1]
+        scanner.expect("eq")
         if attr_name in values:
             raise ParseError(f"duplicate attribute {attr_name!r}")
-        values[attr_name] = _value(cursor)
-        if not cursor.accept("comma"):
+        values[attr_name] = _value(scanner)
+        if not scanner.accept("comma"):
             break
-    cursor.expect("rparen")
-    cursor.require_done()
+    scanner.expect("rparen")
+    scanner.require_end()
     return InsertObject(class_name=class_name, values=values)
 
 

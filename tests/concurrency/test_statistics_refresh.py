@@ -1,0 +1,136 @@
+"""Planning across a statistics refresh while a writer mutates the class.
+
+``plan_query`` runs before the executor takes its read scope, so the
+statistics collection it may trigger — the seeding scan of a path, or a
+snapshot of its running aggregates once the class has drifted — has to
+take the class's read scope itself. Reader threads plan in a loop while
+one writer inserts, updates and deletes through the facade, far enough to
+cross the drift threshold many times: no thread may see an exception (a
+scan racing a write dies on a resized directory or a vanished OID), every
+statistics object a reader was handed must be one a quiesced scan could
+have produced at some write boundary, and at the end the running
+aggregates must equal a scan.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+import threading
+
+from repro.objects.database import Database
+from repro.objects.schema import ClassSchema
+from repro.objects.statistics import REANALYZE_DRIFT, analyze
+from repro.query.parser import parse_query
+from repro.query.planner import plan_query
+from tests.conftest import HOBBIES
+
+READERS = 4
+MUTATIONS = 400
+QUERY = parse_query('select Student where hobbies has-subset ("Chess", "Golf")')
+
+
+def _build(latch) -> Database:
+    db = Database(pool_capacity=0, latch=latch)
+    db.define_class(ClassSchema.build("Student", name="scalar", hobbies="set"))
+    db.create_ssf_index("Student", "hobbies", 128, 2)
+    db.create_bssf_index("Student", "hobbies", 128, 2)
+    rng = random.Random(3)
+    for i in range(40):
+        db.insert(
+            "Student",
+            {"name": f"s{i:03d}", "hobbies": set(rng.sample(HOBBIES, 3))},
+        )
+    return db
+
+
+def _race(latch) -> None:
+    db = _build(latch)
+    errors = []
+    handed = {}
+    boundaries = {}
+    done = threading.Event()
+    planned = threading.Event()
+    start = threading.Barrier(READERS + 1, timeout=10)
+
+    def note_boundary() -> None:
+        # Under the write scope nothing else moves: what a scan collects
+        # here is what a refresh at this write boundary must return.
+        stats = analyze(db.objects, "Student", "hobbies")
+        boundaries[stats.collected_at_mutations] = stats
+
+    def writer() -> None:
+        rng = random.Random(17)
+        live = [oid for oid, _ in db.scan("Student")]
+        try:
+            start.wait()
+            for step in range(MUTATIONS):
+                values = {
+                    "name": f"w{step:03d}",
+                    "hobbies": set(rng.sample(HOBBIES, rng.randrange(1, 6))),
+                }
+                roll = rng.random()
+                planned.clear()
+                with db.write_scope("Student"):
+                    if roll < 0.4 or len(live) < 10:
+                        live.append(db.insert("Student", values))
+                    elif roll < 0.7:
+                        db.update(rng.choice(live), values)
+                    else:
+                        db.delete(live.pop(rng.randrange(len(live))))
+                    note_boundary()
+                # A writer that re-takes the latch at once can starve the
+                # readers of every refresh; let one plan finish per write.
+                assert planned.wait(10)
+        except BaseException as exc:  # noqa: BLE001 — reported below
+            errors.append(exc)
+            raise
+        finally:
+            done.set()
+
+    def reader() -> None:
+        try:
+            start.wait()
+            while not done.is_set():
+                plan = plan_query(db, QUERY)
+                assert plan.facility_name in ("ssf", "bssf")
+                stats = db.statistics.peek("Student", "hobbies")
+                handed[id(stats)] = stats
+                planned.set()
+        except BaseException as exc:  # noqa: BLE001 — reported below
+            errors.append(exc)
+            raise
+
+    with db.write_scope("Student"):
+        note_boundary()
+    threads = [threading.Thread(target=writer, name="writer")]
+    threads += [
+        threading.Thread(target=reader, name=f"reader-{i}") for i in range(READERS)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    # the class drifted many times over, and readers saw it happen
+    assert len(handed) >= MUTATIONS * 0.5 / (40 * REANALYZE_DRIFT) / 4
+    for stats in handed.values():
+        assert stats == boundaries[stats.collected_at_mutations]
+    # quiesced: the aggregates the writer kept equal a scan
+    assert db.analyze("Student", "hobbies", refresh=True) == analyze(
+        db.objects, "Student", "hobbies"
+    )
+
+
+def test_readers_plan_across_drift_refreshes_against_one_writer():
+    _race(None)
+
+
+def test_readers_plan_across_drift_refreshes_under_a_sharded_latch():
+    _race("sharded")

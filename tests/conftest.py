@@ -68,6 +68,51 @@ def node_decodes(monkeypatch) -> list:
     return decoded
 
 
+@pytest.fixture
+def cost_models_built(monkeypatch) -> list:
+    """Class name of every analytical cost model constructed.
+
+    The planner prices through ``SSFCostModel`` / ``BSSFCostModel`` /
+    ``NIXCostModel`` and nothing else; a price served from its memo
+    constructs none. The counting guards use this to tell a plan that
+    re-derives its constants from one that looks them up.
+    """
+    from repro.costmodel.bssf_model import BSSFCostModel
+    from repro.costmodel.nix_model import NIXCostModel
+    from repro.costmodel.ssf_model import SSFCostModel
+
+    built = []
+    for model in (SSFCostModel, BSSFCostModel, NIXCostModel):
+        real_check = model.__post_init__
+
+        def counting_check(self, real_check=real_check):
+            built.append(type(self).__name__)
+            real_check(self)
+
+        monkeypatch.setattr(model, "__post_init__", counting_check)
+    return built
+
+
+@pytest.fixture
+def class_scans(monkeypatch) -> list:
+    """Class name of every ``ObjectStore.scan`` started.
+
+    Statistics are collected by scan once per path and from running
+    aggregates after; the counting guards use this to tell the two apart.
+    """
+    from repro.objects.object_store import ObjectStore
+
+    scans = []
+    real_scan = ObjectStore.scan
+
+    def counting_scan(store, class_name):
+        scans.append(class_name)
+        return real_scan(store, class_name)
+
+    monkeypatch.setattr(ObjectStore, "scan", counting_scan)
+    return scans
+
+
 HOBBIES = [
     "Baseball", "Fishing", "Tennis", "Football", "Golf", "Chess",
     "Photography", "Climbing", "Cycling", "Painting", "Cooking", "Sailing",

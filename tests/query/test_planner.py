@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PlanningError, SchemaError
+from repro.errors import ConfigurationError, PlanningError, SchemaError
 from repro.query.parser import parse_query
 from repro.query.planner import CostContext, plan_query
 
@@ -130,14 +130,19 @@ class TestSmartParameters:
 
 class TestCostContext:
     def test_estimate_from_database(self, populated_db):
-        context = CostContext.estimate(populated_db, "Student", "hobbies")
+        context = populated_db.analyze("Student", "hobbies").cost_context()
         assert context.num_objects == 120
         assert context.target_cardinality == 3
         assert context.domain_cardinality >= 10
 
     def test_estimate_empty_class_raises(self, student_db):
-        with pytest.raises(PlanningError):
-            CostContext.estimate(student_db, "Student", "hobbies")
+        # An empty class has nothing to estimate from: ANALYZE answers with
+        # the degenerate N = V = Dt = 1, under which no wider query prices.
+        context = student_db.analyze("Student", "hobbies").cost_context()
+        assert context == CostContext(1, 1, 1)
+        student_db.create_nested_index("Student", "hobbies")
+        with pytest.raises(ConfigurationError, match="exceeds domain cardinality"):
+            plan_query(student_db, q1("Baseball", "Fishing"), context=context)
 
     def test_parameters_conversion(self):
         params = CTX.parameters(page_bytes=4096)

@@ -1,43 +1,22 @@
-"""Query planner: facility selection and smart-strategy parameters.
+"""Plan pricing as it was before the memo: every plan re-derives every constant.
 
-Given a parsed query and a database, the planner picks one indexable
-predicate to *drive* the plan through an access facility (the rest become
-residual filters applied during drop resolution), chooses among the
-facilities available on that attribute path using the Section 4 cost
-model, and — when enabled — attaches the Section 5 smart-retrieval
-parameters (``use_elements`` for ``T ⊇ Q``, ``slices_to_examine`` for
-``T ⊆ Q``).
-
-The cost model needs workload statistics (N, V, Dt); a
-:class:`CostContext` supplies them, either explicitly or from the
-database's ANALYZE cache (:meth:`Database.analyze`).
-
-A price is a pure function of numbers — the model family, F, m, the search
-mode, Dq, the context, the page size — so it is computed once per distinct
-input and memoised: the context only changes when statistics are
-re-collected, and a served workload asks for the same few shapes.
+``reference_facility_cost`` and ``reference_filter_profile`` build a
+``CostParameters`` and a cost model on every call, and
+``reference_plan_query`` calls them for every candidate of every plan —
+the intersection profiles included, even for a query with one predicate.
+They are the oracle ``tests/query/test_plan_oracle.py`` holds
+:func:`repro.query.planner.plan_query` to: ``AccessPlan ==`` with
+``alternatives`` and ``estimated_cost`` bit for bit, on a cold memo and a
+warm one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from repro.access.base import SetAccessFacility
-from repro.access.bssf import BitSlicedSignatureFile
-from repro.access.nix import NestedIndex
-from repro.access.ssf import SequentialSignatureFile
-from repro.core.false_drop import false_drop_subset, false_drop_superset
-from repro.core.signature import SetPredicateKind
-from repro.costmodel.actual_drop import (
-    actual_drops_subset,
-    actual_drops_superset,
-    expected_intersecting_non_subset,
-)
 from repro.costmodel.bssf_model import BSSFCostModel
 from repro.costmodel.nix_model import NIXCostModel
-from repro.costmodel.parameters import CostParameters
 from repro.costmodel.smart import (
     smart_subset_bssf,
     smart_superset_bssf,
@@ -47,138 +26,41 @@ from repro.costmodel.ssf_model import SSFCostModel
 from repro.errors import PlanningError
 from repro.objects.database import Database
 from repro.query.parser import ParsedQuery
+from repro.query.planner import (
+    _DRIVABLE,
+    AccessPlan,
+    CostContext,
+    SecondaryAccess,
+    _model_kind,
+)
 from repro.query.predicates import SetPredicate
 
-#: predicate kinds an access facility can drive, and the search mode used
-_DRIVABLE = {
-    SetPredicateKind.HAS_SUBSET: "superset",
-    SetPredicateKind.CONTAINS: "superset",
-    SetPredicateKind.EQUALS: "superset",
-    SetPredicateKind.IN_SUBSET: "subset",
-    SetPredicateKind.OVERLAPS: "overlap",
-}
 
-
-@dataclass(frozen=True)
-class CostContext:
-    """Workload statistics feeding the analytical cost model."""
-
-    num_objects: int
-    domain_cardinality: int
-    target_cardinality: int
-
-    def parameters(self, page_bytes: int) -> CostParameters:
-        return CostParameters(
-            num_objects=self.num_objects,
-            page_bytes=page_bytes,
-            domain_cardinality=self.domain_cardinality,
-        )
-
-
-@dataclass(frozen=True)
-class SecondaryAccess:
-    """The second leg of an index-intersection plan."""
-
-    predicate: SetPredicate
-    facility_name: str
-    search_mode: str  # superset | subset | overlap
-
-
-@dataclass(frozen=True)
-class AccessPlan:
-    """An executable plan for one query."""
-
-    class_name: str
-    #: None means full class scan
-    driving_predicate: Optional[SetPredicate]
-    facility_name: Optional[str]
-    search_mode: Optional[str]  # superset | subset | overlap
-    residual_predicates: Tuple[SetPredicate, ...]
-    use_elements: Optional[int] = None
-    slices_to_examine: Optional[int] = None
-    estimated_cost: Optional[float] = None
-    alternatives: Dict[str, float] = field(default_factory=dict)
-    #: when set, the executor also runs this search and intersects the
-    #: two candidate OID sets before drop resolution
-    intersect_with: Optional[SecondaryAccess] = None
-
-    @property
-    def is_scan(self) -> bool:
-        return self.facility_name is None
-
-    def describe(self) -> str:
-        if self.is_scan:
-            return f"scan({self.class_name})"
-        parts = [f"{self.facility_name}.{self.search_mode}"]
-        if self.use_elements is not None:
-            parts.append(f"use_elements={self.use_elements}")
-        if self.slices_to_examine is not None:
-            parts.append(f"slices={self.slices_to_examine}")
-        if self.estimated_cost is not None:
-            parts.append(f"~{self.estimated_cost:.1f} pages")
-        body = ", ".join(parts)
-        head = (
-            f"index({self.class_name}.{self.driving_predicate.attribute}: {body})"
-        )
-        if self.intersect_with is not None:
-            second = self.intersect_with
-            head += (
-                f" ∩ index({self.class_name}.{second.predicate.attribute}: "
-                f"{second.facility_name}.{second.search_mode})"
-            )
-        return head
-
-
-def _model_kind(facility: SetAccessFacility) -> str:
-    """Cost-model family for one facility.
-
-    LSM facilities price with their run format's model (same F, m and
-    object statistics as the in-place layout), which keeps plan strings
-    bit-identical across the two write paths — the cost inputs never
-    depend on facility state, only on the scheme and the class statistics.
-    """
-    if getattr(facility, "is_lsm", False):
-        return facility.kind
-    if isinstance(facility, SequentialSignatureFile):
-        return "ssf"
-    if isinstance(facility, BitSlicedSignatureFile):
-        return "bssf"
-    if isinstance(facility, NestedIndex):
-        return "nix"
-    raise PlanningError(f"unknown facility type: {type(facility).__name__}")
-
-
-#: Distinct pricing inputs remembered per function; a constant, not a
-#: setting — a few hundred small tuples cover every shape a workload asks.
-_PRICE_MEMO = 1024
-
-
-@lru_cache(maxsize=_PRICE_MEMO)
-def _price(
-    kind: str,
-    F: Optional[int],
-    m: Optional[int],
+def reference_facility_cost(
+    facility: SetAccessFacility,
     mode: str,
-    Dq: int,
+    predicate: SetPredicate,
     context: CostContext,
     page_bytes: int,
     smart: bool,
 ) -> Tuple[float, Optional[int], Optional[int]]:
-    """(estimated pages, use_elements, slices_to_examine) for one model family.
-
-    ``F`` and ``m`` are ``None`` for the nested index, whose model has no
-    signature.
-    """
+    """(estimated pages, use_elements, slices_to_examine) for one facility."""
     params = context.parameters(page_bytes)
     Dt = context.target_cardinality
+    Dq = predicate.query_cardinality
+    kind = _model_kind(facility)
     if kind == "ssf":
-        model = SSFCostModel(params, F, m)
+        model = SSFCostModel(
+            params, facility.signature_bits, facility.scheme.bits_per_element
+        )
         if mode == "subset":
             return model.retrieval_cost_subset(Dt, Dq), None, None
         # superset also approximates equals/overlap driving cost
         return model.retrieval_cost_superset(Dt, max(Dq, 1)), None, None
     if kind == "bssf":
-        model = BSSFCostModel(params, F, m)
+        model = BSSFCostModel(
+            params, facility.signature_bits, facility.scheme.bits_per_element
+        )
         if mode == "subset":
             if smart:
                 decision = smart_subset_bssf(model, Dt, Dq)
@@ -197,13 +79,10 @@ def _price(
     return model.retrieval_cost_superset(max(Dq, 1)), None, None
 
 
-@lru_cache(maxsize=_PRICE_MEMO)
-def _profile(
-    kind: str,
-    F: Optional[int],
-    m: Optional[int],
+def reference_filter_profile(
+    facility: SetAccessFacility,
     mode: str,
-    Dq: int,
+    predicate: SetPredicate,
     context: CostContext,
     page_bytes: int,
 ) -> Tuple[float, float]:
@@ -213,11 +92,21 @@ def _profile(
     resolution, and the fraction estimates how many of the N objects the
     search leaves as candidates (false drops + actual matches).
     """
+    from repro.core.false_drop import false_drop_subset, false_drop_superset
+    from repro.costmodel.actual_drop import (
+        actual_drops_subset,
+        actual_drops_superset,
+        expected_intersecting_non_subset,
+    )
+
     params = context.parameters(page_bytes)
     Dt = context.target_cardinality
-    Dq = max(Dq, 1)
+    Dq = max(predicate.query_cardinality, 1)
     N = params.num_objects
+    kind = _model_kind(facility)
     if kind in ("ssf", "bssf"):
+        F = facility.signature_bits
+        m = facility.scheme.bits_per_element
         if mode == "subset":
             fd = false_drop_subset(F, m, Dt, Dq)
             actual = actual_drops_subset(params, Dt, Dq)
@@ -247,17 +136,7 @@ def _profile(
     return pages, min(1.0, surviving / N)
 
 
-def _signature_shape(
-    facility: SetAccessFacility,
-) -> Tuple[str, Optional[int], Optional[int]]:
-    """(model family, F, m) — everything a price needs to know of a facility."""
-    kind = _model_kind(facility)
-    if kind == "nix":
-        return kind, None, None
-    return kind, facility.signature_bits, facility.scheme.bits_per_element
-
-
-def plan_query(
+def reference_plan_query(
     database: Database,
     query: ParsedQuery,
     context: Optional[CostContext] = None,
@@ -283,16 +162,12 @@ def plan_query(
         mode = _DRIVABLE.get(getattr(predicate, "kind", None))
         if mode is None:
             continue  # scalar predicates are residual filters only
-        # read-only walk of the live map; ``indexes_on`` would copy it
-        facilities = database._indexes.get((class_name, predicate.attribute), {})
+        facilities = database.indexes_on(class_name, predicate.attribute)
         if prefer_facility is not None:
-            preferred = facilities.get(prefer_facility)
-            drivers = () if preferred is None else (preferred,)
-        else:
-            # One atomic read of the live map: a rebuild on another
-            # thread may be re-registering a facility meanwhile.
-            drivers = tuple(facilities.values())
-        for facility in drivers:
+            facilities = {
+                name: f for name, f in facilities.items() if name == prefer_facility
+            }
+        for facility in facilities.values():
             if mode == "overlap":
                 try:
                     facility.search_overlap  # noqa: B018 — capability probe
@@ -321,13 +196,11 @@ def plan_query(
         statistics = database.analyze(class_name, first_attr, refresh=False)
         context = statistics.cost_context()
 
-    page_bytes = database.storage.page_size
     best = None
     alternatives: Dict[str, float] = {}
     for position, predicate, mode, facility in candidates:
-        cost, use_elements, slices = _price(
-            *_signature_shape(facility), mode, predicate.query_cardinality,
-            context, page_bytes, smart,
+        cost, use_elements, slices = reference_facility_cost(
+            facility, mode, predicate, context, database.storage.page_size, smart
         )
         alternatives[f"{facility.name}:{predicate.attribute}"] = cost
         if best is None or cost < best[0]:
@@ -342,18 +215,16 @@ def plan_query(
     # both legs plus Pu·N·f1·f2 resolution, assuming independence).
     # ------------------------------------------------------------------
     intersection = None
-    if prefer_facility is None and len(
-        {position for position, _, mode, _ in candidates if mode != "overlap"}
-    ) > 1:
-        params = context.parameters(page_bytes)
+    if prefer_facility is None:
+        params = context.parameters(database.storage.page_size)
         resolution_rate = params.pages_per_unsuccessful * params.num_objects
         profiles: Dict[int, Tuple[float, float, SetPredicate, str, SetAccessFacility]] = {}
         for cand_position, cand_predicate, cand_mode, cand_facility in candidates:
             if cand_mode == "overlap":
                 continue  # no surviving-fraction model for overlap
-            pages, fraction = _profile(
-                *_signature_shape(cand_facility), cand_mode,
-                cand_predicate.query_cardinality, context, page_bytes,
+            pages, fraction = reference_filter_profile(
+                cand_facility, cand_mode, cand_predicate, context,
+                database.storage.page_size,
             )
             score = pages + fraction * resolution_rate
             current = profiles.get(cand_position)

@@ -30,6 +30,20 @@ python -m pytest tests/access/test_golden_page_accesses.py \
     tests/test_cached_mode.py tests/obs/test_no_overhead.py \
     tests/objects/test_fetch_many.py tests/access/test_nix_cache.py -q
 
+echo "== front-of-query parity =="
+# The scanner, the memoised plan pricing and the running statistics must
+# be indistinguishable from what they replaced: the tokenise-then-walk
+# parser and the un-memoised pricing live on as tests/reference/ oracles
+# (same ParsedQuery or ParseError message; AccessPlan equal to the bit,
+# cold and warm memo), and a refreshed AttributeStatistics must equal a
+# scan at that instant whatever the write history (tier-1 covers this
+# too; an explicit gate so a reshuffle cannot drop it).
+python -m pytest tests/query/test_parser.py \
+    tests/query/test_parser_properties.py tests/query/test_parser_oracle.py \
+    tests/query/test_planner.py tests/query/test_plan_oracle.py \
+    tests/objects/test_statistics.py tests/objects/test_running_statistics.py \
+    tests/concurrency/test_statistics_refresh.py -q
+
 echo "== fault injection (fixed seed) =="
 python -m pytest tests/faults -q
 
