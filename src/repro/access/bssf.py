@@ -54,6 +54,7 @@ from repro.objects.oid import OID
 from repro.obs import tracer as trace
 from repro.obs.tracer import traced_search
 from repro.storage.decode_cache import DecodeCache
+from repro.storage.page import Page
 from repro.storage.paged_file import PagedFile, StorageManager
 
 
@@ -190,9 +191,14 @@ class BitSlicedSignatureFile(SetAccessFacility):
         return entries
 
     def insert(self, elements: SetValue, oid: OID) -> None:
+        """Set the entry's bit in each slice its signature has a 1 in.
+
+        Each slice page rewritten is imaged from the stacked slice matrix
+        — decoded once if cold — and its read charged as the fetch it
+        stands for (:meth:`PagedFile.charge_fetch`); the matrix then
+        follows the write.
+        """
         self.log_wal_maintenance("facility_insert", elements, oid)
-        store = self._storage.store
-        version = store.group_version(self._group_name)
         index = self.oid_file.append(oid)
         pages_needed = -(-(index + 1) // self.entries_per_slice_page)
         self._format_slices_to(pages_needed)
@@ -205,16 +211,22 @@ class BitSlicedSignatureFile(SetAccessFacility):
             rewrites = [(p, p in ones) for p in range(self.signature_bits)]
         else:
             rewrites = [(p, True) for p in one_positions]
+        slices = self._stacked_slices()
+        store = self._storage.store
+        version = store.group_version(self._group_name)
+        page_size = self._storage.page_size
+        words_per_page = page_size // 8
+        first_word = page_no * words_per_page
         for position, is_one in rewrites:
             slice_file = self._slice_files[position]
-            page = slice_file.read_page(page_no)
+            slice_file.charge_fetch(page_no)
+            words = slices[position, first_word : first_word + words_per_page]
+            page = Page(page_size, words.tobytes())
             if is_one:
                 page.data[bit_in_page // 8] |= 1 << (bit_in_page % 8)
             slice_file.write_page(page_no, page)
 
-        def set_bit(matrix: np.ndarray) -> Optional[np.ndarray]:
-            if matrix.shape[1] != self._slice_word_count:
-                return None  # the slice files grew a page: decode afresh
+        def set_bit(matrix: np.ndarray) -> np.ndarray:
             matrix[one_positions, index // kernels.WORD_BITS] |= np.uint64(
                 1 << (index % kernels.WORD_BITS)
             )

@@ -6,8 +6,8 @@ node occupies exactly one page of the storage manager. Lookups therefore
 cost ``height + 1`` logical page reads — the model's ``rc`` (3 pages for
 the paper's parameter ranges).
 
-Splitting is size-driven: after a mutation a node that no longer serializes
-into a page is split at the byte midpoint. Deletion removes OIDs (and empty
+Splitting is size-driven: after a mutation a node whose image no longer
+fits a page is split at the byte midpoint. Deletion removes OIDs (and empty
 entries) without rebalancing, matching the paper's update model, which
 ignores structural reorganization.
 
@@ -19,12 +19,18 @@ Decoded nodes are kept in one ``{page_no: node}`` map, held in a
 :class:`~repro.storage.decode_cache.DecodeCache` under the file's version
 and filled as pages are first read. Readers take a node from the map and
 charge the page read it stands for (:meth:`PagedFile.charge_read`), so
-every counter reads as if the page had been fetched; they never change a
-node. A writer changes only nodes it decoded for itself, and once the last
-page write of its insert, delete or bulk load has landed, the map is re-keyed at the
-new version with exactly the pages it wrote replaced. A write that fails
-part-way leaves the map at a version the file has left, and the next
-reader decodes afresh.
+every counter reads as if the page had been fetched. No node in the map is
+ever changed: writers copy the shared node. A writer takes a node from the
+same map, charging the fetch it stands for (:meth:`PagedFile.charge_fetch`,
+which still verifies the stored image wherever a fetch would have moved
+it), and changes a shallow copy — a new list of the leaf's immutable
+entries, or new key and child lists. Once the last page write of its
+insert, delete or bulk load has landed, the map is re-keyed at the new
+version with exactly the pages it wrote replaced by the nodes it wrote. A
+write that fails part-way leaves the map at a version the file has left,
+and the next reader decodes afresh. Only :meth:`page_census` and
+:meth:`verify` decode pages for themselves: they check the pages against
+the map.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from repro.access.nix.node import (
     LeafNode,
     OverflowNode,
     deserialize_node,
+    install,
 )
 from repro.errors import AccessFacilityError, IndexCorruptionError
 from repro.objects.oid import OID
@@ -69,6 +76,7 @@ def _written_through(write: Callable) -> Callable:
     @functools.wraps(write)
     def carrying(tree: "BPlusTree", *args):
         before = tree.file.version
+        tree._base = tree._map()
         written = tree._written
         try:
             result = write(tree, *args)
@@ -80,6 +88,7 @@ def _written_through(write: Callable) -> Callable:
                     lambda nodes: nodes.update(written) or nodes,
                 )
         finally:
+            tree._base = None
             tree._written = {}
         return result
 
@@ -103,6 +112,8 @@ class BPlusTree:
         # least two entries per leaf splittable.
         self.inline_cap = self.file.page_size // 3
         self._cache = DecodeCache(max_entries=1)
+        #: the node map the write in progress started from; None between writes
+        self._base: Optional[Dict[int, Node]] = None
         #: nodes the write in progress has stored, by page; empty between writes
         self._written: Dict[int, Node] = {}
         if self.file.num_pages == 0:
@@ -118,39 +129,63 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # Node I/O
     # ------------------------------------------------------------------
-    def _node(self, page_no: int) -> Node:
-        """A reader's node: shared, charged as one page read, never changed."""
+    def _map(self) -> Dict[int, Node]:
+        """The node map at the file's version (a new, empty one if none is)."""
         name, version = self.file.name, self.file.version
         nodes = self._cache.get(name, version)
         if nodes is None:
             nodes = {}
             self._cache.put(name, version, nodes)
-        node = nodes.get(page_no)
+        return nodes
+
+    def _shared(self, page_no: int, charge: Callable[[int], None]) -> Node:
+        """The node the map holds for ``page_no``, its page read ``charge``d.
+
+        A page not in the map yet is fetched and decoded into it. During a
+        write the file has moved on only by the write's own pages: those
+        answer with the node stored there, every other page from the map
+        the write started from.
+        """
+        node = self._written.get(page_no)
         if node is None:
-            node = nodes[page_no] = self._load(page_no)
-        else:
-            self.file.charge_read(page_no)
+            nodes = self._map() if self._base is None else self._base
+            node = nodes.get(page_no)
+            if node is None:
+                nodes[page_no] = node = deserialize_node(self.file.read_page(page_no))
+                return node
+        charge(page_no)
         return node
 
+    def _node(self, page_no: int) -> Node:
+        """A reader's node: shared, charged as one page read, never changed."""
+        return self._shared(page_no, self.file.charge_read)
+
+    def _writable(self, page_no: int) -> Node:
+        """A writer's node: a copy of the shared one, free to change,
+        charged as the page fetch it stands for."""
+        return self._shared(page_no, self.file.charge_fetch).copy()
+
     def _load(self, page_no: int) -> Node:
-        """A writer's node: decoded for this caller alone, free to change."""
+        """The node decoded from its page, past the map (for the checks)."""
         return deserialize_node(self.file.read_page(page_no))
 
-    def _store(self, page_no: int, node: Node) -> None:
+    def _store(self, page_no: int, node: Node, image: Optional[bytes] = None) -> None:
         # The image is replaced whole, so the read half of this
         # read-modify-write is charged, not fetched.
         self.file.charge_read(page_no)
-        page = Page(self.file.page_size)
-        node.serialize_into(page)
-        self.file.write_page(page_no, page)
-        self._written[page_no] = node
+        self._put(page_no, node, image)
 
     def _allocate(self, node: Node) -> int:
-        page_no, page = self.file.append_page()
-        node.serialize_into(page)
+        page_no, _ = self.file.append_page()
+        self._put(page_no, node)
+        return page_no
+
+    def _put(self, page_no: int, node: Node, image: Optional[bytes] = None) -> None:
+        """Write ``node`` (whose ``image`` the caller may have built) to its page."""
+        page = Page(self.file.page_size)
+        install(page, node.image() if image is None else image)
         self.file.write_page(page_no, page)
         self._written[page_no] = node
-        return page_no
 
     def decode_cache_stats(self) -> Dict[str, int]:
         """Hit/miss counters of the node map (a miss = a new map)."""
@@ -165,13 +200,13 @@ class BPlusTree:
         """Root-to-leaf path (page numbers) and the leaf.
 
         The internal levels are only read. ``for_update`` hands back a leaf
-        the caller may change: everything from ``height`` levels down is
-        decoded privately.
+        the caller may change: everything from ``height`` levels down is a
+        writer's copy.
         """
         path = [self.root_page]
         while True:
-            private = for_update and len(path) > self.height
-            node = (self._load if private else self._node)(path[-1])
+            writing = for_update and len(path) > self.height
+            node = (self._writable if writing else self._node)(path[-1])
             if not isinstance(node, InternalNode):
                 return path, node
             path.append(node.child_for(key))
@@ -207,7 +242,7 @@ class BPlusTree:
         self, page_no: int, load: Callable[[int], Node]
     ) -> OverflowNode:
         """The bucket on ``page_no`` through ``load`` (``_node`` to read
-        it, ``_load`` to change it)."""
+        it, ``_writable`` to change it)."""
         node = load(page_no)
         if not isinstance(node, OverflowNode):
             raise IndexCorruptionError(
@@ -233,38 +268,64 @@ class BPlusTree:
             page_no = bucket.next_page
         return False
 
-    def _chain_add(self, entry: LeafEntry, oid_int: int) -> None:
-        """Push one OID into the entry's chain (head bucket, else new)."""
-        capacity = OverflowNode.capacity(self.file.page_size)
-        if entry.overflow_page is not None:
-            head = self._overflow(entry.overflow_page, self._load)
-            if len(head.oids) < capacity:
-                head.oids.append(oid_int)
-                self._store(entry.overflow_page, head)
-                return
-        bucket = OverflowNode(oids=[oid_int], next_page=entry.overflow_page)
-        entry.overflow_page = self._allocate(bucket)
+    def _inline_budget(self, key: bytes) -> int:
+        """OIDs an entry for ``key`` keeps inline when it has a chain."""
+        return max(1, (self.inline_cap - (8 + len(key))) // 8)
 
-    def _chain_remove(self, entry: LeafEntry, oid_int: int) -> bool:
-        """Remove one OID from the chain; compacts away empty buckets."""
+    def _chain_spill(self, entry: LeafEntry) -> LeafEntry:
+        """Push the entry's largest inline OID into its chain (the head
+        bucket, else a new one); returns the entry without it."""
+        oid_int = int(entry.oids[-1])
+        head_page = entry.overflow_page
+        if head_page is not None:
+            head = self._overflow(head_page, self._writable)
+            if len(head.oids) < OverflowNode.capacity(self.file.page_size):
+                head.oids.append(oid_int)
+                self._store(head_page, head)
+                return LeafEntry(entry.key, entry.oids[:-1], head_page)
+        bucket = OverflowNode(oids=[oid_int], next_page=head_page)
+        return LeafEntry(entry.key, entry.oids[:-1], self._allocate(bucket))
+
+    def _chain_remove(self, entry: LeafEntry, oid_int: int) -> Optional[LeafEntry]:
+        """Remove one OID from the chain, compacting away an emptied bucket.
+
+        Returns the entry as it then stands, or None if the OID is not
+        chained.
+        """
         previous_page: "Optional[int]" = None
         page_no = entry.overflow_page
         while page_no is not None:
-            bucket = self._overflow(page_no, self._load)
+            bucket = self._overflow(page_no, self._writable)
             if oid_int in bucket.oids:
                 bucket.oids.remove(oid_int)
                 if bucket.oids:
                     self._store(page_no, bucket)
                 elif previous_page is None:
-                    entry.overflow_page = bucket.next_page
+                    return LeafEntry(entry.key, entry.oids, bucket.next_page)
                 else:
-                    previous = self._overflow(previous_page, self._load)
+                    previous = self._overflow(previous_page, self._writable)
                     previous.next_page = bucket.next_page
                     self._store(previous_page, previous)
-                return True
+                return entry
             previous_page = page_no
             page_no = bucket.next_page
-        return False
+        return None
+
+    def _chain_refill(self, entry: LeafEntry) -> LeafEntry:
+        """The entry with its inline OIDs refilled from the chain head.
+
+        So an entry never looks empty while OIDs remain chained; the
+        refill is capped so the entry stays within the inline budget.
+        """
+        head_page = entry.overflow_page
+        head = self._overflow(head_page, self._writable)
+        pulled = sorted(head.oids)[: self._inline_budget(entry.key)]
+        taken = set(pulled)
+        head.oids = [v for v in head.oids if v not in taken]
+        if head.oids:
+            self._store(head_page, head)
+            return LeafEntry(entry.key, pulled, head_page)
+        return LeafEntry(entry.key, pulled, head.next_page)
 
     def contains_key(self, key: bytes) -> bool:
         _, leaf = self._descend(key)
@@ -281,7 +342,7 @@ class BPlusTree:
         stacked until one root remains, which lands on the stable root page
         (page 0). Only valid on an empty tree.
         """
-        if self.height != 0 or self._load(self.root_page).entries:
+        if self.height != 0 or self._writable(self.root_page).entries:
             raise AccessFacilityError("bulk_load requires an empty tree")
         keys = [key for key, _ in entries]
         if keys != sorted(set(keys)):
@@ -290,20 +351,21 @@ class BPlusTree:
             return
         page_size = self.file.page_size
         # ---- build leaves ------------------------------------------------
+        empty = len(LeafNode().image())
         leaves: List[LeafNode] = [LeafNode()]
-        used = leaves[-1].serialized_size()
+        used = empty
         for key, oid_ints in entries:
             entry = LeafEntry(key=key, oids=oid_ints)
-            if self.overflow_chains and entry.serialized_size() > self.inline_cap:
+            if self.overflow_chains and len(entry.image) > self.inline_cap:
                 entry = self._bulk_chain_entry(key, list(oid_ints))
-            size = entry.serialized_size()
+            size = len(entry.image)
             if size > page_size - 16:
                 raise AccessFacilityError(
                     f"OID list for key {key!r} does not fit one page"
                 )
             if used + size > page_size and leaves[-1].entries:
                 leaves.append(LeafNode())
-                used = leaves[-1].serialized_size()
+                used = empty
             leaves[-1].entries.append(entry)
             used += size
         # ---- place nodes: root is page 0; everything else is appended ----
@@ -347,7 +409,7 @@ class BPlusTree:
 
     def _bulk_chain_entry(self, key: bytes, oid_ints: List[int]) -> LeafEntry:
         """Split a long posting list into inline prefix + overflow chain."""
-        budget = max(1, (self.inline_cap - (8 + len(key))) // 8)
+        budget = self._inline_budget(key)
         inline, tail = oid_ints[:budget], oid_ints[budget:]
         capacity = OverflowNode.capacity(self.file.page_size)
         head: "Optional[int]" = None
@@ -363,36 +425,39 @@ class BPlusTree:
     def insert(self, key: bytes, oid: OID) -> bool:
         """Add ``oid`` to the key's list; False if it was already there."""
         path, leaf = self._descend(key, for_update=True)
-        entry = leaf.find(key)
-        if entry is None:
-            entry = LeafEntry(key=key)
-            leaf.entries.insert(leaf.insert_position(key), entry)
+        position, found = leaf.slot(key)
+        entry = LeafEntry(key) if found is None else found
         oid_int = oid.to_int()
         if entry.overflow_page is not None and self._chain_contains(
             entry.overflow_page, oid_int
         ):
             return False
-        if not entry.add_oid(oid_int):
+        grown = entry.add_oid(oid_int)
+        if grown is entry:
             return False
         if self.overflow_chains:
-            while entry.serialized_size() > self.inline_cap and len(entry.oids):
+            while len(grown.image) > self.inline_cap and len(grown.oids):
                 # spill the largest OID; the inline prefix stays sorted
-                self._chain_add(entry, int(entry.oids[-1]))
-                entry.oids = entry.oids[:-1]
-        elif entry.serialized_size() > self.file.page_size - 16:
+                grown = self._chain_spill(grown)
+        elif len(grown.image) > self.file.page_size - 16:
             raise AccessFacilityError(
                 f"OID list for key {key!r} no longer fits one page "
-                f"({len(entry.oids)} OIDs); the nested index stores a "
+                f"({len(grown.oids)} OIDs); the nested index stores a "
                 "key's posting list within a single leaf (enable "
                 "overflow_chains to lift this)"
             )
+        if found is None:
+            leaf.entries.insert(position, grown)
+        else:
+            leaf.entries[position] = grown
         self._store_or_split_leaf(path, leaf)
         return True
 
     def _store_or_split_leaf(self, path: List[int], leaf: LeafNode) -> None:
         leaf_page = path[-1]
-        if leaf.serialized_size() <= self.file.page_size:
-            self._store(leaf_page, leaf)
+        image = leaf.image()
+        if len(image) <= self.file.page_size:
+            self._store(leaf_page, leaf, image)
             return
         left, right, separator = self._split_leaf(leaf)
         right_page = self._allocate(right)
@@ -401,11 +466,11 @@ class BPlusTree:
         self._propagate_split(path[:-1], leaf_page, separator, right_page)
 
     def _split_leaf(self, leaf: LeafNode) -> Tuple[LeafNode, LeafNode, bytes]:
-        total = sum(e.serialized_size() for e in leaf.entries)
+        total = sum(len(e.image) for e in leaf.entries)
         accumulated = 0
         split_at = len(leaf.entries) - 1
         for i, entry in enumerate(leaf.entries):
-            accumulated += entry.serialized_size()
+            accumulated += len(entry.image)
             if accumulated >= total // 2:
                 split_at = i + 1
                 break
@@ -424,7 +489,7 @@ class BPlusTree:
         if not ancestors:
             # Root split: move the old root's content to a new page so the
             # root page number stays stable, then rebuild the root above.
-            old_root = self._load(self.root_page)
+            old_root = self._writable(self.root_page)
             moved_page = self._allocate(old_root)
             new_root = InternalNode(
                 keys=[separator],
@@ -437,7 +502,7 @@ class BPlusTree:
             self.height += 1
             return
         parent_page = ancestors[-1]
-        parent = self._load(parent_page)
+        parent = self._writable(parent_page)
         if not isinstance(parent, InternalNode):
             raise IndexCorruptionError("leaf found on the ancestor path")
         parent.insert_separator(separator, right_page)
@@ -465,32 +530,21 @@ class BPlusTree:
     def delete(self, key: bytes, oid: OID) -> bool:
         """Remove ``oid`` from the key's list; drop the entry when empty."""
         path, leaf = self._descend(key, for_update=True)
-        entry = leaf.find(key)
+        position, entry = leaf.slot(key)
         if entry is None:
             return False
         oid_int = oid.to_int()
-        removed = entry.remove_oid(oid_int)
-        if not removed:
-            removed = self._chain_remove(entry, oid_int)
-            if not removed:
+        shrunk = entry.remove_oid(oid_int)
+        if shrunk is entry:
+            shrunk = self._chain_remove(entry, oid_int)
+            if shrunk is None:
                 return False
-        if not len(entry.oids) and entry.overflow_page is not None:
-            # Refill the inline portion from the chain head so the entry
-            # never looks empty while OIDs remain chained. The refill is
-            # capped so the entry stays within the inline budget.
-            budget = max(1, (self.inline_cap - (8 + len(entry.key))) // 8)
-            head_page = entry.overflow_page
-            head = self._overflow(head_page, self._load)
-            pulled = sorted(head.oids)[:budget]
-            taken = set(pulled)
-            head.oids = [v for v in head.oids if v not in taken]
-            entry.oids = np.array(pulled, dtype=OID_WORD)
-            if head.oids:
-                self._store(head_page, head)
-            else:
-                entry.overflow_page = head.next_page
-        if not len(entry.oids) and entry.overflow_page is None:
-            leaf.entries = [e for e in leaf.entries if e.key != key]
+        if not len(shrunk.oids) and shrunk.overflow_page is not None:
+            shrunk = self._chain_refill(shrunk)
+        if not len(shrunk.oids) and shrunk.overflow_page is None:
+            del leaf.entries[position]
+        else:
+            leaf.entries[position] = shrunk
         self._store(path[-1], leaf)
         return True
 
@@ -600,7 +654,7 @@ class BPlusTree:
         self, page_no: int, low: Optional[bytes], high: Optional[bytes]
     ) -> None:
         node = self._load(page_no)
-        if node.serialized_size() > self.file.page_size:
+        if len(node.image()) > self.file.page_size:
             raise IndexCorruptionError(f"node on page {page_no} oversized")
         if isinstance(node, LeafNode):
             keys = node.keys()

@@ -21,18 +21,22 @@ Overflow page
     ``u8 kind=2 | u32 next(+1, 0 = none) | u16 count | count × u64``.
     A bucket of posting-list OIDs continuing one leaf entry.
 
-Nodes are deserialized into plain Python objects, mutated, sized, and
-serialized back; callers split when :meth:`serialized_size` exceeds the
-page. A leaf entry's posting list is the exception: it stays packed, one
-``<u8`` word per OID exactly as on the page (and as in the ``OIDFile``), so
-the nested index unions and intersects lists without unpacking them.
+Nodes are deserialized into plain Python objects and encoded back as one
+joined :meth:`image`; the tree splits a node whose image outgrows the page.
+A leaf entry is the exception to "plain": an immutable value that carries
+its own bytes — the slice of the page it was decoded from, or the bytes it
+was built with — with its posting list a read-only ``<u8`` view of them,
+one word per OID exactly as on the page (and as in the ``OIDFile``). So the
+nested index unions and intersects lists without unpacking them, a leaf's
+image is its header and its entries' images joined, and changing an entry
+makes a new one: a writer changes a copy of a node's entry list, never an
+entry a reader may hold.
 
 The codec works on the page buffer directly: fixed fields go through
-precompiled :class:`struct.Struct` objects, a node leaves as one joined
-image, and decoding checks each entry's extent against the page once
-before slicing it. A page that does not hold what its counts claim raises
-:class:`~repro.errors.PageError` — never a bare ``struct.error``, never a
-silently truncated key.
+precompiled :class:`struct.Struct` objects, and decoding checks each
+entry's extent against the page once before slicing it. A page that does
+not hold what its counts claim raises :class:`~repro.errors.PageError` —
+never a bare ``struct.error``, never a silently truncated key.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import bisect
 import functools
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -57,10 +61,12 @@ _OVERFLOW_HEAD = struct.Struct("<BIH")  # kind, next+1, count
 _KEY_LEN = struct.Struct("<H")
 _POSTINGS = struct.Struct("<HI")  # oid_count, overflow_page+1
 _CHILD = struct.Struct("<I")
+_OID = struct.Struct("<Q")
 OID_WORD = np.dtype("<u8")  # OID.to_int() as stored: the OIDFile word format
 
 _LEAF_HEADER = _INTERNAL_HEADER = _TREE_HEAD.size
 _OVERFLOW_HEADER = _OVERFLOW_HEAD.size
+_ENTRY_FIELDS = _KEY_LEN.size + _POSTINGS.size  # an entry's bytes besides key and OIDs
 
 
 def _page_errors(codec):
@@ -89,45 +95,54 @@ def _raw_link(page_no: Optional[int]) -> int:
     return 0 if page_no is None else page_no + 1
 
 
-def _install(page: Page, parts: List[bytes]) -> None:
-    """Make ``parts``, zero-padded, the page image."""
-    page.write_bytes(0, b"".join(parts).ljust(page.page_size, b"\0"))
+def install(page: Page, image: bytes) -> None:
+    """Make a node's ``image``, zero-padded, the page image."""
+    if len(image) > page.page_size:
+        raise IndexCorruptionError(
+            f"node of {len(image)} bytes exceeds page ({page.page_size})"
+        )
+    page.write_bytes(0, image.ljust(page.page_size, b"\0"))
 
 
-@dataclass(eq=False)
+_new = object.__new__
+_assign = object.__setattr__
+
+
 class LeafEntry:
-    """One nested-index entry: key bytes → sorted OID list.
+    """One nested-index entry: key bytes → sorted OID list. Immutable.
 
-    OIDs are held packed, a ``<u8`` array of ``OID.to_int`` words (whose
-    order equals OID order); the tree converts to :class:`OID` only at its
-    public boundary. The array is never written in place — adding or
-    removing an OID rebinds ``oids`` to a new array — so entries of a
-    decoded node can be shared with readers.
+    ``image`` is the entry as it stands on a leaf page and ``oids`` a
+    read-only ``<u8`` view of its OID words (``OID.to_int`` order is OID
+    order); the tree converts to :class:`OID` only at its public boundary.
+    Nothing is rebound or written in place — :meth:`add_oid` and
+    :meth:`remove_oid` return a new entry — so the entries of a decoded
+    node can be shared by readers and by a writer's copy of the node.
     """
 
-    key: bytes
-    oids: Union[np.ndarray, Sequence[int]] = ()
-    #: page number of the first overflow bucket, when the posting list
-    #: continues beyond the inline OIDs (None = fully inline)
-    overflow_page: "Optional[int]" = None
+    __slots__ = ("key", "oids", "overflow_page", "image")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, key: bytes, oids=(), overflow_page: Optional[int] = None
+    ) -> None:
         try:
-            self.oids = np.asarray(self.oids, dtype=OID_WORD)
+            words = np.asarray(oids, dtype=OID_WORD)
         except OverflowError as exc:
             raise PageError(f"OID too wide for its 8-byte field: {exc}") from exc
+        _encode(self, key, words.tobytes(), overflow_page)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"a LeafEntry is immutable; cannot set {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LeafEntry):
             return NotImplemented
-        return (
-            self.key == other.key
-            and self.overflow_page == other.overflow_page
-            and np.array_equal(self.oids, other.oids)
-        )
+        return self.image == other.image  # the encoding is canonical
 
-    def serialized_size(self) -> int:
-        return 2 + len(self.key) + 2 + 4 + 8 * len(self.oids)
+    def __repr__(self) -> str:
+        return (
+            f"LeafEntry(key={self.key!r}, oids={self.oids.tolist()}, "
+            f"overflow_page={self.overflow_page})"
+        )
 
     def _position(self, oid_int: int) -> "tuple[int, bool]":
         """Where ``oid_int`` sorts, and whether it is already there."""
@@ -135,18 +150,61 @@ class LeafEntry:
         present = position < len(self.oids) and int(self.oids[position]) == oid_int
         return position, present
 
-    def add_oid(self, oid_int: int) -> bool:
-        """Insert keeping sort order; False if already present."""
-        position, present = self._position(oid_int)
-        if not present:
-            self.oids = np.insert(self.oids, position, np.uint64(oid_int))
-        return not present
+    def _words(self) -> bytes:
+        return self.image[_ENTRY_FIELDS + len(self.key) :]
 
-    def remove_oid(self, oid_int: int) -> bool:
+    def add_oid(self, oid_int: int) -> "LeafEntry":
+        """This entry with ``oid_int`` in sort order (itself if already there)."""
         position, present = self._position(oid_int)
         if present:
-            self.oids = np.delete(self.oids, position)
-        return present
+            return self
+        words, cut = self._words(), 8 * position
+        return _encode(
+            _new(LeafEntry),
+            self.key,
+            words[:cut] + _OID.pack(oid_int) + words[cut:],
+            self.overflow_page,
+        )
+
+    def remove_oid(self, oid_int: int) -> "LeafEntry":
+        """This entry without ``oid_int`` (itself if it is not there)."""
+        position, present = self._position(oid_int)
+        if not present:
+            return self
+        words, cut = self._words(), 8 * position
+        return _encode(
+            _new(LeafEntry),
+            self.key,
+            words[:cut] + words[cut + 8 :],
+            self.overflow_page,
+        )
+
+
+def _fill(
+    entry: LeafEntry, key: bytes, image: bytes, count: int, overflow_page
+) -> LeafEntry:
+    """Bind ``entry``'s fields to its ``image``, once."""
+    _assign(entry, "key", key)
+    oids = np.frombuffer(image, OID_WORD, count, _ENTRY_FIELDS + len(key))
+    _assign(entry, "oids", oids)
+    _assign(entry, "overflow_page", overflow_page)
+    _assign(entry, "image", image)
+    return entry
+
+
+@_page_errors
+def _encode(entry: LeafEntry, key: bytes, words: bytes, overflow_page) -> LeafEntry:
+    """Give ``entry`` the image of ``key`` → packed ``words``."""
+    count = len(words) // 8
+    image = b"".join(
+        (
+            _KEY_LEN.pack(len(key)),
+            key,
+            _POSTINGS.pack(count, _raw_link(overflow_page)),
+            words,
+        )
+    )
+    return _fill(entry, key, image, count, overflow_page)
 
 
 @dataclass
@@ -160,10 +218,15 @@ class LeafNode:
         return [entry.key for entry in self.entries]
 
     def find(self, key: bytes) -> Optional[LeafEntry]:
+        return self.slot(key)[1]
+
+    def slot(self, key: bytes) -> Tuple[int, Optional[LeafEntry]]:
+        """Where ``key`` sorts among the entries, and its entry if present."""
         position = self.insert_position(key)
-        if position < len(self.entries) and self.entries[position].key == key:
-            return self.entries[position]
-        return None
+        entries = self.entries
+        if position < len(entries) and entries[position].key == key:
+            return position, entries[position]
+        return position, None
 
     def insert_position(self, key: bytes) -> int:
         """``bisect_left`` over the entries' keys (``bisect``'s own ``key=``
@@ -178,28 +241,18 @@ class LeafNode:
                 high = mid
         return low
 
-    def serialized_size(self) -> int:
-        return _LEAF_HEADER + sum(e.serialized_size() for e in self.entries)
+    def copy(self) -> "LeafNode":
+        """A writer's leaf: a new list of the same (immutable) entries."""
+        return LeafNode(list(self.entries), self.next_leaf)
 
     @_page_errors
+    def image(self) -> bytes:
+        """The leaf as on its page, unpadded: header plus entry images."""
+        head = _TREE_HEAD.pack(LEAF_KIND, len(self.entries), _raw_link(self.next_leaf))
+        return head + b"".join([entry.image for entry in self.entries])
+
     def serialize_into(self, page: Page) -> None:
-        size = self.serialized_size()
-        if size > page.page_size:
-            raise IndexCorruptionError(
-                f"leaf of {size} bytes exceeds page ({page.page_size})"
-            )
-        parts = [
-            _TREE_HEAD.pack(LEAF_KIND, len(self.entries), _raw_link(self.next_leaf))
-        ]
-        for entry in self.entries:
-            oids = entry.oids
-            parts += (
-                _KEY_LEN.pack(len(entry.key)),
-                entry.key,
-                _POSTINGS.pack(len(oids), _raw_link(entry.overflow_page)),
-                oids.tobytes(),
-            )
-        _install(page, parts)
+        install(page, self.image())
 
     @classmethod
     @_page_errors
@@ -211,21 +264,23 @@ class LeafNode:
         entries = []
         offset = _LEAF_HEADER
         for _ in range(count):
-            key_at = offset + 2
-            key_end = key_at + _KEY_LEN.unpack_from(data, offset)[0]
+            start = offset
+            key_end = start + 2 + _KEY_LEN.unpack_from(data, start)[0]
             oid_count, overflow_raw = _POSTINGS.unpack_from(data, key_end)
-            oids_at = key_end + 6
-            offset = oids_at + 8 * oid_count
+            offset = key_end + 6 + 8 * oid_count
             if offset > page.page_size:
                 raise PageError(
-                    f"leaf entry [{key_at - 2}, {offset}) runs past the page "
+                    f"leaf entry [{start}, {offset}) runs past the page "
                     f"({page.page_size} bytes)"
                 )
+            # a copy: the page buffer may be a pool frame, written in place
+            image = bytes(data[start:offset])
             entries.append(
-                LeafEntry(
-                    bytes(data[key_at:key_end]),
-                    # a copy: the page buffer may be a pool frame, written in place
-                    np.frombuffer(data, OID_WORD, oid_count, oids_at).copy(),
+                _fill(
+                    _new(LeafEntry),
+                    image[2 : key_end - start],
+                    image,
+                    oid_count,
                     _link(overflow_raw),
                 )
             )
@@ -253,25 +308,28 @@ class InternalNode:
         self.keys.insert(position, key)
         self.children.insert(position + 1, right_child)
 
+    def copy(self) -> "InternalNode":
+        """A writer's node: new key and child lists."""
+        return InternalNode(list(self.keys), list(self.children))
+
     def serialized_size(self) -> int:
         return _INTERNAL_HEADER + sum(2 + len(k) + 4 for k in self.keys)
 
     @_page_errors
-    def serialize_into(self, page: Page) -> None:
+    def image(self) -> bytes:
+        """The node as on its page, unpadded."""
         if len(self.children) != len(self.keys) + 1:
             raise IndexCorruptionError(
                 f"internal node has {len(self.keys)} keys but "
                 f"{len(self.children)} children"
             )
-        size = self.serialized_size()
-        if size > page.page_size:
-            raise IndexCorruptionError(
-                f"internal node of {size} bytes exceeds page ({page.page_size})"
-            )
         parts = [_TREE_HEAD.pack(INTERNAL_KIND, len(self.keys), self.children[0])]
         for key, child in zip(self.keys, self.children[1:]):
             parts += (_KEY_LEN.pack(len(key)), key, _CHILD.pack(child))
-        _install(page, parts)
+        return b"".join(parts)
+
+    def serialize_into(self, page: Page) -> None:
+        install(page, self.image())
 
     @classmethod
     @_page_errors
@@ -311,24 +369,20 @@ class OverflowNode:
         """OIDs one overflow page holds."""
         return (page_size - _OVERFLOW_HEADER) // 8
 
-    def serialized_size(self) -> int:
-        return _OVERFLOW_HEADER + 8 * len(self.oids)
+    def copy(self) -> "OverflowNode":
+        """A writer's bucket: a new OID list."""
+        return OverflowNode(list(self.oids), self.next_page)
 
     @_page_errors
-    def serialize_into(self, page: Page) -> None:
-        if self.serialized_size() > page.page_size:
-            raise IndexCorruptionError(
-                f"overflow bucket of {len(self.oids)} OIDs exceeds page"
-            )
-        _install(
-            page,
-            [
-                _OVERFLOW_HEAD.pack(
-                    OVERFLOW_KIND, _raw_link(self.next_page), len(self.oids)
-                ),
-                struct.pack(f"<{len(self.oids)}Q", *self.oids),
-            ],
+    def image(self) -> bytes:
+        """The bucket as on its page, unpadded."""
+        head = _OVERFLOW_HEAD.pack(
+            OVERFLOW_KIND, _raw_link(self.next_page), len(self.oids)
         )
+        return head + struct.pack(f"<{len(self.oids)}Q", *self.oids)
+
+    def serialize_into(self, page: Page) -> None:
+        install(page, self.image())
 
     @classmethod
     @_page_errors

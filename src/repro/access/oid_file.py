@@ -104,7 +104,11 @@ class OIDFile:
         return first_index
 
     def append(self, oid: OID) -> int:
-        """Append an entry; returns its index. One page touched."""
+        """Append an entry; returns its index. One page touched.
+
+        A page that already holds entries is imaged from the decoded entry
+        table and its read charged as the fetch it stands for.
+        """
         word = _entry_word(oid)
         index = self._count
         page_no, offset = self._locate(index)
@@ -113,7 +117,8 @@ class OIDFile:
             page_no_new, page = self.file.append_page()
             assert page_no_new == page_no
         else:
-            page = self.file.read_page(page_no)
+            page = self._page_image(page_no)
+            self.file.charge_fetch(page_no)
         page.write_bytes(offset, oid.to_bytes())
         self.file.write_page(page_no, page)
         self._count += 1
@@ -165,22 +170,29 @@ class OIDFile:
         """Tombstone the entry holding ``oid``; returns its index.
 
         Sequentially scans pages until the OID is found — expected cost
-        ``SC_OID / 2`` page reads plus one write, the paper's ``UC_D``.
-        Each scanned page is compared a page of words at a time.
+        ``SC_OID / 2`` page reads plus one write, the paper's ``UC_D``. The
+        entry is found with one compare over the decoded entry table; the
+        scan over pages ``0..page`` is charged, page by page, as the
+        fetches it stands for (the whole file when the OID is absent), and
+        the page is imaged from the table.
         """
         needle = _entry_word(oid)
-        for page_no in range(self.file.num_pages):
-            page = self.file.read_page(page_no)
-            found = np.flatnonzero(self._page_words(page, page_no) == needle)
-            if found.size:
-                slot = int(found[0])
-                index = page_no * self.entries_per_page + slot
-                version = self.file.version
-                page.write_bytes(slot * OID_BYTES, _TOMBSTONE)
-                self.file.write_page(page_no, page)
-                self._flag_decoded(version, index)
-                return index
-        raise AccessFacilityError(f"OID {oid} not present in OID file")
+        found = np.flatnonzero(self._entry_words() == needle)
+        scanned = self.file.num_pages
+        if found.size:
+            scanned = int(found[0]) // self.entries_per_page + 1
+        for page_no in range(scanned):
+            self.file.charge_fetch(page_no)
+        if not found.size:
+            raise AccessFacilityError(f"OID {oid} not present in OID file")
+        index = int(found[0])
+        page_no, offset = self._locate(index)
+        page = self._page_image(page_no)
+        version = self.file.version
+        page.write_bytes(offset, _TOMBSTONE)
+        self.file.write_page(page_no, page)
+        self._flag_decoded(version, index)
+        return index
 
     def is_live(self, index: int) -> bool:
         return self.get(index) is not None
@@ -201,15 +213,17 @@ class OIDFile:
         """The entries of one page as words — a view of the page image."""
         return np.frombuffer(page.data, _WORD, self._entries_on_page(page_no))
 
-    def _entry_words(self) -> np.ndarray:
-        """Every entry as one ``uint64`` array, memoized on the file version.
+    def _decoded(self) -> tuple:
+        """Every page's words, memoized on the file version.
 
         Decoding goes through :meth:`PagedFile.peek_page`, which performs
         no accounting; callers charge the pages their lookup logically
         touches themselves. The decode is held as ``(word buffer, entries
-        decoded)`` — the shape :func:`kernels.append_row` grows — and the
-        table is the ``[:entries]`` view; :meth:`append` and :meth:`delete`
-        write behind and into it once their page write has succeeded.
+        decoded)`` — the shape :func:`kernels.append_row` grows. The buffer
+        holds what the pages hold, word for word (past its end a page is
+        still zeroed); :meth:`append` and :meth:`delete` image their page
+        from it and write behind and into it once their page write has
+        succeeded.
         """
         name = self.file.name
         version = self.file.version
@@ -223,8 +237,19 @@ class OIDFile:
                 )
             decoded = (buffer, self._count)
             self._decode_cache.put(name, version, decoded)
-        buffer, rows = decoded
+        return decoded
+
+    def _entry_words(self) -> np.ndarray:
+        """Every entry as one ``uint64`` array: the decoded table's rows."""
+        buffer, rows = self._decoded()
         return buffer[:rows]
+
+    def _page_image(self, page_no: int) -> Page:
+        """Page ``page_no`` rebuilt from the decoded words."""
+        buffer, _ = self._decoded()
+        first = page_no * self.entries_per_page
+        words = buffer[first : first + self.entries_per_page].tobytes()
+        return Page(self.file.page_size, words.ljust(self.file.page_size, b"\0"))
 
     def _flag_decoded(self, old_version: int, index: int) -> None:
         """Make the decoded table follow a tombstone write that has succeeded."""

@@ -74,14 +74,51 @@ class BufferPool:
     # ------------------------------------------------------------------
     def _read_page(self, file_name: str, page_no: int) -> Page:
         return with_retries(
-            lambda: self.store.read_page(file_name, page_no), self.retry_policy
+            self.store.read_page, self.retry_policy, file_name, page_no
         )
 
     def _write_page(self, file_name: str, page_no: int, page: Page) -> None:
         with_retries(
-            lambda: self.store.write_page(file_name, page_no, page),
-            self.retry_policy,
+            self.store.write_page, self.retry_policy, file_name, page_no, page
         )
+
+    # ------------------------------------------------------------------
+    # Unbuffered transfers (capacity 0), statistics left to the caller
+    # ------------------------------------------------------------------
+    # ``PagedFile`` records an unbuffered access's logical and physical
+    # count in one statistics call, so these count the pool miss and move
+    # the page but record no I/O themselves. The device read happens
+    # outside the lock so concurrent device reads overlap.
+    def _count_miss(self) -> None:
+        with self._lock:
+            self.misses += 1
+        self._metric_misses.inc()
+
+    def fetch_unbuffered(self, file_name: str, page_no: int) -> Page:
+        """An uncached :meth:`fetch`: one miss, one device read."""
+        self._count_miss()
+        return self._read_page(file_name, page_no)
+
+    def touch_unbuffered(self, file_name: str, page_no: int) -> None:
+        """An uncached :meth:`touch`: the range check and one miss."""
+        if not 0 <= page_no < self.store.num_pages(file_name):
+            # Raise the canonical out-of-range error, exactly as fetch would.
+            self._read_page(file_name, page_no)
+        self._count_miss()
+
+    def check_unbuffered(self, file_name: str, page_no: int) -> None:
+        """An uncached :meth:`fetch` of a page the caller holds decoded.
+
+        The miss is counted and the stored image's checksum checked, as the
+        device read would; nothing is transferred
+        (:meth:`~repro.storage.disk.DiskStore.check_page`).
+        """
+        self._count_miss()
+        self.store.check_page(file_name, page_no)
+
+    def write_unbuffered(self, file_name: str, page_no: int, page: Page) -> None:
+        """An uncached write-through: one device write."""
+        self._write_page(file_name, page_no, page)
 
     # ------------------------------------------------------------------
     # Core operations
@@ -90,12 +127,8 @@ class BufferPool:
         """Return the page, loading it from the store on a miss."""
         key = (file_name, page_no)
         if self.capacity == 0:
-            # Nothing resident and nothing retained: count the miss, then
-            # read outside the lock so concurrent device reads overlap.
-            with self._lock:
-                self.misses += 1
-            self._metric_misses.inc()
-            page = self._read_page(file_name, page_no)
+            # Nothing resident and nothing retained.
+            page = self.fetch_unbuffered(file_name, page_no)
             self.stats.record_physical_read(file_name)
             return page
         with self._lock:

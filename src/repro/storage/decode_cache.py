@@ -17,14 +17,18 @@ bit-identical whether or not the cache is warm.
 Lookups and insertions are serialized by a small internal lock so the LRU
 order, hit/miss counters, and entry map stay consistent under concurrent
 readers. Readers never mutate a payload, so sharing one across reader
-threads is safe. The one mutation is :meth:`DecodeCache.patch`: an in-place
-writer that has just moved the file from version ``v`` to ``v'`` applies
-the same change to the payload held at ``v`` and re-keys it at ``v'``, so
-the read after a write costs no decode. Writers run under the facade write
-latch (docs/CONCURRENCY.md), which already excludes every reader of the
-payload. The version check stays the only validity test: a write that
-fails part-way never reaches ``patch``, the payload stays keyed at a
-version the file has left, and the next reader decodes afresh.
+threads is safe. Writers read payloads too: an in-place write builds the
+pages it rewrites from the decode it finds (a slice matrix, an OID word
+table) and, where the payload is made of parts, writers copy the shared
+node — the nested index changes a copy of a decoded node, never the one in
+the map. The one mutation is :meth:`DecodeCache.patch`: an in-place writer
+that has just moved the file from version ``v`` to ``v'`` applies the same
+change to the payload held at ``v`` and re-keys it at ``v'``, so the read
+after a write costs no decode. Writers run under the facade write latch
+(docs/CONCURRENCY.md), which already excludes every reader of the payload.
+The version check stays the only validity test: a write that fails
+part-way never reaches ``patch``, the payload stays keyed at a version the
+file has left, and the next reader decodes afresh.
 """
 
 from __future__ import annotations

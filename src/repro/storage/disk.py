@@ -159,6 +159,26 @@ class DiskStore:
         except KeyError:
             raise StorageError(f"no such file: {name!r}") from None
 
+    def _pages_holding(self, name: str, page_no: int) -> List[bytes]:
+        """``name``'s page list, which must hold ``page_no`` (lock held)."""
+        pages = self._pages(name)
+        if not 0 <= page_no < len(pages):
+            raise StorageError(
+                f"page {page_no} out of range for {name!r} ({len(pages)} pages)"
+            )
+        return pages
+
+    def _verify(self, name: str, page_no: int, image: bytes) -> None:
+        """Raise if ``image`` fails its recorded CRC (lock held)."""
+        if (
+            self.verify_checksums
+            and zlib.crc32(image) != self._checksums[name][page_no]
+        ):
+            raise CorruptPageError(
+                f"checksum mismatch on {name!r} page {page_no}: stored image "
+                f"does not match its recorded CRC32"
+            )
+
     def allocate_page(self, name: str) -> int:
         """Extend the file by one zeroed page; return its page number."""
         with self._lock:
@@ -171,32 +191,26 @@ class DiskStore:
 
     def read_page(self, name: str, page_no: int) -> Page:
         with self._lock:
-            pages = self._pages(name)
-            if not 0 <= page_no < len(pages):
-                raise StorageError(
-                    f"page {page_no} out of range for {name!r} ({len(pages)} pages)"
-                )
+            image = self._pages_holding(name, page_no)[page_no]
             self._metric_reads.inc()
-            image = pages[page_no]
-            if (
-                self.verify_checksums
-                and zlib.crc32(image) != self._checksums[name][page_no]
-            ):
-                raise CorruptPageError(
-                    f"checksum mismatch on {name!r} page {page_no}: stored image "
-                    f"does not match its recorded CRC32"
-                )
+            self._verify(name, page_no, image)
         if self.read_latency_seconds:
             time.sleep(self.read_latency_seconds)
         return Page(self.page_size, image)
 
+    def check_page(self, name: str, page_no: int) -> None:
+        """Raise what :meth:`read_page` would for this page, moving nothing.
+
+        For a reader that already holds the page decoded: the range and
+        checksum checks of a read, without the transfer — no copy, no
+        device-read metric, no simulated latency.
+        """
+        with self._lock:
+            self._verify(name, page_no, self._pages_holding(name, page_no)[page_no])
+
     def write_page(self, name: str, page_no: int, page: Page) -> None:
         with self._lock:
-            pages = self._pages(name)
-            if not 0 <= page_no < len(pages):
-                raise StorageError(
-                    f"page {page_no} out of range for {name!r} ({len(pages)} pages)"
-                )
+            pages = self._pages_holding(name, page_no)
             if page.page_size != self.page_size:
                 raise StorageError(
                     f"page size mismatch: store {self.page_size}, "
@@ -231,12 +245,7 @@ class DiskStore:
         through :meth:`read_page`.
         """
         with self._lock:
-            pages = self._pages(name)
-            if not 0 <= page_no < len(pages):
-                raise StorageError(
-                    f"page {page_no} out of range for {name!r} ({len(pages)} pages)"
-                )
-            return pages[page_no]
+            return self._pages_holding(name, page_no)[page_no]
 
     def verify_page(self, name: str, page_no: int) -> bool:
         """``True`` iff the stored image matches its recorded checksum.
@@ -244,12 +253,8 @@ class DiskStore:
         Offline verification: touches no I/O counter and no pool state.
         """
         with self._lock:
-            pages = self._pages(name)
-            if not 0 <= page_no < len(pages):
-                raise StorageError(
-                    f"page {page_no} out of range for {name!r} ({len(pages)} pages)"
-                )
-            return zlib.crc32(pages[page_no]) == self._checksums[name][page_no]
+            image = self._pages_holding(name, page_no)[page_no]
+            return zlib.crc32(image) == self._checksums[name][page_no]
 
     def corrupt_pages(self, name: str) -> List[int]:
         """Page numbers of ``name`` whose image fails its checksum."""
@@ -319,11 +324,7 @@ class DiskStore:
         not an operation the workload performed.
         """
         with self._lock:
-            pages = self._pages(name)
-            if not 0 <= page_no < len(pages):
-                raise StorageError(
-                    f"page {page_no} out of range for {name!r} ({len(pages)} pages)"
-                )
+            pages = self._pages_holding(name, page_no)
             if len(image) != self.page_size:
                 raise StorageError(
                     f"corrupted image is {len(image)} bytes, "

@@ -105,18 +105,20 @@ class RetryPolicy:
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
-def with_retries(operation: Callable[[], T], policy: RetryPolicy) -> T:
-    """Run ``operation``, retrying transient I/O faults per ``policy``.
+def with_retries(operation: Callable[..., T], policy: RetryPolicy, *args) -> T:
+    """Run ``operation(*args)``, retrying transient I/O faults per ``policy``.
 
     Each retry increments the ``storage.retries`` metric; once
     ``max_attempts`` attempts have failed the last
-    :class:`~repro.errors.TransientIOError` propagates.
+    :class:`~repro.errors.TransientIOError` propagates. The arguments are
+    passed through rather than closed over, so a device access builds no
+    closure.
     """
     attempt = 1
     started = time.monotonic()
     while True:
         try:
-            return operation()
+            return operation(*args)
         except TransientIOError:
             REGISTRY.counter("storage.retries").inc()
             if attempt >= policy.max_attempts:

@@ -2,12 +2,15 @@
 
 A :class:`PagedFile` mediates every page access of one named file through
 the buffer pool, recording *logical* reads and writes — the paper-model
-quantity — on each call regardless of cache residency.
+quantity — on each call regardless of cache residency. Without a pool every
+logical access is also a physical one, and the two are recorded in one
+statistics call.
 
 Mutation protocol: callers fetch a page with :meth:`read_page` (or create
 one with :meth:`append_page`), mutate the returned :class:`Page` in place,
 then call :meth:`write_page` to record the logical write and schedule
-write-back. Skipping ``write_page`` after mutating loses the change on
+write-back. A caller that holds the page decoded builds the new image from
+that instead and charges the fetch it replaces with :meth:`charge_fetch`. Skipping ``write_page`` after mutating loses the change on
 eviction in cached mode and immediately in uncached mode — by design, since
 that is what forgetting to write a frame back does on a real system.
 """
@@ -64,8 +67,10 @@ class PagedFile:
     # ------------------------------------------------------------------
     def read_page(self, page_no: int) -> Page:
         """Fetch one page; counts one logical read."""
-        self._stats.record_logical_read(self.name)
-        return self._pool.fetch(self.name, page_no)
+        if self._pool.capacity:
+            self._stats.record_logical_read(self.name)
+            return self._pool.fetch(self.name, page_no)
+        return self._read_unbuffered(self._pool.fetch_unbuffered, page_no)
 
     def charge_read(self, page_no: int) -> None:
         """Charge the full accounting of :meth:`read_page` without decoding.
@@ -76,8 +81,42 @@ class PagedFile:
         it in (hit/miss counters, LRU order, residency, physical reads) —
         only the page image materialization is skipped.
         """
-        self._stats.record_logical_read(self.name)
-        self._pool.touch(self.name, page_no)
+        if self._pool.capacity:
+            self._stats.record_logical_read(self.name)
+            self._pool.touch(self.name, page_no)
+        else:
+            self._read_unbuffered(self._pool.touch_unbuffered, page_no)
+
+    def charge_fetch(self, page_no: int) -> None:
+        """:meth:`read_page` for a caller that holds the page decoded.
+
+        The read half of a rewrite whose new image is built from a decode.
+        Counters and pool state end up as the fetch would leave them, and
+        wherever the fetch would have transferred the page — always without
+        a pool, on a miss with one — the stored image's checksum is verified
+        as that transfer would, so a torn or flipped page still raises
+        :class:`~repro.errors.CorruptPageError` before it is rewritten.
+        Without a pool nothing is transferred; with one, a miss is the
+        fetch itself.
+        """
+        if self._pool.capacity:
+            self.read_page(page_no)
+        else:
+            self._read_unbuffered(self._pool.check_unbuffered, page_no)
+
+    def _read_unbuffered(self, access, page_no: int):
+        """``access(name, page_no)``, a read past an empty pool, counted.
+
+        Its logical and physical read are recorded in one statistics call;
+        if it raises, only the logical read is, as a failed fetch leaves it.
+        """
+        try:
+            result = access(self.name, page_no)
+        except BaseException:
+            self._stats.record_logical_read(self.name)
+            raise
+        self._stats.record_unbuffered_read(self.name)
+        return result
 
     def peek_page(self, page_no: int) -> Page:
         """Current page image with NO accounting or pool-state change.
@@ -109,12 +148,8 @@ class PagedFile:
                 f"page {page_no} out of range for {self.name!r} "
                 f"({self.num_pages} pages)"
             )
-        self._stats.record_logical_write(self.name)
         self._store.bump_version(self.name)
-        if self._pool.capacity == 0:
-            self._pool.write_through(self.name, page_no, page)
-        else:
-            self._pool.put(self.name, page_no, page, dirty=True)
+        self._write(page_no, page)
 
     def append_page(self) -> Tuple[int, Page]:
         """Allocate a zeroed page at the end of the file.
@@ -125,12 +160,26 @@ class PagedFile:
         """
         page_no = self._store.allocate_page(self.name)
         page = Page(self.page_size)
-        self._stats.record_logical_write(self.name)
-        if self._pool.capacity == 0:
-            self._pool.write_through(self.name, page_no, page)
-        else:
-            self._pool.put(self.name, page_no, page, dirty=True)
+        self._write(page_no, page)
         return page_no, page
+
+    def _write(self, page_no: int, page: Page) -> None:
+        """Count one logical write and hand ``page`` to the pool.
+
+        Without a pool it is written through at once, its logical and
+        physical write recorded in one statistics call (the logical one
+        alone if the device write raises).
+        """
+        if self._pool.capacity:
+            self._stats.record_logical_write(self.name)
+            self._pool.put(self.name, page_no, page, dirty=True)
+            return
+        try:
+            self._pool.write_unbuffered(self.name, page_no, page)
+        except BaseException:
+            self._stats.record_logical_write(self.name)
+            raise
+        self._stats.record_unbuffered_write(self.name)
 
     def scan_pages(self) -> Iterator[Tuple[int, Page]]:
         """Full sequential scan; each yielded page counts one logical read."""

@@ -119,11 +119,16 @@ def _replay(journal: list, start: int, stop: int) -> IOSnapshot:
     lw: Dict[str, int] = {}
     pr: Dict[str, int] = {}
     pw: Dict[str, int] = {}
-    single = {"lr": lr, "lw": lw, "pr": pr, "pw": pw}
+    # "r" and "w" are an unbuffered access: one logical and one physical count
+    single = {
+        "lr": (lr,), "lw": (lw,), "pr": (pr,), "pw": (pw,),
+        "r": (lr, pr), "w": (lw, pw),
+    }
     for kind, payload, pages in journal[start:stop]:
-        counters = single.get(kind)
-        if counters is not None:
-            counters[payload] = counters.get(payload, 0) + pages
+        targets = single.get(kind)
+        if targets is not None:
+            for counters in targets:
+                counters[payload] = counters.get(payload, 0) + pages
         else:  # many-file form: payload is a list of names
             counters = lr if kind == "LR" else pr
             for name in payload:
@@ -237,6 +242,35 @@ class IOStatistics:
         with self._lock:
             self._physical_writes[file_name] = (
                 self._physical_writes.get(file_name, 0) + pages
+            )
+
+    def record_unbuffered_read(self, file_name: str) -> None:
+        """One logical read that was also one physical read, in one call.
+
+        What a fetch past an empty pool costs: the same counts as
+        :meth:`record_logical_read` plus :meth:`record_physical_read`,
+        under one lock and as one journal entry.
+        """
+        journal = getattr(self._local, "journal", None)
+        if journal is not None:
+            journal.append(("r", file_name, 1))
+        with self._lock:
+            self._logical_reads[file_name] = self._logical_reads.get(file_name, 0) + 1
+            self._physical_reads[file_name] = (
+                self._physical_reads.get(file_name, 0) + 1
+            )
+
+    def record_unbuffered_write(self, file_name: str) -> None:
+        """The write twin of :meth:`record_unbuffered_read`."""
+        journal = getattr(self._local, "journal", None)
+        if journal is not None:
+            journal.append(("w", file_name, 1))
+        with self._lock:
+            self._logical_writes[file_name] = (
+                self._logical_writes.get(file_name, 0) + 1
+            )
+            self._physical_writes[file_name] = (
+                self._physical_writes.get(file_name, 0) + 1
             )
 
     def record_logical_read_many(self, file_names, pages_each: int) -> None:

@@ -412,7 +412,8 @@ class TestWriteThrough:
     """After every step of an insert/delete/search interleaving the cached
     matrix and OID table equal a fresh decode of the page files, answers and
     charges equal the oracle twin's, and nothing was decoded again — except
-    by the one search that follows a slice-page rollover."""
+    once per BSSF slice-page rollover, by the insert that grew the slice
+    files (it images the pages it rewrites from the matrix)."""
 
     @pytest.mark.parametrize("classes", [SSF_PAIR, BSSF_PAIR], ids=["ssf", "bssf"])
     @settings(max_examples=25, deadline=None)
@@ -466,7 +467,8 @@ class TestWriteThrough:
             assert np.array_equal(signatures, fresh_signatures)
             assert np.array_equal(entry_words, fresh_words)
             if getattr(fast, "slice_pages", None) != slice_pages:
-                # the slice files grew a page: dropped, decoded once, by us
+                # the slice files grew a page: decoded afresh, once, by the
+                # insert that grew them
                 expected_misses = (expected_misses[0] + 1, expected_misses[1])
             assert decode_misses(fast) == expected_misses
         assert fast.entry_count == next_serial
@@ -488,7 +490,10 @@ class TestWriteThrough:
         assert (patches.value, drops.value) == (before[0] + 3, before[1])
         # A write the facility did not make itself (here: raw corruption
         # of a page it owns) leaves the payload keyed at a version the
-        # file has left; the next write finds it stale and drops it.
+        # file has left. The SSF's next insert finds it stale and drops it;
+        # a BSSF insert images its slice pages from the matrix, so it
+        # decodes the matrix afresh (a miss, not a drop) and carries that
+        # across its write.
         victim = (
             fast._slice_files[0] if classes is BSSF_PAIR else fast.signature_file
         )
@@ -496,6 +501,11 @@ class TestWriteThrough:
         store._apply_corruption(
             victim.name, 0, store.page_image(victim.name, 0)
         )
+        misses = fast.decode_cache_stats()["misses"]
         fast.insert(frozenset({4}), OID(1, 4))
-        assert (patches.value, drops.value) == (before[0] + 4, before[1] + 1)
+        if classes is BSSF_PAIR:
+            assert (patches.value, drops.value) == (before[0] + 5, before[1])
+            assert fast.decode_cache_stats()["misses"] == misses + 1
+        else:
+            assert (patches.value, drops.value) == (before[0] + 4, before[1] + 1)
         assert fast.search_superset(frozenset({4})).candidates == [OID(1, 4)]

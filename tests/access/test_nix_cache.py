@@ -1,9 +1,9 @@
 """The nested index's decoded-node map against a tree that remembers nothing.
 
 ``BPlusTree`` keeps one ``{page_no: node}`` map under the file's version:
-readers take nodes from it and charge the page read, writers decode their
-own nodes and, once their last page write has landed, replace in the map
-exactly the pages they wrote. ``tests/reference/nix_tree.py`` is the same
+readers take nodes from it and charge the page read, writers copy the
+shared node, charge the fetch it stands for and, once their last page
+write has landed, replace in the map exactly the pages they wrote. ``tests/reference/nix_tree.py`` is the same
 tree fetching and decoding every page it touches, and the searches as
 loops over Python sets. After every step of a random history the two must
 agree on answers, on every logical, physical and pool counter and on the
@@ -328,9 +328,8 @@ class TestCountingGuards:
         del node_decodes[:]
         db.update(oid, {"items": new})
         changed = len(old - new) + len(new - old)
-        assert changed and len(node_decodes) == len(old) + len(new)  # a leaf each
-        assert all(isinstance(node, LeafNode) for node in node_decodes)
-        del node_decodes[:]
+        # Writers copy the shared leaf: no internal node, and no leaf either.
+        assert changed and node_decodes == []
         assert nix.search_superset(frozenset(sorted(new)[:2])).candidates.count(oid) == 1
         assert node_decodes == []  # the written leaves were carried, not dropped
 

@@ -46,6 +46,29 @@ def page_accessor_calls(monkeypatch) -> list:
 
 
 @pytest.fixture
+def device_reads(monkeypatch) -> list:
+    """``(file, page_no)`` of every page image read off the simulated disk.
+
+    Fetches past the pool and decode-cache peeks all end in
+    ``DiskStore.read_page``; a charge that only verifies a page's checksum
+    (``DiskStore.check_page``) moves nothing and does not pass here. The
+    counting guards use this to tell a write that re-reads the pages it
+    rewrites from one that images them from what is already decoded.
+    """
+    from repro.storage.disk import DiskStore
+
+    reads = []
+    real_read = DiskStore.read_page
+
+    def counting_read(store, name, page_no):
+        reads.append((name, page_no))
+        return real_read(store, name, page_no)
+
+    monkeypatch.setattr(DiskStore, "read_page", counting_read)
+    return reads
+
+
+@pytest.fixture
 def node_decodes(monkeypatch) -> list:
     """Every node the nested index's B+-tree decodes from a page.
 

@@ -11,12 +11,14 @@ counter they produce is a real fetch the shipped path has to reproduce.
 
 Each oracle subclasses the shipped class and overrides exactly the methods
 the shipped class answers from packed words: those that read or build
-signature pages in bulk (``bulk_load``, ``read_slice``, ``search_*``) and,
-on the OID file, ``get_many`` plus the ``delete`` and ``scan_live`` scans,
-which here compare one slot at a time through ``Page.read_bytes``. The
-page writes of ``insert`` and ``append`` are inherited: the oracles never
-read a decode cache, so the write-through that follows those writes in
-the shipped classes finds nothing to patch here.
+signature pages in bulk (``bulk_load``, ``read_slice``, ``search_*``), the
+BSSF ``insert`` (which ships imaging each slice page from the decoded
+slice matrix) and, on the OID file, ``get_many``, ``append`` plus the
+``delete`` and ``scan_live`` scans, which here fetch every page they touch
+and compare one slot at a time through ``Page.read_bytes``. The SSF's
+one-page ``insert`` is inherited: the oracles never read a decode cache,
+so the write-through that follows it in the shipped class finds nothing
+to patch here.
 
 :mod:`tests.reference.nix_tree` does the same for the nested index: a
 B+-tree that fetches and decodes (one field at a time, through

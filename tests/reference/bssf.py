@@ -65,6 +65,22 @@ class ReferenceBSSF(BitSlicedSignatureFile):
         self.verify()
         return entries
 
+    def insert(self, elements: SetValue, oid: OID) -> None:
+        """Fetch, flip and write back one page per slice rewritten."""
+        self.log_wal_maintenance("facility_insert", elements, oid)
+        index = self.oid_file.append(oid)
+        self._format_slices_to(-(-(index + 1) // self.entries_per_slice_page))
+        page_no = index // self.entries_per_slice_page
+        bit_in_page = index % self.entries_per_slice_page
+        ones = set(self.scheme.set_signature(elements).set_positions())
+        slices = range(self.signature_bits) if self.worst_case_insert else sorted(ones)
+        for position in slices:
+            slice_file = self._slice_files[position]
+            page = slice_file.read_page(page_no)
+            if position in ones:
+                page.data[bit_in_page // 8] |= 1 << (bit_in_page % 8)
+            slice_file.write_page(page_no, page)
+
     def read_slice(self, position: int) -> np.ndarray:
         """Bit column ``position`` as a bool array: one read per slice page."""
         if not 0 <= position < self.signature_bits:

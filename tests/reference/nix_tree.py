@@ -1,8 +1,9 @@
 """The nested index with nothing remembered between page accesses.
 
 The shipped :class:`~repro.access.nix.btree.BPlusTree` takes a node it has
-already decoded from its node map and *charges* the page read; a store
-charges the read half of its read-modify-write; and
+already decoded from its node map and *charges* the page read — a writer
+charges the fetch and changes a copy; a store charges the read half of its
+read-modify-write; and
 :class:`~repro.access.nix.nested_index.NestedIndex` unions and intersects
 packed posting arrays. Here every node access is a real
 ``PagedFile.read_page`` decoded one field at a time
@@ -25,9 +26,12 @@ class ReferenceBPlusTree(BPlusTree):
     def _load(self, page_no):
         return nix_node.deserialize(self.file.read_page(page_no))
 
-    _node = _load
+    _node = _writable = _load
 
-    def _store(self, page_no, node):
+    def _map(self):
+        return {}  # no node map: a write starts from nothing remembered
+
+    def _store(self, page_no, node, image=None):
         page = self.file.read_page(page_no)
         node.serialize_into(page)
         self.file.write_page(page_no, page)

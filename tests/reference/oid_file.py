@@ -8,7 +8,20 @@ from repro.objects.oid import OID, OID_BYTES
 
 
 class ReferenceOIDFile(OIDFile):
-    """:class:`OIDFile` whose lookups and scans decode entries from fetched pages."""
+    """:class:`OIDFile` whose lookups, scans and writes work on fetched pages."""
+
+    def append(self, oid: OID) -> int:
+        _entry_word(oid)
+        index = self._count
+        page_no, offset = self._locate(index)
+        if page_no >= self.file.num_pages:
+            page = self.file.append_page()[1]
+        else:
+            page = self.file.read_page(page_no)
+        page.write_bytes(offset, oid.to_bytes())
+        self.file.write_page(page_no, page)
+        self._count += 1
+        return index
 
     def get_many(self, indices: Sequence[int]) -> List[Optional[OID]]:
         by_page: Dict[int, List[int]] = {}

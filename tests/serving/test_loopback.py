@@ -55,6 +55,19 @@ def _build_db(count: int = 80) -> Database:
     return db
 
 
+def _cold(db: Database) -> Database:
+    """Drop the BSSF's decoded slices and OIDs.
+
+    Inserting keeps them decoded, so without this a query finds them warm
+    and never waits on the simulated device: the next query here reads
+    every slice page from the device, at the latency the test sets.
+    """
+    bssf = db.index("Student", "hobbies", "bssf")
+    bssf._decode_cache.clear()
+    bssf.oid_file._decode_cache.clear()
+    return db
+
+
 def _raw_handshake(server) -> socket.socket:
     """Dial the server and complete a HELLO by hand; returns the socket."""
     sock = socket.create_connection(server.address, timeout=5)
@@ -157,7 +170,7 @@ class TestEquivalence:
 
 class TestOverload:
     def test_saturated_server_sheds_with_admission_error(self):
-        db = _build_db(count=60)
+        db = _cold(_build_db(count=60))
         service = QueryService(
             db,
             max_workers=1,
@@ -182,7 +195,7 @@ class TestOverload:
 
     def test_connection_survives_a_shed_request(self):
         """An ERROR frame is an answer, not a disconnect."""
-        db = _build_db(count=60)
+        db = _cold(_build_db(count=60))
         service = QueryService(
             db,
             max_workers=1,
@@ -232,7 +245,7 @@ class TestTenants:
                     client.ping()
 
     def test_tenant_quota_sheds_before_service_admission(self):
-        db = _build_db(count=60)
+        db = _cold(_build_db(count=60))
         db.storage.store.read_latency_seconds = 0.005
         try:
             with self._server(db) as server:
@@ -354,7 +367,7 @@ class TestEdgeDiscipline:
 
 class TestGracefulShutdown:
     def test_drain_delivers_inflight_response_then_bye(self):
-        db = _build_db(count=60)
+        db = _cold(_build_db(count=60))
         db.storage.store.read_latency_seconds = 0.005
         try:
             server = TcpQueryServer(db, max_workers=2).start()
