@@ -20,6 +20,8 @@ import abc
 from dataclasses import dataclass
 from typing import FrozenSet, Hashable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.objects.oid import OID
 
 SetValue = FrozenSet[Hashable]
@@ -41,31 +43,56 @@ class BatchQuerySpec:
 
 
 class SearchResult:
-    """Candidates plus provenance for the executor and the experiments."""
+    """Candidates plus provenance for the executor and the experiments.
 
-    __slots__ = ("candidates", "exact", "facility", "detail")
+    A facility that holds its candidates as packed OID words (NIX posting
+    lists, the OID file's word table) passes ``candidates=None`` and the
+    ``uint64`` array as ``words``; one that holds :class:`OID` objects
+    passes those. Each form is built from the other on first use, so drop
+    resolution, which reads :attr:`words`, builds no ``OID`` for a
+    candidate it drops.
+    """
+
+    __slots__ = ("_candidates", "_words", "exact", "facility", "detail")
 
     def __init__(
         self,
-        candidates: List[OID],
+        candidates: Optional[List[OID]],
         exact: bool,
         facility: str,
         detail: Optional[dict] = None,
+        words: Optional[np.ndarray] = None,
     ):
-        self.candidates = candidates
+        self._candidates = candidates
+        self._words = words
         self.exact = exact
         self.facility = facility
         self.detail = detail or {}
 
+    @property
+    def candidates(self) -> List[OID]:
+        """The candidates as :class:`OID` objects, in facility order."""
+        if self._candidates is None:
+            self._candidates = [OID.from_int(word) for word in self._words.tolist()]
+        return self._candidates
+
+    @property
+    def words(self) -> np.ndarray:
+        """The candidates packed as :meth:`OID.to_int` ``uint64`` words."""
+        if self._words is None:
+            self._words = np.array(
+                [oid.to_int() for oid in self._candidates], dtype=np.uint64
+            )
+        return self._words
+
     def __len__(self) -> int:
-        return len(self.candidates)
+        if self._candidates is None:
+            return len(self._words)
+        return len(self._candidates)
 
     def __repr__(self) -> str:
         kind = "exact" if self.exact else "candidate"
-        return (
-            f"SearchResult({len(self.candidates)} {kind} OIDs "
-            f"from {self.facility})"
-        )
+        return f"SearchResult({len(self)} {kind} OIDs from {self.facility})"
 
 
 class SetAccessFacility(abc.ABC):

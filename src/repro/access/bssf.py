@@ -495,10 +495,10 @@ class BitSlicedSignatureFile(SetAccessFacility):
     def _resolve(
         self, drop_indices: List[int], mode: str, slices_read: int
     ) -> SearchResult:
-        oids = self.oid_file.get_many(drop_indices)
-        live = [oid for oid in oids if oid is not None]
+        live = self.oid_file.live_words(drop_indices)
         return SearchResult(
-            candidates=live,
+            None,
+            words=live,
             exact=False,
             facility=self.name,
             detail={

@@ -28,8 +28,9 @@ from typing import Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.access.base import SearchResult, SetAccessFacility, SetValue
-from repro.access.nix.btree import BPlusTree, as_oids
+from repro.access.nix.btree import BPlusTree
 from repro.access.nix.keycodec import EMPTY_SET_KEY, encode_key
+from repro.access.nix.node import OID_WORD
 from repro.errors import AccessFacilityError
 from repro.objects.oid import OID
 from repro.obs.tracer import traced_search
@@ -155,7 +156,8 @@ class NestedIndex(SetAccessFacility):
             if not len(words):
                 break
         return SearchResult(
-            candidates=as_oids(words),
+            None,
+            words=words,
             exact=not partial,
             facility=self.name,
             detail={"mode": "superset", "lookups": lookups, "partial": partial},
@@ -166,7 +168,8 @@ class NestedIndex(SetAccessFacility):
         """Union per-element OID lists plus the empty-set bucket."""
         keys = [EMPTY_SET_KEY] + [encode_key(e) for e in sorted(query, key=repr)]
         return SearchResult(
-            candidates=self._union(keys),
+            None,
+            words=self._union(keys),
             exact=False,
             facility=self.name,
             detail={"mode": "subset", "lookups": len(keys)},
@@ -178,18 +181,20 @@ class NestedIndex(SetAccessFacility):
         exactly the overlapping objects — an exact answer for NIX."""
         keys = [encode_key(e) for e in sorted(query, key=repr)]
         return SearchResult(
-            candidates=self._union(keys),
+            None,
+            words=self._union(keys),
             exact=True,
             facility=self.name,
             detail={"mode": "overlap", "lookups": len(keys)},
         )
 
-    def _union(self, keys: Iterable[bytes]) -> List[OID]:
-        """Every OID posted under any of ``keys``, looked up in order."""
+    def _union(self, keys: Iterable[bytes]) -> np.ndarray:
+        """Every OID posted under any of ``keys``, looked up in order, as
+        sorted packed words."""
         lists = [self.tree.postings(key) for key in keys]
         if not lists:
-            return []
-        return as_oids(np.unique(np.concatenate(lists)))
+            return np.empty(0, dtype=OID_WORD)
+        return np.unique(np.concatenate(lists))
 
     def lookup_element(self, element) -> List[OID]:
         """Single-element lookup (the membership operator ∈)."""

@@ -150,21 +150,32 @@ class OIDFile:
         exactly as reading each of them once would, and an out-of-range
         index raises before any page is charged.
         """
-        if not indices:
-            return []
+        return [
+            None if word == _TOMBSTONE_WORD else OID.from_int(word)
+            for word in self._charged_words(indices).tolist()
+        ]
+
+    def live_words(self, indices: Sequence[int]) -> np.ndarray:
+        """:meth:`get_many` as packed ``uint64`` OID words, tombstones
+        dropped: a signature file's candidates, in entry order, with no
+        :class:`OID` built. Charged exactly as :meth:`get_many`."""
+        words = self._charged_words(indices)
+        return words[words != _TOMBSTONE_WORD]
+
+    def _charged_words(self, indices: Sequence[int]) -> np.ndarray:
+        """The entry words at ``indices``, their distinct pages charged."""
+        if not len(indices):
+            return np.empty(0, dtype=_WORD)
         wanted = np.asarray(indices, dtype=np.int64)
         unique = np.unique(wanted)
         if unique[0] < 0:
             self._check_index(int(unique[0]))
         elif unique[-1] >= self._count:
             self._check_index(int(unique[unique >= self._count][0]))
-        words = self._entry_words()[wanted].tolist()
+        words = self._entry_words()[wanted]
         for page_no in np.unique(unique // self.entries_per_page):
             self.file.charge_read(int(page_no))
-        return [
-            None if word == _TOMBSTONE_WORD else OID.from_int(word)
-            for word in words
-        ]
+        return words
 
     def delete(self, oid: OID) -> int:
         """Tombstone the entry holding ``oid``; returns its index.

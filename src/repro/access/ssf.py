@@ -295,10 +295,10 @@ class SequentialSignatureFile(SetAccessFacility):
         return min(self.sigs_per_page, self.entry_count - start)
 
     def _resolve(self, drop_indices: List[int], mode: str) -> SearchResult:
-        oids = self.oid_file.get_many(drop_indices)
-        live = [oid for oid in oids if oid is not None]
+        live = self.oid_file.live_words(drop_indices)
         return SearchResult(
-            candidates=live,
+            None,
+            words=live,
             exact=False,
             facility=self.name,
             detail={"mode": mode, "drops": len(drop_indices), "live_drops": len(live)},

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.access.base import SetAccessFacility
 from repro.access.bssf import BitSlicedSignatureFile
@@ -678,11 +678,6 @@ class Database:
     def get(self, oid: OID) -> Dict[str, Any]:
         return self.objects.fetch(oid)
 
-    def get_many(self, oids: Iterable[OID]) -> List[Dict[str, Any]]:
-        """``[get(oid) for oid in oids]`` with the same page charges, one
-        object-page fetch per run of OIDs that share a page."""
-        return list(self.objects.fetch_many(oids))
-
     def update(self, oid: OID, values: Dict[str, Any]) -> None:
         class_name = self.objects.class_name_of(oid)
 
@@ -854,13 +849,18 @@ class Database:
         with the object's own set value must return the object (signature
         facilities guarantee no false dismissals; NIX intersection is
         exact), and no search may surface a dead OID. Structural
-        :meth:`verify` runs on every facility as well.
+        :meth:`verify` runs on every facility as well, and first every
+        object file's record decode is checked against its pages
+        (:meth:`~repro.objects.object_file.ObjectFile.verify_decodes`).
 
         Returns the number of objects checked per ``class.attribute``;
         raises :class:`IndexCorruptionError` on the first inconsistency.
         """
         from repro.errors import IndexCorruptionError
 
+        for class_name in self.objects.class_names():
+            with self.read_scope(class_name):  # no write half-seen
+                self.objects.verify_decodes(class_name)
         checked: Dict[str, int] = {}
         for (class_name, attribute), per_path in sorted(self._indexes.items()):
             for facility in per_path.values():

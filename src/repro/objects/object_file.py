@@ -12,14 +12,23 @@ is a classic slotted page:
 
 Records must fit in one page (page_size - 8 bytes of overhead); the paper's
 workloads (sets of up to a few hundred elements) satisfy this comfortably.
+
+Drop resolution (:meth:`ObjectFile.select`) tests predicates on a decode
+of the records it has seen before: one ``{address: values}`` map per file
+in a :class:`~repro.storage.decode_cache.DecodeCache`, keyed on the file's
+version, filled one record at a time as candidates are first tested, and
+carried across every write here with :meth:`DecodeCache.patch`, which
+forgets only the addresses the write touched.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from repro.errors import ObjectStoreError
+from repro.errors import IndexCorruptionError, ObjectStoreError
+from repro.objects.serde import decode_object
+from repro.storage.decode_cache import DecodeCache
 from repro.storage.page import Page
 from repro.storage.paged_file import PagedFile
 
@@ -61,12 +70,26 @@ def _free_bytes(page: Page) -> int:
     return directory_start - free_start
 
 
+def _frozen(values: Dict[str, Any]) -> Dict[str, Any]:
+    """A decoded record as the decode cache holds it: its sets frozen.
+
+    ``SetPredicate.matches`` freezes the set it tests; a frozenset goes
+    through as it is, and no row handed to a caller shares an object
+    with the cache.
+    """
+    return {
+        name: frozenset(value) if type(value) is set else value
+        for name, value in values.items()
+    }
+
+
 class ObjectFile:
     """Record-oriented heap file over a :class:`PagedFile`."""
 
     def __init__(self, paged_file: PagedFile):
         self.file = paged_file
         self.max_record_bytes = self.file.page_size - _HEADER_BYTES - _SLOT_BYTES
+        self._decode_cache = DecodeCache(max_entries=1)
 
     # ------------------------------------------------------------------
     # Record operations
@@ -83,6 +106,12 @@ class ObjectFile:
                 f"record of {len(record)} bytes exceeds page capacity "
                 f"({self.max_record_bytes} bytes)"
             )
+        version = self.file.version
+        address = self._append(record)
+        self._follow(version)  # a new slot: nothing decoded to forget
+        return address
+
+    def _append(self, record: bytes) -> RecordAddress:
         if self.file.num_pages:
             page_no = self.file.num_pages - 1
             page = self.file.read_page(page_no)
@@ -132,10 +161,7 @@ class ObjectFile:
                 run = (page_no, file.version)
             else:
                 file.charge_read(page_no)
-            offset, length = self._slot(page, address)
-            if offset == _DELETED_OFFSET:
-                raise ObjectStoreError(f"record at {address} was deleted")
-            yield page.read_bytes(offset, length)
+            yield self._record(page, address)
 
     def delete(self, address: RecordAddress) -> None:
         """Mark a record deleted (offset sentinel). Space is not reclaimed —
@@ -146,7 +172,9 @@ class ObjectFile:
             raise ObjectStoreError(f"record at {address} already deleted")
         entry = _slot_entry_offset(page.page_size, address.slot)
         page.write_u16(entry, _DELETED_OFFSET)
+        version = self.file.version
         self.file.write_page(address.page_no, page)
+        self._follow(version, address)
 
     def update(self, address: RecordAddress, record: bytes) -> RecordAddress:
         """Rewrite a record. In place when the new image fits the old
@@ -159,10 +187,119 @@ class ObjectFile:
             page.write_bytes(offset, record)
             entry = _slot_entry_offset(page.page_size, address.slot)
             page.write_u16(entry + 2, len(record))
+            version = self.file.version
             self.file.write_page(address.page_no, page)
+            self._follow(version, address)
             return address
         self.delete(address)
         return self.insert(record)
+
+    def select(
+        self, addresses: Sequence[RecordAddress], predicates: Sequence[Any]
+    ) -> List[Tuple[int, Dict[str, Any]]]:
+        """Drop resolution over ``addresses``: ``(position, values)`` of
+        each record that satisfies every predicate, in order.
+
+        Charged exactly as :meth:`read_many` over the same addresses. A run
+        of consecutive addresses on one page does one real ``read_page``
+        (checksum, retries and injected faults included); the rest of the
+        run is charged in one :meth:`PagedFile.charge_rereads` call when
+        the run ends, or before an error leaves it. Predicates
+        (``matches(values)``) are tested on the cached decode of a record,
+        decoded from the run's page the first time it is tested; only a
+        record that satisfies them all is decoded again, fresh from the
+        page, into the values returned. A bad address raises at its
+        position with everything up to it charged.
+        """
+        file = self.file
+        records = self._records()
+        survivors: List[Tuple[int, Dict[str, Any]]] = []
+        run_page = None
+        pending = 0  # reads of ``run_page`` made but not yet charged
+        try:
+            for position, address in enumerate(addresses):
+                if address[0] != run_page:
+                    if pending:
+                        file.charge_rereads(run_page, pending)
+                        pending = 0
+                    page = file.read_page(address[0])
+                    run_page = address[0]
+                else:
+                    pending += 1
+                values = records.get(address)
+                if values is None:
+                    values = _frozen(decode_object(self._record(page, address)))
+                    records[address] = values
+                for predicate in predicates:
+                    if not predicate.matches(values):
+                        break
+                else:
+                    survivors.append(
+                        (position, decode_object(self._record(page, address)))
+                    )
+        finally:
+            if pending:
+                file.charge_rereads(run_page, pending)
+        return survivors
+
+    def _records(self) -> Dict[RecordAddress, Dict[str, Any]]:
+        """The record decode held at the file's current version."""
+        name, version = self.file.name, self.file.version
+        records = self._decode_cache.get(name, version)
+        if records is None:
+            records = {}
+            self._decode_cache.put(name, version, records)
+        return records
+
+    def _follow(self, old_version: int, *touched: RecordAddress) -> None:
+        """Carry the record decode across a write that moved the file from
+        ``old_version``, forgetting the records at ``touched``."""
+
+        def forget(records: dict) -> dict:
+            for address in touched:
+                records.pop(address, None)
+            return records
+
+        self._decode_cache.patch(
+            self.file.name, old_version, self.file.version, forget
+        )
+
+    def verify_decodes(self) -> None:
+        """Check every cached record against a fresh decode of its slot.
+
+        Pages are read with :meth:`PagedFile.peek_page`, so nothing is
+        charged. On the first record that differs — or whose slot is
+        deleted or gone — the payload is dropped, so the next reader
+        decodes afresh, and :class:`IndexCorruptionError` names the file,
+        page and slot. A payload held at a version the file has left is
+        never served again and is not checked.
+        """
+        name = self.file.name
+        held = self._decode_cache.entry(name)
+        if held is None or held[0] != self.file.version:
+            return
+        page_no = None
+        for address, cached in sorted(held[1].items()):
+            if address[0] != page_no:
+                page_no = address[0]
+                page = self.file.peek_page(page_no)
+            try:
+                fresh = _frozen(decode_object(self._record(page, address)))
+            except ObjectStoreError:
+                fresh = None
+            if fresh != cached:
+                self._decode_cache.invalidate(name)
+                raise IndexCorruptionError(
+                    f"object file {name!r}: the decode cached for page "
+                    f"{address[0]}, slot {address[1]} differs from the slot"
+                )
+
+    def _record(self, page: Page, address: RecordAddress) -> bytes:
+        """The live record at ``address`` on its fetched ``page``."""
+        offset, length = self._slot(page, address)
+        if offset == _DELETED_OFFSET:
+            raise ObjectStoreError(f"record at {address} was deleted")
+        return page.read_bytes(offset, length)
 
     def _slot(self, page: Page, address: RecordAddress) -> Tuple[int, int]:
         page_no, slot = address

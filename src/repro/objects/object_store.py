@@ -6,17 +6,22 @@ and objects live undecomposed in the object file of their class.
 
 The OID → record-address directory is kept in memory and its maintenance is
 not charged page accesses, mirroring the paper's model in which OID-based
-object access costs exactly ``P_s``/``P_u`` = 1 page.
+object access costs exactly ``P_s``/``P_u`` = 1 page. It is keyed by the
+packed OID word (:meth:`OID.to_int`), the form facilities hand candidates
+over in, so drop resolution (:meth:`ObjectStore.resolve`) builds an
+:class:`OID` only for a row it returns.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ObjectStoreError, SchemaError, UnknownOIDError
 from repro.objects.object_file import ObjectFile, RecordAddress
-from repro.objects.oid import OID, OIDAllocator
+from repro.objects.oid import OID, SERIAL_BITS, OIDAllocator
 from repro.objects.schema import ClassSchema
 from repro.objects.serde import decode_object, encode_object
 from repro.storage.paged_file import StorageManager
@@ -31,7 +36,7 @@ class ObjectStore:
         self._class_ids: Dict[str, int] = {}
         self._class_names: Dict[int, str] = {}
         self._files: Dict[str, ObjectFile] = {}
-        self._directory: Dict[OID, RecordAddress] = {}
+        self._directory: Dict[int, RecordAddress] = {}  # OID word -> address
         self._live_counts: Dict[int, int] = {}
         # Monotonic churn counter per class: inserts and deletes both
         # count. The live count alone cannot drive staleness decisions —
@@ -109,7 +114,7 @@ class ObjectStore:
             payload = encode_object(values)
         oid = self._allocator.allocate(self._class_ids[class_name])
         address = self._files[class_name].insert(payload)
-        self._directory[oid] = address
+        self._directory[oid.to_int()] = address
         class_id = oid.class_id
         self._live_counts[class_id] = self._live_counts.get(class_id, 0) + 1
         self._bump_mutations(class_id)
@@ -140,11 +145,11 @@ class ObjectStore:
                 f"OID {oid} carries class id {oid.class_id}, but "
                 f"{class_name!r} is class {class_id}"
             )
-        if oid in self._directory:
+        if oid.to_int() in self._directory:
             raise ObjectStoreError(f"{oid} is already live")
         self._allocator.reserve(class_id, oid.serial)
         address = self._files[class_name].insert(payload)
-        self._directory[oid] = address
+        self._directory[oid.to_int()] = address
         self._live_counts[class_id] = self._live_counts.get(class_id, 0) + 1
         self._bump_mutations(class_id)
         return oid
@@ -157,12 +162,65 @@ class ObjectStore:
         """The objects of ``oids``, in order and lazily, one logical page
         read each; an unknown or deleted OID raises at its position.
 
-        Candidates in OID order sit on the same few object pages, and each
-        run of them costs one page fetch (:meth:`ObjectFile.read_many`).
+        OIDs in OID order (a scan's) sit on the same few object pages, and
+        each run of them costs one page fetch (:meth:`ObjectFile.read_many`).
+        Drop resolution goes through :meth:`resolve` instead.
         """
         for class_name, run in groupby(oids, key=self.class_name_of):
             records = self._files[class_name].read_many(map(self._address, run))
             yield from map(decode_object, records)
+
+    def resolve(
+        self, words: Sequence[int], predicates: Sequence[Any]
+    ) -> List[Tuple[OID, Dict[str, Any]]]:
+        """Drop resolution: the candidates that satisfy every predicate.
+
+        ``words`` are candidate OIDs packed as :meth:`OID.to_int` words (a
+        ``uint64`` array or a list), in the order a facility produced them;
+        the rows come back in that order as ``(OID, values)``. Each
+        candidate costs the one object-page read the paper's model prices,
+        charged exactly as a :meth:`fetch` per candidate would charge it
+        (``tests/reference/drop_resolution.py`` is that loop), and an
+        unknown or deleted OID raises at its position with everything
+        before it charged. Candidates are handed to their class's
+        :meth:`ObjectFile.select` a class at a time; see there for how a
+        page run is read once and tested on cached decodes.
+        """
+        if isinstance(words, np.ndarray):
+            words = words.tolist()
+        directory = self._directory
+        rows: List[Tuple[OID, Dict[str, Any]]] = []
+        batch: List[int] = []  # the words of one class, in order
+        addresses: List[RecordAddress] = []
+        class_id = None
+        for word in words:
+            address = directory.get(word)
+            if address is None or word >> SERIAL_BITS != class_id:
+                self._select(class_id, batch, addresses, predicates, rows)
+                if address is None:
+                    raise self._unknown(word)
+                class_id = word >> SERIAL_BITS
+                batch, addresses = [], []
+            batch.append(word)
+            addresses.append(address)
+        self._select(class_id, batch, addresses, predicates, rows)
+        return rows
+
+    def _select(self, class_id, words, addresses, predicates, rows) -> None:
+        """Resolve one class's batch, appending its surviving rows."""
+        if not words:
+            return
+        selected = self._files[self._class_names[class_id]].select(
+            addresses, predicates
+        )
+        for position, values in selected:
+            rows.append((OID.from_int(words[position]), values))
+
+    def _unknown(self, word: int) -> UnknownOIDError:
+        """The error :meth:`fetch` raises for a word with no live object."""
+        oid = OID.from_int(word)
+        self.class_name_of(oid)  # an unknown class is reported as such
+        return UnknownOIDError(f"no live object for {oid}")
 
     def update(
         self,
@@ -177,14 +235,14 @@ class ObjectStore:
             payload = encode_object(values)
         address = self._address(oid)
         new_address = self._files[class_name].update(address, payload)
-        self._directory[oid] = new_address
+        self._directory[oid.to_int()] = new_address
         self._bump_mutations(oid.class_id)
 
     def delete(self, oid: OID) -> None:
         class_name = self.class_name_of(oid)
         address = self._address(oid)
         self._files[class_name].delete(address)
-        del self._directory[oid]
+        del self._directory[oid.to_int()]
         self._live_counts[oid.class_id] -= 1
         self._bump_mutations(oid.class_id)
 
@@ -195,12 +253,12 @@ class ObjectStore:
 
     def _address(self, oid: OID) -> RecordAddress:
         try:
-            return self._directory[oid]
+            return self._directory[oid.to_int()]
         except KeyError:
             raise UnknownOIDError(f"no live object for {oid}") from None
 
     def exists(self, oid: OID) -> bool:
-        return oid in self._directory
+        return oid.to_int() in self._directory
 
     # ------------------------------------------------------------------
     # Scans & statistics
@@ -211,12 +269,17 @@ class ObjectStore:
         Costs one logical read per object, as the same ``fetch`` calls
         would; consecutive objects on one page share its fetch.
         """
+        oids = [OID.from_int(word) for word in self.live_words(class_name)]
+        yield from zip(oids, self.fetch_many(oids))
+
+    def live_words(self, class_name: str) -> List[int]:
+        """Every live object of a class as an OID word, in OID order —
+        the candidates of a sequential scan (see :meth:`resolve`)."""
         self.schema(class_name)  # raises for unknown classes
         class_id = self._class_ids[class_name]
-        oids = sorted(
-            oid for oid in self._directory if oid.class_id == class_id
+        return sorted(
+            word for word in self._directory if word >> SERIAL_BITS == class_id
         )
-        yield from zip(oids, self.fetch_many(oids))
 
     def count(self, class_name: str) -> int:
         """Live objects of a class — O(1) via the maintained counter.
@@ -240,6 +303,11 @@ class ObjectStore:
         self.schema(class_name)
         class_id = self._class_ids[class_name]
         return self._mutation_counts.get(class_id, 0)
+
+    def verify_decodes(self, class_name: str) -> None:
+        """:meth:`ObjectFile.verify_decodes` on the class's object file."""
+        self.schema(class_name)  # raises for unknown classes
+        self._files[class_name].verify_decodes()
 
     def object_pages(self, class_name: str) -> int:
         """Pages occupied by a class's object file."""

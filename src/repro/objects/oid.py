@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from repro.errors import ObjectStoreError
 
 OID_BYTES = 8
+SERIAL_BITS = 48  # a packed OID word is ``class_id << SERIAL_BITS | serial``
 _MAX_CLASS_ID = 0xFFFF
-_MAX_SERIAL = 0xFFFFFFFFFFFF
+_MAX_SERIAL = (1 << SERIAL_BITS) - 1
 
 
 @dataclass(frozen=True, order=True)
@@ -32,13 +33,13 @@ class OID:
             raise ObjectStoreError(f"serial out of range: {self.serial}")
 
     def to_int(self) -> int:
-        return (self.class_id << 48) | self.serial
+        return (self.class_id << SERIAL_BITS) | self.serial
 
     @classmethod
     def from_int(cls, value: int) -> "OID":
         if not 0 <= value <= 0xFFFFFFFFFFFFFFFF:
             raise ObjectStoreError(f"OID integer out of range: {value}")
-        return cls(class_id=value >> 48, serial=value & _MAX_SERIAL)
+        return cls(class_id=value >> SERIAL_BITS, serial=value & _MAX_SERIAL)
 
     def to_bytes(self) -> bytes:
         return struct.pack("<Q", self.to_int())

@@ -360,7 +360,7 @@ def traced_search(span_name: str) -> Callable:
                 for key, value in result.detail.items():
                     if isinstance(value, (str, int, float, bool)):
                         sp.set(key, value)
-                sp.set("candidates", len(result.candidates))
+                sp.set("candidates", len(result))
                 sp.set("exact", result.exact)
                 return result
 

@@ -30,7 +30,7 @@ from repro.core.signature import SignatureScheme
 from repro.errors import CorruptPageError, StorageError
 from repro.objects.database import Database
 from repro.objects.object_file import ObjectFile, RecordAddress
-from repro.objects.oid import OID
+from repro.objects.oid import OID, SERIAL_BITS
 from repro.objects.schema import Attribute, AttributeKind, ClassSchema
 from repro.obs.metrics import REGISTRY
 from repro.persistence.format import read_header, read_pages, write_snapshot
@@ -134,8 +134,8 @@ def build_catalog(db: Database) -> Dict[str, Any]:
             for class_id, serial in objects._allocator._next_serial.items()
         },
         "directory": [
-            [oid.to_int(), address.page_no, address.slot]
-            for oid, address in sorted(objects._directory.items())
+            [word, address.page_no, address.slot]
+            for word, address in sorted(objects._directory.items())
         ],
         "indexes": indexes,
     }
@@ -369,12 +369,14 @@ def populate_database(
         for class_id, serial in catalog["allocator"].items()
     }
     objects._directory = {
-        OID.from_int(oid_int): RecordAddress(page_no, slot)
-        for oid_int, page_no, slot in catalog["directory"]
+        # from_int refuses a word no OID packs to
+        OID.from_int(word).to_int(): RecordAddress(page_no, slot)
+        for word, page_no, slot in catalog["directory"]
     }
     live_counts = {}
-    for oid in objects._directory:
-        live_counts[oid.class_id] = live_counts.get(oid.class_id, 0) + 1
+    for word in objects._directory:
+        class_id = word >> SERIAL_BITS
+        live_counts[class_id] = live_counts.get(class_id, 0) + 1
     objects._live_counts = live_counts
 
     for descriptor in catalog["indexes"]:

@@ -22,6 +22,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.access.base import SearchResult
 from repro.errors import AccessFacilityError, PlanningError, StorageError
 from repro.objects.database import Database
@@ -359,13 +361,11 @@ class QueryExecutor:
             _M_FALSE_DROP_RATIO.record(stats.false_drops / stats.candidates)
 
     def _run_scan(self, plan: AccessPlan, query: ParsedQuery):
-        rows = []
-        scanned = 0
-        for oid, values in self.database.scan(plan.class_name):
-            scanned += 1
-            if all(p.matches(values) for p in query.predicates):
-                rows.append((oid, values))
-        return rows, {"scanned": scanned}, scanned
+        """A sequential scan is drop resolution over every live object."""
+        objects = self.database.objects
+        words = objects.live_words(plan.class_name)
+        rows = objects.resolve(words, query.predicates)
+        return rows, {"scanned": len(words)}, len(words)
 
     def _run_index(self, plan: AccessPlan, query: ParsedQuery):
         result, reason = self._driving_search(plan)
@@ -373,7 +373,7 @@ class QueryExecutor:
             # The driving facility is unusable; answer via sequential scan
             # (exact by construction) instead of surfacing the failure.
             return self._run_degraded_scan(plan, query, reason)
-        candidates = result.candidates
+        candidates = result.words
         detail = dict(result.detail)
         if plan.intersect_with is not None:
             second = plan.intersect_with
@@ -411,8 +411,9 @@ class QueryExecutor:
                     second_result = None
                     sp.set("skipped", str(exc))
                 else:
-                    survivors = set(candidates) & set(second_result.candidates)
-                    sp.set("surviving", len(survivors))
+                    # sorted and duplicate-free: rows come in OID order
+                    candidates = np.intersect1d(candidates, second_result.words)
+                    sp.set("surviving", len(candidates))
             if second_result is None:
                 detail["intersection_skipped"] = {
                     "facility": second.facility_name,
@@ -421,15 +422,11 @@ class QueryExecutor:
             else:
                 detail["intersected_with"] = {
                     "facility": second.facility_name,
-                    "candidates": len(second_result.candidates),
-                    "surviving": len(survivors),
+                    "candidates": len(second_result),
+                    "surviving": len(candidates),
                 }
-                candidates = sorted(survivors)
-        rows = []
         with trace.span("query.drop_resolution", candidates=len(candidates)) as sp:
-            for oid, values in zip(candidates, self.database.get_many(candidates)):
-                if all(p.matches(values) for p in query.predicates):
-                    rows.append((oid, values))
+            rows = self.database.objects.resolve(candidates, query.predicates)
             sp.set("false_drops", len(candidates) - len(rows))
         detail["exact_search"] = result.exact and plan.intersect_with is None
         return rows, detail, len(candidates)

@@ -89,14 +89,15 @@ class BufferPool:
     # count in one statistics call, so these count the pool miss and move
     # the page but record no I/O themselves. The device read happens
     # outside the lock so concurrent device reads overlap.
-    def _count_miss(self) -> None:
+    def count_misses(self, count: int = 1) -> None:
+        """Count ``count`` misses of an empty pool; nothing is transferred."""
         with self._lock:
-            self.misses += 1
-        self._metric_misses.inc()
+            self.misses += count
+        self._metric_misses.inc(count)
 
     def fetch_unbuffered(self, file_name: str, page_no: int) -> Page:
         """An uncached :meth:`fetch`: one miss, one device read."""
-        self._count_miss()
+        self.count_misses()
         return self._read_page(file_name, page_no)
 
     def touch_unbuffered(self, file_name: str, page_no: int) -> None:
@@ -104,7 +105,7 @@ class BufferPool:
         if not 0 <= page_no < self.store.num_pages(file_name):
             # Raise the canonical out-of-range error, exactly as fetch would.
             self._read_page(file_name, page_no)
-        self._count_miss()
+        self.count_misses()
 
     def check_unbuffered(self, file_name: str, page_no: int) -> None:
         """An uncached :meth:`fetch` of a page the caller holds decoded.
@@ -113,7 +114,7 @@ class BufferPool:
         device read would; nothing is transferred
         (:meth:`~repro.storage.disk.DiskStore.check_page`).
         """
-        self._count_miss()
+        self.count_misses()
         self.store.check_page(file_name, page_no)
 
     def write_unbuffered(self, file_name: str, page_no: int, page: Page) -> None:

@@ -111,6 +111,15 @@ class DecodeCache:
                 self._entries[name] = (new_version, patched)
                 self._metric_patches.inc()
 
+    def entry(self, name: str) -> Optional[Tuple[int, Any]]:
+        """``(version, payload)`` held for ``name``, counted as no lookup.
+
+        For verifiers, which compare a payload with its file and must not
+        move the hit ratio the workload is measured by.
+        """
+        with self._lock:
+            return self._entries.get(name)
+
     def invalidate(self, name: str) -> None:
         with self._lock:
             self._entries.pop(name, None)

@@ -87,6 +87,22 @@ class PagedFile:
         else:
             self._read_unbuffered(self._pool.touch_unbuffered, page_no)
 
+    def charge_rereads(self, page_no: int, count: int) -> None:
+        """:meth:`charge_read` ``count`` times for a page just read.
+
+        The caller has read ``page_no`` with :meth:`read_page` and holds
+        its image, so the page exists: without a pool the reads are one
+        miss count and one statistics call; with one, each is a
+        :meth:`BufferPool.touch`, keeping hit counts and LRU order exact.
+        """
+        if self._pool.capacity:
+            self._stats.record_logical_read(self.name, count)
+            for _ in range(count):
+                self._pool.touch(self.name, page_no)
+        else:
+            self._pool.count_misses(count)
+            self._stats.record_unbuffered_read(self.name, count)
+
     def charge_fetch(self, page_no: int) -> None:
         """:meth:`read_page` for a caller that holds the page decoded.
 

@@ -244,20 +244,22 @@ class IOStatistics:
                 self._physical_writes.get(file_name, 0) + pages
             )
 
-    def record_unbuffered_read(self, file_name: str) -> None:
-        """One logical read that was also one physical read, in one call.
+    def record_unbuffered_read(self, file_name: str, pages: int = 1) -> None:
+        """Logical reads that were also physical reads, in one call.
 
-        What a fetch past an empty pool costs: the same counts as
+        What fetches past an empty pool cost: the same counts as
         :meth:`record_logical_read` plus :meth:`record_physical_read`,
         under one lock and as one journal entry.
         """
         journal = getattr(self._local, "journal", None)
         if journal is not None:
-            journal.append(("r", file_name, 1))
+            journal.append(("r", file_name, pages))
         with self._lock:
-            self._logical_reads[file_name] = self._logical_reads.get(file_name, 0) + 1
+            self._logical_reads[file_name] = (
+                self._logical_reads.get(file_name, 0) + pages
+            )
             self._physical_reads[file_name] = (
-                self._physical_reads.get(file_name, 0) + 1
+                self._physical_reads.get(file_name, 0) + pages
             )
 
     def record_unbuffered_write(self, file_name: str) -> None:

@@ -1,9 +1,8 @@
 """``fetch_many`` against the per-OID ``fetch`` loop it replaces.
 
-Drop resolution hands the executor's whole candidate list to
-``ObjectStore.fetch_many`` (``Database.get_many``). Candidates that share an
-object page cost one real page fetch; the rest of the run are cut from that
-image and *charged*. Nothing the paper's metric or the pool can see may
+``ObjectStore.fetch_many`` fetches a list of OIDs (a scan's, a caller's)
+lazily. Candidates that share an object page cost one real page fetch; the
+rest of the run are cut from that image and *charged*. Nothing the paper's metric or the pool can see may
 move, so every test here runs the same OID list through ``fetch_many`` on
 one database and through ``[get(o) for o in oids]`` on a twin holding the
 same pages, and compares rows, the error and where it struck, every I/O
@@ -81,6 +80,10 @@ def drain(rows_iter) -> tuple:
     return rows, None
 
 
+def get_many(db: Database, oids) -> list:
+    return list(db.objects.fetch_many(oids))
+
+
 def one_at_a_time(db: Database, oids):
     for oid in oids:
         yield db.get(oid)
@@ -107,7 +110,7 @@ def test_same_rows_errors_counters_and_pool_state(pool_capacity, picks):
     assert observe(batched) == observe(looped)
     # the failed call left both in the same state: so does a second pass
     live = [oid for oid in oids if batched.objects.exists(oid)]
-    assert batched.get_many(live) == [looped.get(oid) for oid in live]
+    assert get_many(batched, live) == [looped.get(oid) for oid in live]
     assert observe(batched) == observe(looped)
 
 
@@ -117,7 +120,7 @@ def test_get_many_raises_where_the_loop_would(pool_capacity):
     looped, _ = build(pool_capacity)
     wanted = [oids[5], oids[6], oids[7], oids[9]]  # 7 is deleted
     with pytest.raises(UnknownOIDError):
-        batched.get_many(wanted)
+        get_many(batched, wanted)
     with pytest.raises(UnknownOIDError):
         [looped.get(oid) for oid in wanted]
     assert observe(batched) == observe(looped)
@@ -159,7 +162,7 @@ class TestRuns:
         injector = db.storage.attach_fault_injector(
             rules=[FaultRule("read", "crash", file="objects:Item", at_call=10**9)]
         )
-        assert db.get_many([a, b, a, c, a]) == [db.get(o) for o in (a, b, a, c, a)]
+        assert get_many(db, [a, b, a, c, a]) == [db.get(o) for o in (a, b, a, c, a)]
         # a b a | c | a  →  three runs, then five single gets
         assert injector.rule_calls(0) == 3 + 5
 
@@ -181,7 +184,7 @@ class TestRuns:
         assert len(got[0]) == 1  # c answered, the run on `page` never started
         assert observe(batched) == observe(looped)
         # the rule is spent: the same list now answers, from a fresh read
-        assert batched.get_many([c, a, b]) == [looped.get(o) for o in (c, a, b)]
+        assert get_many(batched, [c, a, b]) == [looped.get(o) for o in (c, a, b)]
 
     def test_a_retried_fault_is_not_noticed(self):
         db, oids = build(0)
@@ -192,7 +195,7 @@ class TestRuns:
                 FaultRule("read", "transient", file="objects:Item", page=page, count=2)
             ]
         )
-        assert db.get_many([a, b, c]) == expected
+        assert get_many(db, [a, b, c]) == expected
 
     def test_a_corrupt_page_is_caught_by_the_runs_one_read(self):
         db, oids = build(0)

@@ -24,9 +24,12 @@ to patch here.
 B+-tree that fetches and decodes (one field at a time, through
 :mod:`tests.reference.nix_node`) every page it touches, under searches
 that loop over Python sets of ``OID`` objects.
+:mod:`tests.reference.drop_resolution` is drop resolution as the
+executor once ran it: one ``fetch`` and one predicate test per candidate.
 """
 
 from tests.reference.bssf import ReferenceBSSF
+from tests.reference.drop_resolution import ReferenceObjectStore
 from tests.reference.nix_tree import ReferenceBPlusTree, ReferenceNestedIndex
 from tests.reference.oid_file import ReferenceOIDFile
 from tests.reference.ssf import ReferenceSSF
@@ -36,5 +39,6 @@ __all__ = [
     "ReferenceBSSF",
     "ReferenceNestedIndex",
     "ReferenceOIDFile",
+    "ReferenceObjectStore",
     "ReferenceSSF",
 ]

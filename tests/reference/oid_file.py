@@ -2,13 +2,20 @@
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
+import numpy as np
+
 from repro.access.oid_file import _TOMBSTONE, OIDFile, _entry_word
 from repro.errors import AccessFacilityError
 from repro.objects.oid import OID, OID_BYTES
 
 
 class ReferenceOIDFile(OIDFile):
-    """:class:`OIDFile` whose lookups, scans and writes work on fetched pages."""
+    """:class:`OIDFile` whose lookups, scans and writes work on fetched pages.
+
+    ``live_words`` is the shipped method's contract over the per-page
+    ``get_many``, so a reference signature file's candidates come from
+    fetched pages too.
+    """
 
     def append(self, oid: OID) -> int:
         _entry_word(oid)
@@ -36,6 +43,10 @@ class ReferenceOIDFile(OIDFile):
                 raw = page.read_bytes(offset, OID_BYTES)
                 results[index] = None if raw == _TOMBSTONE else OID.from_bytes(raw)
         return [results[index] for index in indices]
+
+    def live_words(self, indices: Sequence[int]) -> np.ndarray:
+        live = [oid.to_int() for oid in self.get_many(indices) if oid is not None]
+        return np.array(live, dtype=np.uint64)
 
     def delete(self, oid: OID) -> int:
         _entry_word(oid)

@@ -10,6 +10,12 @@ benchmark and is restated with it, not with the change it measures. What
 that test still rightly asserts, and what replaces the line that no longer
 holds, is kept here so the suite that gates every PR covers it.
 
+The counters behind the line are every ``DecodeCache``'s, and that now
+includes each object file's record decode: drop resolution looks it up
+once per query and class (``ObjectFile.select``), and in-place object
+writes patch it like the facilities' payloads, so the object-file lookups
+count as hits here on every workload.
+
 Three traced ``--smoke`` runs of the ledger command, about two seconds each.
 """
 

@@ -115,8 +115,8 @@ def fingerprint(db: Database) -> dict:
     return {
         "files": files,
         "directory": sorted(
-            (oid.to_int(), address.page_no, address.slot)
-            for oid, address in db.objects._directory.items()
+            (word, address.page_no, address.slot)
+            for word, address in db.objects._directory.items()
         ),
         "allocator": dict(db.objects._allocator._next_serial),
         "classes": db.objects.class_names(),

@@ -23,14 +23,16 @@ python -m pytest tests/obs/test_no_overhead.py -q
 echo "== page-count parity =="
 # Every path that answers from decoded state and *charges* the pages it
 # stands for (SSF/BSSF kernels, the OID table, drop resolution by page
-# run, the nested index's node map, and the writes that image the pages
-# they rewrite from those decodes) must leave logical, physical and pool
-# counters exactly where the per-page algorithms leave them, and a torn
-# page must still stop a rewrite (tier-1 covers this too; an explicit
-# gate so a reshuffle cannot drop it).
+# run on cached record decodes, the nested index's node map, and the
+# writes that image the pages they rewrite from those decodes) must leave
+# logical, physical and pool counters exactly where the per-page
+# algorithms leave them, and a torn page must still stop a rewrite
+# (tier-1 covers this too; an explicit gate so a reshuffle cannot drop
+# it).
 python -m pytest tests/access/test_golden_page_accesses.py \
     tests/test_cached_mode.py tests/obs/test_no_overhead.py \
-    tests/objects/test_fetch_many.py tests/access/test_nix_cache.py \
+    tests/objects/test_fetch_many.py tests/objects/test_drop_resolution.py \
+    tests/access/test_nix_cache.py \
     tests/access/test_kernel_parity.py tests/access/test_writer_parity.py -q
 
 echo "== front-of-query parity =="
