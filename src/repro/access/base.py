@@ -5,7 +5,8 @@ and supports the two search shapes of the paper plus maintenance:
 
 * ``search_superset(query)`` — candidates for ``target ⊇ query`` (Q1);
 * ``search_subset(query)`` — candidates for ``target ⊆ query`` (Q2);
-* ``insert`` / ``delete`` of one (set value, OID) pair.
+* ``insert`` / ``delete`` of one (set value, OID) pair, and ``apply`` of
+  a batch of them in order.
 
 Searches return *candidate* OIDs. Signature facilities may return false
 drops; the query executor performs drop resolution against the object store.
@@ -18,13 +19,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable, List, Optional, Tuple
+from typing import FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.objects.oid import OID
 
 SetValue = FrozenSet[Hashable]
+
+#: one maintenance op: ``("insert" | "delete", set value, OID)``
+FacilityOp = Tuple[str, SetValue, OID]
 
 
 @dataclass(frozen=True)
@@ -139,6 +143,19 @@ class SetAccessFacility(abc.ABC):
     def delete(self, elements: SetValue, oid: OID) -> None:
         """Remove one object's set value from the index."""
 
+    def apply(self, ops: Sequence[FacilityOp]) -> None:
+        """Apply ``ops`` in order, as that many inserts and deletes would.
+
+        The default makes one :meth:`insert` / :meth:`delete` call per op.
+        The signature files override it to write each page the batch
+        touches once (WAL replay hands them a log tail's ops this way).
+        """
+        for op, elements, oid in ops:
+            if op == "insert":
+                self.insert(elements, oid)
+            else:
+                self.delete(elements, oid)
+
     @abc.abstractmethod
     def search_superset(self, query: SetValue) -> SearchResult:
         """Candidates for ``T ⊇ Q``."""
@@ -195,4 +212,12 @@ class SetAccessFacility(abc.ABC):
         """Check internal invariants; raise IndexCorruptionError on failure.
 
         Default: no-op. Facilities override with real structural checks.
+        """
+
+    def verify_decodes(self) -> None:
+        """Check what the decode caches hold against a fresh decode.
+
+        Default: no-op. The signature files override: a cached table that
+        differs from its pages is dropped and IndexCorruptionError names
+        the file and page.
         """

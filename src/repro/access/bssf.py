@@ -41,15 +41,15 @@ suites demand identical results, ``slices_read`` and page counters.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.access.base import SearchResult, SetAccessFacility, SetValue
+from repro.access.base import FacilityOp, SearchResult, SetAccessFacility, SetValue
 from repro.access.oid_file import OIDFile
 from repro.core import kernels
 from repro.core.signature import SignatureScheme
-from repro.errors import AccessFacilityError
+from repro.errors import AccessFacilityError, IndexCorruptionError
 from repro.objects.oid import OID
 from repro.obs import tracer as trace
 from repro.obs.tracer import traced_search
@@ -196,50 +196,77 @@ class BitSlicedSignatureFile(SetAccessFacility):
         Each slice page rewritten is imaged from the stacked slice matrix
         — decoded once if cold — and its read charged as the fetch it
         stands for (:meth:`PagedFile.charge_fetch`); the matrix then
-        follows the write.
+        follows the write (see :meth:`apply`).
         """
-        self.log_wal_maintenance("facility_insert", elements, oid)
-        index = self.oid_file.append(oid)
-        pages_needed = -(-(index + 1) // self.entries_per_slice_page)
-        self._format_slices_to(pages_needed)
-        page_no = index // self.entries_per_slice_page
-        bit_in_page = index % self.entries_per_slice_page
-        signature = self.scheme.set_signature(elements)
-        one_positions = signature.set_positions()  # ascending
-        if self.worst_case_insert:  # the paper's UC_I = F + 1: every slice
-            ones = frozenset(one_positions)
-            rewrites = [(p, p in ones) for p in range(self.signature_bits)]
-        else:
-            rewrites = [(p, True) for p in one_positions]
+        self.apply([("insert", elements, oid)])
+
+    def delete(self, elements: SetValue, oid: OID) -> None:
+        """Tombstone the OID entry only — slice bits stay (paper's model)."""
+        self.apply([("delete", elements, oid)])
+
+    def apply(self, ops: Sequence[FacilityOp]) -> None:
+        """Apply inserts and deletes in order, each page they touch written once.
+
+        Every op goes to the OID file (:meth:`OIDFile.apply`: appends and
+        tombstones). The inserts' bits are gathered by slice page — each
+        slice a signature has a 1 in, or every slice under
+        ``worst_case_insert`` (the paper's ``UC_I = F + 1``) — and each
+        such page is imaged from the stacked slice matrix (decoded once if
+        cold), its read charged as the fetch it stands for, and written
+        once, in page then slice order. The matrix takes the bits once
+        every write has succeeded.
+        """
+        for op, elements, oid in ops:
+            self.log_wal_maintenance(f"facility_{op}", elements, oid)
+        ones = [
+            self.scheme.set_signature(elements).set_positions()  # ascending
+            for op, elements, _ in ops
+            if op == "insert"
+        ]
+        first = self.entry_count
+        self.oid_file.apply([(op, oid) for op, _, oid in ops])
+        if not ones:
+            return
+        per_page = self.entries_per_slice_page
+        self._format_slices_to(-(-(first + len(ones)) // per_page))
+        bits: Dict[int, Dict[int, List[int]]] = {}  # page → slice → bits set
+        for index, positions in enumerate(ones, first):
+            page_no, bit = divmod(index, per_page)
+            on_page = bits.setdefault(page_no, {})
+            if self.worst_case_insert:
+                for position in range(self.signature_bits):
+                    on_page.setdefault(position, [])
+            for position in positions:  # every live insert runs this loop
+                if position in on_page:
+                    on_page[position].append(bit)
+                else:
+                    on_page[position] = [bit]
         slices = self._stacked_slices()
         store = self._storage.store
         version = store.group_version(self._group_name)
         page_size = self._storage.page_size
         words_per_page = page_size // 8
-        first_word = page_no * words_per_page
-        for position, is_one in rewrites:
-            slice_file = self._slice_files[position]
-            slice_file.charge_fetch(page_no)
-            words = slices[position, first_word : first_word + words_per_page]
-            page = Page(page_size, words.tobytes())
-            if is_one:
-                page.data[bit_in_page // 8] |= 1 << (bit_in_page % 8)
-            slice_file.write_page(page_no, page)
+        for page_no, on_page in sorted(bits.items()):
+            first_word = page_no * words_per_page
+            for position in sorted(on_page):
+                slice_file = self._slice_files[position]
+                slice_file.charge_fetch(page_no)
+                words = slices[position, first_word : first_word + words_per_page]
+                page = Page(page_size, words.tobytes())
+                for bit in on_page[position]:
+                    page.data[bit // 8] |= 1 << (bit % 8)
+                slice_file.write_page(page_no, page)
 
-        def set_bit(matrix: np.ndarray) -> np.ndarray:
-            matrix[one_positions, index // kernels.WORD_BITS] |= np.uint64(
-                1 << (index % kernels.WORD_BITS)
-            )
+        def set_bits(matrix: np.ndarray) -> np.ndarray:
+            for index, positions in enumerate(ones, first):
+                matrix[positions, index // kernels.WORD_BITS] |= np.uint64(
+                    1 << (index % kernels.WORD_BITS)
+                )
             return matrix
 
         self._decode_cache.patch(
-            self._group_name, version, store.group_version(self._group_name), set_bit
+            self._group_name, version, store.group_version(self._group_name), set_bits
         )
-
-    def delete(self, elements: SetValue, oid: OID) -> None:
-        """Tombstone the OID entry only — slice bits stay (paper's model)."""
-        self.log_wal_maintenance("facility_delete", elements, oid)
-        self.oid_file.delete(oid)
 
     # ------------------------------------------------------------------
     # Slice access
@@ -262,6 +289,13 @@ class BitSlicedSignatureFile(SetAccessFacility):
         trace.annotate(decode="miss" if cached is None else "hit")
         if cached is not None:
             return cached
+        matrix = self._decode_slices()
+        self._decode_cache.put(self._group_name, version, matrix)
+        return matrix
+
+    def _decode_slices(self) -> np.ndarray:
+        """Every slice page, read with :meth:`PagedFile.peek_page`, as the
+        ``(F, W)`` word matrix (nothing charged, nothing cached)."""
         pages = self.slice_pages
         words_per_page = self._storage.page_size // 8
         matrix = np.zeros(
@@ -273,8 +307,31 @@ class BitSlicedSignatureFile(SetAccessFacility):
                 row[page_no * words_per_page : (page_no + 1) * words_per_page] = (
                     np.frombuffer(slice_file.peek_page(page_no).data, dtype="<u8")
                 )
-        self._decode_cache.put(self._group_name, version, matrix)
         return matrix
+
+    def verify_decodes(self) -> None:
+        """Check the slice matrix held at the slices' group version against
+        a fresh decode of every slice page, then the OID file's table.
+
+        On a mismatch the matrix is dropped, so the next search decodes
+        afresh, and :class:`IndexCorruptionError` names the slice file and
+        page.
+        """
+        group = self._group_name
+        held = self._decode_cache.entry(group)
+        if held is not None and held[0] == self._storage.store.group_version(group):
+            cached, fresh = held[1], self._decode_slices()
+            same_shape = cached.shape == fresh.shape
+            differs = np.argwhere(cached != fresh) if same_shape else [(0, 0)]
+            if len(differs):
+                position, word = differs[0]
+                self._decode_cache.invalidate(group)
+                raise IndexCorruptionError(
+                    f"BSSF slice file {self._slice_files[position].name!r}: the "
+                    f"slice matrix cached for page "
+                    f"{word // (self._storage.page_size // 8)} differs from the page"
+                )
+        self.oid_file.verify_decodes()
 
     def _charge_slices(self, positions) -> None:
         """Charge ``slice_pages`` logical reads against each listed slice.

@@ -11,12 +11,12 @@ requires a sequential scan, hence the paper's expected deletion cost of
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import kernels
-from repro.errors import AccessFacilityError
+from repro.errors import AccessFacilityError, IndexCorruptionError
 from repro.objects.oid import OID, OID_BYTES
 from repro.storage.decode_cache import DecodeCache
 from repro.storage.page import Page
@@ -46,9 +46,10 @@ class OIDFile:
 
     The decoded entry table — one packed ``uint64`` word per entry — is
     memoized against the underlying file's version and follows
-    :meth:`append` and :meth:`delete` in place, so neither a lookup nor
-    the read after a write decodes the file again; the pages an operation
-    logically touches are charged all the same (see :meth:`get_many`).
+    :meth:`apply` (so :meth:`append` and :meth:`delete`) in place, so
+    neither a lookup nor the read after a write decodes the file again;
+    the pages an operation logically touches are charged all the same
+    (see :meth:`get_many`).
     """
 
     def __init__(self, paged_file: PagedFile, entry_count: int = 0):
@@ -109,26 +110,86 @@ class OIDFile:
         A page that already holds entries is imaged from the decoded entry
         table and its read charged as the fetch it stands for.
         """
-        word = _entry_word(oid)
-        index = self._count
-        page_no, offset = self._locate(index)
+        return self.apply([("insert", oid)])[0]
+
+    def apply(self, ops: Sequence[Tuple[str, OID]]) -> List[int]:
+        """Append (``"insert"``) and tombstone (``"delete"``) entries in
+        order; returns the index each op wrote.
+
+        The ops are played against the decoded entry table first; a delete
+        tombstones the first live entry holding its OID, where a scan from
+        page 0 would find it. A delete of an OID that is not there charges
+        that scan over the whole file and raises before any page is
+        written. Otherwise each page of the file the batch reads is charged
+        once, in page order, as the fetch it stands for: every page the
+        delete scan crosses up to its furthest tombstone, and the page the
+        appends start on. Each page that changes is then imaged from
+        the table and written once (a page the appends open is allocated
+        first), and the table follows once every write has succeeded — so
+        one op costs exactly what :meth:`append` or :meth:`delete` does.
+        """
+        buffer, rows = self._decoded()
+        per_page = self.entries_per_page
+        start = count = self._count
+        changed: Dict[int, int] = {}  # entry index → the word the batch leaves
+        scan_end = 0
+        indices = []
+        for op, oid in ops:
+            word = _entry_word(oid)
+            if op == "insert":
+                index = count
+                count += 1
+            else:
+                held = np.flatnonzero(buffer[:rows] == word).tolist()
+                index = next((i for i in held if i not in changed), None)
+                if index is None:  # an entry this batch appended
+                    added = range(start, count)
+                    index = next((i for i in added if changed[i] == word), None)
+                if index is None:
+                    for page_no in range(self.file.num_pages):
+                        self.file.charge_fetch(page_no)
+                    raise AccessFacilityError(f"OID {oid} not present in OID file")
+                word = _TOMBSTONE_WORD
+                scan_end = max(scan_end, index // per_page + 1)
+            changed[index] = word
+            indices.append(index)
+        pages = sorted({index // per_page for index in changed})
+        existing = self.file.num_pages
         version = self.file.version
-        if page_no >= self.file.num_pages:
-            page_no_new, page = self.file.append_page()
-            assert page_no_new == page_no
-        else:
-            page = self._page_image(page_no)
+        landed = [page_no for page_no in pages if scan_end <= page_no < existing]
+        for page_no in [*range(min(scan_end, existing)), *landed]:
             self.file.charge_fetch(page_no)
-        page.write_bytes(offset, oid.to_bytes())
-        self.file.write_page(page_no, page)
-        self._count += 1
-        self._decode_cache.patch(
-            self.file.name,
-            version,
-            self.file.version,
-            lambda table: kernels.append_row(table, index, word),
-        )
-        return index
+        page_size = self.file.page_size
+        for page_no in pages:
+            first = page_no * per_page
+            held = buffer[first : first + per_page].tobytes()
+            page = Page(page_size, held.ljust(page_size, b"\0"))
+            for index, word in changed.items():
+                if first <= index < first + per_page:
+                    entry = word.to_bytes(OID_BYTES, "little")
+                    page.write_bytes((index - first) * OID_BYTES, entry)
+            if page_no >= existing:  # opened in page order
+                self.file.append_page()
+            self.file.write_page(page_no, page)
+            self._count = max(self._count, min(count, first + per_page))
+
+        def follow(decoded: tuple) -> Optional[tuple]:
+            grown = kernels.append_rows(
+                decoded, start, [changed[index] for index in range(start, count)]
+            )
+            if grown is None:
+                return None
+            table, entries = grown
+            short = self.file.num_pages * per_page - len(table)
+            if short > 0:  # a page the appends opened: mirror all of it
+                table = np.concatenate([table, np.zeros(short, _WORD)])
+            for index, word in changed.items():
+                if index < start:
+                    table[index] = word
+            return table, entries
+
+        self._decode_cache.patch(self.file.name, version, self.file.version, follow)
+        return indices
 
     def get(self, index: int) -> Optional[OID]:
         """Entry at ``index``; ``None`` if tombstoned. One page read."""
@@ -185,25 +246,9 @@ class OIDFile:
         entry is found with one compare over the decoded entry table; the
         scan over pages ``0..page`` is charged, page by page, as the
         fetches it stands for (the whole file when the OID is absent), and
-        the page is imaged from the table.
+        the page is imaged from the table (see :meth:`apply`).
         """
-        needle = _entry_word(oid)
-        found = np.flatnonzero(self._entry_words() == needle)
-        scanned = self.file.num_pages
-        if found.size:
-            scanned = int(found[0]) // self.entries_per_page + 1
-        for page_no in range(scanned):
-            self.file.charge_fetch(page_no)
-        if not found.size:
-            raise AccessFacilityError(f"OID {oid} not present in OID file")
-        index = int(found[0])
-        page_no, offset = self._locate(index)
-        page = self._page_image(page_no)
-        version = self.file.version
-        page.write_bytes(offset, _TOMBSTONE)
-        self.file.write_page(page_no, page)
-        self._flag_decoded(version, index)
-        return index
+        return self.apply([("delete", oid)])[0]
 
     def is_live(self, index: int) -> bool:
         return self.get(index) is not None
@@ -230,49 +275,62 @@ class OIDFile:
         Decoding goes through :meth:`PagedFile.peek_page`, which performs
         no accounting; callers charge the pages their lookup logically
         touches themselves. The decode is held as ``(word buffer, entries
-        decoded)`` — the shape :func:`kernels.append_row` grows. The buffer
+        decoded)`` — the shape :func:`kernels.append_rows` grows. The buffer
         holds what the pages hold, word for word (past its end a page is
-        still zeroed); :meth:`append` and :meth:`delete` image their page
-        from it and write behind and into it once their page write has
-        succeeded.
+        still zeroed); :meth:`apply` images its pages from it and writes
+        behind and into it once its page writes have succeeded.
         """
         name = self.file.name
         version = self.file.version
         decoded = self._decode_cache.get(name, version)
         if decoded is None:
-            buffer = np.zeros(self.file.num_pages * self.entries_per_page, _WORD)
-            for page_no in range(self.file.num_pages):
-                first = page_no * self.entries_per_page
-                buffer[first : first + self.entries_per_page] = np.frombuffer(
-                    self.file.peek_page(page_no).data, _WORD, self.entries_per_page
-                )
-            decoded = (buffer, self._count)
+            decoded = (self._decode_pages(), self._count)
             self._decode_cache.put(name, version, decoded)
         return decoded
+
+    def _decode_pages(self) -> np.ndarray:
+        """Every page's words, read with :meth:`PagedFile.peek_page`."""
+        buffer = np.zeros(self.file.num_pages * self.entries_per_page, _WORD)
+        for page_no in range(self.file.num_pages):
+            first = page_no * self.entries_per_page
+            buffer[first : first + self.entries_per_page] = np.frombuffer(
+                self.file.peek_page(page_no).data, _WORD, self.entries_per_page
+            )
+        return buffer
 
     def _entry_words(self) -> np.ndarray:
         """Every entry as one ``uint64`` array: the decoded table's rows."""
         buffer, rows = self._decoded()
         return buffer[:rows]
 
-    def _page_image(self, page_no: int) -> Page:
-        """Page ``page_no`` rebuilt from the decoded words."""
-        buffer, _ = self._decoded()
-        first = page_no * self.entries_per_page
-        words = buffer[first : first + self.entries_per_page].tobytes()
-        return Page(self.file.page_size, words.ljust(self.file.page_size, b"\0"))
+    def verify_decodes(self) -> None:
+        """Check the entry table held at the file's version against the pages.
 
-    def _flag_decoded(self, old_version: int, index: int) -> None:
-        """Make the decoded table follow a tombstone write that has succeeded."""
+        Pages are read with :meth:`PagedFile.peek_page`, so nothing is
+        charged. If the table's entry count or any page's words differ,
+        the table is dropped, so the next reader decodes afresh, and
+        :class:`IndexCorruptionError` names the file and page.
+        """
+        name = self.file.name
+        held = self._decode_cache.entry(name)
+        if held is None or held[0] != self.file.version:
+            return
+        bad = self._first_stale_page(*held[1])
+        if bad is not None:
+            self._decode_cache.invalidate(name)
+            raise IndexCorruptionError(
+                f"OID file {name!r}: the entry table cached for page {bad} "
+                "differs from the page"
+            )
 
-        def flag(decoded: tuple) -> Optional[tuple]:
-            buffer, rows = decoded
-            if index >= rows:
-                return None
-            buffer[index] = _TOMBSTONE_WORD
-            return decoded
-
-        self._decode_cache.patch(self.file.name, old_version, self.file.version, flag)
+    def _first_stale_page(self, buffer: np.ndarray, rows: int) -> Optional[int]:
+        if rows != self._count:
+            return min(rows, self._count) // self.entries_per_page
+        fresh = self._decode_pages()
+        held = np.zeros(len(fresh), _WORD)
+        held[: len(buffer)] = buffer[: len(fresh)]
+        differs = np.flatnonzero(held != fresh)
+        return int(differs[0]) // self.entries_per_page if len(differs) else None
 
     def _locate(self, index: int) -> tuple:
         return index // self.entries_per_page, (index % self.entries_per_page) * OID_BYTES

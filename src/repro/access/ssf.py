@@ -14,25 +14,26 @@ filter out via the tombstone.
 Like BSSF, a search decodes the whole signature file into one packed
 ``(N, F/64)`` uint64 matrix — memoized in a version-keyed
 :class:`~repro.storage.decode_cache.DecodeCache` with read-through
-charging — and runs the drop tests as row-wise word kernels. An insert
-appends its row to the memoized matrix once its page write has
-succeeded, so the search after a write decodes nothing. The
+charging — and runs the drop tests as row-wise word kernels. A write
+(:meth:`SequentialSignatureFile.apply`, one op or a batch) appends its
+rows to the memoized matrix once its page writes have succeeded, so the
+search after a write decodes nothing. The
 page-at-a-time scan this replaces is the oracle in ``tests/reference/``,
 which pins results and page accounting.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.access.base import SearchResult, SetAccessFacility, SetValue
+from repro.access.base import FacilityOp, SearchResult, SetAccessFacility, SetValue
 from repro.access.oid_file import OIDFile
 from repro.access.sigpack import signatures_per_page, write_signature_in_page
 from repro.core import kernels
 from repro.core.signature import SignatureScheme
-from repro.errors import AccessFacilityError
+from repro.errors import AccessFacilityError, IndexCorruptionError
 from repro.obs import tracer as trace
 from repro.obs.tracer import traced_search
 from repro.objects.oid import OID
@@ -132,30 +133,52 @@ class SequentialSignatureFile(SetAccessFacility):
 
     def insert(self, elements: SetValue, oid: OID) -> None:
         """Append signature + OID entry (the model's 2 page accesses)."""
-        self.log_wal_maintenance("facility_insert", elements, oid)
-        signature = self.scheme.set_signature(elements)
-        index = self.oid_file.append(oid)
-        page_no = index // self.sigs_per_page
-        slot = index % self.sigs_per_page
+        self.apply([("insert", elements, oid)])
+
+    def delete(self, elements: SetValue, oid: OID) -> None:
+        """Tombstone the OID entry; the signature stays (paper's model)."""
+        self.apply([("delete", elements, oid)])
+
+    def apply(self, ops: Sequence[FacilityOp]) -> None:
+        """Apply inserts and deletes in order, each page they touch written once.
+
+        Every op goes to the OID file (:meth:`OIDFile.apply`: appends and
+        tombstones). Each signature page the inserts land on is then
+        fetched (or appended), takes their signatures in its slots and is
+        written once; the memoized matrix grows by their rows once those
+        writes have succeeded.
+        """
+        for op, elements, oid in ops:
+            self.log_wal_maintenance(f"facility_{op}", elements, oid)
+        signatures = [
+            self.scheme.set_signature(elements)
+            for op, elements, _ in ops
+            if op == "insert"
+        ]
+        first = self.entry_count
+        self.oid_file.apply([(op, oid) for op, _, oid in ops])
+        if not signatures:
+            return
+        end = first + len(signatures)
+        per_page = self.sigs_per_page
         version = self.signature_file.version
-        if page_no >= self.signature_file.num_pages:
-            page_no_new, page = self.signature_file.append_page()
-            assert page_no_new == page_no
-        else:
-            page = self.signature_file.read_page(page_no)
-        write_signature_in_page(page, slot, signature)
-        self.signature_file.write_page(page_no, page)
+        for page_no in range(first // per_page, -(-end // per_page)):
+            if page_no >= self.signature_file.num_pages:
+                page = self.signature_file.append_page()[1]
+            else:
+                page = self.signature_file.read_page(page_no)
+            lo = page_no * per_page
+            for index in range(max(first, lo), min(end, lo + per_page)):
+                write_signature_in_page(page, index - lo, signatures[index - first])
+            self.signature_file.write_page(page_no, page)
         self._decode_cache.patch(
             self.signature_file.name,
             version,
             self.signature_file.version,
-            lambda decoded: kernels.append_row(decoded, index, signature.words),
+            lambda decoded: kernels.append_rows(
+                decoded, first, [signature.words for signature in signatures]
+            ),
         )
-
-    def delete(self, elements: SetValue, oid: OID) -> None:
-        """Tombstone the OID entry; the signature stays (paper's model)."""
-        self.log_wal_maintenance("facility_delete", elements, oid)
-        self.oid_file.delete(oid)
 
     # ------------------------------------------------------------------
     # Packed scan substrate
@@ -170,8 +193,8 @@ class SequentialSignatureFile(SetAccessFacility):
         page exactly the counters and pool state a real fetch sequence
         would produce. The decode is memoized keyed on the file version as
         ``(row buffer, rows decoded)`` — the shape the OID file's table
-        shares and :func:`kernels.append_row` grows: the matrix is the
-        ``[:rows]`` view, and :meth:`insert` appends behind it.
+        shares and :func:`kernels.append_rows` grows: the matrix is the
+        ``[:rows]`` view, and :meth:`apply` appends behind it.
         """
         num_pages = self.signature_file.num_pages
         version = self.signature_file.version
@@ -179,25 +202,55 @@ class SequentialSignatureFile(SetAccessFacility):
         decoded = self._decode_cache.get(name, version)
         trace.annotate(decode="miss" if decoded is None else "hit")
         if decoded is None:
-            nwords = kernels.words_for_bits(self.signature_bits)
-            if self.entry_count == 0:
-                matrix = np.zeros((0, nwords), dtype=np.uint64)
-            else:
-                row_chunks: List[np.ndarray] = []
-                for page_no in range(num_pages):
-                    page = self.signature_file.peek_page(page_no)
-                    count = self._entries_on_page(page_no)
-                    raw = np.frombuffer(bytes(page.data), dtype=np.uint8)
-                    bits = np.unpackbits(
-                        raw, bitorder="little", count=count * self.signature_bits
-                    )
-                    row_chunks.append(bits.reshape(count, self.signature_bits))
-                matrix = kernels.pack_rows(np.vstack(row_chunks))
+            matrix = self._decode_signatures()
             decoded = (matrix, len(matrix))
             self._decode_cache.put(name, version, decoded)
         self.signature_file.charge_reads(num_pages)
         buffer, rows = decoded
         return buffer[:rows]
+
+    def _decode_signatures(self) -> np.ndarray:
+        """Every stored signature, read with :meth:`PagedFile.peek_page`,
+        as the packed matrix (nothing charged, nothing cached)."""
+        if self.entry_count == 0:
+            nwords = kernels.words_for_bits(self.signature_bits)
+            return np.zeros((0, nwords), dtype=np.uint64)
+        row_chunks: List[np.ndarray] = []
+        for page_no in range(self.signature_file.num_pages):
+            page = self.signature_file.peek_page(page_no)
+            count = self._entries_on_page(page_no)
+            raw = np.frombuffer(bytes(page.data), dtype=np.uint8)
+            bits = np.unpackbits(
+                raw, bitorder="little", count=count * self.signature_bits
+            )
+            row_chunks.append(bits.reshape(count, self.signature_bits))
+        return kernels.pack_rows(np.vstack(row_chunks))
+
+    def verify_decodes(self) -> None:
+        """Check the signature matrix held at the file's version against
+        its pages, then the OID file's entry table.
+
+        On a mismatch the matrix is dropped, so the next search decodes
+        afresh, and :class:`IndexCorruptionError` names the file and page.
+        """
+        name = self.signature_file.name
+        held = self._decode_cache.entry(name)
+        if held is not None and held[0] == self.signature_file.version:
+            bad = self._first_stale_page(*held[1])
+            if bad is not None:
+                self._decode_cache.invalidate(name)
+                raise IndexCorruptionError(
+                    f"SSF file {name!r}: the signature matrix cached for page "
+                    f"{bad} differs from the page"
+                )
+        self.oid_file.verify_decodes()
+
+    def _first_stale_page(self, buffer: np.ndarray, rows: int) -> Optional[int]:
+        fresh = self._decode_signatures()
+        if rows != len(fresh):
+            return min(rows, len(fresh)) // self.sigs_per_page
+        differs = np.flatnonzero((buffer[:rows] != fresh).any(axis=1))
+        return int(differs[0]) // self.sigs_per_page if len(differs) else None
 
     # ------------------------------------------------------------------
     # Search

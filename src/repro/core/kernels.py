@@ -72,24 +72,27 @@ def cleared_bit_indices(words: np.ndarray, nbits: int) -> np.ndarray:
     return np.nonzero(bits == 0)[0]
 
 
-def append_row(table: tuple, index: int, row) -> "tuple | None":
-    """A growable ``(buffer, rows)`` table with ``row`` appended as row ``index``.
+def append_rows(table: tuple, index: int, new_rows) -> "tuple | None":
+    """A growable ``(buffer, rows)`` table with ``new_rows`` from row ``index`` on.
 
     The table's content is the ``buffer[:rows]`` view; what lies behind it
     is spare capacity. ``None`` when the table does not end at ``index``.
-    A full buffer is copied into one twice as long, so an append is
-    amortised O(row) — what lets a decoded table follow single-entry
-    writes (the OID file's words, the SSF's signature rows).
+    A buffer too short is copied into one at least twice as long, so an
+    append is amortised O(rows appended) — what lets a decoded table follow
+    the entries a write appends (the OID file's words, the SSF's signature
+    rows).
     """
     buffer, rows = table
     if rows != index:
         return None
-    if rows == buffer.shape[0]:
-        grown = np.zeros((max(1, 2 * rows),) + buffer.shape[1:], buffer.dtype)
-        grown[:rows] = buffer
+    end = rows + len(new_rows)
+    if end > buffer.shape[0]:
+        grown = np.zeros((max(end, 2 * rows),) + buffer.shape[1:], buffer.dtype)
+        grown[:rows] = buffer[:rows]
         buffer = grown
-    buffer[rows] = row
-    return buffer, rows + 1
+    for offset, row in enumerate(new_rows):  # no array built from a short list
+        buffer[rows + offset] = row
+    return buffer, end
 
 
 # ----------------------------------------------------------------------

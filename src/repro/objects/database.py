@@ -850,8 +850,10 @@ class Database:
         facilities guarantee no false dismissals; NIX intersection is
         exact), and no search may surface a dead OID. Structural
         :meth:`verify` runs on every facility as well, and first every
-        object file's record decode is checked against its pages
-        (:meth:`~repro.objects.object_file.ObjectFile.verify_decodes`).
+        object file's record decode and every facility's decoded tables
+        are checked against their pages
+        (:meth:`~repro.objects.object_file.ObjectFile.verify_decodes`,
+        :meth:`~repro.access.base.SetAccessFacility.verify_decodes`).
 
         Returns the number of objects checked per ``class.attribute``;
         raises :class:`IndexCorruptionError` on the first inconsistency.
@@ -861,6 +863,10 @@ class Database:
         for class_name in self.objects.class_names():
             with self.read_scope(class_name):  # no write half-seen
                 self.objects.verify_decodes(class_name)
+                for (cls, _), per_path in sorted(self._indexes.items()):
+                    if cls == class_name:
+                        for facility in per_path.values():
+                            facility.verify_decodes()
         checked: Dict[str, int] = {}
         for (class_name, attribute), per_path in sorted(self._indexes.items()):
             for facility in per_path.values():

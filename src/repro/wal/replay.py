@@ -12,10 +12,16 @@ per-class serial; facility maintenance is a pure function of the operation
 and prior state), redoing the tail reproduces byte-for-byte the state a
 never-crashed run would have reached.
 
-When re-applying a record trips over a damaged facility, replay falls back
-to :func:`repro.recovery.rebuild.rebuild_facility` — the facility is
-derived data, so reconstructing it from the (already replayed) objects is
-always a correct repair.
+An object record's change goes to the object store as the record is read;
+its facility upkeep is queued, in log order, with the direct facility
+records'. When the batch ends — before any other record (DDL, rebuild,
+flush, compact, checkpoint markers), at :data:`BATCH_OP_CAP` queued ops,
+and at the end of the tail — each facility gets its ops in one
+:meth:`SetAccessFacility.apply`, so a page they touch is written once. A
+facility whose ops cannot be applied is rebuilt from the objects, which
+hold every record of the batch by then (:func:`repro.recovery.rebuild.
+rebuild_facility`): the facility is derived data, so that is always a
+correct repair.
 """
 
 from __future__ import annotations
@@ -23,12 +29,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.errors import (
-    ObjectStoreError,
-    ReproError,
-    SimulatedCrashError,
-    WalError,
-)
+from repro.errors import ObjectStoreError, ReproError, SimulatedCrashError, WalError
 from repro.objects.oid import OID
 from repro.objects.schema import Attribute, AttributeKind, ClassSchema
 from repro.objects.serde import decode_object
@@ -38,6 +39,9 @@ from repro.wal.log import WalRecord, WriteAheadLog
 
 if TYPE_CHECKING:
     from repro.objects.database import Database
+
+#: queued facility ops at which a batch ends early, bounding its memory
+BATCH_OP_CAP = 4096
 
 
 def recover_database(
@@ -98,171 +102,160 @@ def replay_records(db: "Database", records: List[WalRecord]) -> int:
     """Redo ``records`` against ``db``; returns how many were applied.
 
     Records below ``db.wal_applied_lsn`` are skipped (idempotence); each
-    applied record advances the watermark to its ``next_lsn``. ``db`` must
+    applied record advances the watermark to its ``next_lsn``, and the
+    batch in flight is applied before this returns or raises. ``db`` must
     not have a WAL attached yet (recovery attaches it afterwards), so
     nothing applied here is re-logged.
     """
     if db.wal is not None:
         raise WalError("replay requires the WAL to be detached (or suspended)")
-    applied = 0
+    applied, batch = 0, _Batch(db)
     with trace.span("wal-replay", records=len(records)):
-        for record in records:
-            if record.lsn < db.wal_applied_lsn:
-                continue
-            _apply(db, record)
-            db.wal_applied_lsn = record.next_lsn
-            applied += 1
-            REGISTRY.counter("recovery.wal_replayed_records").inc()
+        try:
+            for record in records:
+                if record.lsn < db.wal_applied_lsn:
+                    continue
+                _apply(db, record, batch)
+                db.wal_applied_lsn = record.next_lsn
+                applied += 1
+                REGISTRY.counter("recovery.wal_replayed_records").inc()
+                if batch.size >= BATCH_OP_CAP:
+                    batch.end()
+        finally:
+            batch.end()
     return applied
 
 
-# ----------------------------------------------------------------------
-# Per-record redo
-# ----------------------------------------------------------------------
-def _apply(db: "Database", record: WalRecord) -> None:
-    handler = _HANDLERS.get(record.type)
-    if handler is None:
+class _Batch:
+    """Queued ops: ``{(class, attribute, facility name): (facility, ops)}``."""
+
+    def __init__(self, db: "Database"):
+        self.db, self.queued, self.size = db, {}, 0
+
+    def add(self, class_name: str, attribute: str, name: str, op) -> None:
+        key = (class_name, attribute, name)
+        if key not in self.queued:
+            self.queued[key] = (self.db.index(class_name, attribute, name), [])
+        self.queued[key][1].append(op)
+        self.size += 1
+
+    def maintain(self, cls_name: str, oid: OID, old: Optional[dict], new) -> None:
+        """Queue the upkeep of one object mutation (``None``: no object)."""
+        for (cls, attr), per_path in self.db._indexes.items():
+            if cls != cls_name:
+                continue
+            old_set = frozenset(old[attr]) if old is not None else None
+            new_set = frozenset(new[attr]) if new is not None else None
+            if old_set == new_set:
+                continue
+            for name in per_path:
+                if old_set is not None:
+                    self.add(cls, attr, name, ("delete", old_set, oid))
+                if new_set is not None:
+                    self.add(cls, attr, name, ("insert", new_set, oid))
+
+    def end(self) -> None:
+        """Hand each facility its queued ops in one ``apply``."""
+        if not self.size:
+            return
+        with trace.span("wal-replay.batch", ops=self.size) as span:
+            with self.db.storage.stats.metered() as meter:
+                queued, self.queued, self.size = self.queued, {}, 0
+                for (cls, attr, name), (facility, ops) in queued.items():
+                    try:
+                        facility.apply(ops)
+                    except ReproError:
+                        _rebuild(self.db, cls, attr, name)
+            if trace.current() is not trace.NULL_TRACER:
+                span.set("pages_written", meter.delta().total().logical_writes)
+
+
+def _apply(db: "Database", record: WalRecord, batch: _Batch) -> None:
+    if record.type in _BATCHED:
+        handler, target = _BATCHED[record.type], batch
+    elif record.type in _HANDLERS:
+        batch.end()
+        handler, target = _HANDLERS[record.type], db
+    else:
         raise WalError(
-            f"wal record at lsn {record.lsn} has unknown type "
-            f"{record.type!r}"
+            f"wal record at lsn {record.lsn} has unknown type {record.type!r}"
         )
     try:
-        handler(db, record.fields)
+        handler(target, record.fields)
     except (SimulatedCrashError, WalError):
         raise
     except ReproError as exc:
         raise WalError(
-            f"replaying wal record at lsn {record.lsn} "
-            f"({record.type}) failed: {exc}"
+            f"replaying wal record at lsn {record.lsn} ({record.type}) failed: {exc}"
         ) from exc
 
 
-def _apply_define_class(db: "Database", fields) -> None:
-    _, name, attrs = fields
-    schema = ClassSchema(
-        name=name,
-        attributes=[
-            Attribute(name=a[0], kind=AttributeKind(a[1]), ref_class=a[2])
-            for a in attrs
-        ],
-    )
-    db.define_class(schema)
-
-
-def _apply_create_index(db: "Database", fields) -> None:
-    _, kind, class_name, attribute, params = fields
-    db.create_index(kind, class_name, attribute, params)
-
-
-def _apply_insert(db: "Database", fields) -> None:
+def _apply_insert(batch: _Batch, fields) -> None:
     _, class_name, oid_int, blob = fields
     values = decode_object(blob)
-    # Object first: if a facility needs rebuilding, the rebuild scans the
-    # object file and must see this object. The record names its OID, and
-    # the explicit-OID path honors it — serial gaps are legitimate on a
-    # shard, whose log holds only its hash slice of each class. A
-    # checkpoint/log disagreement surfaces as "already live" here.
+    # The record names its OID, and the explicit-OID path honors it —
+    # serial gaps are legitimate on a shard, whose log holds only its
+    # hash slice of each class. A checkpoint/log disagreement surfaces as
+    # "already live" here.
     oid = OID.from_int(oid_int)
     try:
-        db.objects.insert_with_oid(class_name, oid, values)
+        batch.db.objects.insert_with_oid(class_name, oid, values)
     except ObjectStoreError as exc:
         raise WalError(
             f"replayed insert of {oid} failed ({exc}); "
             f"the checkpoint and log disagree"
         ) from exc
-    _maintain_facilities(db, class_name, oid, old_values=None, new_values=values)
+    batch.maintain(class_name, oid, None, values)
 
 
-def _apply_update(db: "Database", fields) -> None:
+def _apply_update(batch: _Batch, fields) -> None:
     _, oid_int, blob = fields
-    oid = OID.from_int(oid_int)
-    values = decode_object(blob)
-    class_name = db.objects.class_name_of(oid)
-    old_values = db.objects.fetch(oid)
-    db.objects.update(oid, values)
-    _maintain_facilities(
-        db, class_name, oid, old_values=old_values, new_values=values
-    )
+    oid, objects = OID.from_int(oid_int), batch.db.objects
+    old_values, values = objects.fetch(oid), decode_object(blob)
+    objects.update(oid, values)
+    batch.maintain(objects.class_name_of(oid), oid, old_values, values)
 
 
-def _apply_delete(db: "Database", fields) -> None:
-    _, oid_int = fields
-    oid = OID.from_int(oid_int)
-    class_name = db.objects.class_name_of(oid)
-    values = db.objects.fetch(oid)
-    failed = []
-    for (cls, attr), per_path in db._indexes.items():
-        if cls != class_name:
-            continue
-        for name, facility in per_path.items():
-            try:
-                facility.delete(frozenset(values[attr]), oid)
-            except ReproError:
-                failed.append((cls, attr, name))
-    db.objects.delete(oid)
-    # Rebuild only after the object is gone, so the reconstruction —
-    # which scans live objects — cannot resurrect it.
-    for cls, attr, name in failed:
-        _rebuild(db, cls, attr, name)
+def _apply_delete(batch: _Batch, fields) -> None:
+    oid, objects = OID.from_int(fields[1]), batch.db.objects
+    class_name, values = objects.class_name_of(oid), objects.fetch(oid)
+    objects.delete(oid)
+    batch.maintain(class_name, oid, values, None)
 
 
-def _apply_facility_op(db: "Database", fields) -> None:
+def _apply_facility_op(batch: _Batch, fields) -> None:
     op, class_name, attribute, name, oid_int, elements = fields
-    facility = db.index(class_name, attribute, name)
-    oid = OID.from_int(oid_int)
-    try:
-        if op == "facility_insert":
-            facility.insert(frozenset(elements), oid)
-        else:
-            facility.delete(frozenset(elements), oid)
-    except ReproError:
-        _rebuild(db, class_name, attribute, name)
+    op = ("insert" if op == "facility_insert" else "delete", frozenset(elements))
+    batch.add(class_name, attribute, name, op + (OID.from_int(oid_int),))
+
+
+def _apply_define_class(db: "Database", fields) -> None:
+    _, name, attrs = fields
+    attributes = [
+        Attribute(name=a[0], kind=AttributeKind(a[1]), ref_class=a[2]) for a in attrs
+    ]
+    db.define_class(ClassSchema(name=name, attributes=attributes))
+
+
+def _apply_create_index(db: "Database", fields) -> None:
+    db.create_index(*fields[1:])  # kind, class, attribute, params
 
 
 def _apply_rebuild(db: "Database", fields) -> None:
-    _, class_name, attribute, name = fields
-    _rebuild(db, class_name, attribute, name)
+    _rebuild(db, *fields[1:])
 
 
 def _apply_flush_index(db: "Database", fields) -> None:
     """Redo an explicit LSM memtable flush at the same history point."""
-    _, class_name, attribute, name = fields
-    db.index(class_name, attribute, name).flush()
+    db.index(*fields[1:]).flush()
 
 
 def _apply_compact_index(db: "Database", fields) -> None:
-    _, class_name, attribute, name = fields
-    db.index(class_name, attribute, name).compact()
+    db.index(*fields[1:]).compact()
 
 
 def _apply_checkpoint(db: "Database", fields) -> None:
     """Checkpoint markers carry no state to redo."""
-
-
-def _maintain_facilities(
-    db: "Database",
-    class_name: str,
-    oid: OID,
-    old_values: Optional[dict],
-    new_values: dict,
-) -> None:
-    """Per-facility redo of one object mutation, rebuilding on failure."""
-    for (cls, attr), per_path in db._indexes.items():
-        if cls != class_name:
-            continue
-        old_set = (
-            frozenset(old_values[attr]) if old_values is not None else None
-        )
-        new_set = frozenset(new_values[attr])
-        if old_set == new_set:
-            continue
-        for name, facility in per_path.items():
-            try:
-                if old_set is not None:
-                    facility.delete(old_set, oid)
-                facility.insert(new_set, oid)
-            except ReproError:
-                _rebuild(db, cls, attr, name)
 
 
 def _rebuild(db: "Database", class_name: str, attribute: str, name: str) -> None:
@@ -273,14 +266,19 @@ def _rebuild(db: "Database", class_name: str, attribute: str, name: str) -> None
     rebuild_facility(db, class_name, attribute, name)
 
 
-_HANDLERS = {
-    "define_class": _apply_define_class,
-    "create_index": _apply_create_index,
+#: object and facility records: their facility upkeep joins the batch
+_BATCHED = {
     "insert": _apply_insert,
     "update": _apply_update,
     "delete": _apply_delete,
     "facility_insert": _apply_facility_op,
     "facility_delete": _apply_facility_op,
+}
+
+#: every other record: the batch ends before it is redone
+_HANDLERS = {
+    "define_class": _apply_define_class,
+    "create_index": _apply_create_index,
     "rebuild": _apply_rebuild,
     "flush_index": _apply_flush_index,
     "compact_index": _apply_compact_index,

@@ -234,6 +234,141 @@ class TestRandomHistories:
         assert_caches_are_fresh(fast, managers[0])
 
 
+batch = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), element_sets),
+        st.tuples(st.just("update"), st.integers(0, 10**6), element_sets),
+        st.tuples(st.just("delete"), st.integers(0, 10**6)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def batch_charges(fast, before_words, start, ops, pages_before):
+    """``{file: (logical reads, logical writes)}`` the batch charging rule
+    gives ``ops`` on ``fast``: each page of a file the batch reads fetched
+    once, each changed page written once (a page it opens appended once
+    more), and the OID delete scan charged once, up to the furthest
+    tombstone."""
+    oids = fast.oid_file
+    after = oids._entry_words()
+    tombstoned = [
+        index
+        for index, word in enumerate(after.tolist())
+        if word == 2**64 - 1 and (index >= start or before_words[index] != word)
+    ]
+    changed = {index // oids.entries_per_page for index in tombstoned}
+    changed |= {index // oids.entries_per_page for index in range(start, len(after))}
+    existing = pages_before[oids.file.name]
+    scanned = max(tombstoned) // oids.entries_per_page + 1 if tombstoned else 0
+    fetched = set(range(min(scanned, existing))) | {p for p in changed if p < existing}
+    opened = {p for p in changed if p >= existing}
+    charges = {oids.file.name: (len(fetched), len(changed) + len(opened))}
+    inserts = [elements for op, elements, _ in ops if op == "insert"]
+    if isinstance(fast, BitSlicedSignatureFile):
+        per_page = fast.entries_per_slice_page
+        for position, slice_file in enumerate(fast._slice_files):
+            pages = {
+                index // per_page
+                for index, elements in enumerate(inserts, start)
+                if fast.worst_case_insert
+                or position in fast.scheme.set_signature(elements).set_positions()
+            }
+            if pages:
+                charges[slice_file.name] = (len(pages), len(pages))
+    else:
+        name, per_page = fast.signature_file.name, fast.sigs_per_page
+        pages = {index // per_page for index in range(start, start + len(inserts))}
+        read = {p for p in pages if p < pages_before[name]}
+        if pages:
+            charges[name] = (len(read), len(pages) + len(pages - read))
+    return charges
+
+
+class TestABatch:
+    """``apply`` with many ops against the oracle applying them one at a
+    time: the same page images, caches that are fresh decodes, and I/O
+    exactly as the batch charging rule counts it."""
+
+    @pytest.mark.parametrize("pool_capacity", [0, 2], ids=["uncached", "pool2"])
+    @pytest.mark.parametrize(
+        "kind,page_size",
+        [("ssf", 64), ("ssf", 512), ("bssf", 64), ("bssf", 512), ("bssf-worst", 512)],
+    )
+    @settings(max_examples=15, deadline=None)
+    @given(steps=batch, warm=st.booleans())
+    def test_same_pages_as_one_op_at_a_time(
+        self, kind, page_size, pool_capacity, steps, warm
+    ):
+        managers = [
+            StorageManager(page_size=page_size, pool_capacity=pool_capacity)
+            for _ in range(2)
+        ]
+        fast, oracle = (
+            make(kind.split("-")[0], manager, oracle=side)
+            for side, manager in enumerate(managers)
+        )
+        for facility in (fast, oracle):
+            facility.worst_case_insert = kind == "bssf-worst"
+        live = {OID(1, serial): preload_set(serial) for serial in range(24)}
+        for facility in (fast, oracle):
+            for oid, elements in live.items():
+                facility.insert(elements, oid)
+        if warm:
+            fast.search_subset(frozenset(range(DOMAIN)))
+        ops, serial = [], len(live)
+        for step in steps:
+            if step[0] == "insert":
+                live[OID(1, serial)] = step[1]
+                ops.append(("insert", step[1], OID(1, serial)))
+                serial += 1
+                continue
+            oid = sorted(live)[step[1] % len(live)]
+            ops.append(("delete", live.pop(oid), oid))
+            if step[0] == "update":
+                live[oid] = step[2]
+                ops.append(("insert", step[2], oid))
+        oracle.apply(ops)
+        start, before_words = fast.entry_count, fast.oid_file._entry_words().copy()
+        pages_before = {
+            name: len(images) for name, images in page_images(managers[0]).items()
+        }
+        snapshot = managers[0].snapshot()
+        fast.apply(ops)
+        delta = managers[0].snapshot() - snapshot
+        assert page_images(managers[0]) == page_images(managers[1])
+        assert_caches_are_fresh(fast, managers[0])
+        want = batch_charges(fast, before_words, start, ops, pages_before)
+        got = {
+            name: (counts.logical_reads, counts.logical_writes)
+            for name, counts in delta.files()
+            if counts.logical_total
+        }
+        assert got == want
+
+    def test_an_op_that_cannot_apply_writes_nothing(self):
+        manager = StorageManager(page_size=64, pool_capacity=0)
+        ssf = make("ssf", manager, oracle=False)
+        for serial in range(20):
+            ssf.insert(preload_set(serial), OID(1, serial))
+        images = page_images(manager)
+        snapshot = manager.snapshot()
+        with pytest.raises(AccessFacilityError, match="not present"):
+            ssf.apply(
+                [
+                    ("insert", frozenset({1}), OID(1, 20)),
+                    ("delete", frozenset({1}), OID(1, 99)),
+                ]
+            )
+        delta = manager.snapshot() - snapshot
+        oid_pages = ssf.oid_file.num_pages
+        assert delta.for_file("ssf:oids").logical_reads == oid_pages  # the whole scan
+        assert delta.total().logical_writes == 0
+        assert page_images(manager) == images and ssf.entry_count == 20
+        assert_caches_are_fresh(ssf, manager)
+
+
 def test_small_pages_split_leaves_root_and_chains():
     """The histories above run where they mean to: at 512 bytes the tree
     is two levels deep and, with chains, one list has spilled."""

@@ -108,7 +108,7 @@ class TestAppendRow:
         table = (np.zeros((0, 2), dtype=np.uint64), 0)
         capacities = []
         for index in range(9):
-            table = kernels.append_row(table, index, [index, index + 100])
+            table = kernels.append_rows(table, index, [[index, index + 100]])
             buffer, rows = table
             assert rows == index + 1
             assert buffer[:rows, 0].tolist() == list(range(rows))
@@ -118,11 +118,19 @@ class TestAppendRow:
 
     def test_spare_capacity_is_written_in_place(self):
         buffer = np.zeros(4, dtype=np.uint64)
-        grown, rows = kernels.append_row((buffer, 1), 1, 7)
+        grown, rows = kernels.append_rows((buffer, 1), 1, [7])
         assert grown is buffer and rows == 2 and buffer[1] == 7
+
+    def test_a_block_grows_the_buffer_to_hold_it(self):
+        table = (np.arange(2, dtype=np.uint64), 2)
+        buffer, rows = kernels.append_rows(table, 2, [5, 6, 7])
+        assert buffer.shape == (5,) and rows == 5
+        assert buffer.tolist() == [0, 1, 5, 6, 7]
+        buffer, rows = kernels.append_rows((buffer, rows), 5, [8])
+        assert buffer.shape == (10,) and buffer[:rows].tolist() == [0, 1, 5, 6, 7, 8]
 
     def test_refuses_a_table_that_does_not_end_at_the_index(self):
         table = (np.zeros(4, dtype=np.uint64), 2)
-        assert kernels.append_row(table, 1, 7) is None
-        assert kernels.append_row(table, 3, 7) is None
+        assert kernels.append_rows(table, 1, [7]) is None
+        assert kernels.append_rows(table, 3, [7]) is None
         assert table[0].tolist() == [0, 0, 0, 0]

@@ -12,13 +12,11 @@ counter they produce is a real fetch the shipped path has to reproduce.
 Each oracle subclasses the shipped class and overrides exactly the methods
 the shipped class answers from packed words: those that read or build
 signature pages in bulk (``bulk_load``, ``read_slice``, ``search_*``), the
-BSSF ``insert`` (which ships imaging each slice page from the decoded
-slice matrix) and, on the OID file, ``get_many``, ``append`` plus the
-``delete`` and ``scan_live`` scans, which here fetch every page they touch
-and compare one slot at a time through ``Page.read_bytes``. The SSF's
-one-page ``insert`` is inherited: the oracles never read a decode cache,
-so the write-through that follows it in the shipped class finds nothing
-to patch here.
+writes (``insert`` and ``delete``, and ``apply`` as one of them per op,
+where the shipped ``apply`` writes each page of a batch once) and, on the
+OID file, ``get_many``, ``append`` plus the ``delete`` and ``scan_live``
+scans, which here fetch every page they touch and compare one slot at a
+time through ``Page.read_bytes``. The oracles never read a decode cache.
 
 :mod:`tests.reference.nix_tree` does the same for the nested index: a
 B+-tree that fetches and decodes (one field at a time, through
@@ -26,6 +24,8 @@ B+-tree that fetches and decodes (one field at a time, through
 that loop over Python sets of ``OID`` objects.
 :mod:`tests.reference.drop_resolution` is drop resolution as the
 executor once ran it: one ``fetch`` and one predicate test per candidate.
+:mod:`tests.reference.replay` is WAL replay as it once ran: every
+record's facility upkeep applied with the record, one op per call.
 """
 
 from tests.reference.bssf import ReferenceBSSF

@@ -4,7 +4,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.access.base import SearchResult, SetValue
+from repro.access.base import SearchResult, SetAccessFacility, SetValue
 from repro.access.bssf import BitSlicedSignatureFile
 from repro.errors import AccessFacilityError
 from repro.objects.oid import OID
@@ -64,6 +64,12 @@ class ReferenceBSSF(BitSlicedSignatureFile):
         self.oid_file.bulk_append(oids)
         self.verify()
         return entries
+
+    apply = SetAccessFacility.apply  # one insert or delete per op
+
+    def delete(self, elements: SetValue, oid: OID) -> None:
+        self.log_wal_maintenance("facility_delete", elements, oid)
+        self.oid_file.delete(oid)
 
     def insert(self, elements: SetValue, oid: OID) -> None:
         """Fetch, flip and write back one page per slice rewritten."""

@@ -14,8 +14,15 @@ class ReferenceOIDFile(OIDFile):
 
     ``live_words`` is the shipped method's contract over the per-page
     ``get_many``, so a reference signature file's candidates come from
-    fetched pages too.
+    fetched pages too, and ``apply`` is one ``append`` or ``delete`` per
+    op.
     """
+
+    def apply(self, ops) -> List[int]:
+        return [
+            self.append(oid) if op == "insert" else self.delete(oid)
+            for op, oid in ops
+        ]
 
     def append(self, oid: OID) -> int:
         _entry_word(oid)

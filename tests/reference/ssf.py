@@ -4,8 +4,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.access.base import SearchResult, SetValue
-from repro.access.sigpack import signature_to_bits, store_bit_array
+from repro.access.base import SearchResult, SetAccessFacility, SetValue
+from repro.access.sigpack import (
+    signature_to_bits,
+    store_bit_array,
+    write_signature_in_page,
+)
 from repro.access.ssf import SequentialSignatureFile
 from repro.errors import AccessFacilityError
 from repro.objects.oid import OID
@@ -20,6 +24,25 @@ class ReferenceSSF(SequentialSignatureFile):
     def __init__(self, storage, scheme, file_prefix: str = "ssf"):
         super().__init__(storage, scheme, file_prefix=file_prefix)
         self.oid_file = ReferenceOIDFile(self.oid_file.file)
+
+    apply = SetAccessFacility.apply  # one insert or delete per op
+
+    def insert(self, elements: SetValue, oid: OID) -> None:
+        """Append the OID entry, then fetch, fill and write the signature page."""
+        self.log_wal_maintenance("facility_insert", elements, oid)
+        signature = self.scheme.set_signature(elements)
+        index = self.oid_file.append(oid)
+        page_no, slot = divmod(index, self.sigs_per_page)
+        if page_no >= self.signature_file.num_pages:
+            page = self.signature_file.append_page()[1]
+        else:
+            page = self.signature_file.read_page(page_no)
+        write_signature_in_page(page, slot, signature)
+        self.signature_file.write_page(page_no, page)
+
+    def delete(self, elements: SetValue, oid: OID) -> None:
+        self.log_wal_maintenance("facility_delete", elements, oid)
+        self.oid_file.delete(oid)
 
     def bulk_load(self, pairs) -> int:
         """Fill a per-page bit buffer entry by entry; one write per page."""

@@ -10,17 +10,21 @@ of the primary's durable prefix up to the replica's watermark.
 from __future__ import annotations
 
 import contextlib
+import random
 import socket
 import threading
 
 from repro import wire
 from repro.errors import StaleSubscriberError
 from repro.objects.database import Database
+from repro.objects.serde import encode_value
 from repro.obs.metrics import REGISTRY
 from repro.replication import ReplicaDatabase
 from repro.replication.merkle import store_trees
 from repro.server.net import TcpQueryServer
 from repro.wal.replay import replay_records
+from tests.conftest import HOBBIES
+from tests.reference.replay import replay_one_at_a_time
 from tests.wal.conftest import apply_ops, fingerprint, workload_ops
 
 
@@ -53,6 +57,39 @@ class TestPrimaryKillMidStream:
         assert fingerprint(promoted) == fingerprint(expected)
         # The promoted log holds exactly the shipped prefix, byte for byte.
         assert promoted.wal.end_lsn == watermark
+
+    def test_promote_redoes_a_shipped_but_unapplied_tail(self, primary, make_replica):
+        """Records the replica logged but never applied — a run of SSF and
+        BSSF updates and deletes, as a crash between append and apply
+        leaves them — are redone by promote() as one batch; the result is
+        the primary, a fresh replay of its log, and the record-at-a-time
+        oracle's replay, byte for byte."""
+        db, server = primary
+        apply_ops(db, workload_ops(inserts=30))
+        replica = make_replica(server.url)
+        _caught_up(db, replica)
+        replica.stop()
+        shipped_to = db.wal.end_lsn
+        rng = random.Random(4)
+        live = [oid for oid, _ in db.scan("Student")]
+        for step in range(24):
+            oid = rng.choice(live)
+            db.update(oid, {"name": f"t{step}", "hobbies": set(rng.sample(HOBBIES, 3))})
+            if step % 4 == 3:
+                db.delete(live.pop(rng.randrange(len(live))))
+        tail = db.wal.records_from(shipped_to)
+        assert len(tail) == 30
+        for record in tail:
+            replica.wal.append_payload(encode_value(list(record.fields)))
+        assert replica.database.wal_applied_lsn == shipped_to
+
+        promoted = replica.promote()
+        assert promoted.wal_applied_lsn == db.wal.end_lsn
+        fresh, oracle = Database(), Database()
+        replay_records(fresh, db.wal.records())
+        replay_one_at_a_time(oracle, db.wal.records())
+        assert fingerprint(promoted) == fingerprint(fresh) == fingerprint(oracle)
+        assert fingerprint(promoted) == fingerprint(db)
 
 
 class _TearingProxy:

@@ -33,7 +33,8 @@ python -m pytest tests/access/test_golden_page_accesses.py \
     tests/test_cached_mode.py tests/obs/test_no_overhead.py \
     tests/objects/test_fetch_many.py tests/objects/test_drop_resolution.py \
     tests/access/test_nix_cache.py \
-    tests/access/test_kernel_parity.py tests/access/test_writer_parity.py -q
+    tests/access/test_kernel_parity.py tests/access/test_writer_parity.py \
+    tests/access/test_verify_decodes.py -q
 
 echo "== front-of-query parity =="
 # The scanner, the memoised plan pricing and the running statistics must
@@ -54,9 +55,12 @@ python -m pytest tests/faults -q
 
 echo "== wal crash matrix (fixed seed) =="
 # Byte-equivalence of crash recovery at every sampled WAL-append, torn
-# write, and device-write crash point (tier-1 covers this too; an explicit
-# gate so a tier-1 reshuffle cannot silently drop it).
-python -m pytest tests/faults/test_wal_crash_matrix.py tests/wal -q
+# write, and device-write crash point, and of batched replay against the
+# record-at-a-time oracle in tests/reference/replay.py (tier-1 covers
+# this too; an explicit gate so a tier-1 reshuffle cannot silently drop
+# it).
+python -m pytest tests/faults/test_wal_crash_matrix.py \
+    tests/wal/test_replay_batch.py tests/wal -q
 
 echo "== fault injection (randomized smoke) =="
 # A fresh seed each run widens coverage over time; the seed is printed so
