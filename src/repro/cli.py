@@ -215,13 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-request deadline budget in milliseconds",
     )
     route.add_argument(
-        "--hedge", default=None, metavar="SECONDS|p99",
-        help=(
-            "hedged reads: launch a backup sub-request after this many "
-            "seconds, or adaptively at each shard's p99 latency"
-        ),
-    )
-    route.add_argument(
         "--token", default=None,
         help="auth token presented to every shard server",
     )
@@ -537,16 +530,6 @@ def _run_route(args) -> int:
     from repro.serving import connect
     from repro.wire import DEFAULT_PORT
 
-    hedge = args.hedge
-    if hedge is not None and hedge != "p99":
-        try:
-            hedge = float(hedge)
-        except ValueError:
-            print(
-                f"route: bad --hedge {args.hedge!r} (want seconds or 'p99')",
-                file=sys.stderr,
-            )
-            return 2
     client_kwargs = {}
     if args.token:
         client_kwargs["token"] = args.token
@@ -555,7 +538,6 @@ def _run_route(args) -> int:
             args.shards,
             partial_results=args.partial_results,
             deadline_ms=args.deadline_ms,
-            hedge_delay_seconds=hedge,
             **client_kwargs,
         )
     except (OSError, ReproError, ValueError) as exc:

@@ -15,14 +15,12 @@ the database is in-process or across the network::
 Connections are pooled (``pool_size`` sockets, dialed lazily, reused
 across requests). Transport failures — a dropped socket, a dead server, a
 connection refused — are retried with fresh connections per the client's
-:class:`~repro.storage.faults.RetryPolicy` (queries are read-only, so a
+:class:`~repro.resilience.RetryPolicy` (queries are read-only, so a
 resend is always safe); when every attempt fails the caller sees
 :class:`~repro.errors.ConnectionLostError`. Errors the *server* raised are
 not retried: they arrive as structured frames and re-raise here as the
 same exception class the server raised (stable codes in
 :mod:`repro.errors`), message intact.
-
-``RemoteDatabase`` is the historical spelling of the same class.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import urlparse
 
-from repro import wire
+from repro import resilience, wire
 from repro.errors import (
     ConfigurationError,
     ConnectionLostError,
@@ -44,16 +42,14 @@ from repro.errors import (
 from repro.obs.metrics import REGISTRY
 from repro.query.executor import QueryResult
 from repro.query.options import ExecutionOptions
-from repro.storage.faults import RetryPolicy
+from repro.resilience import TRANSPORT_ERRORS, RetryPolicy
 
-__all__ = ["RemoteClient", "RemoteDatabase", "parse_server_url"]
+__all__ = ["RemoteClient", "parse_server_url"]
 
 #: three quick attempts — ~enough to ride out one server restart
 DEFAULT_CLIENT_RETRY = RetryPolicy(
     max_attempts=3, backoff_seconds=0.05, multiplier=2.0
 )
-
-_TRANSPORT_ERRORS = (ConnectionLostError, ConnectionError, socket.timeout, OSError)
 
 
 def parse_server_url(url: str) -> Tuple[str, int]:
@@ -238,7 +234,7 @@ class RemoteClient:
             pooled = False
             try:
                 connection, pooled = self._acquire()
-            except _TRANSPORT_ERRORS as exc:
+            except TRANSPORT_ERRORS as exc:
                 last_error = exc
             else:
                 broken = True
@@ -262,7 +258,7 @@ class RemoteClient:
                     broken = False
                     self._m_requests.inc()
                     return response
-                except _TRANSPORT_ERRORS as exc:
+                except TRANSPORT_ERRORS as exc:
                     last_error = exc
                     if pooled:
                         self._m_stale.inc()
@@ -272,9 +268,7 @@ class RemoteClient:
                     continue  # stale idle socket: retry now, at no cost
             if attempt < policy.max_attempts:
                 self._m_retries.inc()
-                delay = policy.sleep_for(attempt)
-                if delay > 0:
-                    time.sleep(delay)
+                resilience.backoff(policy, attempt)
             attempt += 1
         raise ConnectionLostError(
             f"no response from {self.host}:{self.port} after "
@@ -393,7 +387,3 @@ class RemoteClient:
             f"RemoteClient({self.host}:{self.port}, pool={self.pool_size}, "
             f"{state})"
         )
-
-
-#: Historical alias — early drafts called the client a "remote database".
-RemoteDatabase = RemoteClient

@@ -22,13 +22,12 @@ before falling back to the primary.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro import wire
+from repro import resilience, wire
 from repro.errors import (
     ConfigurationError,
     ConnectionLostError,
@@ -37,8 +36,8 @@ from repro.errors import (
 from repro.obs.metrics import REGISTRY
 from repro.query.executor import QueryResult
 from repro.query.options import ExecutionOptions
-from repro.storage.faults import RetryPolicy
-from repro.client import RemoteClient, _TRANSPORT_ERRORS
+from repro.client import RemoteClient
+from repro.resilience import TRANSPORT_ERRORS, CircuitBreaker, RetryPolicy
 
 __all__ = ["FailoverClient", "DEFAULT_FAILOVER_RETRY"]
 
@@ -49,46 +48,19 @@ DEFAULT_FAILOVER_RETRY = RetryPolicy(
 )
 
 
-class _Endpoint:
-    """One server: its client, last-known role, and a circuit breaker."""
+class _Endpoint(CircuitBreaker):
+    """One server: its client, last-known role and LSN, and a breaker
+    whose cool-down follows the fleet's retry policy, eight steps at most."""
 
-    __slots__ = (
-        "client",
-        "role",
-        "lsn",
-        "consecutive_failures",
-        "open_until",
-    )
-
-    def __init__(self, client: RemoteClient):
+    def __init__(self, client: RemoteClient, threshold: int, policy: RetryPolicy):
+        super().__init__(threshold, policy, max_step=8)
         self.client = client
         self.role: Optional[str] = None  # unknown until probed
         self.lsn = 0
-        self.consecutive_failures = 0
-        self.open_until = 0.0
 
     @property
     def url(self) -> str:
         return self.client.url
-
-    def available(self, now: float) -> bool:
-        """Circuit closed, or cooled down enough for a half-open trial."""
-        return now >= self.open_until
-
-    def note_success(self) -> None:
-        self.consecutive_failures = 0
-        self.open_until = 0.0
-
-    def note_failure(self, threshold: int, policy: RetryPolicy, now: float) -> None:
-        self.consecutive_failures += 1
-        if self.consecutive_failures >= threshold:
-            past = self.consecutive_failures - threshold + 1
-            cooldown = min(policy.sleep_for(min(past, 8)), 5.0)
-            # Jitter the re-probe instant (±15%): a fleet of clients whose
-            # breakers opened together must not all half-open against the
-            # recovered server on the same tick — that thundering herd can
-            # knock it straight back over.
-            self.open_until = now + cooldown * random.uniform(0.85, 1.15)
 
 
 class FailoverClient:
@@ -132,12 +104,7 @@ class FailoverClient:
             urls = [part.strip() for part in urls.split(",") if part.strip()]
         if not urls:
             raise ConfigurationError("FailoverClient needs at least one URL")
-        if failure_threshold < 1:
-            raise ConfigurationError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
         self.retry_policy = retry_policy or DEFAULT_FAILOVER_RETRY
-        self.failure_threshold = failure_threshold
         self.prefer_replicas = prefer_replicas
         self.read_your_writes_timeout_seconds = read_your_writes_timeout_seconds
         self._lock = threading.Lock()
@@ -157,7 +124,9 @@ class FailoverClient:
                     connect_timeout_seconds=connect_timeout_seconds,
                     request_timeout_seconds=request_timeout_seconds,
                     max_frame_bytes=max_frame_bytes,
-                )
+                ),
+                failure_threshold,
+                self.retry_policy,
             )
             for url in urls
         ]
@@ -186,14 +155,12 @@ class FailoverClient:
         """Refresh one endpoint's role/LSN; returns liveness."""
         try:
             payload = endpoint.client.status()
-        except _TRANSPORT_ERRORS:
-            endpoint.note_failure(
-                self.failure_threshold, self.retry_policy, time.monotonic()
-            )
+        except TRANSPORT_ERRORS:
+            endpoint.record_failure(time.monotonic())
             return False
         endpoint.role = payload.get("role", "standalone")
         endpoint.lsn = int(payload.get("lsn", 0))
-        endpoint.note_success()
+        endpoint.record_success()
         return True
 
     def refresh(self) -> Dict[str, str]:
@@ -208,7 +175,7 @@ class FailoverClient:
     def _primary(self, refresh_on_miss: bool = True) -> _Endpoint:
         now = time.monotonic()
         for endpoint in self._endpoints:
-            if endpoint.role == "primary" and endpoint.available(now):
+            if endpoint.role == "primary" and not endpoint.is_open(now):
                 return endpoint
         if refresh_on_miss:
             self._m_failovers.inc()
@@ -217,7 +184,7 @@ class FailoverClient:
         # Last resort: any live endpoint claiming writability ("standalone"
         # serves both roles), else fail loudly.
         for endpoint in self._endpoints:
-            if endpoint.role == "standalone" and endpoint.available(now):
+            if endpoint.role == "standalone" and not endpoint.is_open(now):
                 return endpoint
         raise ConnectionLostError(
             "no reachable primary among "
@@ -247,7 +214,7 @@ class FailoverClient:
         replicas = [
             e
             for e in self._endpoints
-            if e.role == "replica" and e.available(now)
+            if e.role == "replica" and not e.is_open(now)
         ]
         if min_lsn is not None:
             replicas = self._await_watermark(replicas, min_lsn)
@@ -268,7 +235,7 @@ class FailoverClient:
         ):
             if (
                 endpoint not in ordered
-                and endpoint.available(now)
+                and not endpoint.is_open(now)
                 and not self._replica_barred(endpoint, min_lsn)
             ):
                 ordered.append(endpoint)
@@ -295,8 +262,10 @@ class FailoverClient:
         if ready or not replicas:
             return ready
         self._m_ryw_waits.inc()
-        deadline = time.monotonic() + self.read_your_writes_timeout_seconds
-        while time.monotonic() < deadline:
+        deadline = resilience.deadline_at(
+            self.read_your_writes_timeout_seconds * 1000.0
+        )
+        while resilience.remaining(deadline) > 0:
             for endpoint in replicas:
                 if self._probe(endpoint) and endpoint.lsn >= min_lsn:
                     ready.append(endpoint)
@@ -382,7 +351,7 @@ class FailoverClient:
         for endpoint in self._endpoints:
             try:
                 return endpoint.client.ping()
-            except _TRANSPORT_ERRORS as exc:
+            except TRANSPORT_ERRORS as exc:
                 last_error = exc
         raise ConnectionLostError(
             f"no endpoint answered a ping: {last_error}"
@@ -419,17 +388,13 @@ class FailoverClient:
             for endpoint in candidates:
                 try:
                     result = call(endpoint)
-                except _TRANSPORT_ERRORS as exc:
+                except TRANSPORT_ERRORS as exc:
                     last_error = exc
-                    endpoint.note_failure(
-                        self.failure_threshold,
-                        self.retry_policy,
-                        time.monotonic(),
-                    )
+                    endpoint.record_failure(time.monotonic())
                     # Whatever we knew about this endpoint is now suspect.
                     endpoint.role = None
                     continue
-                endpoint.note_success()
+                endpoint.record_success()
                 if not write:
                     if endpoint.role == "replica":
                         self._m_replica_reads.inc()
@@ -437,9 +402,7 @@ class FailoverClient:
                         self._m_primary_reads.inc()
                 return result
             if attempt < policy.max_attempts:
-                delay = policy.sleep_for(attempt)
-                if delay > 0:
-                    time.sleep(delay)
+                resilience.backoff(policy, attempt)
         raise ConnectionLostError(
             f"request failed on every endpoint after {policy.max_attempts} "
             f"round(s): {last_error}"

@@ -18,7 +18,7 @@ records this replica never saw), the tail runs merkle anti-entropy: ship
 chunk digests, receive only the differing page ranges plus the catalog,
 rebuild state at the primary's LSN, reset the local log there, and resume
 tailing. Disconnections reconnect with
-:class:`~repro.storage.faults.RetryPolicy` backoff, forever, until
+:class:`~repro.resilience.RetryPolicy` backoff, forever, until
 :meth:`stop` — a replica's job is to keep trying.
 
 :meth:`promote` ends replication and turns the database into a writable
@@ -34,7 +34,7 @@ import socket
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import wire
+from repro import resilience, wire
 from repro.errors import (
     ConnectionLostError,
     ProtocolError,
@@ -45,7 +45,7 @@ from repro.errors import (
 )
 from repro.objects.serde import decode_value as serde_decode
 from repro.obs.metrics import REGISTRY
-from repro.storage.faults import RetryPolicy
+from repro.resilience import TRANSPORT_ERRORS, RetryPolicy
 from repro.wal.log import WalRecord
 from repro.wal.replay import recover_database, replay_records
 
@@ -61,13 +61,6 @@ DEFAULT_RECONNECT_POLICY = RetryPolicy(
 
 #: longest single pause between reconnect attempts, whatever the policy
 _RECONNECT_BACKOFF_CAP_SECONDS = 1.0
-
-_TRANSPORT_ERRORS = (
-    ConnectionLostError,
-    ConnectionError,
-    socket.timeout,
-    OSError,
-)
 
 
 class ReplicaDatabase:
@@ -173,15 +166,13 @@ class ReplicaDatabase:
 
     def wait_for_lsn(self, lsn: int, timeout: float = 10.0) -> bool:
         """Block until the watermark reaches ``lsn`` (read-your-writes)."""
-        import time
-
-        deadline = time.monotonic() + timeout
+        deadline = resilience.deadline_at(timeout * 1000.0)
         with self._progress:
             while self.watermark < lsn:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or (self._stop.is_set() and not self._thread):
+                left = resilience.remaining(deadline)
+                if left <= 0 or (self._stop.is_set() and not self._thread):
                     return self.watermark >= lsn
-                self._progress.wait(min(remaining, 0.25))
+                self._progress.wait(min(left, 0.25))
         return True
 
     # ------------------------------------------------------------------
@@ -316,12 +307,12 @@ class ReplicaDatabase:
                     self._stream_from(sock)
                 except StaleSubscriberError:
                     pass  # truncated again already; resync on reconnect
-                except _TRANSPORT_ERRORS as exc:
+                except TRANSPORT_ERRORS as exc:
                     self.last_error = exc
                     self._m_reconnects.inc()
                 except Exception as exc:
                     self.last_error = exc
-            except _TRANSPORT_ERRORS as exc:
+            except TRANSPORT_ERRORS as exc:
                 self.last_error = exc
                 self._m_reconnects.inc()
             except (ReplicationError, ProtocolError, ReproError) as exc:
@@ -339,12 +330,12 @@ class ReplicaDatabase:
                 self._close_socket()
 
     def _backoff(self, failures: int) -> None:
-        delay = min(
-            self.reconnect_policy.sleep_for(min(failures, 8)),
-            _RECONNECT_BACKOFF_CAP_SECONDS,
+        resilience.backoff(
+            self.reconnect_policy,
+            min(failures, 8),
+            cap=_RECONNECT_BACKOFF_CAP_SECONDS,
+            wait=self._stop.wait,
         )
-        if delay > 0:
-            self._stop.wait(delay)
 
     def _connect(self) -> socket.socket:
         sock = socket.create_connection(

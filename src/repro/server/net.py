@@ -52,7 +52,7 @@ import threading
 import time
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro import wire
+from repro import resilience, wire
 from repro.errors import (
     AuthenticationError,
     ConfigurationError,
@@ -254,14 +254,15 @@ class TcpQueryServer:
                 self._listener.close()
         with self._state_lock:
             connections = list(self._handlers.items())
-        drain_deadline = time.monotonic() + max(0.0, drain_timeout)
+        drain_deadline = resilience.deadline_at(drain_timeout * 1000.0)
         for connection, _thread in connections:
             if drain:
                 # Waits for the in-flight request (if any) to finish and
                 # flush its response, then wakes the blocked frame read.
                 # One shared deadline bounds the whole drain pass.
-                remaining = drain_deadline - time.monotonic()
-                acquired = connection.lock.acquire(timeout=max(0.0, remaining))
+                acquired = connection.lock.acquire(
+                    timeout=resilience.remaining(drain_deadline)
+                )
                 try:
                     if not acquired:
                         self._m_drain_timeouts.inc()

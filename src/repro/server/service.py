@@ -10,7 +10,7 @@ correctness, and on the per-thread I/O journal for exact per-query metering.
 Admission is bounded: at most ``max_workers + queue_depth`` queries may be
 in flight or waiting. A ``submit`` past that limit blocks for
 ``admission_timeout_seconds`` per attempt and retries per a
-:class:`~repro.storage.faults.RetryPolicy` (the same retry/backoff
+:class:`~repro.resilience.RetryPolicy` (the same retry/backoff
 semantics the storage layer uses for transient device faults); when every
 attempt times out the request is *shed* with
 :class:`~repro.errors.AdmissionError` instead of queueing unboundedly —
@@ -29,6 +29,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import List, Optional
 
+from repro import resilience
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -37,7 +38,7 @@ from repro.errors import (
 from repro.obs.metrics import REGISTRY
 from repro.query.executor import QueryExecutor, QueryResult
 from repro.query.options import ExecutionOptions
-from repro.storage.faults import DEFAULT_RETRY_POLICY, RetryPolicy
+from repro.resilience import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = ["QueryService"]
 
@@ -127,9 +128,7 @@ class QueryService:
                 self._h_wait.record(time.perf_counter() - waited_from)
                 return
             if attempt < policy.max_attempts:
-                delay = policy.sleep_for(attempt)
-                if delay > 0:
-                    time.sleep(delay)
+                resilience.backoff(policy, attempt)
         self._m_shed.inc()
         raise AdmissionError(
             f"query shed: no admission slot within "
@@ -171,15 +170,13 @@ class QueryService:
         slot a live request could have used.
         """
         budget_ms = getattr(options, "deadline_ms", None)
-        if budget_ms is None:
-            return None
-        if budget_ms <= 0:
+        if budget_ms is not None and budget_ms <= 0:
             self._m_deadline.inc()
             raise DeadlineExceededError(
                 f"deadline budget exhausted before submission "
                 f"({budget_ms:.1f}ms remaining)"
             )
-        return time.monotonic() + budget_ms / 1000.0
+        return resilience.deadline_at(budget_ms)
 
     def _run_one(
         self,

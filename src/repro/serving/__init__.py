@@ -86,7 +86,6 @@ class QueryBackend(Protocol):
 _ROUTER_KEYS = (
     "partial_results",
     "deadline_ms",
-    "hedge_delay_seconds",
     "shard_retry_policy",
     "breaker_cooldown_seconds",
 )
@@ -110,10 +109,9 @@ def connect(url, **kwargs: Any):
     shard (itself a single server or a replicated fleet), and the result
     is a :class:`~repro.sharding.ShardRouter` over per-shard clients
     built by this same function. Router policy keywords
-    (``partial_results``, ``deadline_ms``, ``hedge_delay_seconds``,
-    ``shard_retry_policy`` — the router's ``retry_policy`` —
-    ``breaker_cooldown_seconds``) configure the router; everything else
-    passes through to every member client::
+    (``partial_results``, ``deadline_ms``, ``shard_retry_policy`` — the
+    router's ``retry_policy`` — ``breaker_cooldown_seconds``) configure
+    the router; everything else passes through to every member client::
 
         connect("s0a,s0b;s1a,s1b", partial_results="degraded")
     """
@@ -121,7 +119,9 @@ def connect(url, **kwargs: Any):
         # A ';' always means sharding, even when every shard is a single
         # server ("a;b;c" is three shards, not a three-way fleet).
         segments = [part.strip() for part in url.split(";") if part.strip()]
-        return _shard_router(segments, kwargs)
+        return _shard_router(
+            segments, kwargs, lambda spec, rest: connect(spec, **rest)
+        )
     if isinstance(url, (list, tuple)):
         nested = any(
             isinstance(item, (list, tuple))
@@ -129,7 +129,9 @@ def connect(url, **kwargs: Any):
             for item in url
         )
         if nested:
-            return _shard_router(list(url), kwargs)
+            return _shard_router(
+                url, kwargs, lambda spec, rest: connect(spec, **rest)
+            )
         # A flat list of single URLs stays a replicated fleet (the PR 8
         # behaviour); only nesting or ';' introduces sharding.
         from repro.client.failover import FailoverClient
@@ -142,8 +144,9 @@ def connect(url, **kwargs: Any):
     return RemoteClient.from_url(url, **kwargs)
 
 
-def _shard_router(shard_specs, kwargs):
-    """A router whose shards each come from :func:`connect` recursively."""
+def _shard_router(members, kwargs, build):
+    """A router over ``build(member, kwargs)`` per member, router policy
+    keywords taken out of ``kwargs``; built members close if one fails."""
     from repro.sharding import ShardRouter
 
     router_kwargs = {
@@ -153,8 +156,8 @@ def _shard_router(shard_specs, kwargs):
         router_kwargs["retry_policy"] = router_kwargs.pop("shard_retry_policy")
     shards = []
     try:
-        for spec in shard_specs:
-            shards.append(connect(spec, **kwargs))
+        for member in members:
+            shards.append(build(member, kwargs))
     except Exception:
         for shard in shards:
             shard.close()
@@ -179,8 +182,8 @@ def make_service(
         :class:`~repro.sharding.ShardRouter` whose members are made by
         this same factory (``mode`` / ``max_workers`` apply per shard;
         router policy keywords — ``partial_results``, ``deadline_ms``,
-        ``hedge_delay_seconds``, ``shard_retry_policy``,
-        ``breaker_cooldown_seconds`` — configure the router).
+        ``shard_retry_policy``, ``breaker_cooldown_seconds`` — configure
+        the router).
     ``mode``
         An :class:`~repro.query.options.ExecutionMode` or its string value
         (``"serial"`` / ``"thread"`` / ``"process"`` / ``"remote"``).
@@ -202,33 +205,15 @@ def make_service(
                 f"{[m.value for m in ExecutionMode]}"
             ) from None
     if isinstance(db_or_url, (list, tuple)):
-        from repro.sharding import ShardRouter
-
-        router_kwargs = {
-            key: kwargs.pop(key) for key in _ROUTER_KEYS if key in kwargs
-        }
-        if "shard_retry_policy" in router_kwargs:
-            router_kwargs["retry_policy"] = router_kwargs.pop(
-                "shard_retry_policy"
-            )
-        shards = []
-        try:
-            for member in db_or_url:
-                if isinstance(member, QueryBackend):
-                    # Already a backend (a service, client, or nested
-                    # router): used as-is, lifecycle owned by the router.
-                    shards.append(member)
-                else:
-                    shards.append(
-                        make_service(
-                            member, mode, max_workers=max_workers, **kwargs
-                        )
-                    )
-        except Exception:
-            for shard in shards:
-                shard.close()
-            raise
-        return ShardRouter(shards, **router_kwargs)
+        # A member that is already a backend (a service, client, or
+        # nested router) is used as-is, lifecycle owned by the router.
+        return _shard_router(
+            db_or_url,
+            kwargs,
+            lambda member, rest: member
+            if isinstance(member, QueryBackend)
+            else make_service(member, mode, max_workers=max_workers, **rest),
+        )
     if isinstance(db_or_url, str):
         if mode not in (None, ExecutionMode.REMOTE):
             raise ConfigurationError(

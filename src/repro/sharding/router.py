@@ -23,11 +23,6 @@ sub-request:
 * **Bounded retries with jittered backoff**, per shard, for transport-
   class failures only (a parse error is the same on every shard and
   propagates immediately).
-* **Hedged reads** (optional): when a shard's response is slower than the
-  hedge delay — a fixed value, or ``"p99"`` of that shard's recent
-  latencies — a backup sub-request races it and the first answer wins.
-  Only the winner's rows and I/O are merged, so accounting never double
-  counts.
 * **Per-shard circuit breakers** with jittered cool-downs; an open
   breaker fast-fails the shard in degraded mode (strict mode still
   probes — it must either get a complete answer or fail loudly anyway).
@@ -37,21 +32,22 @@ sub-request:
   ``partial=True`` and the missing-shard list — an exact *subset* of the
   complete answer (disjoint slices can under-report, never invent rows).
 
-Traffic feeds the ``router.*`` metrics and, when tracing is requested,
-one ``router.execute`` span carrying per-shard outcomes.
+The retry schedule, breaker and deadline arithmetic are
+:mod:`repro.resilience`'s; this module decides what is retried and what
+a failure costs. Traffic feeds the ``router.*`` metrics and, when
+tracing is requested, one ``router.execute`` span carrying per-shard
+outcomes.
 """
 
 from __future__ import annotations
 
-import random
-import socket
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures import wait as futures_wait
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro import resilience
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -64,7 +60,7 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import Tracer
 from repro.query.executor import QueryResult, QueryStatistics
 from repro.query.options import ExecutionOptions
-from repro.storage.faults import RetryPolicy
+from repro.resilience import CircuitBreaker, RetryPolicy
 
 __all__ = ["ShardRouter", "DEFAULT_SHARD_RETRY", "merge_results"]
 
@@ -75,17 +71,7 @@ DEFAULT_SHARD_RETRY = RetryPolicy(
 
 #: failures worth retrying / routing around — transport and overload, not
 #: query semantics (a parse error is identical on every shard)
-_SHARD_FAULTS = (
-    ConnectionLostError,
-    ConnectionError,
-    socket.timeout,
-    OSError,
-    AdmissionError,
-    TransientIOError,
-)
-
-#: latency window per shard for the adaptive ("p99") hedge delay
-_LATENCY_WINDOW = 64
+_SHARD_FAULTS = resilience.TRANSPORT_ERRORS + (AdmissionError, TransientIOError)
 
 
 class _ShardDown(Exception):
@@ -96,60 +82,18 @@ class _ShardDown(Exception):
         self.cause = cause
 
 
-class _ShardState:
-    """Router-side bookkeeping for one shard: breaker + latency window."""
+class _Shard(CircuitBreaker):
+    """One shard backend and the router's breaker for it, whose cool-down
+    doubles per failure past the threshold, six doublings at most."""
 
-    __slots__ = (
-        "name",
-        "backend",
-        "consecutive_failures",
-        "open_until",
-        "latencies",
-        "requests",
-        "failures",
-        "lock",
-    )
-
-    def __init__(self, name: str, backend: Any):
+    def __init__(
+        self, name: str, backend: Any, threshold: int, cooldown_seconds: float
+    ):
+        super().__init__(
+            threshold, RetryPolicy(backoff_seconds=cooldown_seconds), max_step=7
+        )
         self.name = name
         self.backend = backend
-        self.consecutive_failures = 0
-        self.open_until = 0.0
-        self.latencies: List[float] = []
-        self.requests = 0
-        self.failures = 0
-        self.lock = threading.Lock()
-
-    def breaker_open(self, now: float) -> bool:
-        return now < self.open_until
-
-    def note_success(self, elapsed: float) -> None:
-        with self.lock:
-            self.consecutive_failures = 0
-            self.open_until = 0.0
-            self.latencies.append(elapsed)
-            if len(self.latencies) > _LATENCY_WINDOW:
-                del self.latencies[: -_LATENCY_WINDOW]
-
-    def note_failure(
-        self, threshold: int, cooldown_seconds: float, now: float
-    ) -> None:
-        with self.lock:
-            self.consecutive_failures += 1
-            if self.consecutive_failures >= threshold:
-                past = min(self.consecutive_failures - threshold, 6)
-                cooldown = min(cooldown_seconds * (2.0 ** past), 5.0)
-                # Jittered (±15%) for the same reason the failover client
-                # jitters: a fleet of routers must not re-probe a
-                # recovered shard on the same tick.
-                self.open_until = now + cooldown * random.uniform(0.85, 1.15)
-
-    def p99_seconds(self) -> Optional[float]:
-        with self.lock:
-            if len(self.latencies) < 8:
-                return None
-            ordered = sorted(self.latencies)
-            return ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
 
 
 def merge_results(
@@ -217,10 +161,6 @@ class ShardRouter:
         ``None`` means unbounded.
     ``retry_policy``
         Per-shard sub-request retries (transport-class failures only).
-    ``hedge_delay_seconds``
-        ``None`` disables hedging; a float hedges after that fixed delay;
-        ``"p99"`` adapts to each shard's recent latency (no hedging until
-        a window accumulates).
     ``failure_threshold`` / ``breaker_cooldown_seconds``
         Consecutive sub-request failures before a shard's breaker opens,
         and the base cool-down (exponential per further failure, jittered,
@@ -237,7 +177,6 @@ class ShardRouter:
         partial_results: str = "strict",
         deadline_ms: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        hedge_delay_seconds: Union[float, str, None] = None,
         failure_threshold: int = 3,
         breaker_cooldown_seconds: float = 0.5,
         max_workers: Optional[int] = None,
@@ -255,38 +194,24 @@ class ShardRouter:
             raise ConfigurationError(
                 f"deadline_ms must be positive, got {deadline_ms}"
             )
-        if isinstance(hedge_delay_seconds, str) and hedge_delay_seconds != "p99":
-            raise ConfigurationError(
-                "hedge_delay_seconds must be a float, 'p99', or None, "
-                f"got {hedge_delay_seconds!r}"
-            )
-        if failure_threshold < 1:
-            raise ConfigurationError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
         self.partial_results = partial_results
         self.deadline_ms = deadline_ms
         self.retry_policy = retry_policy or DEFAULT_SHARD_RETRY
-        self.hedge_delay_seconds = hedge_delay_seconds
-        self.failure_threshold = failure_threshold
-        self.breaker_cooldown_seconds = breaker_cooldown_seconds
         self._owns_shards = owns_shards
         self._shards = [
-            _ShardState(getattr(b, "url", None) or f"shard-{i}", b)
+            _Shard(
+                getattr(b, "url", None) or f"shard-{i}",
+                b,
+                failure_threshold,
+                breaker_cooldown_seconds,
+            )
             for i, b in enumerate(shards)
         ]
         self._closed = False
         self._lock = threading.Lock()
-        # Fan-out threads (one per shard per in-flight request) and hedge
-        # backups run on separate pools so a hedging fan-out thread can
-        # never deadlock waiting for a slot its own request occupies.
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers or 2 * len(shards),
             thread_name_prefix="shard-router",
-        )
-        self._hedge_pool = ThreadPoolExecutor(
-            max_workers=2 * len(shards),
-            thread_name_prefix="shard-hedge",
         )
         self._submit_pool: Optional[ThreadPoolExecutor] = None
         self._m_requests = REGISTRY.counter("router.requests")
@@ -294,8 +219,6 @@ class ShardRouter:
         self._m_retries = REGISTRY.counter("router.retries")
         self._m_shard_failures = REGISTRY.counter("router.shard_failures")
         self._m_partial = REGISTRY.counter("router.partial_results")
-        self._m_hedges = REGISTRY.counter("router.hedges")
-        self._m_hedge_wins = REGISTRY.counter("router.hedge_wins")
         self._m_breaker_skips = REGISTRY.counter("router.breaker_skips")
 
     # ------------------------------------------------------------------
@@ -311,19 +234,18 @@ class ShardRouter:
         return ";".join(state.name for state in self._shards)
 
     def status(self) -> List[Dict[str, Any]]:
-        """One entry per shard: health, breaker, and latency summary."""
+        """One entry per shard: request counts and breaker health."""
         now = time.monotonic()
         return [
             {
                 "shard": index,
-                "name": state.name,
-                "requests": state.requests,
-                "failures": state.failures,
-                "consecutive_failures": state.consecutive_failures,
-                "breaker_open": state.breaker_open(now),
-                "p99_seconds": state.p99_seconds(),
+                "name": shard.name,
+                "requests": shard.requests,
+                "failures": shard.failures,
+                "consecutive_failures": shard.consecutive_failures,
+                "breaker_open": shard.is_open(now),
             }
-            for index, state in enumerate(self._shards)
+            for index, shard in enumerate(self._shards)
         ]
 
     @property
@@ -408,7 +330,7 @@ class ShardRouter:
     # ------------------------------------------------------------------
     def _scatter(
         self,
-        call: Callable[[_ShardState, Optional[ExecutionOptions]], Any],
+        call: Callable[[_Shard, Optional[ExecutionOptions]], Any],
         options: Optional[ExecutionOptions],
         merge: Callable[..., Any],
     ):
@@ -419,11 +341,7 @@ class ShardRouter:
         budget_ms = (
             opts.deadline_ms if opts.deadline_ms is not None else self.deadline_ms
         )
-        deadline_at = (
-            time.monotonic() + budget_ms / 1000.0
-            if budget_ms is not None
-            else None
-        )
+        deadline = resilience.deadline_at(budget_ms)
         tracer = (
             (opts.tracer or Tracer()) if opts.tracing_requested else None
         )
@@ -445,7 +363,7 @@ class ShardRouter:
             futures: Dict[int, "Future[Any]"] = {}
             missing: Dict[int, BaseException] = {}
             for index, state in enumerate(self._shards):
-                if not strict and state.breaker_open(now):
+                if not strict and state.is_open(now):
                     # Degraded mode fast-fails a tripped shard; strict
                     # mode probes anyway — it either completes the answer
                     # (half-open success) or fails loudly, which it would
@@ -456,17 +374,14 @@ class ShardRouter:
                     )
                     continue
                 futures[index] = self._pool.submit(
-                    self._call_shard, state, call, opts, deadline_at
+                    self._call_shard, state, call, opts, deadline
                 )
             answers: Dict[int, Any] = {}
             for index, future in futures.items():
-                remaining = (
-                    None
-                    if deadline_at is None
-                    else max(0.0, deadline_at - time.monotonic())
-                )
                 try:
-                    answers[index] = future.result(timeout=remaining)
+                    answers[index] = future.result(
+                        timeout=resilience.remaining(deadline)
+                    )
                 except FutureTimeoutError:
                     # The worker thread keeps running (its own sub-request
                     # deadline will cut it short); the gather moves on.
@@ -517,12 +432,12 @@ class ShardRouter:
 
     def _call_shard(
         self,
-        state: _ShardState,
-        call: Callable[[_ShardState, Optional[ExecutionOptions]], Any],
+        shard: _Shard,
+        call: Callable[[_Shard, Optional[ExecutionOptions]], Any],
         options: ExecutionOptions,
-        deadline_at: Optional[float],
+        deadline: Optional[float],
     ):
-        """One shard's sub-request: retries, backoff, hedging, breaker.
+        """One shard's sub-request: retries, backoff, breaker.
 
         Returns the backend's answer or raises :class:`_ShardDown` with
         the last transport-class cause. Non-transport errors (parse,
@@ -534,129 +449,39 @@ class ShardRouter:
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
                 self._m_retries.inc()
-                delay = policy.sleep_for(attempt - 1)
-                if deadline_at is not None:
-                    delay = min(delay, max(0.0, deadline_at - time.monotonic()))
-                if delay > 0:
-                    time.sleep(delay)
-            remaining = (
-                None
-                if deadline_at is None
-                else deadline_at - time.monotonic()
-            )
-            if remaining is not None and remaining <= 0:
+                resilience.backoff(policy, attempt - 1, deadline=deadline)
+            left = resilience.remaining(deadline)
+            if left is not None and left <= 0:
                 raise _ShardDown(
                     last_fault
                     or DeadlineExceededError(
                         f"deadline budget exhausted before shard "
-                        f"{state.name} could be asked"
+                        f"{shard.name} could be asked"
                     )
                 )
             sub_options = (
                 options
-                if remaining is None
-                else options.evolve(deadline_ms=remaining * 1000.0)
+                if left is None
+                else options.evolve(deadline_ms=left * 1000.0)
             )
-            state.requests += 1
+            shard.record_request()
             self._m_sub_requests.inc()
-            started = time.perf_counter()
             try:
-                answer = self._one_attempt(state, call, sub_options, remaining)
+                answer = call(shard, sub_options)
             except _SHARD_FAULTS as exc:
                 last_fault = exc
-                state.failures += 1
-                state.note_failure(
-                    self.failure_threshold,
-                    self.breaker_cooldown_seconds,
-                    time.monotonic(),
-                )
+                shard.record_failure(time.monotonic())
                 continue
             except DeadlineExceededError as exc:
                 # The shard (or its server) rejected an exhausted budget;
-                # retrying cannot help — the budget only shrinks.
-                state.failures += 1
+                # retrying cannot help — the budget only shrinks, and it
+                # says nothing about the shard's health.
+                shard.record_failure(time.monotonic(), trips=False)
                 raise _ShardDown(exc)
-            state.note_success(time.perf_counter() - started)
+            shard.record_success()
             return answer
         assert last_fault is not None
         raise _ShardDown(last_fault)
-
-    def _one_attempt(
-        self,
-        state: _ShardState,
-        call: Callable[[_ShardState, Optional[ExecutionOptions]], Any],
-        sub_options: ExecutionOptions,
-        remaining: Optional[float],
-    ):
-        """One sub-request, hedged when configured and worthwhile."""
-        hedge_after = self._hedge_delay(state, remaining)
-        if hedge_after is None:
-            return call(state, sub_options)
-        attempt_deadline = (
-            None if remaining is None else time.monotonic() + remaining
-        )
-        primary = self._hedge_pool.submit(call, state, sub_options)
-        try:
-            return primary.result(timeout=hedge_after)
-        except FutureTimeoutError:
-            pass  # slow: race a backup against it
-        self._m_hedges.inc()
-        backup = self._hedge_pool.submit(call, state, sub_options)
-        pending = {primary, backup}
-        last_fault: Optional[BaseException] = None
-        while pending:
-            timeout = (
-                None
-                if attempt_deadline is None
-                else max(0.0, attempt_deadline - time.monotonic())
-            )
-            done, not_done = futures_wait(
-                pending, timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                self._abandon(not_done)
-                raise DeadlineExceededError(
-                    f"shard {state.name} missed its deadline "
-                    f"(hedged attempt included)"
-                )
-            for future in done:
-                pending.discard(future)
-                fault = future.exception()
-                if fault is None:
-                    if future is backup:
-                        self._m_hedge_wins.inc()
-                    self._abandon(pending)
-                    return future.result()
-                last_fault = fault
-        assert last_fault is not None
-        raise last_fault  # both racers failed; the retry loop classifies
-
-    @staticmethod
-    def _abandon(futures) -> None:
-        """Detach losing racers: swallow their eventual outcome.
-
-        A loser's result is never merged (no double-counted rows or I/O)
-        and its exception must not surface as an unretrieved-future
-        warning.
-        """
-        for future in futures:
-            future.cancel()
-            future.add_done_callback(lambda f: f.exception())
-
-    def _hedge_delay(
-        self, state: _ShardState, remaining: Optional[float]
-    ) -> Optional[float]:
-        delay = self.hedge_delay_seconds
-        if delay is None:
-            return None
-        if delay == "p99":
-            adaptive = state.p99_seconds()
-            if adaptive is None:
-                return None  # not enough history to hedge sensibly yet
-            delay = adaptive
-        if remaining is not None and delay >= remaining:
-            return None  # the hedge would fire after the deadline anyway
-        return float(delay)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -671,7 +496,6 @@ class ShardRouter:
         if submit_pool is not None:
             submit_pool.shutdown(wait=True)
         self._pool.shutdown(wait=True)
-        self._hedge_pool.shutdown(wait=True)
         if self._owns_shards:
             for state in self._shards:
                 close = getattr(state.backend, "close", None)

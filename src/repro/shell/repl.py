@@ -125,26 +125,14 @@ class Shell:
         if self.remote is None:
             return "not connected (use \\connect with a ';' shard map)"
         if hasattr(self.remote, "shard_count"):  # ShardRouter
-            lines = []
-            for entry in self.remote.status():
-                p99 = entry["p99_seconds"]
-                lines.append(
-                    "shard {shard} {name}: {health}, "
-                    "{requests} request(s), {failures} failure(s), "
-                    "p99 {p99}".format(
-                        shard=entry["shard"],
-                        name=entry["name"],
-                        health=(
-                            "breaker open"
-                            if entry["breaker_open"]
-                            else "healthy"
-                        ),
-                        requests=entry["requests"],
-                        failures=entry["failures"],
-                        p99=f"{p99 * 1000:.1f} ms" if p99 else "n/a",
-                    )
+            return "\n".join(
+                "shard {shard} {name}: {health}, {requests} request(s), "
+                "{failures} failure(s)".format(
+                    health="breaker open" if entry["breaker_open"] else "healthy",
+                    **entry,
                 )
-            return "\n".join(lines)
+                for entry in self.remote.status()
+            )
         if hasattr(self.remote, "_endpoints"):  # FailoverClient
             return (
                 f"{self.remote.url}: replicated fleet, not a shard map "

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import fnmatch
 import random
-import time
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
@@ -45,6 +44,8 @@ from repro.errors import (
     TransientIOError,
 )
 from repro.obs.metrics import REGISTRY
+# The retry policy lives in repro.resilience; storage callers import it here.
+from repro.resilience import DEFAULT_RETRY_POLICY, RetryPolicy, backoff  # noqa: F401
 from repro.storage.disk import DiskStore
 from repro.storage.page import Page
 
@@ -54,55 +55,6 @@ _KINDS = ("transient", "torn", "bitflip", "crash")
 _OPS = ("read", "write", "wal-append")
 
 T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry-with-backoff for transient device faults.
-
-    ``backoff_seconds`` defaults to 0 — the simulator has no real device to
-    wait for, but the exponential schedule is honored when a caller opts
-    into real sleeps. ``jitter_seconds`` adds up to that much uniform
-    random extra delay per sleep (decorrelates retry storms);
-    ``max_elapsed_seconds`` caps the total time spent inside
-    :func:`with_retries` — once exceeded, the next transient fault
-    propagates even if attempts remain.
-    """
-
-    max_attempts: int = 3
-    backoff_seconds: float = 0.0
-    multiplier: float = 2.0
-    jitter_seconds: float = 0.0
-    max_elapsed_seconds: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise StorageError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.backoff_seconds < 0:
-            raise StorageError(
-                f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
-            )
-        if self.jitter_seconds < 0:
-            raise StorageError(
-                f"jitter_seconds must be >= 0, got {self.jitter_seconds}"
-            )
-        if self.max_elapsed_seconds is not None and self.max_elapsed_seconds <= 0:
-            raise StorageError(
-                f"max_elapsed_seconds must be > 0, got {self.max_elapsed_seconds}"
-            )
-
-    def sleep_for(self, attempt: int, rng: Optional[random.Random] = None) -> float:
-        """Delay before retry number ``attempt`` (1-based failed attempts)."""
-        delay = self.backoff_seconds * self.multiplier ** (attempt - 1)
-        if self.jitter_seconds > 0:
-            delay += (rng or random).uniform(0.0, self.jitter_seconds)
-        return delay
-
-
-#: Policy used by every buffer pool unless one is supplied explicitly.
-DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
 def with_retries(operation: Callable[..., T], policy: RetryPolicy, *args) -> T:
@@ -115,7 +67,6 @@ def with_retries(operation: Callable[..., T], policy: RetryPolicy, *args) -> T:
     closure.
     """
     attempt = 1
-    started = time.monotonic()
     while True:
         try:
             return operation(*args)
@@ -123,14 +74,7 @@ def with_retries(operation: Callable[..., T], policy: RetryPolicy, *args) -> T:
             REGISTRY.counter("storage.retries").inc()
             if attempt >= policy.max_attempts:
                 raise
-            if (
-                policy.max_elapsed_seconds is not None
-                and time.monotonic() - started >= policy.max_elapsed_seconds
-            ):
-                raise
-            delay = policy.sleep_for(attempt)
-            if delay > 0:
-                time.sleep(delay)
+            backoff(policy, attempt)
             attempt += 1
 
 

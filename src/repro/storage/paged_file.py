@@ -238,9 +238,8 @@ class StorageManager:
         Returns the injector so callers can add rules or read its log.
 
         Transient faults are retried by the buffer pool per its
-        :class:`~repro.storage.faults.RetryPolicy` (attempt count,
-        exponential backoff, optional ``jitter_seconds`` and a
-        ``max_elapsed_seconds`` cap on total retry time). Rules with
+        :class:`~repro.resilience.RetryPolicy` (attempt count,
+        exponential backoff, optional ``jitter_seconds``). Rules with
         ``op="wal-append"`` fire on write-ahead-log appends instead of
         device I/O — attach through
         :meth:`repro.objects.database.Database.attach_fault_injector` so

@@ -22,7 +22,6 @@ SHED_FAST = RetryPolicy(
     backoff_seconds=0.0,
     multiplier=1.0,
     jitter_seconds=0.0,
-    max_elapsed_seconds=None,
 )
 
 
@@ -161,7 +160,6 @@ class TestAdmission:
                 backoff_seconds=0.01,
                 multiplier=1.0,
                 jitter_seconds=0.0,
-                max_elapsed_seconds=None,
             ),
             admission_timeout_seconds=0.05,
         )

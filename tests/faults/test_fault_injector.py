@@ -201,8 +201,6 @@ class TestRetry:
             RetryPolicy(backoff_seconds=-1)
         with pytest.raises(StorageError):
             RetryPolicy(jitter_seconds=-0.1)
-        with pytest.raises(StorageError):
-            RetryPolicy(max_elapsed_seconds=0)
 
     def test_jitter_adds_bounded_random_delay(self):
         import random
@@ -222,24 +220,6 @@ class TestRetry:
         # without jitter the schedule is the plain exponential backoff
         plain = RetryPolicy(backoff_seconds=0.01, multiplier=2.0)
         assert [plain.sleep_for(a) for a in (1, 2, 3)] == [0.01, 0.02, 0.04]
-
-    def test_max_elapsed_cap_stops_retries_early(self):
-        calls = {"n": 0}
-
-        def operation():
-            calls["n"] += 1
-            raise TransientIOError("always")
-
-        policy = RetryPolicy(
-            max_attempts=50,
-            backoff_seconds=0.002,
-            multiplier=1.0,
-            max_elapsed_seconds=0.01,
-        )
-        with pytest.raises(TransientIOError):
-            with_retries(operation, policy)
-        # the cap, not the attempt budget, ended the loop
-        assert 2 <= calls["n"] < 50
 
     def test_pool_retries_transient_reads(self):
         manager = StorageManager(page_size=128, pool_capacity=0)

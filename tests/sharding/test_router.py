@@ -1,4 +1,4 @@
-"""ShardRouter robustness: retries, deadlines, breakers, hedging, merging.
+"""ShardRouter robustness: retries, deadlines, breakers, merging.
 
 Scripted in-process shard backends make every failure mode deterministic;
 the real-network chaos drill lives in ``test_chaos.py``.
@@ -304,49 +304,6 @@ class TestCircuitBreaker:
         assert not status["breaker_open"]
 
 
-class TestHedging:
-    def test_backup_request_wins_a_slow_primary(self):
-        # First call crawls, second answers instantly: the hedge fires at
-        # 50ms and its answer is merged exactly once.
-        shard = ScriptedShard((1.0, _result(1)), _result(1))
-        before = _counter("router.hedge_wins")
-        with ShardRouter(
-            [shard],
-            retry_policy=FAST_RETRY,
-            hedge_delay_seconds=0.05,
-        ) as router:
-            started = time.monotonic()
-            merged = router.execute("q")
-            elapsed = time.monotonic() - started
-        assert [oid.to_int() for oid in merged.oids()] == [1]
-        assert merged.statistics.results == 1  # winner only: no double count
-        assert elapsed < 0.9
-        assert shard.calls == 2
-        assert _counter("router.hedge_wins") == before + 1
-
-    def test_fast_primary_never_hedges(self):
-        shard = ScriptedShard(_result(1))
-        before = _counter("router.hedges")
-        with ShardRouter(
-            [shard],
-            retry_policy=FAST_RETRY,
-            hedge_delay_seconds=5.0,
-        ) as router:
-            router.execute("q")
-        assert shard.calls == 1
-        assert _counter("router.hedges") == before
-
-    def test_p99_mode_needs_history_first(self):
-        shard = ScriptedShard(_result(1))
-        with ShardRouter(
-            [shard],
-            retry_policy=FAST_RETRY,
-            hedge_delay_seconds="p99",
-        ) as router:
-            router.execute("q")
-        assert shard.calls == 1  # no latency window yet: no hedge
-
-
 class TestConfiguration:
     def test_rejects_empty_shard_list(self):
         with pytest.raises(ConfigurationError, match="at least one"):
@@ -359,12 +316,6 @@ class TestConfiguration:
     def test_rejects_non_positive_deadline(self):
         with pytest.raises(ConfigurationError, match="deadline_ms"):
             ShardRouter([ScriptedShard(_result(1))], deadline_ms=0)
-
-    def test_rejects_unknown_hedge_string(self):
-        with pytest.raises(ConfigurationError, match="hedge"):
-            ShardRouter(
-                [ScriptedShard(_result(1))], hedge_delay_seconds="p50"
-            )
 
     def test_status_reports_per_shard_health(self):
         with ShardRouter(

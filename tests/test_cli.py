@@ -84,21 +84,14 @@ class TestParser:
                 "degraded",
                 "--deadline-ms",
                 "500",
-                "--hedge",
-                "p99",
             ]
         )
         assert args.shards == "a:7731;b:7731"
         assert args.partial_results == "degraded"
         assert args.deadline_ms == 500.0
-        assert args.hedge == "p99"
 
 
 class TestServeValidation:
     def test_bad_shard_of_rejected(self, capsys):
         assert main(["serve", "--shard-of", "3/3"]) == 2
         assert "--shard-of" in capsys.readouterr().err
-
-    def test_bad_hedge_rejected(self, capsys):
-        assert main(["route", "a;b", "--hedge", "soon"]) == 2
-        assert "--hedge" in capsys.readouterr().err

@@ -82,6 +82,17 @@ echo "== concurrency (latches, service, equivalence, stress) =="
 # above so failures reproduce exactly.
 python -m pytest tests/concurrency -q
 
+echo "== resilience =="
+# One retry schedule, one circuit breaker and one deadline budget serve
+# the router, the failover client, the remote client, admission, the
+# replica's reconnect loop and the buffer pool's device retries: each
+# schedule against the formula its loop used before, the breaker's
+# counts under contention, and every suite whose loop calls it (tier-1
+# covers this too; an explicit gate so a reshuffle cannot drop it).
+python -m pytest tests/test_resilience.py tests/sharding \
+    tests/replication/test_failover.py tests/serving/test_reconnect.py \
+    tests/concurrency/test_service.py tests/faults/test_fault_injector.py -q
+
 echo "== ledger benchmark (its own tests + one smoke run) =="
 # The ledger (BENCHMARK.json) imports planner, facility, wire and
 # sharding internals from src/; running its tests and a smoke pass here
