@@ -284,7 +284,11 @@ class TestPackedPostingSearches:
             want = metered(twin_mgr, lambda: op(oracle))
             got = metered(fast_mgr, lambda: op(fast))
             assert got[1:] == want[1:]
-            if want[0] is not None:
+            if isinstance(want[0], tuple):
+                # Both facilities refused the step (an inline posting that
+                # outgrows its page) with the same error.
+                assert got[0] == want[0]
+            elif want[0] is not None:
                 assert got[0].candidates == want[0].candidates
                 assert (got[0].detail, got[0].exact) == (want[0].detail, want[0].exact)
                 assert all(type(oid) is OID for oid in got[0].candidates)
