@@ -536,7 +536,7 @@ def measure_sharded_speedup(config, num_shards):
             return [executor.execute_text(text) for text in texts]
 
         sequential_s = best_sweep_time(sequential, config["min_seconds"])
-        router = make_service(shards, "serial")
+        router = make_service(shards, max_workers=1)
         try:
             sharded_s = best_sweep_time(
                 lambda: [router.execute(text) for text in texts],

@@ -38,12 +38,12 @@ from repro.objects.oid import OID
 from repro.objects.schema import Attribute, AttributeKind, ClassSchema
 from repro.persistence.snapshot import load_database, save_database
 from repro.query.executor import QueryExecutor, QueryResult
-from repro.query.options import ExecutionMode, ExecutionOptions
+from repro.query.options import ExecutionOptions
 from repro.query.parser import parse_query
 from repro.query.planner import CostContext, plan_query
 from repro.server.net import TcpQueryServer
 from repro.server.service import QueryService
-from repro.serving import QueryBackend, connect, make_service
+from repro.serving import ExecutionMode, QueryBackend, connect, make_service
 
 __version__ = "1.0.0"
 

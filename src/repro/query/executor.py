@@ -32,7 +32,7 @@ from repro.obs import tracer as trace
 from repro.obs.metrics import REGISTRY, file_kind
 from repro.obs.sinks import render_span_tree
 from repro.obs.tracer import NULL_TRACER, Span, Tracer
-from repro.query.options import ExecutionMode, ExecutionOptions, coerce_options
+from repro.query.options import ExecutionOptions, coerce_options
 from repro.query.parser import ParsedQuery, parse_query
 from repro.query.planner import AccessPlan, plan_query
 from repro.query.predicates import SubqueryPredicate
@@ -204,45 +204,14 @@ class QueryExecutor:
         queries: List[str],
         options: Optional[ExecutionOptions] = None,
     ) -> List[QueryResult]:
-        """Run a batch of query texts through the configured backend.
+        """Run a batch of query texts in order on the calling thread.
 
-        ``options.resolved_mode()`` picks the backend: ``SERIAL`` runs on
-        the calling thread, ``THREAD`` serves through a transient
-        :class:`~repro.server.QueryService`, ``PROCESS`` through a
-        :class:`~repro.server.ProcessQueryService` over a read-only
-        snapshot, and ``REMOTE`` through a transient
-        :class:`~repro.client.RemoteClient` against
-        ``options.remote_url``. Results come back in submission order on
-        every backend, with rows and per-query page accounting identical
-        to a sequential one-at-a-time run.
+        A worker pool, a process pool or a server is a backend of its own,
+        chosen when it is built (``make_service`` / ``connect``); each
+        one's ``execute_many`` returns results in submission order with
+        the rows and per-query page accounting of this loop.
         """
-        opts = coerce_options(options)
-        mode = opts.resolved_mode()
-        if mode is ExecutionMode.REMOTE:
-            from repro.errors import ConfigurationError
-            from repro.serving import connect
-
-            if not opts.remote_url:
-                raise ConfigurationError(
-                    "REMOTE execution needs ExecutionOptions(remote_url=...)"
-                )
-            with connect(opts.remote_url) as client:
-                return client.execute_many(queries, opts)
-        if mode is ExecutionMode.PROCESS:
-            from repro.server.process import ProcessQueryService
-
-            with ProcessQueryService(
-                self.database, max_workers=opts.max_workers or 4
-            ) as service:
-                return service.execute_many(queries, opts)
-        if mode is ExecutionMode.THREAD:
-            from repro.server.service import QueryService
-
-            with QueryService(
-                self.database, max_workers=opts.max_workers or 4
-            ) as service:
-                return service.execute_many(queries, opts)
-        return [self.execute_text(text, opts) for text in queries]
+        return [self.execute_text(text, options) for text in queries]
 
     def _tracer_for(self, opts: ExecutionOptions) -> Optional[Tracer]:
         """The tracer to activate for this call, or ``None`` to not activate."""

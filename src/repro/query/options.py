@@ -1,49 +1,23 @@
-"""Execution options: one object instead of keyword sprawl.
-
-``QueryExecutor.execute`` / ``execute_text`` / ``explain`` historically
-grew a keyword per feature (``context``, ``prefer_facility``, ``smart``,
-and now ``trace``). :class:`ExecutionOptions` collapses them into a single
-immutable dataclass::
+"""Execution options: everything that shapes one query, in one object.
 
     executor.execute_text(text, ExecutionOptions(prefer_facility="bssf"))
+
+Which backend serves the query — a thread pool, a process pool, a server —
+is not an option: it is chosen when that backend is built.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, Optional
+
+from repro.errors import ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard (planner imports us not)
     from repro.obs.tracer import Tracer
     from repro.query.planner import CostContext
 
-__all__ = ["ExecutionMode", "ExecutionOptions", "coerce_options"]
-
-
-class ExecutionMode(enum.Enum):
-    """How :meth:`QueryExecutor.execute_many` distributes a batch.
-
-    ``SERIAL``
-        Run on the calling thread, one query at a time.
-    ``THREAD``
-        Serve through a transient thread-pool
-        :class:`~repro.server.QueryService` — wins when simulated device
-        latency dominates (I/O-bound).
-    ``PROCESS``
-        Serve through a :class:`~repro.server.ProcessQueryService`
-        (worker processes over a read-only snapshot) — wins when matching
-        is CPU-bound and the GIL serializes threads.
-    ``REMOTE``
-        Serve through a :class:`~repro.client.RemoteClient` against the
-        ``remote_url`` server — the networked backend
-        (``sigfile-repro serve``).
-    """
-
-    SERIAL = "serial"
-    THREAD = "thread"
-    PROCESS = "process"
-    REMOTE = "remote"
+__all__ = ["ExecutionOptions", "coerce_options"]
 
 
 @dataclass(frozen=True)
@@ -65,19 +39,6 @@ class ExecutionOptions:
     ``tracer``
         Use this exact :class:`~repro.obs.tracer.Tracer` (with its sinks)
         instead of a fresh one; implies ``trace``.
-    ``max_workers``
-        Worker-pool width for batch entry points
-        (:meth:`QueryExecutor.execute_many`,
-        :class:`~repro.server.QueryService`). ``None`` means serve
-        sequentially on the calling thread; single-query execution ignores
-        it.
-    ``execution_mode``
-        Backend for :meth:`QueryExecutor.execute_many`. ``None`` infers:
-        ``REMOTE`` when ``remote_url`` is set, ``THREAD`` when
-        ``max_workers > 1``, else ``SERIAL``.
-    ``remote_url``
-        A ``sigfile://host:port`` server address for ``REMOTE`` execution
-        (see :func:`repro.connect`).
     ``deadline_ms``
         Remaining time budget for this request, in milliseconds. A
         *duration*, not a wall-clock instant — it survives clock skew
@@ -95,24 +56,11 @@ class ExecutionOptions:
     smart: bool = True
     trace: bool = False
     tracer: Optional["Tracer"] = None
-    max_workers: Optional[int] = None
-    execution_mode: Optional[ExecutionMode] = None
-    remote_url: Optional[str] = None
     deadline_ms: Optional[float] = None
 
     @property
     def tracing_requested(self) -> bool:
         return self.trace or self.tracer is not None
-
-    def resolved_mode(self) -> ExecutionMode:
-        """The effective :class:`ExecutionMode` for batch entry points."""
-        if self.execution_mode is not None:
-            return self.execution_mode
-        if self.remote_url is not None:
-            return ExecutionMode.REMOTE
-        if self.max_workers is not None and self.max_workers > 1:
-            return ExecutionMode.THREAD
-        return ExecutionMode.SERIAL
 
     def evolve(self, **changes: Any) -> "ExecutionOptions":
         """A copy with the given fields replaced."""
@@ -122,52 +70,48 @@ class ExecutionOptions:
     # Wire serialization
     # ------------------------------------------------------------------
     # ``context`` and ``tracer`` are live local objects (an ANALYZE cache
-    # and a span recorder); they deliberately never travel. Everything
-    # else round-trips as plain JSON types with a stable key set, and
-    # ``from_dict`` ignores keys it does not know — a newer peer may add
-    # fields without breaking an older one.
+    # and a span recorder) and span trees cannot cross the wire, so only
+    # the fields in ``_WIRE_TYPES`` travel. ``from_dict`` ignores keys it
+    # does not know — an older or newer peer may send more without
+    # breaking this one — but rejects a known key of the wrong type.
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe form of the portable fields (stable key set)."""
-        return {
-            "prefer_facility": self.prefer_facility,
-            "smart": self.smart,
-            "trace": self.trace,
-            "max_workers": self.max_workers,
-            "execution_mode": (
-                self.execution_mode.value
-                if self.execution_mode is not None
-                else None
-            ),
-            "remote_url": self.remote_url,
-            "deadline_ms": self.deadline_ms,
-        }
+        return {name: getattr(self, name) for name in _WIRE_TYPES}
 
     @classmethod
     def from_dict(cls, data: Optional[Dict[str, Any]]) -> "ExecutionOptions":
-        """Rebuild from :meth:`to_dict` output; tolerant of drift.
+        """Rebuild from :meth:`to_dict` output sent by a peer.
 
-        Unknown keys are ignored, missing keys take their defaults, and an
-        ``execution_mode`` value this version does not know resolves to
-        ``None`` (mode inference) instead of failing — so options encoded
-        by a newer protocol version still decode.
+        Missing keys take their defaults and unknown keys are ignored; a
+        value of the wrong type raises :class:`~repro.errors.ProtocolError`.
         """
-        data = data or {}
-        mode: Optional[ExecutionMode] = None
-        raw_mode = data.get("execution_mode")
-        if raw_mode is not None:
-            try:
-                mode = ExecutionMode(raw_mode)
-            except ValueError:
-                mode = None
-        return cls(
-            prefer_facility=data.get("prefer_facility"),
-            smart=bool(data.get("smart", True)),
-            trace=bool(data.get("trace", False)),
-            max_workers=data.get("max_workers"),
-            execution_mode=mode,
-            remote_url=data.get("remote_url"),
-            deadline_ms=data.get("deadline_ms"),
-        )
+        if data is None:
+            return cls()
+        if not isinstance(data, dict):
+            raise ProtocolError(
+                f"query options must be an object, not {type(data).__name__}"
+            )
+        fields = {}
+        for name, types in _WIRE_TYPES.items():
+            if name in data:
+                value = data[name]
+                # bool is an int: only a field typed bool may carry one
+                if not isinstance(value, types) or (
+                    isinstance(value, bool) and bool not in types
+                ):
+                    raise ProtocolError(
+                        f"malformed query option {name}={value!r}"
+                    )
+                fields[name] = value
+        return cls(**fields)
+
+
+#: the fields a query carries over the wire, with the JSON types each takes
+_WIRE_TYPES = {
+    "prefer_facility": (str, type(None)),
+    "smart": (bool,),
+    "deadline_ms": (int, float, type(None)),
+}
 
 
 def coerce_options(options: Optional[ExecutionOptions]) -> ExecutionOptions:

@@ -513,17 +513,6 @@ class TcpQueryServer:
                 f"request arrived with its deadline budget exhausted "
                 f"({options.deadline_ms:.1f}ms remaining)"
             )
-        # Server-local sanitization: a remote caller must not recurse into
-        # another pool (or back out over the network), and span trees
-        # cannot cross the wire. ``deadline_ms`` survives — the budget
-        # keeps binding queue and execution time on this side too.
-        options = options.evolve(
-            max_workers=None,
-            execution_mode=None,
-            remote_url=None,
-            trace=False,
-            tracer=None,
-        )
         with self._tenant_slot(tenant):
             return self.service.execute(text, options)
 

@@ -119,15 +119,21 @@ class ProcessQueryService:
         # when already cached) keeps the parent's shared page totals
         # identical to that baseline — workers re-derive statistics on
         # their replicas, which stays replica-local like the load itself.
-        for class_name, attribute in list(database._indexes):
-            database.analyze(class_name, attribute, refresh=False)
-        save_database(database, snapshot_path)
-        pool_capacity = getattr(database.storage.pool, "capacity", 0) or 0
-        self._pool = ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_init_worker,
-            initargs=(snapshot_path, pool_capacity),
-        )
+        try:
+            for class_name, attribute in list(database._indexes):
+                database.analyze(class_name, attribute, refresh=False)
+            save_database(database, snapshot_path)
+            pool_capacity = getattr(database.storage.pool, "capacity", 0) or 0
+            self._pool = ProcessPoolExecutor(
+                max_workers=max_workers,
+                initializer=_init_worker,
+                initargs=(snapshot_path, pool_capacity),
+            )
+        except BaseException:
+            # No object comes back to shut down, so the replica goes here.
+            if self._tmpdir is not None:
+                shutil.rmtree(self._tmpdir, ignore_errors=True)
+            raise
         self._closed = False
         self._m_completed = REGISTRY.counter("server.completed")
         self._m_errors = REGISTRY.counter("server.errors")
@@ -214,19 +220,11 @@ class ProcessQueryService:
             if result.statistics.io is not None:
                 stats.merge_snapshot(result.statistics.io)
 
-    def _worker_options(
-        self, options: Optional[ExecutionOptions]
-    ) -> Optional[ExecutionOptions]:
-        """Options as shipped to workers: serial and trace-free."""
-        opts = options or ExecutionOptions()
-        # Workers must run the serial in-process path: no nested pools, no
-        # tracers (spans cannot cross the pickle boundary).
-        return opts.evolve(
-            max_workers=None,
-            execution_mode=None,
-            trace=False,
-            tracer=None,
-        )
+    @staticmethod
+    def _worker_options(options: Optional[ExecutionOptions]) -> ExecutionOptions:
+        """Options as shipped to workers: spans cannot cross the pickle
+        boundary, so they go without a trace."""
+        return (options or ExecutionOptions()).evolve(trace=False, tracer=None)
 
     def _chunk(self, queries: List[str]) -> List[List[str]]:
         per = max(1, (len(queries) + self.max_workers - 1) // self.max_workers)

@@ -17,11 +17,11 @@ and two blessed constructors pick the right one:
     ``connect("sigfile://host:port")`` → a :class:`RemoteClient`.
 
 :func:`make_service`
-    ``make_service(db_or_url, mode=...)`` → any backend, keyed by
-    :class:`~repro.query.options.ExecutionMode` (``SERIAL`` and ``THREAD``
-    are a :class:`QueryService`; ``PROCESS`` a
-    :class:`ProcessQueryService`; ``REMOTE`` — or a URL instead of a
-    database — a :class:`RemoteClient`).
+    ``make_service(db_or_url, mode=...)`` → any backend, worked out from
+    its input: a URL is a :class:`RemoteClient`, a list of shards a
+    :class:`~repro.sharding.ShardRouter`, and a database a
+    :class:`QueryService` — or, for :attr:`ExecutionMode.PROCESS`, a
+    :class:`ProcessQueryService`.
 
 Direct construction of the three classes keeps working; the factories are
 the documented entry point.
@@ -29,17 +29,31 @@ the documented entry point.
 
 from __future__ import annotations
 
+import enum
 from concurrent.futures import Future
 from typing import Any, List, Optional, Protocol, Union, runtime_checkable
 
 from repro.client import RemoteClient
 from repro.errors import ConfigurationError
 from repro.query.executor import QueryResult
-from repro.query.options import ExecutionMode, ExecutionOptions
+from repro.query.options import ExecutionOptions
 from repro.server.process import ProcessQueryService
 from repro.server.service import QueryService
 
-__all__ = ["QueryBackend", "connect", "make_service"]
+__all__ = ["ExecutionMode", "QueryBackend", "connect", "make_service"]
+
+
+class ExecutionMode(enum.Enum):
+    """Which backend :func:`make_service` builds for a database.
+
+    ``THREAD`` is a thread-pool :class:`QueryService` (``max_workers=1``
+    serves one query at a time); ``PROCESS`` a :class:`ProcessQueryService`,
+    worker processes over a read-only snapshot, for when matching is
+    CPU-bound and the GIL serializes threads.
+    """
+
+    THREAD = "thread"
+    PROCESS = "process"
 
 
 @runtime_checkable
@@ -185,16 +199,15 @@ def make_service(
         ``shard_retry_policy``, ``breaker_cooldown_seconds`` — configure
         the router).
     ``mode``
-        An :class:`~repro.query.options.ExecutionMode` or its string value
-        (``"serial"`` / ``"thread"`` / ``"process"`` / ``"remote"``).
-        Defaults to ``THREAD`` for a database and ``REMOTE`` for a URL;
-        ``SERIAL`` is a single-worker :class:`QueryService` (admission
-        control without overlap).
+        For a database, an :class:`ExecutionMode` or its string value
+        (``"thread"`` / ``"process"``); defaults to ``THREAD``. A URL
+        already names its backend, so it takes no mode.
     ``max_workers`` and remaining keywords
-        Forwarded to the chosen backend's constructor
-        (``queue_depth`` / ``admission_policy`` for thread serving,
-        ``snapshot_path`` for process serving,
-        ``token`` / ``pool_size`` / ``retry_policy`` for remote).
+        Forwarded to the chosen backend's constructor (``max_workers``
+        defaults to 4; it is the ``pool_size`` of a remote client), with
+        ``queue_depth`` / ``admission_policy`` for thread serving,
+        ``snapshot_path`` for process serving, and
+        ``token`` / ``retry_policy`` for remote.
     """
     if isinstance(mode, str):
         try:
@@ -215,22 +228,15 @@ def make_service(
             else make_service(member, mode, max_workers=max_workers, **rest),
         )
     if isinstance(db_or_url, str):
-        if mode not in (None, ExecutionMode.REMOTE):
+        if mode is not None:
             raise ConfigurationError(
-                f"a server URL implies REMOTE serving, not {mode.value!r}"
+                f"a server URL is served remotely; mode {mode.value!r} "
+                f"applies to a database"
             )
         if max_workers is not None:
             kwargs.setdefault("pool_size", max_workers)
         return connect(db_or_url, **kwargs)
-    if mode is ExecutionMode.REMOTE:
-        raise ConfigurationError(
-            "REMOTE serving needs a sigfile://host:port URL, not a database"
-        )
-    if mode is ExecutionMode.PROCESS:
-        return ProcessQueryService(
-            db_or_url, max_workers=max_workers or 4, **kwargs
-        )
-    if mode is ExecutionMode.SERIAL:
-        return QueryService(db_or_url, max_workers=1, **kwargs)
-    # None or THREAD: the default in-process serving backend.
-    return QueryService(db_or_url, max_workers=max_workers or 4, **kwargs)
+    backend = (
+        ProcessQueryService if mode is ExecutionMode.PROCESS else QueryService
+    )
+    return backend(db_or_url, max_workers=max_workers or 4, **kwargs)

@@ -16,7 +16,6 @@ from repro.errors import ConfigurationError
 from repro.objects.database import Database
 from repro.objects.schema import ClassSchema
 from repro.query.executor import QueryExecutor
-from repro.query.options import ExecutionMode, ExecutionOptions
 from repro.server import ProcessQueryService
 
 from tests.conftest import HOBBIES, populate_students
@@ -85,22 +84,33 @@ class TestProcessEquivalence:
 
 
 class TestProcessService:
-    def test_executor_dispatches_on_process_mode(self):
+    def test_execute_many_matches_sequential_pages(self):
         texts = queries(count=6)
         db_seq, db_proc = build_db(), build_db()
         sequential = [QueryExecutor(db_seq).execute_text(t) for t in texts]
-        served = QueryExecutor(db_proc).execute_many(
-            texts,
-            ExecutionOptions(
-                execution_mode=ExecutionMode.PROCESS,
-                max_workers=2,
-            ),
-        )
+        with ProcessQueryService(db_proc, max_workers=2) as service:
+            served = service.execute_many(texts)
         for left, right in zip(sequential, served):
             assert left.rows == right.rows
             assert page_profile(left.statistics) == page_profile(
                 right.statistics
             )
+
+    def test_failed_construction_leaves_no_replica(
+        self, monkeypatch, tmp_path
+    ):
+        import tempfile
+
+        import repro.persistence.snapshot as snapshot
+
+        def refuse(*_args, **_kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(snapshot, "save_database", refuse)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(OSError, match="disk full"):
+            ProcessQueryService(build_db(), max_workers=1)
+        assert list(tmp_path.iterdir()) == []
 
     def test_replica_is_frozen_at_construction(self):
         db = build_db()

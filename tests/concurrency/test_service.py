@@ -83,17 +83,6 @@ class TestServing:
             )
         assert result.trace.attributes["worker"].startswith("query-worker")
 
-    def test_executor_execute_many_honors_max_workers_option(self):
-        """ExecutionOptions.max_workers routes through a transient pool."""
-        from repro.query.executor import QueryExecutor
-
-        db = _student_db()
-        executor = QueryExecutor(db)
-        texts = ['select Student where hobbies has-subset ("Chess")'] * 6
-        pooled = executor.execute_many(texts, ExecutionOptions(max_workers=4))
-        sequential = executor.execute_many(texts)  # max_workers=None path
-        assert [r.oids() for r in pooled] == [r.oids() for r in sequential]
-
     def test_query_error_propagates_from_execute_many(self):
         db = _student_db()
         texts = [

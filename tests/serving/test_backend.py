@@ -1,7 +1,7 @@
 """QueryBackend conformance: one contract, four implementations.
 
-The same behavioural suite runs against ``QueryService`` (serial and
-thread modes), ``ProcessQueryService``, and ``RemoteClient`` over a
+The same behavioural suite runs against ``QueryService`` (one worker
+and a pool), ``ProcessQueryService``, and ``RemoteClient`` over a
 loopback ``TcpQueryServer`` — all built through the blessed factories —
 so the unified serving surface cannot drift apart per backend. A
 ``ShardRouter`` over each backend kind runs the suite too: scatter-gather
@@ -21,11 +21,10 @@ from repro.errors import ConfigurationError, ParseError
 from repro.objects.database import Database
 from repro.objects.schema import ClassSchema
 from repro.query.executor import QueryExecutor
-from repro.query.options import ExecutionMode
 from repro.server.net import TcpQueryServer
 from repro.server.process import ProcessQueryService
 from repro.server.service import QueryService
-from repro.serving import QueryBackend, connect, make_service
+from repro.serving import ExecutionMode, QueryBackend, connect, make_service
 from repro.sharding import ShardRouter, partition_database
 from tests.conftest import populate_students
 
@@ -63,10 +62,11 @@ def golden():
     return {text: executor.execute_text(text).oids() for text in QUERIES}
 
 
+#: ``make_service`` arguments per backend id: "serial" is one worker
 _MODES = {
-    "serial": ExecutionMode.SERIAL,
-    "thread": ExecutionMode.THREAD,
-    "process": ExecutionMode.PROCESS,
+    "serial": dict(max_workers=1),
+    "thread": dict(mode=ExecutionMode.THREAD, max_workers=2),
+    "process": dict(mode="process", max_workers=2),
 }
 
 _SHARDS = 3
@@ -143,10 +143,10 @@ def backend(request, tmp_path):
                 with connect(spec) as router:
                     yield router
             return
-        with make_service(shards, _MODES[kind], max_workers=2) as router:
+        with make_service(shards, **_MODES[kind]) as router:
             yield router
         return
-    with make_service(db, _MODES[mode], max_workers=2) as built:
+    with make_service(db, **_MODES[mode]) as built:
         yield built
 
 
@@ -195,10 +195,16 @@ class TestFactories:
             assert isinstance(service, QueryService)
             assert service.max_workers == 4
 
-    def test_serial_mode_is_single_worker(self):
-        with make_service(_build_db(), "serial") as service:
+    def test_one_worker_is_serial_serving(self):
+        with make_service(_build_db(), max_workers=1) as service:
             assert isinstance(service, QueryService)
             assert service.max_workers == 1
+
+    def test_serial_and_remote_are_not_modes(self):
+        assert [m.value for m in ExecutionMode] == ["thread", "process"]
+        for retired in ("serial", "remote"):
+            with pytest.raises(ConfigurationError, match="unknown serving"):
+                make_service(_build_db(), retired)
 
     def test_mode_accepts_enum_and_string(self):
         with make_service(_build_db(), ExecutionMode.THREAD, max_workers=2) as s:
@@ -219,13 +225,10 @@ class TestFactories:
         assert client.url == "sigfile://127.0.0.1:7731"
         client.close()
 
-    def test_url_with_non_remote_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="REMOTE"):
-            make_service("sigfile://127.0.0.1:7731", "thread")
-
-    def test_remote_mode_with_database_rejected(self):
-        with pytest.raises(ConfigurationError, match="URL"):
-            make_service(_build_db(), ExecutionMode.REMOTE)
+    def test_url_with_a_mode_rejected(self):
+        for mode in ("thread", ExecutionMode.PROCESS):
+            with pytest.raises(ConfigurationError, match="served remotely"):
+                make_service("sigfile://127.0.0.1:7731", mode)
 
     def test_connect_parses_url_forms(self):
         for url in ("sigfile://h:9", "tcp://h:9", "h:9"):
@@ -246,7 +249,7 @@ class TestShardedEquivalence:
 
     def test_factory_builds_router_from_shard_list(self):
         shards = partition_database(_build_db(), _SHARDS)
-        with make_service(shards, "serial") as router:
+        with make_service(shards, max_workers=1) as router:
             assert isinstance(router, ShardRouter)
             assert router.shard_count == _SHARDS
 
@@ -268,7 +271,7 @@ class TestShardedEquivalence:
         executor = QueryExecutor(db)
         golden = {text: executor.execute_text(text) for text in QUERIES}
         shards = partition_database(db, _SHARDS)
-        with make_service(shards, "serial") as router:
+        with make_service(shards, max_workers=1) as router:
             for text in QUERIES:
                 merged = router.execute(text)
                 reference = golden[text]

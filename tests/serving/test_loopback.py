@@ -17,15 +17,14 @@ from repro.client import RemoteClient
 from repro.errors import (
     AdmissionError,
     AuthenticationError,
-    ConfigurationError,
     ConnectionLostError,
     ProtocolError,
     TenantQuotaError,
 )
 from repro.objects.database import Database
 from repro.objects.schema import ClassSchema
+from repro.obs.metrics import REGISTRY
 from repro.query.executor import QueryExecutor
-from repro.query.options import ExecutionMode, ExecutionOptions
 from repro.server.net import TcpQueryServer
 from repro.server.service import QueryService
 from repro.storage.faults import RetryPolicy
@@ -130,42 +129,35 @@ class TestEquivalence:
             assert got.oids() == want.oids()
             assert got.statistics.io == want.statistics.io
 
-    def test_remote_execution_mode_routes_through_executor(self):
-        """ExecutionMode.REMOTE in plain execute_many goes over the wire."""
+    def test_server_ignores_an_older_clients_serving_options(self):
+        """The parent version's seven option keys decode to the three that
+        shape a query: serving keys are ignored and no trace comes back."""
         served_db = _build_db()
-        local = QueryExecutor(_build_db())
-        expected = [local.execute_text(text) for text in QUERY_MIX[:3]]
+        expected = QueryExecutor(_build_db()).execute_text(QUERY_MIX[0])
+        older_options = {
+            "prefer_facility": None,
+            "smart": True,
+            "trace": True,
+            "max_workers": 8,
+            "execution_mode": "process",
+            "remote_url": "sigfile://127.0.0.1:1",
+            "deadline_ms": None,
+        }
         with TcpQueryServer(served_db, max_workers=2) as server:
-            options = ExecutionOptions(remote_url=server.url)
-            assert options.resolved_mode() is ExecutionMode.REMOTE
-            results = local.execute_many(QUERY_MIX[:3], options)
-        for got, want in zip(results, expected):
-            assert got.oids() == want.oids()
-
-    def test_remote_mode_without_url_is_a_configuration_error(self):
-        executor = QueryExecutor(_build_db(count=5))
-        with pytest.raises(ConfigurationError, match="remote_url"):
-            executor.execute_many(
-                QUERY_MIX[:1],
-                ExecutionOptions(execution_mode=ExecutionMode.REMOTE),
-            )
-
-    def test_server_strips_nested_serving_options(self):
-        """A remote caller cannot recurse the server into another pool."""
-        served_db = _build_db()
-        with TcpQueryServer(served_db, max_workers=2) as server:
-            with RemoteClient(*server.address) as client:
-                result = client.execute(
-                    QUERY_MIX[0],
-                    ExecutionOptions(
-                        max_workers=8,
-                        execution_mode=ExecutionMode.PROCESS,
-                        remote_url=server.url,
-                        trace=True,
-                    ),
+            sock = _raw_handshake(server)
+            try:
+                wire.write_frame(
+                    sock,
+                    wire.QUERY,
+                    {"id": 1, "text": QUERY_MIX[0], "options": older_options},
                 )
+                kind, payload = wire.read_frame(sock)
+            finally:
+                sock.close()
+        assert kind == wire.RESULT
+        result = wire.decode_result(payload)
         assert result.trace is None
-        assert result.oids()
+        assert result.rows == expected.rows
 
 
 class TestOverload:
@@ -316,6 +308,38 @@ class TestEdgeDiscipline:
                     assert wire.read_frame(sock) is None
                 except ConnectionError:
                     pass
+            finally:
+                sock.close()
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"deadline_ms": "soon"}, {"smart": "false"}],
+        ids=["deadline-string", "smart-string"],
+    )
+    def test_malformed_options_are_a_protocol_error(self, options):
+        """A peer's wrongly typed option is refused as a protocol error,
+        not counted as an internal one, and the connection stays usable."""
+        internal = REGISTRY.counter("server.net.internal_errors")
+        db = _build_db(count=20)
+        with TcpQueryServer(db, max_workers=2) as server:
+            sock = _raw_handshake(server)
+            try:
+                before = internal.value
+                wire.write_frame(
+                    sock,
+                    wire.QUERY,
+                    {"id": 1, "text": QUERY_MIX[0], "options": options},
+                )
+                kind, payload = wire.read_frame(sock)
+                assert kind == wire.ERROR
+                assert isinstance(wire.decode_error(payload), ProtocolError)
+                assert internal.value == before
+                wire.write_frame(
+                    sock, wire.QUERY, {"id": 2, "text": QUERY_MIX[0]}
+                )
+                kind, payload = wire.read_frame(sock)
+                assert kind == wire.RESULT
+                assert wire.decode_result(payload).oids()
             finally:
                 sock.close()
 

@@ -12,7 +12,7 @@ import pytest
 from repro import wire
 from repro.errors import ConnectionLostError, ProtocolError
 from repro.objects.oid import OID
-from repro.query.options import ExecutionMode, ExecutionOptions
+from repro.query.options import ExecutionOptions
 from tests.conftest import populate_students
 
 
@@ -223,18 +223,16 @@ class TestResultCodec:
 class TestOptionsSerde:
     def test_round_trip(self):
         options = ExecutionOptions(
-            prefer_facility="bssf",
-            smart=False,
-            max_workers=4,
-            execution_mode=ExecutionMode.THREAD,
-            remote_url="sigfile://h:1",
+            prefer_facility="bssf", smart=False, deadline_ms=250.0
         )
-        restored = ExecutionOptions.from_dict(options.to_dict())
-        assert restored.prefer_facility == "bssf"
-        assert restored.smart is False
-        assert restored.max_workers == 4
-        assert restored.execution_mode is ExecutionMode.THREAD
-        assert restored.remote_url == "sigfile://h:1"
+        assert ExecutionOptions.from_dict(options.to_dict()) == options
+
+    def test_to_dict_carries_only_what_shapes_a_query(self):
+        assert set(ExecutionOptions().to_dict()) == {
+            "prefer_facility",
+            "smart",
+            "deadline_ms",
+        }
 
     def test_from_dict_ignores_unknown_fields(self):
         restored = ExecutionOptions.from_dict(
@@ -250,9 +248,44 @@ class TestOptionsSerde:
         assert restored == ExecutionOptions(prefer_facility="bssf")
         assert "batch_size" not in restored.to_dict()
 
-    def test_from_dict_tolerates_unknown_execution_mode(self):
-        restored = ExecutionOptions.from_dict({"execution_mode": "quantum"})
-        assert restored.execution_mode is None
+    def test_from_dict_ignores_an_older_clients_serving_options(self):
+        # Clients from before the serving backend left the options send
+        # seven keys; the serving ones and ``trace`` change nothing.
+        options = ExecutionOptions(prefer_facility="bssf", deadline_ms=50)
+        payload = dict(options.to_dict())
+        payload.update(
+            max_workers=8,
+            execution_mode="process",
+            remote_url="sigfile://h:1",
+            trace=True,
+        )
+        assert len(payload) == 7
+        assert ExecutionOptions.from_dict(payload) == options
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"deadline_ms": "soon"},
+            {"deadline_ms": True},
+            {"smart": "false"},
+            {"smart": 1},
+            {"prefer_facility": 3},
+            ["not", "an", "object"],
+        ],
+    )
+    def test_from_dict_rejects_malformed_values(self, payload):
+        with pytest.raises(ProtocolError):
+            ExecutionOptions.from_dict(payload)
+
+    def test_from_dict_accepts_every_well_typed_value(self):
+        for payload in (
+            {"prefer_facility": "nix", "smart": False, "deadline_ms": 5},
+            {"prefer_facility": None, "smart": True, "deadline_ms": 0.5},
+            {"deadline_ms": None},
+        ):
+            restored = ExecutionOptions.from_dict(payload)
+            for key, value in payload.items():
+                assert getattr(restored, key) == value
 
     def test_from_dict_of_none_is_defaults(self):
         restored = ExecutionOptions.from_dict(None)
@@ -263,12 +296,3 @@ class TestOptionsSerde:
         json.dumps(payload)
         assert "tracer" not in payload
         assert "context" not in payload
-
-    def test_remote_url_implies_remote_mode(self):
-        options = ExecutionOptions(remote_url="sigfile://h:1")
-        assert options.resolved_mode() is ExecutionMode.REMOTE
-        # An explicit mode always wins.
-        explicit = ExecutionOptions(
-            remote_url="sigfile://h:1", execution_mode=ExecutionMode.SERIAL
-        )
-        assert explicit.resolved_mode() is ExecutionMode.SERIAL

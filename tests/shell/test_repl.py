@@ -115,7 +115,7 @@ class TestShardsMeta:
         )
         db.insert("Student", {"name": "Jeff", "hobbies": {"Baseball"}})
         shell = Shell()
-        shell.remote = make_service(partition_database(db, 2), "serial")
+        shell.remote = make_service(partition_database(db, 2), max_workers=1)
         try:
             report = shell.run_line("\\shards")
         finally:

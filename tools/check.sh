@@ -93,6 +93,15 @@ python -m pytest tests/test_resilience.py tests/sharding \
     tests/replication/test_failover.py tests/serving/test_reconnect.py \
     tests/concurrency/test_service.py tests/faults/test_fault_injector.py -q
 
+echo "== serving =="
+# One QueryBackend contract over every backend make_service and connect
+# build (one-worker, thread, process, remote, routers over each, LSM and
+# replicated), the wire codec's three option keys and its refusal of
+# malformed ones, and the process pool's equivalence and clean-up
+# (tier-1 covers this too; an explicit gate so a reshuffle cannot drop
+# it).
+python -m pytest tests/serving tests/concurrency/test_process_service.py -q
+
 echo "== ledger benchmark (its own tests + one smoke run) =="
 # The ledger (BENCHMARK.json) imports planner, facility, wire and
 # sharding internals from src/; running its tests and a smoke pass here
