@@ -215,9 +215,9 @@ class SetAccessFacility(abc.ABC):
         """
 
     def verify_decodes(self) -> None:
-        """Check what the decode caches hold against a fresh decode.
+        """Check what the facility holds decoded against a fresh decode.
 
-        Default: no-op. The signature files override: a cached table that
-        differs from its pages is dropped and IndexCorruptionError names
-        the file and page.
+        Default: no-op. SSF, BSSF, NIX and the LSM facility (run by run)
+        override: a held decode that differs from its pages is dropped and
+        IndexCorruptionError names the file and page.
         """

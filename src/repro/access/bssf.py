@@ -24,7 +24,7 @@ entries grow; that extension is bulk file formatting, charged to storage
 Slice columns stay packed in uint64 words end-to-end
 (:mod:`repro.core.kernels`). All ``F`` slices are decoded once into a
 stacked ``(F, W)`` word matrix memoized in a version-keyed
-:class:`~repro.storage.decode_cache.DecodeCache` (validated in O(1)
+:class:`~repro.storage.decode_cache.DecodeSlot` (validated in O(1)
 through a :meth:`DiskStore.register_version_group` counter spanning every
 slice file). Decoding reads page images through the accounting-free
 :meth:`PagedFile.peek_page`; each search then charges exactly the slices
@@ -49,11 +49,10 @@ from repro.access.base import FacilityOp, SearchResult, SetAccessFacility, SetVa
 from repro.access.oid_file import OIDFile
 from repro.core import kernels
 from repro.core.signature import SignatureScheme
-from repro.errors import AccessFacilityError, IndexCorruptionError
+from repro.errors import AccessFacilityError
 from repro.objects.oid import OID
-from repro.obs import tracer as trace
 from repro.obs.tracer import traced_search
-from repro.storage.decode_cache import DecodeCache
+from repro.storage.decode_cache import DecodeSlot
 from repro.storage.page import Page
 from repro.storage.paged_file import PagedFile, StorageManager
 
@@ -85,7 +84,7 @@ class BitSlicedSignatureFile(SetAccessFacility):
         storage.store.register_version_group(
             self._group_name, [f.name for f in self._slice_files]
         )
-        self._decode_cache = DecodeCache(max_entries=1)
+        self._decode = self._slot()
 
     @classmethod
     def attach(
@@ -115,9 +114,13 @@ class BitSlicedSignatureFile(SetAccessFacility):
         storage.store.register_version_group(
             facility._group_name, [f.name for f in facility._slice_files]
         )
-        facility._decode_cache = DecodeCache(max_entries=1)
+        facility._decode = facility._slot()
         facility.verify()
         return facility
+
+    def _slot(self) -> DecodeSlot:
+        store, group = self._storage.store, self._group_name
+        return DecodeSlot(lambda: store.group_version(group), traced=True)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -242,8 +245,7 @@ class BitSlicedSignatureFile(SetAccessFacility):
                 else:
                     on_page[position] = [bit]
         slices = self._stacked_slices()
-        store = self._storage.store
-        version = store.group_version(self._group_name)
+        version = self._storage.store.group_version(self._group_name)
         page_size = self._storage.page_size
         words_per_page = page_size // 8
         for page_no, on_page in sorted(bits.items()):
@@ -264,9 +266,7 @@ class BitSlicedSignatureFile(SetAccessFacility):
                 )
             return matrix
 
-        self._decode_cache.patch(
-            self._group_name, version, store.group_version(self._group_name), set_bits
-        )
+        self._decode.follow(version, set_bits)
 
     # ------------------------------------------------------------------
     # Slice access
@@ -283,15 +283,7 @@ class BitSlicedSignatureFile(SetAccessFacility):
         invalidates in O(1). Bits at index ``>= entry_count`` are
         always zero (pages are born zeroed and only live entries set bits).
         """
-        store = self._storage.store
-        version = store.group_version(self._group_name)
-        cached = self._decode_cache.get(self._group_name, version)
-        trace.annotate(decode="miss" if cached is None else "hit")
-        if cached is not None:
-            return cached
-        matrix = self._decode_slices()
-        self._decode_cache.put(self._group_name, version, matrix)
-        return matrix
+        return self._decode.get(self._decode_slices)
 
     def _decode_slices(self) -> np.ndarray:
         """Every slice page, read with :meth:`PagedFile.peek_page`, as the
@@ -317,21 +309,21 @@ class BitSlicedSignatureFile(SetAccessFacility):
         afresh, and :class:`IndexCorruptionError` names the slice file and
         page.
         """
-        group = self._group_name
-        held = self._decode_cache.entry(group)
-        if held is not None and held[0] == self._storage.store.group_version(group):
-            cached, fresh = held[1], self._decode_slices()
-            same_shape = cached.shape == fresh.shape
-            differs = np.argwhere(cached != fresh) if same_shape else [(0, 0)]
-            if len(differs):
-                position, word = differs[0]
-                self._decode_cache.invalidate(group)
-                raise IndexCorruptionError(
-                    f"BSSF slice file {self._slice_files[position].name!r}: the "
-                    f"slice matrix cached for page "
-                    f"{word // (self._storage.page_size // 8)} differs from the page"
-                )
+        self._decode.verify(self._diff)
         self.oid_file.verify_decodes()
+
+    def _diff(self, cached: np.ndarray) -> Optional[str]:
+        fresh = self._decode_slices()
+        same_shape = cached.shape == fresh.shape
+        differs = np.argwhere(cached != fresh) if same_shape else [(0, 0)]
+        if not len(differs):
+            return None
+        position, word = differs[0]
+        return (
+            f"BSSF slice file {self._slice_files[position].name!r}: the "
+            f"slice matrix cached for page "
+            f"{word // (self._storage.page_size // 8)} differs from the page"
+        )
 
     def _charge_slices(self, positions) -> None:
         """Charge ``slice_pages`` logical reads against each listed slice.
@@ -581,7 +573,7 @@ class BitSlicedSignatureFile(SetAccessFacility):
 
     def decode_cache_stats(self) -> dict:
         """Hit/miss counters of the slice decode cache (diagnostics)."""
-        return self._decode_cache.stats()
+        return self._decode.stats()
 
     def verify(self) -> None:
         """Every slice file must be exactly ``slice_pages`` long."""

@@ -16,7 +16,7 @@ A single entry must fit one page (~500 OIDs at P = 4096); the paper's
 that bound raises rather than silently corrupting.
 
 Decoded nodes are kept in one ``{page_no: node}`` map, held in a
-:class:`~repro.storage.decode_cache.DecodeCache` under the file's version
+:class:`~repro.storage.decode_cache.DecodeSlot` under the file's version
 and filled as pages are first read. Readers take a node from the map and
 charge the page read it stands for (:meth:`PagedFile.charge_read`), so
 every counter reads as if the page had been fetched. No node in the map is
@@ -28,9 +28,9 @@ entries, or new key and child lists. Once the last page write of its
 insert, delete or bulk load has landed, the map is re-keyed at the new
 version with exactly the pages it wrote replaced by the nodes it wrote. A
 write that fails part-way leaves the map at a version the file has left,
-and the next reader decodes afresh. Only :meth:`page_census` and
-:meth:`verify` decode pages for themselves: they check the pages against
-the map.
+and the next reader decodes afresh. Only :meth:`page_census`,
+:meth:`verify` and :meth:`verify_decodes` decode pages for themselves; the
+last compares every node the map holds with its page.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from repro.access.nix.node import (
 )
 from repro.errors import AccessFacilityError, IndexCorruptionError
 from repro.objects.oid import OID
-from repro.storage.decode_cache import DecodeCache
+from repro.storage.decode_cache import DecodeSlot
 from repro.storage.page import Page
 from repro.storage.paged_file import PagedFile
 
@@ -81,11 +81,8 @@ def _written_through(write: Callable) -> Callable:
         try:
             result = write(tree, *args)
             if written:
-                tree._cache.patch(
-                    tree.file.name,
-                    before,
-                    tree.file.version,
-                    lambda nodes: nodes.update(written) or nodes,
+                tree._decode.follow(
+                    before, lambda nodes: nodes.update(written) or nodes
                 )
         finally:
             tree._base = None
@@ -111,7 +108,7 @@ class BPlusTree:
         # enabled) or raise (paper layout). A third of the page keeps at
         # least two entries per leaf splittable.
         self.inline_cap = self.file.page_size // 3
-        self._cache = DecodeCache(max_entries=1)
+        self._decode = DecodeSlot(lambda: paged_file.version)
         #: the node map the write in progress started from; None between writes
         self._base: Optional[Dict[int, Node]] = None
         #: nodes the write in progress has stored, by page; empty between writes
@@ -131,12 +128,7 @@ class BPlusTree:
     # ------------------------------------------------------------------
     def _map(self) -> Dict[int, Node]:
         """The node map at the file's version (a new, empty one if none is)."""
-        name, version = self.file.name, self.file.version
-        nodes = self._cache.get(name, version)
-        if nodes is None:
-            nodes = {}
-            self._cache.put(name, version, nodes)
-        return nodes
+        return self._decode.get(dict)
 
     def _shared(self, page_no: int, charge: Callable[[int], None]) -> Node:
         """The node the map holds for ``page_no``, its page read ``charge``d.
@@ -189,7 +181,24 @@ class BPlusTree:
 
     def decode_cache_stats(self) -> Dict[str, int]:
         """Hit/miss counters of the node map (a miss = a new map)."""
-        return self._cache.stats()
+        return self._decode.stats()
+
+    def verify_decodes(self) -> None:
+        """Check every node the map holds at the file's version against a
+        fresh decode of its page (read with :meth:`PagedFile.peek_page`,
+        nothing charged). On a mismatch the map is dropped, so the next
+        reader decodes afresh, and :class:`IndexCorruptionError` names the
+        file and page."""
+        self._decode.verify(self._diff)
+
+    def _diff(self, nodes: Dict[int, Node]) -> Optional[str]:
+        for page_no, node in sorted(nodes.items()):
+            if node != deserialize_node(self.file.peek_page(page_no)):
+                return (
+                    f"NIX file {self.file.name!r}: the node map cached for "
+                    f"page {page_no} differs from the page"
+                )
+        return None
 
     # ------------------------------------------------------------------
     # Lookup

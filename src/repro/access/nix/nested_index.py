@@ -226,3 +226,6 @@ class NestedIndex(SetAccessFacility):
 
     def verify(self) -> None:
         self.tree.verify()
+
+    def verify_decodes(self) -> None:
+        self.tree.verify_decodes()

@@ -16,9 +16,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import kernels
-from repro.errors import AccessFacilityError, IndexCorruptionError
+from repro.errors import AccessFacilityError
 from repro.objects.oid import OID, OID_BYTES
-from repro.storage.decode_cache import DecodeCache
+from repro.storage.decode_cache import DecodeSlot
 from repro.storage.page import Page
 from repro.storage.paged_file import PagedFile
 
@@ -65,7 +65,7 @@ class OIDFile:
                 f"entry_count {entry_count} exceeds file capacity {max_entries}"
             )
         self._count = entry_count
-        self._decode_cache = DecodeCache(max_entries=1)
+        self._decode = DecodeSlot(lambda: paged_file.version)
 
     @property
     def entry_count(self) -> int:
@@ -188,7 +188,7 @@ class OIDFile:
                     table[index] = word
             return table, entries
 
-        self._decode_cache.patch(self.file.name, version, self.file.version, follow)
+        self._decode.follow(version, follow)
         return indices
 
     def get(self, index: int) -> Optional[OID]:
@@ -280,13 +280,7 @@ class OIDFile:
         still zeroed); :meth:`apply` images its pages from it and writes
         behind and into it once its page writes have succeeded.
         """
-        name = self.file.name
-        version = self.file.version
-        decoded = self._decode_cache.get(name, version)
-        if decoded is None:
-            decoded = (self._decode_pages(), self._count)
-            self._decode_cache.put(name, version, decoded)
-        return decoded
+        return self._decode.get(lambda: (self._decode_pages(), self._count))
 
     def _decode_pages(self) -> np.ndarray:
         """Every page's words, read with :meth:`PagedFile.peek_page`."""
@@ -311,26 +305,24 @@ class OIDFile:
         the table is dropped, so the next reader decodes afresh, and
         :class:`IndexCorruptionError` names the file and page.
         """
-        name = self.file.name
-        held = self._decode_cache.entry(name)
-        if held is None or held[0] != self.file.version:
-            return
-        bad = self._first_stale_page(*held[1])
-        if bad is not None:
-            self._decode_cache.invalidate(name)
-            raise IndexCorruptionError(
-                f"OID file {name!r}: the entry table cached for page {bad} "
-                "differs from the page"
-            )
+        self._decode.verify(self._diff)
 
-    def _first_stale_page(self, buffer: np.ndarray, rows: int) -> Optional[int]:
+    def _diff(self, decoded: Tuple[np.ndarray, int]) -> Optional[str]:
+        buffer, rows = decoded
         if rows != self._count:
-            return min(rows, self._count) // self.entries_per_page
-        fresh = self._decode_pages()
-        held = np.zeros(len(fresh), _WORD)
-        held[: len(buffer)] = buffer[: len(fresh)]
-        differs = np.flatnonzero(held != fresh)
-        return int(differs[0]) // self.entries_per_page if len(differs) else None
+            bad = min(rows, self._count)
+        else:
+            fresh = self._decode_pages()
+            held = np.zeros(len(fresh), _WORD)
+            held[: len(buffer)] = buffer[: len(fresh)]
+            differs = np.flatnonzero(held != fresh)
+            if not len(differs):
+                return None
+            bad = int(differs[0])
+        return (
+            f"OID file {self.file.name!r}: the entry table cached for page "
+            f"{bad // self.entries_per_page} differs from the page"
+        )
 
     def _locate(self, index: int) -> tuple:
         return index // self.entries_per_page, (index % self.entries_per_page) * OID_BYTES

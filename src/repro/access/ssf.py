@@ -13,7 +13,7 @@ filter out via the tombstone.
 
 Like BSSF, a search decodes the whole signature file into one packed
 ``(N, F/64)`` uint64 matrix — memoized in a version-keyed
-:class:`~repro.storage.decode_cache.DecodeCache` with read-through
+:class:`~repro.storage.decode_cache.DecodeSlot` with read-through
 charging — and runs the drop tests as row-wise word kernels. A write
 (:meth:`SequentialSignatureFile.apply`, one op or a batch) appends its
 rows to the memoized matrix once its page writes have succeeded, so the
@@ -33,11 +33,10 @@ from repro.access.oid_file import OIDFile
 from repro.access.sigpack import signatures_per_page, write_signature_in_page
 from repro.core import kernels
 from repro.core.signature import SignatureScheme
-from repro.errors import AccessFacilityError, IndexCorruptionError
-from repro.obs import tracer as trace
+from repro.errors import AccessFacilityError
 from repro.obs.tracer import traced_search
 from repro.objects.oid import OID
-from repro.storage.decode_cache import DecodeCache
+from repro.storage.decode_cache import DecodeSlot
 from repro.storage.paged_file import StorageManager
 
 
@@ -59,7 +58,7 @@ class SequentialSignatureFile(SetAccessFacility):
         )
         self.signature_file = storage.create_file(f"{file_prefix}:signatures")
         self.oid_file = OIDFile(storage.create_file(f"{file_prefix}:oids"))
-        self._decode_cache = DecodeCache(max_entries=1)
+        self._decode = self._slot()
 
     @classmethod
     def attach(
@@ -80,9 +79,13 @@ class SequentialSignatureFile(SetAccessFacility):
         facility.oid_file = OIDFile(
             storage.open_file(f"{file_prefix}:oids"), entry_count=entry_count
         )
-        facility._decode_cache = DecodeCache(max_entries=1)
+        facility._decode = facility._slot()
         facility.verify()
         return facility
+
+    def _slot(self) -> DecodeSlot:
+        signatures = self.signature_file
+        return DecodeSlot(lambda: signatures.version, traced=True)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -171,10 +174,8 @@ class SequentialSignatureFile(SetAccessFacility):
             for index in range(max(first, lo), min(end, lo + per_page)):
                 write_signature_in_page(page, index - lo, signatures[index - first])
             self.signature_file.write_page(page_no, page)
-        self._decode_cache.patch(
-            self.signature_file.name,
+        self._decode.follow(
             version,
-            self.signature_file.version,
             lambda decoded: kernels.append_rows(
                 decoded, first, [signature.words for signature in signatures]
             ),
@@ -196,18 +197,13 @@ class SequentialSignatureFile(SetAccessFacility):
         shares and :func:`kernels.append_rows` grows: the matrix is the
         ``[:rows]`` view, and :meth:`apply` appends behind it.
         """
-        num_pages = self.signature_file.num_pages
-        version = self.signature_file.version
-        name = self.signature_file.name
-        decoded = self._decode_cache.get(name, version)
-        trace.annotate(decode="miss" if decoded is None else "hit")
-        if decoded is None:
-            matrix = self._decode_signatures()
-            decoded = (matrix, len(matrix))
-            self._decode_cache.put(name, version, decoded)
-        self.signature_file.charge_reads(num_pages)
-        buffer, rows = decoded
+        buffer, rows = self._decode.get(self._decoded_rows)
+        self.signature_file.charge_reads(self.signature_file.num_pages)
         return buffer[:rows]
+
+    def _decoded_rows(self) -> Tuple[np.ndarray, int]:
+        matrix = self._decode_signatures()
+        return matrix, len(matrix)
 
     def _decode_signatures(self) -> np.ndarray:
         """Every stored signature, read with :meth:`PagedFile.peek_page`,
@@ -233,24 +229,23 @@ class SequentialSignatureFile(SetAccessFacility):
         On a mismatch the matrix is dropped, so the next search decodes
         afresh, and :class:`IndexCorruptionError` names the file and page.
         """
-        name = self.signature_file.name
-        held = self._decode_cache.entry(name)
-        if held is not None and held[0] == self.signature_file.version:
-            bad = self._first_stale_page(*held[1])
-            if bad is not None:
-                self._decode_cache.invalidate(name)
-                raise IndexCorruptionError(
-                    f"SSF file {name!r}: the signature matrix cached for page "
-                    f"{bad} differs from the page"
-                )
+        self._decode.verify(self._diff)
         self.oid_file.verify_decodes()
 
-    def _first_stale_page(self, buffer: np.ndarray, rows: int) -> Optional[int]:
+    def _diff(self, decoded: Tuple[np.ndarray, int]) -> Optional[str]:
+        buffer, rows = decoded
         fresh = self._decode_signatures()
         if rows != len(fresh):
-            return min(rows, len(fresh)) // self.sigs_per_page
-        differs = np.flatnonzero((buffer[:rows] != fresh).any(axis=1))
-        return int(differs[0]) // self.sigs_per_page if len(differs) else None
+            bad = min(rows, len(fresh))
+        else:
+            differs = np.flatnonzero((buffer[:rows] != fresh).any(axis=1))
+            if not len(differs):
+                return None
+            bad = int(differs[0])
+        return (
+            f"SSF file {self.signature_file.name!r}: the signature matrix "
+            f"cached for page {bad // self.sigs_per_page} differs from the page"
+        )
 
     # ------------------------------------------------------------------
     # Search
@@ -378,7 +373,7 @@ class SequentialSignatureFile(SetAccessFacility):
 
     def decode_cache_stats(self) -> dict:
         """Hit/miss counters of the signature-matrix decode cache."""
-        return self._decode_cache.stats()
+        return self._decode.stats()
 
     def verify(self) -> None:
         """Structural check: signature file sized for the OID entry count."""

@@ -559,6 +559,11 @@ class LSMSignatureFacility(SetAccessFacility):
             "manifest": self.manifest.storage_pages(),
         }
 
+    def verify_decodes(self) -> None:
+        """Check every run's held decodes against its pages."""
+        for run in self.runs:
+            run.inner.verify_decodes()
+
     def verify(self) -> None:
         """Structural invariants: runs intact, shadowing map consistent."""
         levels = [run.level for run in self.runs]

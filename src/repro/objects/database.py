@@ -796,10 +796,18 @@ class Database:
         return self.storage.snapshot()
 
     def verify_indexes(self) -> None:
-        """Structural verification of every facility (tests / debugging)."""
-        for per_path in self._indexes.values():
-            for facility in per_path.values():
-                facility.verify()
+        """Check every facility's held decodes, then its structure.
+
+        Each facility runs
+        :meth:`~repro.access.base.SetAccessFacility.verify_decodes`, then
+        :meth:`~repro.access.base.SetAccessFacility.verify`, under its
+        class's read scope, so no write is half-seen.
+        """
+        for (class_name, _), per_path in sorted(self._indexes.items()):
+            with self.read_scope(class_name):
+                for facility in per_path.values():
+                    facility.verify_decodes()
+                    facility.verify()
 
     def vacuum_index(
         self, class_name: str, attribute: str, facility_name: str
@@ -848,12 +856,10 @@ class Database:
         For up to ``sample`` objects per indexed path, a superset search
         with the object's own set value must return the object (signature
         facilities guarantee no false dismissals; NIX intersection is
-        exact), and no search may surface a dead OID. Structural
-        :meth:`verify` runs on every facility as well, and first every
-        object file's record decode and every facility's decoded tables
-        are checked against their pages
-        (:meth:`~repro.objects.object_file.ObjectFile.verify_decodes`,
-        :meth:`~repro.access.base.SetAccessFacility.verify_decodes`).
+        exact), and no search may surface a dead OID. First every object
+        file's record decode is checked against its pages
+        (:meth:`~repro.objects.object_file.ObjectFile.verify_decodes`),
+        then every facility by :meth:`verify_indexes`.
 
         Returns the number of objects checked per ``class.attribute``;
         raises :class:`IndexCorruptionError` on the first inconsistency.
@@ -863,14 +869,9 @@ class Database:
         for class_name in self.objects.class_names():
             with self.read_scope(class_name):  # no write half-seen
                 self.objects.verify_decodes(class_name)
-                for (cls, _), per_path in sorted(self._indexes.items()):
-                    if cls == class_name:
-                        for facility in per_path.values():
-                            facility.verify_decodes()
+        self.verify_indexes()
         checked: Dict[str, int] = {}
         for (class_name, attribute), per_path in sorted(self._indexes.items()):
-            for facility in per_path.values():
-                facility.verify()
             count = 0
             for oid, values in self.objects.scan(class_name):
                 if count >= sample:

@@ -15,20 +15,20 @@ workloads (sets of up to a few hundred elements) satisfy this comfortably.
 
 Drop resolution (:meth:`ObjectFile.select`) tests predicates on a decode
 of the records it has seen before: one ``{address: values}`` map per file
-in a :class:`~repro.storage.decode_cache.DecodeCache`, keyed on the file's
+in a :class:`~repro.storage.decode_cache.DecodeSlot`, keyed on the file's
 version, filled one record at a time as candidates are first tested, and
-carried across every write here with :meth:`DecodeCache.patch`, which
+carried across every write here with :meth:`DecodeSlot.follow`, which
 forgets only the addresses the write touched.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import IndexCorruptionError, ObjectStoreError
+from repro.errors import ObjectStoreError
 from repro.objects.serde import decode_object
-from repro.storage.decode_cache import DecodeCache
+from repro.storage.decode_cache import DecodeSlot
 from repro.storage.page import Page
 from repro.storage.paged_file import PagedFile
 
@@ -89,7 +89,7 @@ class ObjectFile:
     def __init__(self, paged_file: PagedFile):
         self.file = paged_file
         self.max_record_bytes = self.file.page_size - _HEADER_BYTES - _SLOT_BYTES
-        self._decode_cache = DecodeCache(max_entries=1)
+        self._decode = DecodeSlot(lambda: paged_file.version)
 
     # ------------------------------------------------------------------
     # Record operations
@@ -244,12 +244,7 @@ class ObjectFile:
 
     def _records(self) -> Dict[RecordAddress, Dict[str, Any]]:
         """The record decode held at the file's current version."""
-        name, version = self.file.name, self.file.version
-        records = self._decode_cache.get(name, version)
-        if records is None:
-            records = {}
-            self._decode_cache.put(name, version, records)
-        return records
+        return self._decode.get(dict)
 
     def _follow(self, old_version: int, *touched: RecordAddress) -> None:
         """Carry the record decode across a write that moved the file from
@@ -260,9 +255,7 @@ class ObjectFile:
                 records.pop(address, None)
             return records
 
-        self._decode_cache.patch(
-            self.file.name, old_version, self.file.version, forget
-        )
+        self._decode.follow(old_version, forget)
 
     def verify_decodes(self) -> None:
         """Check every cached record against a fresh decode of its slot.
@@ -274,12 +267,11 @@ class ObjectFile:
         page and slot. A payload held at a version the file has left is
         never served again and is not checked.
         """
-        name = self.file.name
-        held = self._decode_cache.entry(name)
-        if held is None or held[0] != self.file.version:
-            return
+        self._decode.verify(self._diff)
+
+    def _diff(self, records: Dict[RecordAddress, Dict[str, Any]]) -> Optional[str]:
         page_no = None
-        for address, cached in sorted(held[1].items()):
+        for address, cached in sorted(records.items()):
             if address[0] != page_no:
                 page_no = address[0]
                 page = self.file.peek_page(page_no)
@@ -288,11 +280,11 @@ class ObjectFile:
             except ObjectStoreError:
                 fresh = None
             if fresh != cached:
-                self._decode_cache.invalidate(name)
-                raise IndexCorruptionError(
-                    f"object file {name!r}: the decode cached for page "
+                return (
+                    f"object file {self.file.name!r}: the decode cached for page "
                     f"{address[0]}, slot {address[1]} differs from the slot"
                 )
+        return None
 
     def _record(self, page: Page, address: RecordAddress) -> bytes:
         """The live record at ``address`` on its fetched ``page``."""

@@ -10,7 +10,7 @@ traffic" view the per-query :class:`QueryStatistics` cannot give:
   page-payload cache counters, and ``storage.decode_cache.patches`` /
   ``storage.decode_cache.drops`` — payloads an in-place write carried to
   the file's new version, or discarded (fed by
-  :class:`~repro.storage.decode_cache.DecodeCache`);
+  :class:`~repro.storage.decode_cache.DecodeSlot`);
 * ``storage.disk.page_reads`` / ``storage.disk.page_writes`` /
   ``storage.disk.pages_allocated`` — physical transfers at the simulated
   device (fed by :class:`~repro.storage.disk.DiskStore`);

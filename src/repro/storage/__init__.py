@@ -6,7 +6,7 @@ counterpart of the paper's analytical cost model.
 """
 
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.decode_cache import DecodeCache
+from repro.storage.decode_cache import DecodeSlot
 from repro.storage.disk import DiskStore
 from repro.storage.faults import (
     DEFAULT_RETRY_POLICY,
@@ -24,7 +24,7 @@ __all__ = [
     "BufferPool",
     "DEFAULT_PAGE_SIZE",
     "DEFAULT_RETRY_POLICY",
-    "DecodeCache",
+    "DecodeSlot",
     "DiskStore",
     "FaultInjector",
     "FaultRule",

@@ -1,57 +1,51 @@
-"""Version-keyed cache of decoded page-file content.
+"""The one decode an owner holds of its file, keyed on the file's version.
 
-The access methods repeatedly decode the same immutable page images into
-packed word arrays — a BSSF slice column, an SSF signature matrix. Decoding
-is pure function of ``(file content)``, and every file content change bumps
-the file's :attr:`~repro.storage.paged_file.PagedFile.version`, so a decode
-captured at version ``v`` is valid exactly while the file is still at
-``v``. A :class:`DecodeCache` memoizes one payload per file name, keyed on
-that version; a lookup with any other version is a miss and implicitly
-invalidates the stale entry.
+Decoding page images — an SSF signature matrix, a BSSF slice matrix, an
+OID entry table, a nested-index node map, a map of object records — is a
+pure function of the file content, and every content change bumps the
+file's :attr:`~repro.storage.paged_file.PagedFile.version` (the BSSF
+slices share a version group's counter). A decode captured at version
+``v`` is valid exactly while the file is still at ``v``, so each owner
+keeps one :class:`DecodeSlot` bound to that version and supplies only
+what is its own: how to build the decode, how a write changes it
+(:meth:`DecodeSlot.follow`, so the read after a write decodes nothing)
+and how to tell it from the pages (:meth:`DecodeSlot.verify`).
 
-The cache lives strictly *above* the I/O accounting: callers must charge
-the logical page reads of a hit themselves (see
-:meth:`PagedFile.charge_read`), which keeps the paper's page-access metric
-bit-identical whether or not the cache is warm.
-
-Lookups and insertions are serialized by a small internal lock so the LRU
-order, hit/miss counters, and entry map stay consistent under concurrent
-readers. Readers never mutate a payload, so sharing one across reader
-threads is safe. Writers read payloads too: an in-place write builds the
-pages it rewrites from the decode it finds (a slice matrix, an OID word
-table) and, where the payload is made of parts, writers copy the shared
-node — the nested index changes a copy of a decoded node, never the one in
-the map. The one mutation is :meth:`DecodeCache.patch`: an in-place writer
-that has just moved the file from version ``v`` to ``v'`` applies the same
-change to the payload held at ``v`` and re-keys it at ``v'``, so the read
-after a write costs no decode. Writers run under the facade write latch
-(docs/CONCURRENCY.md), which already excludes every reader of the payload.
-The version check stays the only validity test: a write that fails
-part-way never reaches ``patch``, the payload stays keyed at a version the
-file has left, and the next reader decodes afresh.
+The slot lives strictly *above* the I/O accounting: owners charge the
+page reads a hit stands for themselves (:meth:`PagedFile.charge_read`),
+so the paper's page-access metric is the same warm or cold. Readers never
+mutate a payload; writers copy any shared part they change, and run under
+the facade write latch (docs/CONCURRENCY.md), which excludes every reader
+while ``follow`` changes the payload. A write that fails part-way never
+reaches ``follow``: the payload stays at a version the file has left and
+the next reader decodes afresh. Writes image pages from these payloads, so
+one that drifted from its file would become a durable page with a valid
+CRC; ``verify`` drops it and raises :class:`~repro.errors.IndexCorruptionError`.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.errors import StorageError
+from repro.errors import IndexCorruptionError
+from repro.obs import tracer as trace
 from repro.obs.metrics import REGISTRY
 
 
-class DecodeCache:
-    """LRU cache of ``file name → (version, decoded payload)``."""
+class DecodeSlot:
+    """One decoded payload, held at the version of the file it decodes.
 
-    def __init__(self, max_entries: int = 4096):
-        if max_entries <= 0:
-            raise StorageError(
-                f"decode cache needs max_entries >= 1, got {max_entries}"
-            )
-        self.max_entries = max_entries
+    ``version`` reads the file's current version. A ``traced`` slot
+    annotates the innermost trace span ``decode="hit"`` or ``"miss"`` on
+    every :meth:`get`.
+    """
+
+    def __init__(self, version: Callable[[], int], traced: bool = False):
+        self._version = version
+        self._traced = traced
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, Tuple[int, Any]]" = OrderedDict()
+        self._held: Optional[Tuple[int, Any]] = None
         self.hits = 0
         self.misses = 0
         self._metric_hits = REGISTRY.counter("storage.decode_cache.hits")
@@ -59,85 +53,90 @@ class DecodeCache:
         self._metric_patches = REGISTRY.counter("storage.decode_cache.patches")
         self._metric_drops = REGISTRY.counter("storage.decode_cache.drops")
 
-    def get(self, name: str, version: int) -> Optional[Any]:
-        """The payload cached for ``name`` iff it was decoded at ``version``."""
+    def get(self, build: Callable[[], Any]) -> Any:
+        """The payload held at the file's version — a hit — or, on a miss,
+        ``build()``'s, which is held from then on."""
+        version = self._version()
         with self._lock:
-            entry = self._entries.get(name)
-            if entry is not None and entry[0] == version:
+            held = self._held
+            hit = held is not None and held[0] == version
+            if hit:
                 self.hits += 1
                 self._metric_hits.inc()
-                self._entries.move_to_end(name)
-                return entry[1]
-            self.misses += 1
-            self._metric_misses.inc()
-            if entry is not None:
-                # Stale version: the slot will be overwritten by the caller's
-                # re-decode; drop it now so it cannot be served again.
-                del self._entries[name]
-            return None
-
-    def put(self, name: str, version: int, payload: Any) -> None:
+            else:
+                self.misses += 1
+                self._metric_misses.inc()
+                self._held = None  # stale: never served again
+        if self._traced:
+            trace.annotate(decode="hit" if hit else "miss")
+        if hit:
+            return held[1]
+        payload = build()
         with self._lock:
-            self._entries[name] = (version, payload)
-            self._entries.move_to_end(name)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            self._held = (version, payload)
+        return payload
 
-    def patch(
-        self,
-        name: str,
-        old_version: int,
-        new_version: int,
-        apply: Callable[[Any], Optional[Any]],
-    ) -> None:
-        """Carry ``name``'s payload across a write from ``old_version``.
+    def follow(self, before: int, patch: Callable[[Any], Optional[Any]]) -> None:
+        """Carry the payload across a write that moved the file from ``before``.
 
-        ``apply(payload)`` makes the change the write made to the file and
-        returns the payload to hold at ``new_version`` — the same object
-        patched in place, or a regrown copy — or ``None`` when it cannot
-        follow the write. A payload held at any other version, or one
-        ``apply`` gives up on, is dropped; nothing cached is a no-op.
+        ``patch(payload)`` makes the change the write made to the file and
+        returns the payload to hold at the file's new version — the same
+        object changed in place, or a regrown copy — or ``None`` when it
+        cannot follow the write. A payload held at any other version, or
+        one ``patch`` gives up on, is dropped; nothing held is a no-op.
         Neither a hit nor a miss: no reader asked for anything.
         """
+        after = self._version()
         with self._lock:
-            entry = self._entries.get(name)
-            if entry is None:
+            held = self._held
+            if held is None:
                 return
-            patched = apply(entry[1]) if entry[0] == old_version else None
+            patched = patch(held[1]) if held[0] == before else None
             if patched is None:
-                del self._entries[name]
+                self._held = None
                 self._metric_drops.inc()
             else:
-                self._entries[name] = (new_version, patched)
+                self._held = (after, patched)
                 self._metric_patches.inc()
 
-    def entry(self, name: str) -> Optional[Tuple[int, Any]]:
-        """``(version, payload)`` held for ``name``, counted as no lookup.
+    def verify(self, diff: Callable[[Any], Optional[str]]) -> None:
+        """Check the payload held at the file's version against the file.
 
-        For verifiers, which compare a payload with its file and must not
-        move the hit ratio the workload is measured by.
+        ``diff(payload)`` decodes the pages afresh, charging nothing, and
+        returns ``None`` when they match, else the error message naming
+        where they differ. A payload that differs is dropped, so the next
+        reader decodes afresh, and :class:`IndexCorruptionError` is raised.
+        A payload held at a version the file has left is never served
+        again and is not checked.
+        """
+        version = self._version()
+        held = self.held()
+        if held is None or held[0] != version:
+            return
+        message = diff(held[1])
+        if message is not None:
+            self.drop()
+            raise IndexCorruptionError(message)
+
+    def held(self) -> Optional[Tuple[int, Any]]:
+        """``(version, payload)`` held, or ``None``, counted as no lookup.
+
+        For verifiers and tests, which must not move the hit ratio the
+        workload is measured by.
         """
         with self._lock:
-            return self._entries.get(name)
+            return self._held
 
-    def invalidate(self, name: str) -> None:
+    def drop(self) -> None:
+        """Let the payload go (uncounted): the next reader decodes afresh."""
         with self._lock:
-            self._entries.pop(name, None)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+            self._held = None
 
     def stats(self) -> Dict[str, int]:
+        """Payloads held (0 or 1) and this slot's hits and misses."""
         with self._lock:
             return {
-                "entries": len(self._entries),
+                "entries": int(self._held is not None),
                 "hits": self.hits,
                 "misses": self.misses,
             }

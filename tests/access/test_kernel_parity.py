@@ -404,7 +404,7 @@ def cached_payloads(facility):
 def decode_misses(facility):
     return (
         facility.decode_cache_stats()["misses"],
-        facility.oid_file._decode_cache.stats()["misses"],
+        facility.oid_file._decode.stats()["misses"],
     )
 
 

@@ -57,7 +57,7 @@ def cached_nodes(tree: BPlusTree) -> dict:
     frame writes it back, the store counts that as a change to the file,
     and the map is (needlessly but safely) left behind or dropped.
     """
-    version, nodes = tree._cache._entries.get(tree.file.name, (None, {}))
+    version, nodes = tree._decode.held() or (None, {})
     if tree.file._pool.capacity:
         return nodes if version == tree.file.version else {}
     assert version == tree.file.version
@@ -343,7 +343,7 @@ def test_two_readers_fill_a_cold_map_into_one_consistent_map():
     nix = db.index("Item", "items", "nix")
     tree = nix.tree
     expected = {element: nix.lookup_element(element) for element in range(120)}
-    tree._cache.clear()  # cold again, same file version
+    tree._decode.drop()  # cold again, same file version
     failures = []
     start = threading.Barrier(2)
 
@@ -375,4 +375,4 @@ def test_two_readers_fill_a_cold_map_into_one_consistent_map():
     assert_map_is_a_fresh_decode(tree, db.storage)
     for element in range(120):
         assert nix.lookup_element(element) == expected[element]
-    assert len(tree._cache) == 1
+    assert tree._decode.held() is not None

@@ -247,7 +247,7 @@ class TestScansAgainstReference:
                 assert observed[1].for_file("oids").logical_writes == 0
         if capacity == 0:  # (a pool's dirty evictions are file writes too)
             # one decode for the whole history: every write was followed in place
-            assert fast._decode_cache.stats()["misses"] <= 1
+            assert fast._decode.stats()["misses"] <= 1
 
     def test_tombstoning_costs_page_accessors_per_page_not_per_entry(
         self, page_accessor_calls

@@ -10,7 +10,8 @@ twin ``StorageManager``s must leave the same page images, the same I/O
 deltas and the same buffer-pool hits, misses and LRU order after every
 step, with or without a pool, cold or warm, on small and large pages;
 every payload a cache still holds at its file's version must equal a fresh
-decode; and what a fetch would have caught — a torn page — is still caught.
+decode, and pass the facility's own ``verify_decodes``; and what a fetch
+would have caught — a torn page — is still caught.
 """
 
 from __future__ import annotations
@@ -65,15 +66,15 @@ def make(kind: str, manager: StorageManager, oracle: bool):
 
 
 def caches(facility) -> list:
-    """Every decode cache the facility keeps."""
+    """Every decode slot the facility keeps."""
     if isinstance(facility, NestedIndex):
-        return [facility.tree._cache]
-    return [facility._decode_cache, facility.oid_file._decode_cache]
+        return [facility.tree._decode]
+    return [facility._decode, facility.oid_file._decode]
 
 
 def forget(facility) -> None:
     for cache in caches(facility):
-        cache.clear()
+        cache.drop()
 
 
 def preload_set(serial: int) -> frozenset:
@@ -114,9 +115,9 @@ def copy_of(manager) -> StorageManager:
     return copy
 
 
-def current(cache, name: str, version: int):
-    """The payload ``cache`` holds for ``name`` at ``version``, else None."""
-    entry = cache._entries.get(name)
+def current(cache, version: int):
+    """The payload the decode slot ``cache`` holds at ``version``, else None."""
+    entry = cache.held()
     return entry[1] if entry is not None and entry[0] == version else None
 
 
@@ -125,7 +126,7 @@ def assert_caches_are_fresh(fast, manager) -> None:
     copy = copy_of(manager)
     if isinstance(fast, NestedIndex):
         tree = fast.tree
-        nodes = current(tree._cache, tree.file.name, tree.file.version) or {}
+        nodes = current(tree._decode, tree.file.version) or {}
         fresh = BPlusTree(copy.open_file(tree.file.name), tree.overflow_chains)
         for page_no, node in nodes.items():
             assert node == fresh._load(page_no)
@@ -136,19 +137,16 @@ def assert_caches_are_fresh(fast, manager) -> None:
     )
     if isinstance(fast, BitSlicedSignatureFile):
         group = fast._group_name
-        matrix = current(
-            fast._decode_cache, group, manager.store.group_version(group)
-        )
+        matrix = current(fast._decode, manager.store.group_version(group))
         if matrix is not None:
             assert np.array_equal(matrix, fresh._stacked_slices())
     else:
-        name = fast.signature_file.name
-        decoded = current(fast._decode_cache, name, fast.signature_file.version)
+        decoded = current(fast._decode, fast.signature_file.version)
         if decoded is not None:
             buffer, rows = decoded
             assert np.array_equal(buffer[:rows], fresh._signature_matrix())
     oids = fast.oid_file
-    decoded = current(oids._decode_cache, oids.file.name, oids.file.version)
+    decoded = current(oids._decode, oids.file.version)
     if decoded is not None:
         # the whole word buffer mirrors the pages, not only its rows
         buffer, rows = decoded
@@ -232,6 +230,7 @@ class TestRandomHistories:
             assert got == want
             assert page_images(managers[0]) == page_images(managers[1])
         assert_caches_are_fresh(fast, managers[0])
+        fast.verify_decodes()  # the engine's own check agrees
 
 
 batch = st.lists(
@@ -339,6 +338,7 @@ class TestABatch:
         delta = managers[0].snapshot() - snapshot
         assert page_images(managers[0]) == page_images(managers[1])
         assert_caches_are_fresh(fast, managers[0])
+        fast.verify_decodes()  # the engine's own check agrees
         want = batch_charges(fast, before_words, start, ops, pages_before)
         got = {
             name: (counts.logical_reads, counts.logical_writes)
@@ -367,6 +367,7 @@ class TestABatch:
         assert delta.total().logical_writes == 0
         assert page_images(manager) == images and ssf.entry_count == 20
         assert_caches_are_fresh(ssf, manager)
+        ssf.verify_decodes()  # the engine's own check agrees
 
 
 def test_small_pages_split_leaves_root_and_chains():
@@ -532,6 +533,7 @@ class TestAWriteThatFailsPartWay:
             (fast, fast_mgr), (oracle, oracle_mgr) = twins
             self.assert_left_behind(fast, fast_mgr, file)
             assert_caches_are_fresh(fast, fast_mgr)
+            fast.verify_decodes()  # the engine's own check agrees
             assert page_images(fast_mgr) == page_images(oracle_mgr)
             for query in (frozenset({1}), frozenset({0, 39})):
                 want = metered(oracle_mgr, lambda: oracle.search_superset(query))
@@ -543,14 +545,15 @@ class TestAWriteThatFailsPartWay:
         """The cache over the file the crashed write was writing is stale."""
         if isinstance(fast, NestedIndex):
             tree = fast.tree
-            assert current(tree._cache, tree.file.name, tree.file.version) is None
+            assert current(tree._decode, tree.file.version) is None
         elif isinstance(fast, BitSlicedSignatureFile):
             group = fast._group_name
             version = manager.store.group_version(group)
-            assert current(fast._decode_cache, group, version) is None
+            assert current(fast._decode, version) is None
         else:
             oids = fast.oid_file
-            assert current(oids._decode_cache, file, oids.file.version) is None
+            assert oids.file.name == file
+            assert current(oids._decode, oids.file.version) is None
 
 
 class TestReadersAreNeverWrittenTo:

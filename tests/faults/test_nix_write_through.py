@@ -146,7 +146,7 @@ class TestEveryOtherWayThePagesChange:
         for query_set in QUERY_SETS:
             superset_results(db, query_set, "nix")
         tree = db.index("Student", "hobbies", "nix").tree
-        assert tree._cache._entries[tree.file.name][1]  # nodes are in the map
+        assert tree._decode.held()[1]  # nodes are in the map
         return db, tree
 
     def test_a_corrupted_page_is_met_by_the_next_lookup(self):

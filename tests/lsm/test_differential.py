@@ -26,6 +26,13 @@ from tests.lsm.conftest import (
 KINDS = ["ssf", "bssf"]
 
 
+def verify_decodes(*workloads: PairedWorkload) -> None:
+    """The engine's own check of every decode both facilities hold."""
+    for paired in workloads:
+        paired.reference.verify_decodes()
+        paired.subject.verify_decodes()
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_fixed_seed_interleavings(kind):
     for seed in (1, 2, 3):
@@ -34,6 +41,7 @@ def test_fixed_seed_interleavings(kind):
             run_random_ops(paired, 30, seed * 100 + checkpoint)
             paired.assert_equivalent(SAMPLE_QUERIES)
         paired.subject.verify()
+        verify_decodes(paired)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -48,6 +56,7 @@ def test_updates_shadow_across_many_runs(kind):
     # the hot OID appears exactly once in a full scan
     result = paired.subject.search_superset(frozenset())
     assert result.candidates.count(hot) == 1
+    verify_decodes(paired)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -61,6 +70,7 @@ def test_delete_heavy_interleaving(kind):
     paired.compact()
     paired.assert_equivalent(SAMPLE_QUERIES)
     paired.subject.verify()
+    verify_decodes(paired)
 
 
 def _interpret(paired: PairedWorkload, program) -> None:
@@ -92,6 +102,7 @@ def test_property_random_programs(kind, program):
     _interpret(paired, program)
     paired.assert_equivalent(SAMPLE_QUERIES)
     paired.subject.verify()
+    verify_decodes(paired)
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,3 +128,4 @@ def test_property_layout_parameters_never_change_answers(
                 == getattr(subject.subject, f"search_{mode}")(query).candidates
             )
     subject.subject.verify()
+    verify_decodes(baseline, subject)

@@ -112,7 +112,7 @@ def live_items(db: Database, oids):
 def record_cache(db: Database, class_name: str = "Item"):
     """``(version, {address: values})`` the object file holds, or None."""
     object_file = db.objects._files[class_name]
-    return object_file._decode_cache.entry(object_file.file.name)
+    return object_file._decode.held()
 
 
 positions = st.integers(0, OBJECTS + 1)

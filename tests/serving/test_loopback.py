@@ -62,8 +62,8 @@ def _cold(db: Database) -> Database:
     every slice page from the device, at the latency the test sets.
     """
     bssf = db.index("Student", "hobbies", "bssf")
-    bssf._decode_cache.clear()
-    bssf.oid_file._decode_cache.clear()
+    bssf._decode.drop()
+    bssf.oid_file._decode.drop()
     return db
 
 

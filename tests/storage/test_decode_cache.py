@@ -1,81 +1,151 @@
-"""Tests for the version-keyed decode cache."""
+"""Tests for the version-keyed decode slot."""
 
-from repro.storage.decode_cache import DecodeCache
+import pytest
+
+from repro.errors import IndexCorruptionError
+from repro.obs import tracer as trace
+from repro.obs.tracer import Tracer
+from repro.storage.decode_cache import DecodeSlot
+
+
+class File:
+    """A stand-in for a paged file: only its version matters here."""
+
+    def __init__(self):
+        self.version = 1
+
+    def slot(self, traced: bool = False) -> DecodeSlot:
+        return DecodeSlot(lambda: self.version, traced=traced)
+
+
+def builds(*payloads):
+    """A build function handing out ``payloads`` in turn, recording calls."""
+    made = list(payloads)
+
+    def build():
+        return made.pop(0)
+
+    return build
 
 
 class TestHitMiss:
-    def test_empty_cache_misses(self):
-        cache = DecodeCache(max_entries=4)
-        assert cache.get("f", 1) is None
-        assert cache.stats()["misses"] == 1
+    def test_empty_slot_misses_and_builds(self):
+        slot = File().slot()
+        assert slot.get(builds("decoded")) == "decoded"
+        assert slot.stats() == {"entries": 1, "hits": 0, "misses": 1}
 
-    def test_put_then_get_same_version_hits(self):
-        cache = DecodeCache(max_entries=4)
-        cache.put("f", 1, "decoded")
-        assert cache.get("f", 1) == "decoded"
-        assert cache.stats()["hits"] == 1
+    def test_same_version_hits_without_building(self):
+        slot = File().slot()
+        slot.get(builds("decoded"))
+        assert slot.get(builds()) == "decoded"
+        assert slot.stats()["hits"] == 1
 
     def test_version_mismatch_misses_and_evicts_stale(self):
-        cache = DecodeCache(max_entries=4)
-        cache.put("f", 1, "old")
-        assert cache.get("f", 2) is None
-        # The stale entry must be gone: the old version can never come back.
-        assert cache.get("f", 1) is None
-        assert cache.stats()["entries"] == 0
+        file = File()
+        slot = file.slot()
+        slot.get(builds("old"))
+        file.version = 2
 
-    def test_put_overwrites_previous_version(self):
-        cache = DecodeCache(max_entries=4)
-        cache.put("f", 1, "old")
-        cache.put("f", 2, "new")
-        assert cache.get("f", 2) == "new"
-        assert cache.get("f", 1) is None
+        def fails():
+            raise RuntimeError("decode failed")
+
+        with pytest.raises(RuntimeError):
+            slot.get(fails)
+        # The stale payload must be gone: the old version can never come back.
+        assert slot.held() is None
+        file.version = 1
+        assert slot.get(builds("again")) == "again"
+        assert slot.stats()["misses"] == 3
+
+    def test_a_rebuild_replaces_the_previous_version(self):
+        file = File()
+        slot = file.slot()
+        slot.get(builds("old"))
+        file.version = 2
+        assert slot.get(builds("new")) == "new"
+        assert slot.held() == (2, "new")
+
+    def test_a_traced_slot_annotates_the_span(self):
+        tracer = Tracer()
+        slot = File().slot(traced=True)
+        with trace.activate(tracer):
+            with tracer.span("miss") as miss:
+                slot.get(builds("decoded"))
+            with tracer.span("hit") as hit:
+                slot.get(builds())
+        assert miss.attributes["decode"] == "miss"
+        assert hit.attributes["decode"] == "hit"
+
+    def test_held_and_drop_are_uncounted(self):
+        slot = File().slot()
+        slot.get(builds("decoded"))
+        assert slot.held() == (1, "decoded")
+        slot.drop()
+        assert slot.held() is None
+        assert slot.stats() == {"entries": 0, "hits": 0, "misses": 1}
 
 
-class TestEviction:
-    def test_lru_eviction_at_capacity(self):
-        cache = DecodeCache(max_entries=2)
-        cache.put("a", 1, "A")
-        cache.put("b", 1, "B")
-        assert cache.get("a", 1) == "A"  # refresh a
-        cache.put("c", 1, "C")  # evicts b
-        assert cache.get("b", 1) is None
-        assert cache.get("a", 1) == "A"
-        assert cache.get("c", 1) == "C"
-
-    def test_invalidate_and_clear(self):
-        cache = DecodeCache(max_entries=4)
-        cache.put("a", 1, "A")
-        cache.put("b", 1, "B")
-        cache.invalidate("a")
-        assert cache.get("a", 1) is None
-        cache.clear()
-        assert cache.get("b", 1) is None
-        assert cache.stats()["entries"] == 0
-
-
-class TestPatch:
+class TestFollow:
     def test_carries_the_payload_to_the_new_version_uncounted(self):
-        cache = DecodeCache(max_entries=4)
-        cache.put("f", 1, ["a"])
-        cache.patch("f", 1, 2, lambda payload: payload + ["b"])
-        assert cache.stats()["hits"] == cache.stats()["misses"] == 0
-        assert cache.get("f", 2) == ["a", "b"]
-        assert cache.get("f", 1) is None
+        file = File()
+        slot = file.slot()
+        slot.get(builds(["a"]))
+        file.version = 2
+        slot.follow(1, lambda payload: payload + ["b"])
+        assert slot.stats()["hits"] == 0 and slot.stats()["misses"] == 1
+        assert slot.get(builds()) == ["a", "b"]
+        assert slot.held() == (2, ["a", "b"])
 
     def test_drops_a_payload_held_at_another_version(self):
-        cache = DecodeCache(max_entries=4)
-        cache.put("f", 1, "old")
+        file = File()
+        slot = file.slot()
+        slot.get(builds("old"))
+        file.version = 3
         applied = []
-        cache.patch("f", 2, 3, applied.append)
-        assert applied == [] and cache.stats()["entries"] == 0
+        slot.follow(2, applied.append)
+        assert applied == [] and slot.held() is None
 
     def test_drops_a_payload_the_patch_gives_up_on(self):
-        cache = DecodeCache(max_entries=4)
-        cache.put("f", 1, "old")
-        cache.patch("f", 1, 2, lambda payload: None)
-        assert cache.get("f", 2) is None and cache.get("f", 1) is None
+        file = File()
+        slot = file.slot()
+        slot.get(builds("old"))
+        file.version = 2
+        slot.follow(1, lambda payload: None)
+        assert slot.held() is None
 
-    def test_nothing_cached_is_a_no_op(self):
-        cache = DecodeCache(max_entries=4)
-        cache.patch("f", 1, 2, lambda payload: 1 / 0)
-        assert cache.stats() == DecodeCache(max_entries=4).stats()
+    def test_nothing_held_is_a_no_op(self):
+        file = File()
+        slot = file.slot()
+        file.version = 2
+        slot.follow(1, lambda payload: 1 / 0)
+        assert slot.stats() == file.slot().stats()
+
+
+class TestVerify:
+    def test_a_payload_that_matches_is_kept(self):
+        slot = File().slot()
+        slot.get(builds("decoded"))
+        slot.verify(lambda payload: None)
+        assert slot.held() == (1, "decoded")
+
+    def test_a_payload_that_differs_is_dropped_and_named(self):
+        slot = File().slot()
+        slot.get(builds("decoded"))
+        with pytest.raises(IndexCorruptionError, match="^file 'f': page 3$"):
+            slot.verify(lambda payload: "file 'f': page 3")
+        assert slot.held() is None
+        slot.verify(lambda payload: 1 / 0)  # nothing held: nothing to check
+
+    def test_a_stale_payload_is_not_checked(self):
+        file = File()
+        slot = file.slot()
+        slot.get(builds("old"))
+        file.version = 2
+        slot.verify(lambda payload: 1 / 0)
+        assert slot.held() == (1, "old")
+
+    def test_verify_is_uncounted(self):
+        slot = File().slot()
+        slot.get(builds("decoded"))
+        slot.verify(lambda payload: None)
+        assert slot.stats() == {"entries": 1, "hits": 0, "misses": 1}

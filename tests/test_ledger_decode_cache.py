@@ -4,13 +4,13 @@ The ledger's own check of this line —
 ``benchmarks/ledger/tests/test_ledger.py::test_the_decode_cache_separates_read_from_churn``
 — also demands that ``churn_wal`` reads *below* ``local_read``: "every
 in-place write invalidates the decode cache". That stopped being true when
-in-place writes began patching the cached payloads (``DecodeCache.patch``),
+in-place writes began patching the cached payloads (``DecodeSlot.follow``),
 and it is the one assertion there that now fails; the file belongs to the
 benchmark and is restated with it, not with the change it measures. What
 that test still rightly asserts, and what replaces the line that no longer
 holds, is kept here so the suite that gates every PR covers it.
 
-The counters behind the line are every ``DecodeCache``'s, and that now
+The counters behind the line are every ``DecodeSlot``'s, and that now
 includes each object file's record decode: drop resolution looks it up
 once per query and class (``ObjectFile.select``), and in-place object
 writes patch it like the facilities' payloads, so the object-file lookups

@@ -26,15 +26,18 @@ echo "== page-count parity =="
 # run on cached record decodes, the nested index's node map, and the
 # writes that image the pages they rewrite from those decodes) must leave
 # logical, physical and pool counters exactly where the per-page
-# algorithms leave them, and a torn page must still stop a rewrite
-# (tier-1 covers this too; an explicit gate so a reshuffle cannot drop
-# it).
+# algorithms leave them, and a torn page must still stop a rewrite. Each
+# of those decodes is held in one DecodeSlot, whose own verify (every
+# facility's verify_decodes, LSM runs included) must find a poisoned
+# decode, name its file and page and drop it (tier-1 covers this too; an
+# explicit gate so a reshuffle cannot drop it).
 python -m pytest tests/access/test_golden_page_accesses.py \
     tests/test_cached_mode.py tests/obs/test_no_overhead.py \
     tests/objects/test_fetch_many.py tests/objects/test_drop_resolution.py \
     tests/access/test_nix_cache.py \
     tests/access/test_kernel_parity.py tests/access/test_writer_parity.py \
-    tests/access/test_verify_decodes.py -q
+    tests/access/test_verify_decodes.py tests/storage/test_decode_cache.py \
+    tests/lsm/test_verify_decodes.py -q
 
 echo "== front-of-query parity =="
 # The scanner, the memoised plan pricing and the running statistics must
