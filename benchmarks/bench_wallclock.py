@@ -22,10 +22,6 @@ ledger's business (``benchmarks/ledger``: ``setup_s`` and the
   simulated per-page read latency (the sleeps overlap across workers the
   way real disk requests would), recorded under the report's
   ``concurrency`` key as ``concurrent_speedup``,
-* process-pool serving: a persistent
-  :class:`~repro.server.ProcessQueryService` vs the sequential loop on a
-  zero-latency (CPU-bound) store, recorded under the report's ``process``
-  key as ``process_speedup``,
 * sharded scatter-gather: the same latency-simulated query batch served
   by a :class:`~repro.sharding.ShardRouter` over N hash-partitioned
   shards (each query fans out, per-shard device reads overlap) vs the
@@ -35,8 +31,7 @@ ledger's business (``benchmarks/ledger``: ``setup_s`` and the
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_wallclock.py [--smoke] [--json]
-        [--out F] [--workers N] [--process-workers N]
-        [--concurrent-only]
+        [--out F] [--workers N] [--concurrent-only]
 
 Writes a JSON report (default ``BENCH_wallclock.json`` at the repo root;
 ``--json`` also dumps it to stdout). Each mode bakes in default speedup
@@ -78,8 +73,6 @@ FULL = {
     "concurrent_queries": 48,
     "concurrent_objects": 512,
     "device_read_latency_s": 0.0002,
-    "serving_objects": 1024,
-    "serving_queries": 64,
 }
 
 SMOKE = {
@@ -96,8 +89,6 @@ SMOKE = {
     "concurrent_queries": 24,
     "concurrent_objects": 256,
     "device_read_latency_s": 0.0002,
-    "serving_objects": 256,
-    "serving_queries": 32,
 }
 
 # Default gates per mode. Every entry is a minimum speedup except the two
@@ -105,17 +96,12 @@ SMOKE = {
 # reflect roughly half the speedups measured on the development machine
 # (see docs/PERFORMANCE.md); smoke floors are looser — tiny configs leave
 # less work to amortize fixed costs over and CI machines are noisy.
-# Smoke has no ``process`` floor: the sweep still runs and must return
-# answers identical to the sequential loop, but its two sides are tens of
-# milliseconds and the ratio swings from 0.7 to 1.9 with whether a second
-# core is free (runs in docs/PERFORMANCE.md).
 # ``lsm_wal_overhead`` is one ceiling for both modes: each runs the same
 # 512-update sweep, and the log's cost per sweep (8-17 ms) is a larger
 # share of it since flushes stopped re-encoding every run (ten runs in
 # docs/PERFORMANCE.md, Layer 5).
 FULL_THRESHOLDS = {
     "concurrent": 2.0,
-    "process": 1.5,
     "sharded": 1.5,
     "lsm_update": 1.5,
     "lsm_wal_overhead": 1.35,
@@ -557,104 +543,6 @@ def measure_sharded_speedup(config, num_shards):
     }
 
 
-def serving_fixture(config):
-    """A BSSF-indexed database plus a deterministic query batch.
-
-    One class, one facility, zero device latency: the CPU-bound workload
-    of the process-pool sweep.
-    """
-    from repro.objects.database import Database
-    from repro.objects.schema import ClassSchema
-
-    db = Database(page_size=config["page_size"], pool_capacity=0)
-    db.define_class(ClassSchema.build("Item", items="set"))
-    db.create_bssf_index(
-        "Item",
-        "items",
-        signature_bits=config["signature_bits"],
-        bits_per_element=config["bits_per_element"],
-        seed=config["target_seed"],
-    )
-    gen = SetWorkloadGenerator(
-        WorkloadSpec(
-            num_objects=config["serving_objects"],
-            domain_cardinality=config["domain_cardinality"],
-            target_cardinality=config["target_cardinality"],
-            seed=config["target_seed"],
-        )
-    )
-    for elements in gen.target_sets():
-        db.insert("Item", {"items": set(elements)})
-
-    qgen = SetWorkloadGenerator(
-        WorkloadSpec(
-            num_objects=0,
-            domain_cardinality=config["domain_cardinality"],
-            target_cardinality=config["target_cardinality"],
-            seed=config["query_seed"],
-        )
-    )
-    texts = []
-    shapes = [("has-subset", 4), ("overlaps", 4), ("in-subset", 30)]
-    for i in range(config["serving_queries"]):
-        op, dq = shapes[i % len(shapes)]
-        elements = ", ".join(str(e) for e in sorted(qgen.random_query_set(dq)))
-        texts.append(f"select Item where items {op} ({elements})")
-    return db, texts
-
-
-def _result_fingerprints(results):
-    return [
-        (
-            [oid for oid, _ in r.rows],
-            r.statistics.candidates,
-            sorted(
-                (name, counts.logical_total)
-                for name, counts in r.statistics.io.files()
-                if counts.logical_total
-            ),
-        )
-        for r in results
-    ]
-
-
-def measure_process_speedup(config, workers):
-    """A persistent process pool vs the sequential loop, CPU-bound.
-
-    No simulated latency anywhere: this is the GIL-bound regime where the
-    thread pool cannot win and worker processes can. The service (and its
-    snapshot replica, loaded once per worker) persists across reps, as a
-    long-lived server would; results are asserted identical to the
-    sequential loop's before timing.
-    """
-    from repro.query.executor import QueryExecutor
-    from repro.server import ProcessQueryService
-
-    db, texts = serving_fixture(config)
-    executor = QueryExecutor(db)
-
-    def sequential():
-        return [executor.execute_text(text) for text in texts]
-
-    sequential_results = sequential()
-    with ProcessQueryService(db, max_workers=workers) as service:
-        if _result_fingerprints(sequential_results) != _result_fingerprints(
-            service.execute_many(texts)
-        ):
-            raise AssertionError("process-pool execution diverged")
-        sequential_s = best_sweep_time(sequential, config["min_seconds"])
-        process_s = best_sweep_time(
-            lambda: service.execute_many(texts), config["min_seconds"]
-        )
-    return {
-        "workers": float(workers),
-        "queries": float(len(texts)),
-        "sequential_ms": sequential_s * 1000,
-        "process_ms": process_s * 1000,
-        "process_speedup": sequential_s / process_s,
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -692,18 +580,6 @@ def main(argv=None):
         help="run only the concurrent serving sweep (fast CI smoke)",
     )
     parser.add_argument(
-        "--process-workers",
-        type=int,
-        default=4,
-        help="worker processes for the process-pool sweep (default 4)",
-    )
-    parser.add_argument(
-        "--min-process-speedup",
-        type=float,
-        default=None,
-        help="override the process-pool speedup floor",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=4,
@@ -739,7 +615,6 @@ def main(argv=None):
     thresholds = dict(SMOKE_THRESHOLDS if args.smoke else FULL_THRESHOLDS)
     for key, override in (
         ("concurrent", args.min_concurrent_speedup),
-        ("process", args.min_process_speedup),
         ("sharded", args.min_sharded_speedup),
         ("lsm_update", args.min_lsm_update_speedup),
         ("lsm_wal_overhead", args.max_lsm_wal_overhead),
@@ -754,11 +629,10 @@ def main(argv=None):
 
     if args.concurrent_only:
         tracer_overhead, wal_overhead = {}, {}
-        process, sharded, lsm = {}, {}, {}
+        sharded, lsm = {}, {}
     else:
         tracer_overhead = measure_tracer_overhead(config)
         wal_overhead = measure_wal_overhead(config)
-        process = measure_process_speedup(config, args.process_workers)
         sharded = measure_sharded_speedup(config, args.shards)
         lsm = measure_lsm(config)
     concurrency = measure_concurrent_speedup(config, args.workers)
@@ -766,7 +640,6 @@ def main(argv=None):
     failures = []
     for name, section, key in (
         ("concurrent", concurrency, "concurrent_speedup"),
-        ("process", process, "process_speedup"),
         ("sharded", sharded, "sharded_speedup"),
         ("lsm_update", lsm, "update_speedup"),
     ):
@@ -799,7 +672,6 @@ def main(argv=None):
             k: round(v, 3) for k, v in wal_overhead.items()
         },
         "concurrency": {k: round(v, 3) for k, v in concurrency.items()},
-        "process": {k: round(v, 3) for k, v in process.items()},
         "sharded": {k: round(v, 3) for k, v in sharded.items()},
         "lsm": {k: round(v, 3) for k, v in lsm.items()},
         "thresholds": thresholds,
@@ -823,13 +695,6 @@ def main(argv=None):
                 f"{'wal (update sweep)':20s} off   {wal['off_ms']:9.2f} ms   "
                 f"on      {wal['on_ms']:9.2f} ms   "
                 f"ratio   {wal['overhead_ratio']:6.2f}x"
-            )
-        if process:
-            proc = report["process"]
-            print(
-                f"{'process pool':20s} 1 proc {proc['sequential_ms']:8.2f} ms   "
-                f"{int(proc['workers'])} proc {proc['process_ms']:9.2f} ms   "
-                f"speedup {proc['process_speedup']:6.2f}x"
             )
         if sharded:
             shd = report["sharded"]

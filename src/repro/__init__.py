@@ -43,7 +43,7 @@ from repro.query.parser import parse_query
 from repro.query.planner import CostContext, plan_query
 from repro.server.net import TcpQueryServer
 from repro.server.service import QueryService
-from repro.serving import ExecutionMode, QueryBackend, connect, make_service
+from repro.serving import QueryBackend, connect, make_service
 
 __version__ = "1.0.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "ClassSchema",
     "CostContext",
     "Database",
-    "ExecutionMode",
     "ExecutionOptions",
     "OID",
     "QueryBackend",

@@ -61,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock benchmarks (tracer, WAL, LSM, concurrent serving)",
         description=(
             "Run benchmarks/bench_wallclock.py from the repository "
-            "checkout: tracer and WAL overhead, the process-pool, sharded "
-            "and LSM update sweeps, and the concurrent serving sweep "
+            "checkout: tracer and WAL overhead, the sharded and LSM "
+            "update sweeps, and the concurrent serving sweep "
             "(sequential vs a QueryService worker pool over a "
             "simulated-latency store)."
         ),
@@ -92,12 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="fail unless the concurrent serving speedup reaches this",
-    )
-    bench.add_argument(
-        "--process-workers",
-        type=int,
-        default=None,
-        help="worker processes for the process-pool sweep (default 4)",
     )
     shell = subparsers.add_parser("shell", help="interactive database shell")
     shell.add_argument(
@@ -388,8 +382,6 @@ def _run_bench(args) -> int:
         forwarded.extend(
             ["--min-concurrent-speedup", str(args.min_concurrent_speedup)]
         )
-    if args.process_workers is not None:
-        forwarded.extend(["--process-workers", str(args.process_workers)])
     return module.main(forwarded)
 
 

@@ -206,7 +206,7 @@ class QueryExecutor:
     ) -> List[QueryResult]:
         """Run a batch of query texts in order on the calling thread.
 
-        A worker pool, a process pool or a server is a backend of its own,
+        A worker pool, a shard router or a server is a backend of its own,
         chosen when it is built (``make_service`` / ``connect``); each
         one's ``execute_many`` returns results in submission order with
         the rows and per-query page accounting of this loop.

@@ -2,7 +2,7 @@
 
     executor.execute_text(text, ExecutionOptions(prefer_facility="bssf"))
 
-Which backend serves the query — a thread pool, a process pool, a server —
+Which backend serves the query — a thread pool, a shard router, a server —
 is not an option: it is chosen when that backend is built.
 """
 

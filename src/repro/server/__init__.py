@@ -6,19 +6,14 @@ a serving surface: ``submit`` for futures, ``execute`` for one blocking
 query, ``execute_many`` for an ordered batch. See ``docs/CONCURRENCY.md``
 for the latch hierarchy the service relies on.
 
-:class:`ProcessQueryService` is the CPU-bound counterpart: worker
-*processes* over a read-only snapshot replica, for workloads where
-matching arithmetic (not simulated device latency) dominates.
-
 :class:`TcpQueryServer` is the network edge: the :mod:`repro.wire`
 protocol over TCP, backed by a :class:`QueryService`, with auth, per-tenant
-quotas, and graceful drain (see ``docs/SERVING.md``). All three — plus the
-:class:`~repro.client.RemoteClient` on the other end of the wire — satisfy
-the :class:`~repro.serving.QueryBackend` protocol.
+quotas, and graceful drain (see ``docs/SERVING.md``). The service — like
+the :class:`~repro.client.RemoteClient` on the other end of the wire —
+satisfies the :class:`~repro.serving.QueryBackend` protocol.
 """
 
 from repro.server.net import TcpQueryServer
-from repro.server.process import ProcessQueryService
 from repro.server.service import QueryService
 
-__all__ = ["ProcessQueryService", "QueryService", "TcpQueryServer"]
+__all__ = ["QueryService", "TcpQueryServer"]

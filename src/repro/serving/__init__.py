@@ -1,10 +1,10 @@
 """One serving surface: the ``QueryBackend`` protocol and its factories.
 
-Three ways of serving queries grew up side by side — the thread-pool
-:class:`~repro.server.service.QueryService`, the snapshot-replica
-:class:`~repro.server.process.ProcessQueryService`, and the networked
-:class:`~repro.client.RemoteClient`. They now share one structural
-contract, :class:`QueryBackend`::
+Queries are served in process by the thread-pool
+:class:`~repro.server.service.QueryService`, across the network by the
+:class:`~repro.client.RemoteClient`, and across shards by the
+:class:`~repro.sharding.ShardRouter`. All share one structural contract,
+:class:`QueryBackend`::
 
     execute(text, options=None)       -> QueryResult
     execute_many(queries, options=None) -> List[QueryResult]
@@ -17,43 +17,26 @@ and two blessed constructors pick the right one:
     ``connect("sigfile://host:port")`` → a :class:`RemoteClient`.
 
 :func:`make_service`
-    ``make_service(db_or_url, mode=...)`` → any backend, worked out from
-    its input: a URL is a :class:`RemoteClient`, a list of shards a
-    :class:`~repro.sharding.ShardRouter`, and a database a
-    :class:`QueryService` — or, for :attr:`ExecutionMode.PROCESS`, a
-    :class:`ProcessQueryService`.
+    ``make_service(db_or_url, max_workers=...)`` → any backend, worked
+    out from its input: a URL is a :class:`RemoteClient`, a list of shards
+    a :class:`~repro.sharding.ShardRouter`, and a database a
+    :class:`QueryService`.
 
-Direct construction of the three classes keeps working; the factories are
-the documented entry point.
+Direct construction of the classes keeps working; the factories are the
+documented entry point.
 """
 
 from __future__ import annotations
 
-import enum
 from concurrent.futures import Future
-from typing import Any, List, Optional, Protocol, Union, runtime_checkable
+from typing import Any, List, Optional, Protocol, runtime_checkable
 
 from repro.client import RemoteClient
-from repro.errors import ConfigurationError
 from repro.query.executor import QueryResult
 from repro.query.options import ExecutionOptions
-from repro.server.process import ProcessQueryService
 from repro.server.service import QueryService
 
-__all__ = ["ExecutionMode", "QueryBackend", "connect", "make_service"]
-
-
-class ExecutionMode(enum.Enum):
-    """Which backend :func:`make_service` builds for a database.
-
-    ``THREAD`` is a thread-pool :class:`QueryService` (``max_workers=1``
-    serves one query at a time); ``PROCESS`` a :class:`ProcessQueryService`,
-    worker processes over a read-only snapshot, for when matching is
-    CPU-bound and the GIL serializes threads.
-    """
-
-    THREAD = "thread"
-    PROCESS = "process"
+__all__ = ["QueryBackend", "connect", "make_service"]
 
 
 @runtime_checkable
@@ -181,7 +164,6 @@ def _shard_router(members, kwargs, build):
 
 def make_service(
     db_or_url,
-    mode: Union[ExecutionMode, str, None] = None,
     *,
     max_workers: Optional[int] = None,
     **kwargs: Any,
@@ -189,34 +171,22 @@ def make_service(
     """Build the right :class:`QueryBackend` for a database or URL.
 
     ``db_or_url``
-        A :class:`~repro.objects.database.Database` (in-process backends),
-        a ``sigfile://host:port`` string (remote), or a list of shard
-        databases / backends — e.g. straight from
+        A :class:`~repro.objects.database.Database` (a thread-pool
+        :class:`QueryService`; ``max_workers=1`` serves one query at a
+        time), a ``sigfile://host:port`` string (remote), or a list of
+        shard databases / backends — e.g. straight from
         :func:`repro.sharding.partition_database` — which builds a
         :class:`~repro.sharding.ShardRouter` whose members are made by
-        this same factory (``mode`` / ``max_workers`` apply per shard;
-        router policy keywords — ``partial_results``, ``deadline_ms``,
+        this same factory (``max_workers`` applies per shard; router
+        policy keywords — ``partial_results``, ``deadline_ms``,
         ``shard_retry_policy``, ``breaker_cooldown_seconds`` — configure
         the router).
-    ``mode``
-        For a database, an :class:`ExecutionMode` or its string value
-        (``"thread"`` / ``"process"``); defaults to ``THREAD``. A URL
-        already names its backend, so it takes no mode.
     ``max_workers`` and remaining keywords
         Forwarded to the chosen backend's constructor (``max_workers``
         defaults to 4; it is the ``pool_size`` of a remote client), with
-        ``queue_depth`` / ``admission_policy`` for thread serving,
-        ``snapshot_path`` for process serving, and
+        ``queue_depth`` / ``admission_policy`` for thread serving and
         ``token`` / ``retry_policy`` for remote.
     """
-    if isinstance(mode, str):
-        try:
-            mode = ExecutionMode(mode.lower())
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown serving mode {mode!r}; expected one of "
-                f"{[m.value for m in ExecutionMode]}"
-            ) from None
     if isinstance(db_or_url, (list, tuple)):
         # A member that is already a backend (a service, client, or
         # nested router) is used as-is, lifecycle owned by the router.
@@ -225,18 +195,10 @@ def make_service(
             kwargs,
             lambda member, rest: member
             if isinstance(member, QueryBackend)
-            else make_service(member, mode, max_workers=max_workers, **rest),
+            else make_service(member, max_workers=max_workers, **rest),
         )
     if isinstance(db_or_url, str):
-        if mode is not None:
-            raise ConfigurationError(
-                f"a server URL is served remotely; mode {mode.value!r} "
-                f"applies to a database"
-            )
         if max_workers is not None:
             kwargs.setdefault("pool_size", max_workers)
         return connect(db_or_url, **kwargs)
-    backend = (
-        ProcessQueryService if mode is ExecutionMode.PROCESS else QueryService
-    )
-    return backend(db_or_url, max_workers=max_workers or 4, **kwargs)
+    return QueryService(db_or_url, max_workers=max_workers or 4, **kwargs)

@@ -302,24 +302,6 @@ class IOStatistics:
             for name in file_names:
                 counters[name] = counters.get(name, 0) + pages_each
 
-    def merge_snapshot(self, snap: IOSnapshot) -> None:
-        """Fold an externally metered :class:`IOSnapshot` into the counters.
-
-        Used by the process-pool execution mode: each worker process meters
-        its queries against its own private store, ships the per-query
-        delta back, and the parent merges it here so shared totals match a
-        sequential run of the same work (merging is pure addition).
-        """
-        for name, counts in snap.per_file.items():
-            if counts.logical_reads:
-                self.record_logical_read(name, counts.logical_reads)
-            if counts.logical_writes:
-                self.record_logical_write(name, counts.logical_writes)
-            if counts.physical_reads:
-                self.record_physical_read(name, counts.physical_reads)
-            if counts.physical_writes:
-                self.record_physical_write(name, counts.physical_writes)
-
     def snapshot(self) -> IOSnapshot:
         """Every file's counters, dense — cost grows with the file count.
 

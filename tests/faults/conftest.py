@@ -49,6 +49,60 @@ def indexed_db() -> Database:
     return build_indexed_db()
 
 
+def facility_slots(label: str, facility) -> Dict[str, object]:
+    """Every decode slot ``facility`` keeps (an LSM facility's per run)."""
+    from repro.access.nix.nested_index import NestedIndex
+
+    if getattr(facility, "is_lsm", False):
+        slots = {}
+        for run in facility.runs:
+            slots.update(facility_slots(f"{label}:r{run.run_id}", run.inner))
+        return slots
+    if isinstance(facility, NestedIndex):
+        return {f"{label}:nodes": facility.tree._decode}
+    return {
+        f"{label}:matrix": facility._decode,
+        f"{label}:oids": facility.oid_file._decode,
+    }
+
+
+def warm_every_decode(db: Database) -> None:
+    """Run one query forced onto each facility, then assert that every
+    decode slot holds a payload, so that a deep fsck after it compares
+    every decode with its pages instead of skipping the cold ones.
+
+    The query is ``in-subset`` every element the live objects hold (the
+    planner's domain), so every live entry is a drop and every live
+    object a candidate. A class with no live object has nothing to
+    decode and is skipped.
+    """
+    from repro.query.executor import QueryExecutor
+    from repro.query.options import ExecutionOptions
+    from repro.query.parser import parse_query
+
+    executor = QueryExecutor(db)
+    cold = []
+    for class_name, attribute in db.indexed_paths():
+        domain = set()
+        for _, values in db.objects.scan(class_name):
+            domain |= values[attribute]
+        if not domain:
+            continue
+        elements = ", ".join(f'"{e}"' for e in sorted(domain))
+        query = parse_query(
+            f"select {class_name} where {attribute} in-subset ({elements})"
+        )
+        facilities = db.indexes_on(class_name, attribute)
+        slots = {f"objects:{class_name}": db.objects._files[class_name]._decode}
+        for name, facility in facilities.items():
+            executor.execute(query, ExecutionOptions(prefer_facility=name))
+            slots.update(
+                facility_slots(f"{class_name}.{attribute}/{name}", facility)
+            )
+        cold += [label for label, slot in slots.items() if slot.held() is None]
+    assert not cold, f"decodes left cold: {cold}"
+
+
 def scan_ground_truth(db: Database, query_set: frozenset) -> List:
     """OIDs whose hobbies are a superset of ``query_set`` (exact, no index)."""
     return sorted(

@@ -28,6 +28,7 @@ from repro.recovery import run_fsck
 from repro.storage import FaultRule
 from repro.wal.log import WAL_FILE_NAME, scan_wal
 from tests.conftest import HOBBIES
+from tests.faults.conftest import warm_every_decode
 from tests.wal.conftest import fingerprint
 
 MAX_POINTS = 12
@@ -164,6 +165,7 @@ def crash_then_recover(tmp_path, rule: FaultRule, label: str) -> None:
     assert lsm_fingerprint(recovered) == baselines()[p], (
         f"{label}: recovery does not match the {p}-op durable prefix"
     )
+    warm_every_decode(recovered)
     assert run_fsck(recovered, deep=True).ok, f"{label}: fsck dirty"
     recovered.close()
 

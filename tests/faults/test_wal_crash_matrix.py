@@ -29,6 +29,7 @@ from repro.objects.database import Database
 from repro.recovery import run_fsck
 from repro.storage import FaultRule
 from repro.wal.log import WAL_FILE_NAME, scan_wal
+from tests.faults.conftest import warm_every_decode
 from tests.wal.conftest import (
     apply_ops,
     baseline_fingerprints,
@@ -83,6 +84,7 @@ def crash_then_recover(tmp_path, rule: FaultRule, label: str) -> None:
     assert fingerprint(recovered) == baselines()[p], (
         f"{label}: recovery does not match the {p}-op durable prefix"
     )
+    warm_every_decode(recovered)
     assert run_fsck(recovered, deep=True).ok, f"{label}: fsck dirty"
     recovered.close()
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -49,20 +48,6 @@ def render(report: dict) -> str:
             "Active-tracer overhead (BSSF subset sweep): "
             f"off {overhead['off_ms']:.2f} ms → on {overhead['on_ms']:.2f} ms "
             f"({overhead['overhead_ratio']:.2f}x){verdict}"
-        )
-    process = report.get("process")
-    if process:
-        floor = thresholds.get("process")
-        verdict = ""
-        if floor is not None:
-            state = "PASS" if process["process_speedup"] >= floor else "FAIL"
-            verdict = f" — {state} (≥{floor:g}x)"
-        lines.append("")
-        lines.append(
-            f"Process-pool serving ({int(process['workers'])} workers, "
-            f"{int(process['queries'])} queries, CPU-bound): "
-            f"{process['sequential_ms']:.2f} ms → {process['process_ms']:.2f} ms "
-            f"({process['process_speedup']:.2f}x){verdict}"
         )
     sharded = report.get("sharded")
     if sharded:

@@ -98,12 +98,11 @@ python -m pytest tests/test_resilience.py tests/sharding \
 
 echo "== serving =="
 # One QueryBackend contract over every backend make_service and connect
-# build (one-worker, thread, process, remote, routers over each, LSM and
-# replicated), the wire codec's three option keys and its refusal of
-# malformed ones, and the process pool's equivalence and clean-up
-# (tier-1 covers this too; an explicit gate so a reshuffle cannot drop
-# it).
-python -m pytest tests/serving tests/concurrency/test_process_service.py -q
+# build (one-worker and thread QueryService, remote client, routers over
+# each, LSM and replicated), and the wire codec's three option keys and
+# its refusal of malformed ones (tier-1 covers this too; an explicit gate
+# so a reshuffle cannot drop it).
+python -m pytest tests/serving -q
 
 echo "== ledger benchmark (its own tests + one smoke run) =="
 # The ledger (BENCHMARK.json) imports planner, facility, wire and
@@ -116,10 +115,9 @@ python3 benchmarks/ledger/run.py --all --smoke > /dev/null
 echo "== smoke benchmark =="
 # Thresholds are the baked smoke-mode gates (SMOKE_THRESHOLDS in
 # benchmarks/bench_wallclock.py): sharded/LSM floors and the
-# active-tracer and WAL-under-LSM overhead-ratio ceilings; the
-# process-pool sweep is checked for identical answers only
-# (docs/PERFORMANCE.md says why). Search and bulk-load speed is the
-# ledger's to judge (setup_s, access.{ssf,bssf}.*_us), not this bench's.
+# active-tracer and WAL-under-LSM overhead-ratio ceilings. Search and
+# bulk-load speed is the ledger's to judge (setup_s,
+# access.{ssf,bssf}.*_us), not this bench's.
 # Any breach exits non-zero here and again in bench_report.py (which
 # renders the verdicts for the CI log).
 python benchmarks/bench_wallclock.py --smoke --json \
