@@ -56,43 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the simulator-based experiments (faster)",
     )
-    bench = subparsers.add_parser(
-        "bench",
-        help="wall-clock benchmarks (tracer, WAL, LSM, concurrent serving)",
-        description=(
-            "Run benchmarks/bench_wallclock.py from the repository "
-            "checkout: tracer and WAL overhead, the sharded and LSM "
-            "update sweeps, and the concurrent serving sweep "
-            "(sequential vs a QueryService worker pool over a "
-            "simulated-latency store)."
-        ),
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=8,
-        help="worker-pool width for the concurrent sweep (default 8)",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true", help="small fast configuration"
-    )
-    bench.add_argument(
-        "--concurrent-only",
-        action="store_true",
-        help="run only the concurrent serving sweep",
-    )
-    bench.add_argument(
-        "--json", action="store_true", help="dump the JSON report to stdout"
-    )
-    bench.add_argument(
-        "--out", default=None, help="output JSON path (benchmark default)"
-    )
-    bench.add_argument(
-        "--min-concurrent-speedup",
-        type=float,
-        default=None,
-        help="fail unless the concurrent serving speedup reaches this",
-    )
     shell = subparsers.add_parser("shell", help="interactive database shell")
     shell.add_argument(
         "--load", metavar="SNAPSHOT", default=None,
@@ -329,8 +292,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.wal_command == "inspect":
             return _run_wal_inspect(args.wal_dir, as_json=args.json)
         return _run_wal_truncate(args.wal_dir, lsn=args.lsn)
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command == "report":
         return _write_report(args.output, analytical_only=args.analytical_only)
     failures = 0
@@ -344,45 +305,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_result(result, fmt=args.format))
         print()
     return 1 if failures else 0
-
-
-def _run_bench(args) -> int:
-    """Delegate to ``benchmarks/bench_wallclock.py`` from the checkout.
-
-    The benchmark harness lives outside the installed package (it is a
-    repository tool, not library code), so locate it relative to this
-    module and load it by path.
-    """
-    import importlib.util
-    from pathlib import Path
-
-    script = (
-        Path(__file__).resolve().parents[2] / "benchmarks" / "bench_wallclock.py"
-    )
-    if not script.is_file():
-        print(
-            "bench: benchmarks/bench_wallclock.py not found "
-            f"(looked at {script}); run from a repository checkout",
-            file=sys.stderr,
-        )
-        return 2
-    spec = importlib.util.spec_from_file_location("bench_wallclock", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    forwarded: List[str] = ["--workers", str(args.workers)]
-    if args.smoke:
-        forwarded.append("--smoke")
-    if args.concurrent_only:
-        forwarded.append("--concurrent-only")
-    if args.json:
-        forwarded.append("--json")
-    if args.out:
-        forwarded.extend(["--out", args.out])
-    if args.min_concurrent_speedup is not None:
-        forwarded.extend(
-            ["--min-concurrent-speedup", str(args.min_concurrent_speedup)]
-        )
-    return module.main(forwarded)
 
 
 def _sample_database():

@@ -209,7 +209,9 @@ class FailoverClient:
     def _read_candidates(self, min_lsn: Optional[int]) -> List[_Endpoint]:
         """Endpoints to try for a read, in preference order."""
         now = time.monotonic()
-        if any(e.role is None for e in self._endpoints):
+        # An unknown role is re-probed, unless its circuit is open: a
+        # cooling-down endpoint is skipped, not re-dialed on every read.
+        if any(e.role is None and not e.is_open(now) for e in self._endpoints):
             self.refresh()
         replicas = [
             e

@@ -7,11 +7,10 @@ transfer to or from the store is a *physical* I/O and is recorded in
 :class:`~repro.storage.stats.IOStatistics` by the buffer pool.
 
 The store is thread-safe (one reentrant lock over all maps) and can
-optionally simulate device latency: when ``read_latency_seconds`` /
-``write_latency_seconds`` are non-zero, each transfer sleeps that long
-*after* releasing the lock, so concurrent workers' transfers overlap the
-way independent disk requests would. The wall-clock benchmark uses this to
-measure concurrent serving speedup honestly.
+optionally simulate read latency: when ``read_latency_seconds`` is
+non-zero, each page read sleeps that long *after* releasing the lock, so
+concurrent readers' transfers overlap the way independent disk requests
+would. The serving tests use it to hold a query in flight.
 """
 
 from __future__ import annotations
@@ -42,16 +41,11 @@ class DiskStore:
         if page_size <= 0:
             raise StorageError(f"page size must be positive, got {page_size}")
         self.page_size = page_size
-        #: set False to skip CRC verification on reads (escape hatch for
-        #: benches that want the absolute minimum per-read overhead)
-        self.verify_checksums = True
-        #: simulated per-page device latency, slept *after* the store's
-        #: lock is released so concurrent transfers overlap (sleeping
-        #: releases the GIL — this is what makes multi-worker serving pay
-        #: off in wall-clock terms). Zero (the default) sleeps nothing and
-        #: keeps the sequential fast path sleep-free.
+        #: simulated per-page read latency, slept *after* the store's lock
+        #: is released so concurrent reads overlap (sleeping releases the
+        #: GIL). Zero (the default) sleeps nothing and keeps the
+        #: sequential fast path sleep-free.
         self.read_latency_seconds = 0.0
-        self.write_latency_seconds = 0.0
         # One reentrant lock over all file/checksum/version maps: store
         # operations are short dict-and-list manipulations, and reentrancy
         # lets write_page/allocate_page call bump_version under the lock.
@@ -170,10 +164,7 @@ class DiskStore:
 
     def _verify(self, name: str, page_no: int, image: bytes) -> None:
         """Raise if ``image`` fails its recorded CRC (lock held)."""
-        if (
-            self.verify_checksums
-            and zlib.crc32(image) != self._checksums[name][page_no]
-        ):
+        if zlib.crc32(image) != self._checksums[name][page_no]:
             raise CorruptPageError(
                 f"checksum mismatch on {name!r} page {page_no}: stored image "
                 f"does not match its recorded CRC32"
@@ -221,8 +212,6 @@ class DiskStore:
             self._checksums[name][page_no] = zlib.crc32(image)
             self.bump_version(name)
             self._metric_writes.inc()
-        if self.write_latency_seconds:
-            time.sleep(self.write_latency_seconds)
 
     def total_pages(self) -> int:
         """Pages across all files — the simulated database footprint."""
