@@ -102,8 +102,14 @@ class SearchResult:
 class SetAccessFacility(abc.ABC):
     """Base class for SSF, BSSF and NIX."""
 
-    #: short identifier used in plans, stats and reports
+    #: short identifier used in plans, stats and reports; a catalog kind
     name: str = "abstract"
+
+    #: True for the LSM layout (memtable + immutable runs)
+    is_lsm: bool = False
+
+    #: every file of the facility is named ``{file_prefix}:{part}``
+    file_prefix: str = ""
 
     #: ``(wal, class_name, attribute)`` when bound to a write-ahead log;
     #: ``None`` otherwise (class attribute so facilities need no __init__
@@ -189,17 +195,18 @@ class SetAccessFacility(abc.ABC):
             return self.search_overlap(spec.query)
         raise ValueError(f"unknown search mode: {spec.mode!r}")
 
-    @abc.abstractmethod
     def create_params(self) -> Tuple[str, list]:
         """``(kind, params)`` that make another facility like this one.
 
-        The pair a ``create_index`` WAL record logs; feeding it to
-        :meth:`Database.create_index` on any database (a shard, this one
-        after its files were dropped) builds an empty facility with the
-        same configuration. An in-place facility's list stops before the
-        lsm options, so its copy takes the layout its database's
-        durability mode selects, as ``create_*_index(lsm=None)`` does.
+        The pair a ``create_index`` WAL record logs, layout included;
+        feeding it to :meth:`Database.create_index` on any database (a
+        shard, this one after its files were dropped) builds an empty
+        facility of the same kind, layout and options
+        (:func:`repro.access.catalog.create_params`).
         """
+        from repro.access.catalog import create_params
+
+        return create_params(self)
 
     @abc.abstractmethod
     def storage_pages(self) -> dict:

@@ -41,7 +41,7 @@ suites demand identical results, ``slices_read`` and page counters.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -69,22 +69,9 @@ class BitSlicedSignatureFile(SetAccessFacility):
         file_prefix: str = "bssf",
         worst_case_insert: bool = False,
     ):
-        self.scheme = scheme
-        self.signature_bits = scheme.signature_bits
-        self.entries_per_slice_page = storage.page_size * 8
+        self._bind(storage, scheme, file_prefix, storage.create_file, 0)
         self.worst_case_insert = worst_case_insert
-        self._storage = storage
-        self._slice_files: List[PagedFile] = [
-            storage.create_file(f"{file_prefix}:slice:{i:04d}")
-            for i in range(self.signature_bits)
-        ]
-        self.oid_file = OIDFile(storage.create_file(f"{file_prefix}:oids"))
         self._formatted_pages = 0
-        self._group_name = f"{file_prefix}:slices"
-        storage.store.register_version_group(
-            self._group_name, [f.name for f in self._slice_files]
-        )
-        self._decode = self._slot()
 
     @classmethod
     def attach(
@@ -97,26 +84,38 @@ class BitSlicedSignatureFile(SetAccessFacility):
     ) -> "BitSlicedSignatureFile":
         """Bind to an existing BSSF's files (snapshot rehydration)."""
         facility = cls.__new__(cls)
-        facility.scheme = scheme
-        facility.signature_bits = scheme.signature_bits
-        facility.entries_per_slice_page = storage.page_size * 8
+        facility._bind(storage, scheme, file_prefix, storage.open_file, entry_count)
         facility.worst_case_insert = worst_case_insert
-        facility._storage = storage
-        facility._slice_files = [
-            storage.open_file(f"{file_prefix}:slice:{i:04d}")
-            for i in range(scheme.signature_bits)
-        ]
-        facility.oid_file = OIDFile(
-            storage.open_file(f"{file_prefix}:oids"), entry_count=entry_count
-        )
         facility._formatted_pages = facility.slice_pages
-        facility._group_name = f"{file_prefix}:slices"
-        storage.store.register_version_group(
-            facility._group_name, [f.name for f in facility._slice_files]
-        )
-        facility._decode = facility._slot()
         facility.verify()
         return facility
+
+    def _bind(
+        self,
+        storage: StorageManager,
+        scheme: SignatureScheme,
+        file_prefix: str,
+        open_file: Callable[[str], PagedFile],
+        entry_count: int,
+    ) -> None:
+        """Set up over the files ``open_file`` creates or opens."""
+        self.scheme = scheme
+        self.signature_bits = scheme.signature_bits
+        self.file_prefix = file_prefix
+        self.entries_per_slice_page = storage.page_size * 8
+        self._storage = storage
+        self._slice_files: List[PagedFile] = [
+            open_file(f"{file_prefix}:slice:{i:04d}")
+            for i in range(self.signature_bits)
+        ]
+        self.oid_file = OIDFile(
+            open_file(f"{file_prefix}:oids"), entry_count=entry_count
+        )
+        self._group_name = f"{file_prefix}:slices"
+        storage.store.register_version_group(
+            self._group_name, [f.name for f in self._slice_files]
+        )
+        self._decode = self._slot()
 
     def _slot(self) -> DecodeSlot:
         store, group = self._storage.store, self._group_name
@@ -557,13 +556,6 @@ class BitSlicedSignatureFile(SetAccessFacility):
                 "live_drops": len(live),
             },
         )
-
-    def create_params(self) -> Tuple[str, list]:
-        scheme = self.scheme
-        return "bssf", [
-            scheme.signature_bits, scheme.bits_per_element, scheme.seed,
-            self.worst_case_insert,
-        ]
 
     def storage_pages(self) -> dict:
         return {

@@ -23,7 +23,7 @@ the result is then no longer exact.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.access.nix.node import OID_WORD
 from repro.errors import AccessFacilityError
 from repro.objects.oid import OID
 from repro.obs.tracer import traced_search
-from repro.storage.paged_file import StorageManager
+from repro.storage.paged_file import PagedFile, StorageManager
 
 
 class NestedIndex(SetAccessFacility):
@@ -48,17 +48,11 @@ class NestedIndex(SetAccessFacility):
         file_prefix: str = "nix",
         overflow_chains: bool = False,
     ):
-        self.tree = BPlusTree(
-            storage.create_file(f"{file_prefix}:btree"),
-            overflow_chains=overflow_chains,
-        )
+        self._bind(storage.create_file, file_prefix, overflow_chains)
 
     @property
     def overflow_chains(self) -> bool:
         return self.tree.overflow_chains
-
-    def create_params(self) -> Tuple[str, list]:
-        return "nix", [self.overflow_chains]
 
     @classmethod
     def attach(
@@ -69,11 +63,20 @@ class NestedIndex(SetAccessFacility):
     ) -> "NestedIndex":
         """Bind to an existing NIX's B+-tree file (snapshot rehydration)."""
         facility = cls.__new__(cls)
-        facility.tree = BPlusTree(
-            storage.open_file(f"{file_prefix}:btree"),
-            overflow_chains=overflow_chains,
-        )
+        facility._bind(storage.open_file, file_prefix, overflow_chains)
         return facility
+
+    def _bind(
+        self,
+        open_file: Callable[[str], PagedFile],
+        file_prefix: str,
+        overflow_chains: bool,
+    ) -> None:
+        """Set up over the B+-tree file ``open_file`` creates or opens."""
+        self.file_prefix = file_prefix
+        self.tree = BPlusTree(
+            open_file(f"{file_prefix}:btree"), overflow_chains=overflow_chains
+        )
 
     # ------------------------------------------------------------------
     # Maintenance — Dt tree operations per set value (UC = rc·Dt)

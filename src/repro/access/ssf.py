@@ -24,7 +24,7 @@ which pins results and page accounting.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.errors import AccessFacilityError
 from repro.obs.tracer import traced_search
 from repro.objects.oid import OID
 from repro.storage.decode_cache import DecodeSlot
-from repro.storage.paged_file import StorageManager
+from repro.storage.paged_file import PagedFile, StorageManager
 
 
 class SequentialSignatureFile(SetAccessFacility):
@@ -51,14 +51,7 @@ class SequentialSignatureFile(SetAccessFacility):
         scheme: SignatureScheme,
         file_prefix: str = "ssf",
     ):
-        self.scheme = scheme
-        self.signature_bits = scheme.signature_bits
-        self.sigs_per_page = signatures_per_page(
-            storage.page_size, self.signature_bits
-        )
-        self.signature_file = storage.create_file(f"{file_prefix}:signatures")
-        self.oid_file = OIDFile(storage.create_file(f"{file_prefix}:oids"))
-        self._decode = self._slot()
+        self._bind(storage, scheme, file_prefix, storage.create_file, 0)
 
     @classmethod
     def attach(
@@ -70,18 +63,30 @@ class SequentialSignatureFile(SetAccessFacility):
     ) -> "SequentialSignatureFile":
         """Bind to an existing SSF's files (snapshot rehydration)."""
         facility = cls.__new__(cls)
-        facility.scheme = scheme
-        facility.signature_bits = scheme.signature_bits
-        facility.sigs_per_page = signatures_per_page(
-            storage.page_size, scheme.signature_bits
-        )
-        facility.signature_file = storage.open_file(f"{file_prefix}:signatures")
-        facility.oid_file = OIDFile(
-            storage.open_file(f"{file_prefix}:oids"), entry_count=entry_count
-        )
-        facility._decode = facility._slot()
+        facility._bind(storage, scheme, file_prefix, storage.open_file, entry_count)
         facility.verify()
         return facility
+
+    def _bind(
+        self,
+        storage: StorageManager,
+        scheme: SignatureScheme,
+        file_prefix: str,
+        open_file: Callable[[str], PagedFile],
+        entry_count: int,
+    ) -> None:
+        """Set up over the files ``open_file`` creates or opens."""
+        self.scheme = scheme
+        self.signature_bits = scheme.signature_bits
+        self.file_prefix = file_prefix
+        self.sigs_per_page = signatures_per_page(
+            storage.page_size, self.signature_bits
+        )
+        self.signature_file = open_file(f"{file_prefix}:signatures")
+        self.oid_file = OIDFile(
+            open_file(f"{file_prefix}:oids"), entry_count=entry_count
+        )
+        self._decode = self._slot()
 
     def _slot(self) -> DecodeSlot:
         signatures = self.signature_file
@@ -360,10 +365,6 @@ class SequentialSignatureFile(SetAccessFacility):
             facility=self.name,
             detail={"mode": mode, "drops": drops, "live_drops": len(live)},
         )
-
-    def create_params(self) -> Tuple[str, list]:
-        scheme = self.scheme
-        return "ssf", [scheme.signature_bits, scheme.bits_per_element, scheme.seed]
 
     def storage_pages(self) -> dict:
         return {

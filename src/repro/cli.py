@@ -527,16 +527,59 @@ def _run_trace(query: str, snapshot: Optional[str], as_json: bool) -> int:
     return 0
 
 
+def _repair(database, report, deep: bool) -> bool:
+    """Rebuild every facility an fsck issue implicates, then re-check.
+
+    Object-file damage is unrepairable (the object file is the source of
+    truth), and ``wal`` issues are recovery's or ``wal truncate``'s to
+    fix. Returns whether the re-check came back clean.
+    """
+    from repro.recovery import facility_of_file, run_fsck
+
+    implicated = set()
+    unrepairable = []
+    for issue in report.issues:
+        if issue.kind == "wal":
+            continue
+        owner = facility_of_file(issue.subject)
+        if owner is not None:
+            implicated.add(owner)
+        elif issue.kind == "checksum":
+            unrepairable.append(issue)
+    for class_name, attribute, name in sorted(implicated):
+        try:
+            database.rebuild_facility(class_name, attribute, name)
+            print(f"fsck: rebuilt {name} on {class_name}.{attribute}")
+        except Exception as exc:
+            print(
+                f"fsck: rebuild of {name} on {class_name}.{attribute} "
+                f"failed: {exc}",
+                file=sys.stderr,
+            )
+            return False
+    for issue in unrepairable:
+        print(f"fsck: cannot repair {issue.render()}", file=sys.stderr)
+    after = run_fsck(database, deep=deep)
+    if not after.ok:
+        print(after.render(), file=sys.stderr)
+        return False
+    return True
+
+
 def _run_fsck(
     snapshot: Optional[str],
     deep: bool,
     repair: bool,
     wal_dir: Optional[str] = None,
 ) -> int:
-    """Check (and optionally repair) a saved snapshot or WAL directory."""
+    """Check (and optionally repair) a saved snapshot or WAL directory.
+
+    A repaired snapshot is saved over itself; a repaired WAL directory is
+    checkpointed.
+    """
     from repro.errors import WalCorruptError
     from repro.persistence.snapshot import load_database, save_database
-    from repro.recovery import facility_of_file, run_fsck
+    from repro.recovery import run_fsck
 
     if (snapshot is None) == (wal_dir is None):
         print("fsck: pass either a snapshot or --wal-dir", file=sys.stderr)
@@ -557,105 +600,31 @@ def _run_fsck(
         except Exception as exc:
             print(f"fsck: cannot recover {wal_dir!r}: {exc}", file=sys.stderr)
             return 1
-        return _fsck_database(database, deep=deep, repair=repair, wal_dir=wal_dir)
+        persist, saved = database.checkpoint, f"database checkpointed in {wal_dir}"
+    else:
+        try:
+            # verify_checksums=False: fsck's job is to *report* corruption,
+            # so a bad page must not abort the load.
+            database = load_database(snapshot, verify_checksums=False)
+        except Exception as exc:
+            print(f"fsck: cannot load {snapshot!r}: {exc}", file=sys.stderr)
+            return 1
+        persist, saved = (
+            lambda: save_database(database, snapshot),
+            f"snapshot saved to {snapshot}",
+        )
     try:
-        # verify_checksums=False: fsck's job is to *report* corruption, so
-        # a bad page must not abort the load.
-        database = load_database(snapshot, verify_checksums=False)
-    except Exception as exc:
-        print(f"fsck: cannot load {snapshot!r}: {exc}", file=sys.stderr)
-        return 1
-    report = run_fsck(database, deep=deep)
-    print(report.render())
-    if report.ok or not repair:
-        return 0 if report.ok else 1
-
-    # Repair: rebuild every facility implicated by an issue. Object-file
-    # damage is unrepairable (the object file is the source of truth).
-    implicated = set()
-    unrepairable = []
-    for issue in report.issues:
-        if issue.kind == "checksum":
-            owner = facility_of_file(issue.subject)
-            if owner is None:
-                unrepairable.append(issue)
-            else:
-                implicated.add(owner)
-        else:
-            class_attr, _, name = issue.subject.rpartition("/")
-            if "." in class_attr:
-                class_name, attribute = class_attr.split(".", 1)
-                implicated.add((class_name, attribute, name))
-    for class_name, attribute, name in sorted(implicated):
-        try:
-            database.rebuild_facility(class_name, attribute, name)
-            print(f"fsck: rebuilt {name} on {class_name}.{attribute}")
-        except Exception as exc:
-            print(
-                f"fsck: rebuild of {name} on {class_name}.{attribute} "
-                f"failed: {exc}",
-                file=sys.stderr,
-            )
+        report = run_fsck(database, deep=deep)
+        print(report.render())
+        if report.ok or not repair:
+            return 0 if report.ok else 1
+        if not _repair(database, report, deep):
             return 1
-    for issue in unrepairable:
-        print(f"fsck: cannot repair {issue.render()}", file=sys.stderr)
-    after = run_fsck(database, deep=deep)
-    if not after.ok:
-        print(after.render(), file=sys.stderr)
-        return 1
-    save_database(database, snapshot)
-    print(f"fsck: repaired snapshot saved to {snapshot}")
-    return 0
-
-
-def _fsck_database(database, deep: bool, repair: bool, wal_dir: str) -> int:
-    """fsck of a recovered WAL-mode database; --repair checkpoints after."""
-    from repro.recovery import facility_of_file, run_fsck
-
-    report = run_fsck(database, deep=deep)
-    print(report.render())
-    if report.ok or not repair:
+        persist()
+        print(f"fsck: repaired {saved}")
+        return 0
+    finally:
         database.close()
-        return 0 if report.ok else 1
-    implicated = set()
-    unrepairable = []
-    for issue in report.issues:
-        if issue.kind == "wal":
-            continue  # already handled by recovery / needs wal truncate
-        if issue.kind == "checksum":
-            owner = facility_of_file(issue.subject)
-            if owner is None:
-                unrepairable.append(issue)
-            else:
-                implicated.add(owner)
-        else:
-            class_attr, _, name = issue.subject.rpartition("/")
-            if "." in class_attr:
-                class_name, attribute = class_attr.split(".", 1)
-                implicated.add((class_name, attribute, name))
-    for class_name, attribute, name in sorted(implicated):
-        try:
-            database.rebuild_facility(class_name, attribute, name)
-            print(f"fsck: rebuilt {name} on {class_name}.{attribute}")
-        except Exception as exc:
-            print(
-                f"fsck: rebuild of {name} on {class_name}.{attribute} "
-                f"failed: {exc}",
-                file=sys.stderr,
-            )
-            database.close()
-            return 1
-    for issue in unrepairable:
-        print(f"fsck: cannot repair {issue.render()}", file=sys.stderr)
-    after = run_fsck(database, deep=deep)
-    if not after.ok:
-        print(after.render(), file=sys.stderr)
-        database.close()
-        return 1
-    database.checkpoint()
-    database.close()
-    print(f"fsck: repaired database checkpointed in {wal_dir}")
-    return 0
 
 
 def _run_wal_inspect(wal_dir: str, as_json: bool) -> int:

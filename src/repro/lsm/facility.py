@@ -36,6 +36,7 @@ from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.access.base import SearchResult, SetAccessFacility
+from repro.access.catalog import DEFAULT_FANOUT, DEFAULT_FLUSH_THRESHOLD
 from repro.core import kernels
 from repro.core.bits import BitVector
 from repro.core.signature import SignatureScheme
@@ -50,8 +51,15 @@ from repro.storage.paged_file import StorageManager
 
 SetValue = FrozenSet[Hashable]
 
-DEFAULT_FLUSH_THRESHOLD = 256
-DEFAULT_FANOUT = 4
+
+def check_options(flush_threshold: int, fanout: int) -> None:
+    """Raise :class:`AccessFacilityError` unless both options are in range."""
+    if flush_threshold < 1:
+        raise AccessFacilityError(
+            f"flush_threshold must be >= 1, got {flush_threshold}"
+        )
+    if fanout < 2:
+        raise AccessFacilityError(f"fanout must be >= 2, got {fanout}")
 
 
 class LSMSignatureFacility(SetAccessFacility):
@@ -71,12 +79,7 @@ class LSMSignatureFacility(SetAccessFacility):
     ):
         if kind not in RUN_KINDS:
             raise AccessFacilityError(f"unknown LSM run kind: {kind!r}")
-        if flush_threshold < 1:
-            raise AccessFacilityError(
-                f"flush_threshold must be >= 1, got {flush_threshold}"
-            )
-        if fanout < 2:
-            raise AccessFacilityError(f"fanout must be >= 2, got {fanout}")
+        check_options(flush_threshold, fanout)
         self.name = kind
         self.kind = kind
         self._storage = storage
@@ -544,15 +547,6 @@ class LSMSignatureFacility(SetAccessFacility):
     # ------------------------------------------------------------------
     # Facility contract plumbing
     # ------------------------------------------------------------------
-    def create_params(self) -> Tuple[str, list]:
-        scheme = self.scheme
-        params = [scheme.signature_bits, scheme.bits_per_element, scheme.seed]
-        if self.kind == "bssf":
-            # create_bssf_index takes an in-place insert option in this
-            # slot; runs are bulk-loaded, never inserted into.
-            params.append(False)
-        return self.kind, params + [True, self.flush_threshold, self.fanout]
-
     def storage_pages(self) -> dict:
         return {
             "runs": sum(run.storage_pages() for run in self.runs),

@@ -55,7 +55,7 @@ def run_prefix(file_prefix: str, run_id: int) -> str:
     """Storage-file prefix for one run's files.
 
     The prefix stays under the facility's ``{kind}:{Class}.{attr}:``
-    namespace so :func:`repro.recovery.rebuild.facility_of_file` attributes
+    namespace so :func:`repro.access.catalog.facility_of_file` attributes
     run files to the right facility and a rebuild's prefix-drop removes
     them.
     """

@@ -22,12 +22,9 @@ import os
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.access import catalog
 from repro.access.base import SetAccessFacility
-from repro.access.bssf import BitSlicedSignatureFile
-from repro.access.nix import NestedIndex
-from repro.access.ssf import SequentialSignatureFile
 from repro.concurrency import RWLatch, ShardedLatch
-from repro.core.signature import SignatureScheme
 from repro.errors import (
     AccessFacilityError,
     ConfigurationError,
@@ -131,8 +128,6 @@ class Database:
         #: Replay skips records below it, which is what makes redo
         #: idempotent: replaying the same tail twice is a no-op.
         self.wal_applied_lsn = 0
-        if durability == "lsm" and wal_fsync_interval is None:
-            wal_fsync_interval = DEFAULT_LSM_FSYNC_INTERVAL
         if durability in ("wal", "lsm"):
             if wal_dir is None:
                 raise ConfigurationError(
@@ -191,14 +186,31 @@ class Database:
         )
 
     def attach_wal(self, wal, wal_dir: str, durability: str = "wal") -> None:
-        """Bind an open log to this database and to every facility."""
+        """Bind an open log to this database and to every facility.
+
+        A database that holds an LSM facility takes ``"lsm"`` durability
+        whatever ``durability`` says, and in ``"lsm"`` durability a log
+        opened without an fsync interval group-commits at
+        :data:`DEFAULT_LSM_FSYNC_INTERVAL`: the mode's write-path contract
+        holds after recovery and promotion too.
+        """
+        if any(facility.is_lsm for _, _, facility in self._facilities()):
+            durability = "lsm"
+        if durability == "lsm" and wal.fsync_interval is None:
+            wal.fsync_interval = DEFAULT_LSM_FSYNC_INTERVAL
         self.wal = wal
         self.wal_dir = wal_dir
         self.durability = durability
         self.wal_applied_lsn = wal.end_lsn
-        for (cls_name, attribute), per_path in self._indexes.items():
-            for facility in per_path.values():
-                facility.bind_wal(wal, cls_name, attribute)
+        for cls_name, attribute, facility in self._facilities():
+            facility.bind_wal(wal, cls_name, attribute)
+
+    def _facilities(self) -> Iterator[Tuple[str, str, SetAccessFacility]]:
+        """``(class, attribute, facility)`` for every facility, sorted by
+        path, then by facility name."""
+        for (class_name, attribute), per_path in sorted(self._indexes.items()):
+            for name in sorted(per_path):
+                yield class_name, attribute, per_path[name]
 
     @property
     def checkpoint_path(self) -> Optional[str]:
@@ -217,7 +229,9 @@ class Database:
         checkpoint snapshot path.
         """
         if self.wal is None:
-            raise StorageError("checkpoint() requires durability='wal'")
+            raise StorageError(
+                "checkpoint() requires durability='wal' or 'lsm'"
+            )
         from repro.persistence.snapshot import save_database
 
         path = self.checkpoint_path
@@ -237,31 +251,23 @@ class Database:
         the same point in the operation history, so recovered run layouts
         stay byte-identical.
         """
-        for (class_name, attribute), per_path in sorted(self._indexes.items()):
-            for facility in sorted(per_path.values(), key=lambda f: f.name):
-                if not getattr(facility, "is_lsm", False):
-                    continue
-                with self.write_scope(class_name):
-                    with self._wal_op(
-                        lambda c=class_name, a=attribute, n=facility.name: [
-                            "flush_index", c, a, n
-                        ]
-                    ):
-                        facility.flush()
+        self._each_lsm("flush_index", lambda facility: facility.flush())
 
     def compact_indexes(self) -> None:
         """Run tiered compaction to quiescence on every LSM facility (WAL-logged)."""
-        for (class_name, attribute), per_path in sorted(self._indexes.items()):
-            for facility in sorted(per_path.values(), key=lambda f: f.name):
-                if not getattr(facility, "is_lsm", False):
-                    continue
-                with self.write_scope(class_name):
-                    with self._wal_op(
-                        lambda c=class_name, a=attribute, n=facility.name: [
-                            "compact_index", c, a, n
-                        ]
-                    ):
-                        facility.compact()
+        self._each_lsm("compact_index", lambda facility: facility.compact())
+
+    def _each_lsm(self, record: str, body: Callable) -> None:
+        """Run ``body`` on every LSM facility, each under its own
+        ``[record, class, attribute, name]`` WAL record."""
+        for class_name, attribute, facility in list(self._facilities()):
+            if not facility.is_lsm:
+                continue
+            with self.write_scope(class_name):
+                with self._wal_op(
+                    lambda: [record, class_name, attribute, facility.name]
+                ):
+                    body(facility)
 
     @contextmanager
     def _wal_op(self, make_fields: Callable[[], list]):
@@ -365,63 +371,6 @@ class Database:
                 f"{class_name}.{attribute}"
             )
 
-    def _check_no_duplicate(
-        self, class_name: str, attribute: str, facility_name: str
-    ) -> None:
-        """Raise before any files are created if the index already exists."""
-        per_path = self._indexes.get((class_name, attribute), {})
-        if facility_name in per_path:
-            raise AccessFacilityError(
-                f"a {facility_name!r} index already exists on "
-                f"{class_name}.{attribute}"
-            )
-
-    def _register(
-        self, class_name: str, attribute: str, facility: SetAccessFacility
-    ) -> SetAccessFacility:
-        key = (class_name, attribute)
-        per_path = self._indexes.setdefault(key, {})
-        if facility.name in per_path:
-            raise AccessFacilityError(
-                f"a {facility.name!r} index already exists on "
-                f"{class_name}.{attribute}"
-            )
-        per_path[facility.name] = facility
-        if self.wal is not None:
-            facility.bind_wal(self.wal, class_name, attribute)
-        # Backfill from existing objects so indexes may be added lazily;
-        # facilities with a bulk path build bottom-up (one write per page)
-        # instead of paying per-object maintenance cost.
-        pairs = (
-            (frozenset(values[attribute]), oid)
-            for oid, values in self.objects.scan(class_name)
-        )
-        if hasattr(facility, "bulk_load") and self.objects.count(class_name):
-            facility.bulk_load(pairs)
-        else:
-            for elements, oid in pairs:
-                facility.insert(elements, oid)
-        return facility
-
-    def _resolve_lsm(self, lsm, flush_threshold, fanout):
-        """Normalize the LSM options of a create-index call.
-
-        ``lsm=None`` means "follow the database's durability mode": an
-        ``"lsm"``-mode database builds LSM facilities by default, any other
-        mode builds in-place ones. Explicit booleans always win, so the two
-        layouts can be mixed on one database.
-        """
-        from repro.lsm.facility import DEFAULT_FANOUT, DEFAULT_FLUSH_THRESHOLD
-
-        if lsm is None:
-            lsm = self.durability == "lsm"
-        lsm = bool(lsm)
-        if flush_threshold is None:
-            flush_threshold = DEFAULT_FLUSH_THRESHOLD
-        if fanout is None:
-            fanout = DEFAULT_FANOUT
-        return lsm, flush_threshold, fanout
-
     def create_ssf_index(
         self,
         class_name: str,
@@ -439,42 +388,9 @@ class Database:
         facility is LSM-structured: SSF-format immutable runs behind a
         memtable, answer-identical to the in-place layout.
         """
-        lsm, flush_threshold, fanout = self._resolve_lsm(
-            lsm, flush_threshold, fanout
-        )
-        with self.write_scope(class_name):
-            self._check_indexable(class_name, attribute)
-            self._check_no_duplicate(class_name, attribute, "ssf")
-            scheme = SignatureScheme(signature_bits, bits_per_element, seed=seed)
-            with self._wal_op(
-                lambda: [
-                    "create_index",
-                    "ssf",
-                    class_name,
-                    attribute,
-                    [signature_bits, bits_per_element, seed, lsm,
-                     flush_threshold, fanout],
-                ]
-            ):
-                if lsm:
-                    from repro.lsm.facility import LSMSignatureFacility
-
-                    facility: SetAccessFacility = LSMSignatureFacility(
-                        self.storage,
-                        scheme,
-                        "ssf",
-                        f"ssf:{class_name}.{attribute}",
-                        flush_threshold=flush_threshold,
-                        fanout=fanout,
-                    )
-                else:
-                    facility = SequentialSignatureFile(
-                        self.storage,
-                        scheme,
-                        file_prefix=f"ssf:{class_name}.{attribute}",
-                    )
-                self._register(class_name, attribute, facility)
-            return facility
+        return self.create_index("ssf", class_name, attribute, [
+            signature_bits, bits_per_element, seed, lsm, flush_threshold, fanout,
+        ])
 
     def create_bssf_index(
         self,
@@ -496,72 +412,21 @@ class Database:
         paper's ``UC_I = F + 1``); LSM runs are bulk-loaded, so it has no
         effect there.
         """
-        lsm, flush_threshold, fanout = self._resolve_lsm(
-            lsm, flush_threshold, fanout
-        )
-        with self.write_scope(class_name):
-            self._check_indexable(class_name, attribute)
-            self._check_no_duplicate(class_name, attribute, "bssf")
-            scheme = SignatureScheme(signature_bits, bits_per_element, seed=seed)
-            with self._wal_op(
-                lambda: [
-                    "create_index",
-                    "bssf",
-                    class_name,
-                    attribute,
-                    [signature_bits, bits_per_element, seed, worst_case_insert,
-                     lsm, flush_threshold, fanout],
-                ]
-            ):
-                if lsm:
-                    from repro.lsm.facility import LSMSignatureFacility
-
-                    facility: SetAccessFacility = LSMSignatureFacility(
-                        self.storage,
-                        scheme,
-                        "bssf",
-                        f"bssf:{class_name}.{attribute}",
-                        flush_threshold=flush_threshold,
-                        fanout=fanout,
-                    )
-                else:
-                    facility = BitSlicedSignatureFile(
-                        self.storage,
-                        scheme,
-                        file_prefix=f"bssf:{class_name}.{attribute}",
-                        worst_case_insert=worst_case_insert,
-                    )
-                self._register(class_name, attribute, facility)
-            return facility
+        return self.create_index("bssf", class_name, attribute, [
+            signature_bits, bits_per_element, seed, worst_case_insert, lsm,
+            flush_threshold, fanout,
+        ])
 
     def create_nested_index(
         self, class_name: str, attribute: str, overflow_chains: bool = False
-    ) -> NestedIndex:
+    ) -> SetAccessFacility:
         """Nested index (NIX) on ``class.attribute``.
 
         ``overflow_chains=True`` lifts the paper's single-leaf posting-list
         limit (needed for heavily skewed domains) at the cost of extra page
         reads on hot keys.
         """
-        with self.write_scope(class_name):
-            self._check_indexable(class_name, attribute)
-            self._check_no_duplicate(class_name, attribute, "nix")
-            with self._wal_op(
-                lambda: [
-                    "create_index",
-                    "nix",
-                    class_name,
-                    attribute,
-                    [overflow_chains],
-                ]
-            ):
-                facility = NestedIndex(
-                    self.storage,
-                    file_prefix=f"nix:{class_name}.{attribute}",
-                    overflow_chains=overflow_chains,
-                )
-                self._register(class_name, attribute, facility)
-            return facility
+        return self.create_index("nix", class_name, attribute, [overflow_chains])
 
     def create_index(
         self, kind: str, class_name: str, attribute: str, params: list
@@ -569,19 +434,40 @@ class Database:
         """Create a facility from a ``(kind, params)`` pair.
 
         The pair is what a ``create_index`` WAL record logs and what
-        :meth:`SetAccessFacility.create_params` returns. ``params`` splats
-        positionally onto the kind's create method, so a shorter list —
-        an older record without the lsm/flush/fanout tail, an in-place
-        facility's — takes that method's defaults.
+        :meth:`SetAccessFacility.create_params` returns; the facility
+        catalog (:mod:`repro.access.catalog`) names the parameters. A
+        shorter list (an older record) and ``None`` entries take the
+        defaults; an unset ``lsm`` follows the database's durability mode,
+        so an ``"lsm"``-mode database builds LSM signature facilities and
+        any other mode in-place ones. An explicit layout always wins, so
+        the two can be mixed on one database.
         """
-        creators = {
-            "ssf": self.create_ssf_index,
-            "bssf": self.create_bssf_index,
-            "nix": self.create_nested_index,
-        }
-        if kind not in creators:
-            raise ConfigurationError(f"unknown facility kind: {kind!r}")
-        return creators[kind](class_name, attribute, *params)
+        params = catalog.resolve(kind, params, self.durability == "lsm")
+        key = (class_name, attribute)
+        with self.write_scope(class_name):
+            self._check_indexable(class_name, attribute)
+            if kind in self._indexes.get(key, {}):  # before anything is logged
+                raise AccessFacilityError(
+                    f"a {kind!r} index already exists on {class_name}.{attribute}"
+                )
+            with self._wal_op(
+                lambda: ["create_index", kind, class_name, attribute, params]
+            ):
+                facility = catalog.create(
+                    self.storage, kind, class_name, attribute, params
+                )
+                self._indexes.setdefault(key, {})[kind] = facility
+                if self.wal is not None:
+                    facility.bind_wal(self.wal, class_name, attribute)
+                # Backfill from existing objects so indexes may be added
+                # lazily, bottom-up (one write per page) instead of paying
+                # per-object maintenance cost.
+                if self.objects.count(class_name):
+                    facility.bulk_load(
+                        (frozenset(values[attribute]), oid)
+                        for oid, values in self.objects.scan(class_name)
+                    )
+            return facility
 
     def indexes_on(self, class_name: str, attribute: str) -> Dict[str, SetAccessFacility]:
         return dict(self._indexes.get((class_name, attribute), {}))
@@ -618,30 +504,7 @@ class Database:
     # Object lifecycle (index-maintaining)
     # ------------------------------------------------------------------
     def insert(self, class_name: str, values: Dict[str, Any]) -> OID:
-        # When the record is built, the store reuses its validated
-        # encoding — the logged bytes and the stored bytes are one image.
-        encoded: List[Optional[bytes]] = [None]
-
-        def fields() -> list:
-            # Validate-before-log: a rejected insert must never reach the
-            # WAL. OID allocation is deterministic, so the record can name
-            # the OID the insert is about to allocate.
-            self.schema(class_name).validate_object(values)
-            next_oid = self.objects.peek_next_oid(class_name)
-            encoded[0] = encode_object(values)
-            return ["insert", class_name, next_oid.to_int(), encoded[0]]
-
-        with self.write_scope(class_name):
-            with self._wal_op(fields):
-                oid = self.objects.insert(
-                    class_name, values, payload=encoded[0]
-                )
-                self.statistics.record(self.objects, class_name, None, values)
-                for (cls, attr), per_path in self._indexes.items():
-                    if cls == class_name:
-                        for facility in per_path.values():
-                            facility.insert(frozenset(values[attr]), oid)
-        return oid
+        return self._insert(class_name, None, values)
 
     def insert_with_oid(
         self, class_name: str, oid: OID, values: Dict[str, Any]
@@ -655,25 +518,41 @@ class Database:
         insert's (the record names its OID either way), so replay and log
         shipping need no new record kind.
         """
+        return self._insert(class_name, oid, values)
 
+    def _insert(
+        self, class_name: str, oid: Optional[OID], values: Dict[str, Any]
+    ) -> OID:
+        """Insert under ``oid``, or under the next allocated OID if None."""
+        # When the record is built, the store reuses its validated
+        # encoding — the logged bytes and the stored bytes are one image.
         encoded: List[Optional[bytes]] = [None]
 
         def fields() -> list:
+            # Validate-before-log: a rejected insert must never reach the
+            # WAL. OID allocation is deterministic, so the record can name
+            # the OID the insert is about to allocate.
             self.schema(class_name).validate_object(values)
+            logged = self.objects.peek_next_oid(class_name) if oid is None else oid
             encoded[0] = encode_object(values)
-            return ["insert", class_name, oid.to_int(), encoded[0]]
+            return ["insert", class_name, logged.to_int(), encoded[0]]
 
         with self.write_scope(class_name):
             with self._wal_op(fields):
-                self.objects.insert_with_oid(
-                    class_name, oid, values, payload=encoded[0]
-                )
+                if oid is None:
+                    inserted = self.objects.insert(
+                        class_name, values, payload=encoded[0]
+                    )
+                else:
+                    inserted = self.objects.insert_with_oid(
+                        class_name, oid, values, payload=encoded[0]
+                    )
                 self.statistics.record(self.objects, class_name, None, values)
                 for (cls, attr), per_path in self._indexes.items():
                     if cls == class_name:
                         for facility in per_path.values():
-                            facility.insert(frozenset(values[attr]), oid)
-        return oid
+                            facility.insert(frozenset(values[attr]), inserted)
+        return inserted
 
     def get(self, oid: OID) -> Dict[str, Any]:
         return self.objects.fetch(oid)
@@ -820,13 +699,9 @@ class Database:
         files and bulk-loads a fresh one from the object store. Returns the
         new facility (the old handle is invalid afterwards).
 
-        A vacuum *is* a rebuild — same implementation as
-        :meth:`rebuild_facility` (tombstones cannot survive either).
+        A vacuum *is* a rebuild (tombstones cannot survive either).
         """
-        from repro.recovery.rebuild import rebuild_facility
-
-        with self.write_scope(class_name):
-            return rebuild_facility(self, class_name, attribute, facility_name)
+        return self.rebuild_facility(class_name, attribute, facility_name)
 
     def analyze(self, class_name: str, attribute: str, refresh: bool = True):
         """Collect (or refresh) workload statistics for one set attribute.

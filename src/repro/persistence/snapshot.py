@@ -18,15 +18,11 @@ Usage::
 
 from __future__ import annotations
 
-import base64
 import os
 import shutil
 from typing import Any, Dict, List, Tuple, Union
 
-from repro.access.bssf import BitSlicedSignatureFile
-from repro.access.nix import NestedIndex
-from repro.access.ssf import SequentialSignatureFile
-from repro.core.signature import SignatureScheme
+from repro.access import catalog as facility_catalog
 from repro.errors import CorruptPageError, StorageError
 from repro.objects.database import Database
 from repro.objects.object_file import ObjectFile, RecordAddress
@@ -41,49 +37,6 @@ PathLike = Union[str, "os.PathLike[str]"]
 # ----------------------------------------------------------------------
 # Saving
 # ----------------------------------------------------------------------
-def _index_descriptor(class_name: str, attribute: str, facility) -> Dict[str, Any]:
-    base = {"class": class_name, "attribute": attribute, "facility": facility.name}
-    if getattr(facility, "is_lsm", False):
-        # Runs and manifest slots are ordinary storage files; the catalog
-        # only needs the memtable + counters (serde blob — element sets
-        # are not JSON-safe) and the scheme to re-attach them.
-        base.update(
-            F=facility.scheme.signature_bits,
-            m=facility.scheme.bits_per_element,
-            seed=facility.scheme.seed,
-            entry_count=facility.entry_count,
-            file_prefix=facility.file_prefix,
-            lsm=base64.b64encode(facility.state_blob()).decode("ascii"),
-        )
-    elif isinstance(facility, SequentialSignatureFile):
-        base.update(
-            F=facility.signature_bits,
-            m=facility.scheme.bits_per_element,
-            seed=facility.scheme.seed,
-            entry_count=facility.entry_count,
-            file_prefix=facility.signature_file.name.rsplit(":signatures", 1)[0],
-        )
-    elif isinstance(facility, BitSlicedSignatureFile):
-        base.update(
-            F=facility.signature_bits,
-            m=facility.scheme.bits_per_element,
-            seed=facility.scheme.seed,
-            entry_count=facility.entry_count,
-            worst_case_insert=facility.worst_case_insert,
-            file_prefix=facility.oid_file.file.name.rsplit(":oids", 1)[0],
-        )
-    elif isinstance(facility, NestedIndex):
-        base.update(
-            file_prefix=facility.tree.file.name.rsplit(":btree", 1)[0],
-            overflow_chains=facility.overflow_chains,
-        )
-    else:
-        raise StorageError(
-            f"cannot snapshot facility of type {type(facility).__name__}"
-        )
-    return base
-
-
 def build_catalog(db: Database) -> Dict[str, Any]:
     """The JSON-serializable description of everything but page payloads."""
     store = db.storage.store
@@ -106,7 +59,7 @@ def build_catalog(db: Database) -> Dict[str, Any]:
             }
         )
     indexes = [
-        _index_descriptor(cls, attr, facility)
+        facility_catalog.describe(cls, attr, facility)
         for (cls, attr), per_path in sorted(db._indexes.items())
         for facility in per_path.values()
     ]
@@ -231,45 +184,6 @@ def _rehydrate_schema(entry: Dict[str, Any]) -> ClassSchema:
     )
 
 
-def _rehydrate_index(db: Database, descriptor: Dict[str, Any]) -> None:
-    storage = db.storage
-    kind = descriptor["facility"]
-    class_name, attribute = descriptor["class"], descriptor["attribute"]
-    prefix = descriptor["file_prefix"]
-    if "lsm" in descriptor:
-        from repro.lsm.facility import LSMSignatureFacility
-
-        scheme = SignatureScheme(descriptor["F"], descriptor["m"],
-                                 seed=descriptor["seed"])
-        facility = LSMSignatureFacility.attach(
-            storage, scheme, prefix, base64.b64decode(descriptor["lsm"])
-        )
-    elif kind == "ssf":
-        scheme = SignatureScheme(descriptor["F"], descriptor["m"],
-                                 seed=descriptor["seed"])
-        facility = SequentialSignatureFile.attach(
-            storage, scheme, prefix, descriptor["entry_count"]
-        )
-    elif kind == "bssf":
-        scheme = SignatureScheme(descriptor["F"], descriptor["m"],
-                                 seed=descriptor["seed"])
-        facility = BitSlicedSignatureFile.attach(
-            storage,
-            scheme,
-            prefix,
-            descriptor["entry_count"],
-            worst_case_insert=descriptor["worst_case_insert"],
-        )
-    elif kind == "nix":
-        facility = NestedIndex.attach(
-            storage, prefix,
-            overflow_chains=descriptor.get("overflow_chains", False),
-        )
-    else:
-        raise StorageError(f"unknown facility kind in snapshot: {kind!r}")
-    db._indexes.setdefault((class_name, attribute), {})[facility.name] = facility
-
-
 _REQUIRED_CATALOG_KEYS = (
     "page_size", "files", "classes", "next_class_id", "allocator",
     "directory", "indexes",
@@ -379,8 +293,10 @@ def populate_database(
         live_counts[class_id] = live_counts.get(class_id, 0) + 1
     objects._live_counts = live_counts
 
-    for descriptor in catalog["indexes"]:
-        _rehydrate_index(db, descriptor)
+    for entry in catalog["indexes"]:
+        per_path = db._indexes.setdefault((entry["class"], entry["attribute"]), {})
+        facility = facility_catalog.attach(db.storage, entry)
+        per_path[facility.name] = facility
     # A WAL-stamped snapshot (a checkpoint) records the log position its
     # state reflects; replay skips records below it.
     db.wal_applied_lsn = (catalog.get("wal") or {}).get("checkpoint_lsn", 0)

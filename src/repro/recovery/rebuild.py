@@ -11,7 +11,7 @@ in the executor, and ``fsck --repair``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import AccessFacilityError
 from repro.obs.metrics import REGISTRY
@@ -19,25 +19,6 @@ from repro.obs.metrics import REGISTRY
 if TYPE_CHECKING:
     from repro.access.base import SetAccessFacility
     from repro.objects.database import Database
-
-#: File-name prefixes of the three facility kinds (`{kind}:{Class}.{attr}:...`).
-FACILITY_KINDS = ("ssf", "bssf", "nix")
-
-
-def facility_of_file(file_name: str) -> Optional[Tuple[str, str, str]]:
-    """``(class_name, attribute, facility_name)`` owning a storage file.
-
-    Facility files are named ``{kind}:{Class}.{attr}:{part}``; anything
-    else (object files, OID catalogs) returns ``None``.
-    """
-    parts = file_name.split(":", 2)
-    if len(parts) < 3 or parts[0] not in FACILITY_KINDS:
-        return None
-    path = parts[1]
-    if "." not in path:
-        return None
-    class_name, attribute = path.split(".", 1)
-    return class_name, attribute, parts[0]
 
 
 def rebuild_facility(
@@ -57,33 +38,23 @@ def rebuild_facility(
     old = database.index(class_name, attribute, facility_name)
     name = old.name
     with database._wal_op(lambda: ["rebuild", class_name, attribute, name]):
-        return _rebuild_body(database, old, class_name, attribute, name)
-
-
-def _rebuild_body(
-    database: "Database",
-    old: "SetAccessFacility",
-    class_name: str,
-    attribute: str,
-    name: str,
-) -> "SetAccessFacility":
-    key = (class_name, attribute)
-    del database._indexes[key][name]
-    prefix = f"{name}:{class_name}.{attribute}:"
-    for file_name in list(database.storage.store.file_names()):
-        if file_name.startswith(prefix):
-            database.storage.drop_file(file_name)
-    try:
-        # The create path's backfill bulk-loads the surviving objects (an
-        # LSM facility seals them into one fresh run; the prefix drop
-        # above removed every run file and manifest slot).
-        kind, params = old.create_params()
-        rebuilt = database.create_index(kind, class_name, attribute, params)
-    except Exception:
-        # The facility is gone and could not be recreated; leave the
-        # degraded mark in place so queries keep falling back to scans.
-        database.mark_degraded(class_name, attribute, name, "rebuild failed")
-        raise
+        del database._indexes[(class_name, attribute)][name]
+        prefix = f"{old.file_prefix}:"
+        for file_name in list(database.storage.store.file_names()):
+            if file_name.startswith(prefix):
+                database.storage.drop_file(file_name)
+        try:
+            # The create path's backfill bulk-loads the surviving objects
+            # (an LSM facility seals them into one fresh run; the prefix
+            # drop above removed every run file and manifest slot). The
+            # params name the layout, so the new facility keeps the old's.
+            kind, params = old.create_params()
+            rebuilt = database.create_index(kind, class_name, attribute, params)
+        except Exception:
+            # The facility is gone and could not be recreated; leave the
+            # degraded mark so queries keep falling back to scans.
+            database.mark_degraded(class_name, attribute, name, "rebuild failed")
+            raise
     database.clear_degraded(class_name, attribute, name)
     REGISTRY.counter("recovery.rebuilds").inc()
     return rebuilt

@@ -72,7 +72,9 @@ def partition_database(
     """Split one database into ``num_shards`` hash-partitioned databases.
 
     Each shard receives the full schema and the same facilities
-    (identical signature scheme parameters), then exactly the objects the
+    (identical signature scheme parameters, and the source's layouts: an
+    in-place facility stays in place and an LSM one stays LSM whatever
+    the shard's durability mode), then exactly the objects the
     partitioner assigns it, inserted under their original OIDs. Facilities
     are created *before* the objects arrive, so per-object index
     maintenance runs in the same OID order as an unsharded load.

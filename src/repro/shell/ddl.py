@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
+from repro.access.catalog import FACILITY_KINDS
 from repro.errors import ParseError, QueryError
 from repro.objects.database import Database
 from repro.objects.schema import ClassSchema
@@ -30,7 +31,7 @@ from repro.query.executor import QueryExecutor
 from repro.query.options import ExecutionOptions
 from repro.query.parser import Scanner
 
-_INDEX_KINDS = ("ssf", "bssf", "nix")
+#: a signature index's shell options, in its create_index parameter order
 _SIGNATURE_DEFAULTS = {"F": 128, "m": 2, "seed": 0}
 
 
@@ -158,9 +159,9 @@ def _parse_create_class(scanner: Scanner) -> CreateClass:
 
 def _parse_create_index(scanner: Scanner) -> CreateIndex:
     kind = scanner.expect("ident")[1].lower()
-    if kind not in _INDEX_KINDS:
+    if kind not in FACILITY_KINDS:
         raise ParseError(
-            f"index kind must be one of {_INDEX_KINDS}, got {kind!r}"
+            f"index kind must be one of {FACILITY_KINDS}, got {kind!r}"
         )
     scanner.expect("ident", "on")
     class_name, attribute = _path(scanner)
@@ -237,20 +238,10 @@ def execute_statement(
 
     if isinstance(statement, CreateIndex):
         options = {**_SIGNATURE_DEFAULTS, **statement.options}
-        if statement.kind == "ssf":
-            database.create_ssf_index(
-                statement.class_name, statement.attribute,
-                options["F"], options["m"], seed=options["seed"],
-            )
-        elif statement.kind == "bssf":
-            database.create_bssf_index(
-                statement.class_name, statement.attribute,
-                options["F"], options["m"], seed=options["seed"],
-            )
-        else:
-            database.create_nested_index(
-                statement.class_name, statement.attribute
-            )
+        database.create_index(
+            statement.kind, statement.class_name, statement.attribute,
+            [] if statement.kind == "nix" else list(options.values()),
+        )
         return (
             f"{statement.kind} index created on "
             f"{statement.class_name}.{statement.attribute}"

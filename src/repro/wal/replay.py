@@ -63,11 +63,7 @@ def recover_database(
 
     The returned database has the log attached and keeps logging.
     """
-    from repro.objects.database import (
-        CHECKPOINT_FILE_NAME,
-        DEFAULT_LSM_FSYNC_INTERVAL,
-        Database,
-    )
+    from repro.objects.database import CHECKPOINT_FILE_NAME, Database
     from repro.persistence.snapshot import load_database
 
     # raises on interior damage
@@ -85,16 +81,8 @@ def recover_database(
     except BaseException:
         wal.close()
         raise
-    # A database holding LSM facilities comes back in "lsm" durability:
-    # group-committed fsyncs are the mode's write-path contract.
-    lsm_mode = any(
-        getattr(facility, "is_lsm", False)
-        for per_path in db._indexes.values()
-        for facility in per_path.values()
-    )
-    if lsm_mode and wal.fsync_interval is None and wal_fsync_interval is None:
-        wal.fsync_interval = DEFAULT_LSM_FSYNC_INTERVAL
-    db.attach_wal(wal, wal_dir, durability="lsm" if lsm_mode else "wal")
+    # A database holding LSM facilities comes back in "lsm" durability.
+    db.attach_wal(wal, wal_dir)
     return db
 
 
@@ -245,13 +233,13 @@ def _apply_rebuild(db: "Database", fields) -> None:
     _rebuild(db, *fields[1:])
 
 
-def _apply_flush_index(db: "Database", fields) -> None:
-    """Redo an explicit LSM memtable flush at the same history point."""
-    db.index(*fields[1:]).flush()
-
-
-def _apply_compact_index(db: "Database", fields) -> None:
-    db.index(*fields[1:]).compact()
+def _apply_lsm_op(db: "Database", fields) -> None:
+    """Redo an explicit LSM flush or compaction at the same history point."""
+    facility = db.index(*fields[1:])
+    if fields[0] == "flush_index":
+        facility.flush()
+    else:
+        facility.compact()
 
 
 def _apply_checkpoint(db: "Database", fields) -> None:
@@ -280,8 +268,8 @@ _HANDLERS = {
     "define_class": _apply_define_class,
     "create_index": _apply_create_index,
     "rebuild": _apply_rebuild,
-    "flush_index": _apply_flush_index,
-    "compact_index": _apply_compact_index,
+    "flush_index": _apply_lsm_op,
+    "compact_index": _apply_lsm_op,
     "checkpoint_begin": _apply_checkpoint,
     "checkpoint_end": _apply_checkpoint,
 }

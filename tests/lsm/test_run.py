@@ -162,7 +162,7 @@ def test_sequential_and_bit_sliced_runs_answer_identically():
 
 
 def test_run_prefix_stays_inside_facility_namespace():
-    from repro.recovery.rebuild import facility_of_file
+    from repro.recovery import facility_of_file
 
     prefix = run_prefix("ssf:Student.hobbies", 3)
     assert facility_of_file(f"{prefix}:signatures") == (

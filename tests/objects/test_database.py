@@ -87,23 +87,25 @@ class TestCreateIndexFromParams:
         kind, params = original.create_params()
         assert kind == original.name
 
-        # It is the create_index record's own list (in-place facilities
-        # leave the lsm tail off, so a copy follows its database's mode).
+        # It is the create_index record's own list, layout included, so a
+        # copy keeps its layout on a database of any mode.
         logged = [r.fields for r in source.wal.records() if r.type == "create_index"]
         assert [fields[1] for fields in logged] == [kind]
-        assert logged[0][4][: len(params)] == params
-        if config.startswith("lsm"):
-            assert logged[0][4] == params
+        assert logged[0][4] == params
         source.close()
 
-        target = Database()
-        target.define_class(ClassSchema.build("Student", name="scalar", hobbies="set"))
-        copy = target.create_index(kind, "Student", "hobbies", params)
-        assert type(copy) is type(original)
-        assert copy.create_params() == (kind, params)
-        for option in ("worst_case_insert", "overflow_chains", "flush_threshold",
-                       "fanout"):
-            assert getattr(copy, option, None) == getattr(original, option, None)
+        lsm_mode = Database(durability="lsm", wal_dir=str(tmp_path / "lsm"))
+        for target in (Database(), lsm_mode):
+            target.define_class(
+                ClassSchema.build("Student", name="scalar", hobbies="set")
+            )
+            copy = target.create_index(kind, "Student", "hobbies", params)
+            assert type(copy) is type(original)
+            assert copy.create_params() == (kind, params)
+            for option in ("worst_case_insert", "overflow_chains", "flush_threshold",
+                           "fanout"):
+                assert getattr(copy, option, None) == getattr(original, option, None)
+            target.close()
 
     def test_unknown_kind_rejected(self, student_db):
         with pytest.raises(ConfigurationError):

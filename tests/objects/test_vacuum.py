@@ -68,3 +68,51 @@ class TestVacuum:
     def test_unknown_facility_raises(self, churned_db):
         with pytest.raises(AccessFacilityError):
             churned_db.vacuum_index("Student", "hobbies", "btree")
+
+
+class TestLayoutSurvivesRebuild:
+    """A rebuild, a vacuum and the replay of either keep a facility's class
+    and create params, even where the layout differs from the database's
+    mode (an in-place facility on a ``durability="lsm"`` database)."""
+
+    @pytest.fixture
+    def lsm_db(self, tmp_path):
+        from repro.objects.database import Database
+        from repro.objects.schema import ClassSchema
+
+        db = Database(durability="lsm", wal_dir=str(tmp_path))
+        db.define_class(ClassSchema.build("Student", name="scalar", hobbies="set"))
+        for number in range(20):
+            db.insert("Student", {"name": str(number), "hobbies": {number % 5}})
+        yield db
+        db.close()
+
+    @pytest.mark.parametrize("lsm", [False, True])
+    def test_rebuild_facility(self, lsm_db, lsm):
+        from repro.recovery import rebuild_facility
+
+        before = lsm_db.create_ssf_index("Student", "hobbies", 64, 2, lsm=lsm)
+        after = rebuild_facility(lsm_db, "Student", "hobbies", "ssf")
+        assert type(after) is type(before)
+        assert after.create_params() == before.create_params()
+
+    @pytest.mark.parametrize("lsm", [False, True])
+    def test_vacuum_index(self, lsm_db, lsm):
+        before = lsm_db.create_bssf_index("Student", "hobbies", 64, 2, lsm=lsm)
+        after = lsm_db.vacuum_index("Student", "hobbies", "bssf")
+        assert type(after) is type(before)
+        assert after.create_params() == before.create_params()
+
+    @pytest.mark.parametrize("lsm", [False, True])
+    def test_open_replays_the_vacuum(self, lsm_db, lsm):
+        from repro.objects.database import Database
+
+        before = lsm_db.create_ssf_index("Student", "hobbies", 64, 2, lsm=lsm)
+        live = lsm_db.vacuum_index("Student", "hobbies", "ssf")
+        lsm_db.close()
+        reopened = Database.open(lsm_db.wal_dir)
+        after = reopened.index("Student", "hobbies", "ssf")
+        # replay redoes the vacuum as it ran live, layout included
+        assert type(after) is type(live) is type(before)
+        assert after.create_params() == live.create_params() == before.create_params()
+        reopened.close()

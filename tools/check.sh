@@ -50,6 +50,16 @@ python -m pytest tests/query/test_parser.py \
     tests/objects/test_statistics.py tests/objects/test_running_statistics.py \
     tests/concurrency/test_statistics_refresh.py -q
 
+echo "== facility catalog =="
+# One table decides a facility's kind, options and files: every kind and
+# layout must come back with the same class, catalog entry and create
+# params through WAL replay, snapshot load, rebuild and partition, and the
+# create_index record and snapshot entry fields are pinned literally, so
+# logs and snapshots written by earlier builds still load (tier-1 covers
+# this too; an explicit gate so a reshuffle cannot drop it).
+python -m pytest tests/access/test_catalog.py tests/persistence \
+    tests/objects/test_database.py tests/sharding/test_partitioner.py -q
+
 echo "== fault injection (fixed seed) =="
 python -m pytest tests/faults -q
 

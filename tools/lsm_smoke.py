@@ -156,7 +156,7 @@ def differential_drill() -> None:
     )
     for kind in ("ssf", "bssf"):
         facility = lsm.index("Student", "hobbies", kind)
-        check(getattr(facility, "is_lsm", False), f"{kind} facility not LSM")
+        check(facility.is_lsm, f"{kind} facility not LSM")
         check(
             facility.counters["flushes"] >= 3,
             f"{kind}: vacuous drill — fewer than 3 memtable flushes",
