@@ -111,36 +111,6 @@ class SetAccessFacility(abc.ABC):
     #: every file of the facility is named ``{file_prefix}:{part}``
     file_prefix: str = ""
 
-    #: ``(wal, class_name, attribute)`` when bound to a write-ahead log;
-    #: ``None`` otherwise (class attribute so facilities need no __init__
-    #: cooperation).
-    _wal_context = None
-
-    def bind_wal(self, wal, class_name: str, attribute: str) -> None:
-        """Attach a write-ahead log to this facility's maintenance path.
-
-        Afterwards :meth:`log_wal_maintenance` records direct facility
-        mutations. Database-level operations suppress these (their logical
-        record already covers the maintenance), so facility records appear
-        only for callers mutating a facility outside the database facade.
-        """
-        self._wal_context = (wal, class_name, attribute)
-
-    def log_wal_maintenance(self, op: str, elements: SetValue, oid: OID) -> None:
-        """Redo-log one facility mutation, if a WAL is bound and accepting.
-
-        Facilities call this as the first statement of ``insert``/``delete``
-        so the record is durable before any page is touched.
-        """
-        if self._wal_context is None:
-            return
-        wal, class_name, attribute = self._wal_context
-        if not wal.accepts_facility_records:
-            return
-        wal.append(
-            [op, class_name, attribute, self.name, oid.to_int(), elements]
-        )
-
     @abc.abstractmethod
     def insert(self, elements: SetValue, oid: OID) -> None:
         """Index one object's set value."""
@@ -154,7 +124,7 @@ class SetAccessFacility(abc.ABC):
 
         The default makes one :meth:`insert` / :meth:`delete` call per op.
         The signature files override it to write each page the batch
-        touches once (WAL replay hands them a log tail's ops this way).
+        touches once (the facade hands over one op, WAL replay a batch).
         """
         for op, elements, oid in ops:
             if op == "insert":

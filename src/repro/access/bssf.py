@@ -218,8 +218,6 @@ class BitSlicedSignatureFile(SetAccessFacility):
         once, in page then slice order. The matrix takes the bits once
         every write has succeeded.
         """
-        for op, elements, oid in ops:
-            self.log_wal_maintenance(f"facility_{op}", elements, oid)
         ones = [
             self.scheme.set_signature(elements).set_positions()  # ascending
             for op, elements, _ in ops

@@ -105,7 +105,6 @@ class NestedIndex(SetAccessFacility):
         return count
 
     def insert(self, elements: SetValue, oid: OID) -> None:
-        self.log_wal_maintenance("facility_insert", elements, oid)
         if not elements:
             self.tree.insert(EMPTY_SET_KEY, oid)
             return
@@ -113,7 +112,6 @@ class NestedIndex(SetAccessFacility):
             self.tree.insert(encode_key(element), oid)
 
     def delete(self, elements: SetValue, oid: OID) -> None:
-        self.log_wal_maintenance("facility_delete", elements, oid)
         if not elements:
             removed = self.tree.delete(EMPTY_SET_KEY, oid)
             if not removed:

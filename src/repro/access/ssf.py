@@ -156,8 +156,6 @@ class SequentialSignatureFile(SetAccessFacility):
         written once; the memoized matrix grows by their rows once those
         writes have succeeded.
         """
-        for op, elements, oid in ops:
-            self.log_wal_maintenance(f"facility_{op}", elements, oid)
         signatures = [
             self.scheme.set_signature(elements)
             for op, elements, _ in ops

@@ -204,14 +204,12 @@ class LSMSignatureFacility(SetAccessFacility):
         return count
 
     def insert(self, elements: SetValue, oid: OID) -> None:
-        self.log_wal_maintenance("facility_insert", elements, oid)
         self.memtable.insert(elements, oid, self._next_seq, self.scheme)
         self._live[oid] = self._next_seq
         self._next_seq += 1
         self._maybe_flush()
 
     def delete(self, elements: SetValue, oid: OID) -> None:
-        self.log_wal_maintenance("facility_delete", elements, oid)
         self.memtable.delete(oid)
         self._live.pop(oid, None)
         self._maybe_flush()

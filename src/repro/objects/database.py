@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.access import catalog
-from repro.access.base import SetAccessFacility
+from repro.access.base import FacilityOp, SetAccessFacility
 from repro.concurrency import RWLatch, ShardedLatch
 from repro.errors import (
     AccessFacilityError,
@@ -59,6 +59,11 @@ CHECKPOINT_FILE_NAME = "checkpoint.sigdb"
 #: every record. Matches the default memtable flush threshold — the log
 #: only covers the memtable, so the crash-loss window is one flush cycle.
 DEFAULT_LSM_FSYNC_INTERVAL = 256
+
+
+def _apply_op(path: IndexKey, facility: SetAccessFacility, op: FacilityOp) -> None:
+    """The facade's upkeep: each op applied as it is derived."""
+    facility.apply([op])
 
 
 class Database:
@@ -147,7 +152,9 @@ class Database:
                     "checkpoint; recover it with Database.open(wal_dir) "
                     "instead of starting a fresh database over it"
                 )
-            self.attach_wal(wal, wal_dir, durability=durability)
+            if durability == "lsm":  # reopened or promoted, it stays "lsm"
+                wal.append(["durability", durability])
+            self.attach_wal(wal, wal_dir)
         from repro.objects.statistics import StatisticsCache
 
         self.statistics = StatisticsCache()
@@ -171,7 +178,8 @@ class Database:
         otherwise), replays the log tail — truncating a torn final record,
         raising :class:`~repro.errors.WalCorruptError` on interior damage —
         and returns the database with the log attached for further logging.
-        A database that holds LSM facilities comes back in ``"lsm"``
+        A database created with ``durability="lsm"`` (its log or checkpoint
+        says so) or holding an LSM facility comes back in ``"lsm"``
         durability (group-committed fsyncs).
         """
         from repro.wal.replay import recover_database
@@ -185,25 +193,25 @@ class Database:
             wal_fsync_interval=wal_fsync_interval,
         )
 
-    def attach_wal(self, wal, wal_dir: str, durability: str = "wal") -> None:
-        """Bind an open log to this database and to every facility.
+    def attach_wal(self, wal, wal_dir: str) -> None:
+        """Bind an open log to this database.
 
-        A database that holds an LSM facility takes ``"lsm"`` durability
-        whatever ``durability`` says, and in ``"lsm"`` durability a log
+        The database takes ``"lsm"`` durability if it is in that mode
+        already (created so, or its log or checkpoint said so) or holds an
+        LSM facility (as a directory written before the mode was logged
+        shows it), and ``"wal"`` otherwise. In ``"lsm"`` durability a log
         opened without an fsync interval group-commits at
         :data:`DEFAULT_LSM_FSYNC_INTERVAL`: the mode's write-path contract
         holds after recovery and promotion too.
         """
-        if any(facility.is_lsm for _, _, facility in self._facilities()):
-            durability = "lsm"
-        if durability == "lsm" and wal.fsync_interval is None:
+        lsm = self.durability == "lsm" or any(
+            facility.is_lsm for _, _, facility in self._facilities()
+        )
+        if lsm and wal.fsync_interval is None:
             wal.fsync_interval = DEFAULT_LSM_FSYNC_INTERVAL
-        self.wal = wal
-        self.wal_dir = wal_dir
-        self.durability = durability
+        self.wal, self.wal_dir = wal, wal_dir
+        self.durability = "lsm" if lsm else "wal"
         self.wal_applied_lsn = wal.end_lsn
-        for cls_name, attribute, facility in self._facilities():
-            facility.bind_wal(wal, cls_name, attribute)
 
     def _facilities(self) -> Iterator[Tuple[str, str, SetAccessFacility]]:
         """``(class, attribute, facility)`` for every facility, sorted by
@@ -275,9 +283,9 @@ class Database:
 
         When WAL durability is on (and we are not already inside a logical
         operation or a replay), ``make_fields()`` builds the record, which
-        is durably appended *before* the body runs; facility-level
-        maintenance records are suppressed for the scope since the logical
-        record already implies them.
+        is durably appended *before* the body runs; a mutator the body
+        calls logs nothing, since the record already implies it (a
+        rebuild's ``create_index``).
 
         Every facade mutator wraps its body in this scope, which makes it
         the one place the replica read-only guard needs to live.
@@ -457,8 +465,6 @@ class Database:
                     self.storage, kind, class_name, attribute, params
                 )
                 self._indexes.setdefault(key, {})[kind] = facility
-                if self.wal is not None:
-                    facility.bind_wal(self.wal, class_name, attribute)
                 # Backfill from existing objects so indexes may be added
                 # lazily, bottom-up (one write per page) instead of paying
                 # per-object maintenance cost.
@@ -537,22 +543,16 @@ class Database:
             encoded[0] = encode_object(values)
             return ["insert", class_name, logged.to_int(), encoded[0]]
 
+        def change() -> OID:
+            if oid is None:
+                return self.objects.insert(class_name, values, payload=encoded[0])
+            return self.objects.insert_with_oid(
+                class_name, oid, values, payload=encoded[0]
+            )
+
         with self.write_scope(class_name):
             with self._wal_op(fields):
-                if oid is None:
-                    inserted = self.objects.insert(
-                        class_name, values, payload=encoded[0]
-                    )
-                else:
-                    inserted = self.objects.insert_with_oid(
-                        class_name, oid, values, payload=encoded[0]
-                    )
-                self.statistics.record(self.objects, class_name, None, values)
-                for (cls, attr), per_path in self._indexes.items():
-                    if cls == class_name:
-                        for facility in per_path.values():
-                            facility.insert(frozenset(values[attr]), inserted)
-        return inserted
+                return self._mutate(class_name, oid, None, values, change, _apply_op)
 
     def get(self, oid: OID) -> Dict[str, Any]:
         return self.objects.fetch(oid)
@@ -570,32 +570,65 @@ class Database:
         with self.write_scope(class_name):
             old_values = self.objects.fetch(oid)
             with self._wal_op(fields):
-                self.objects.update(oid, values, payload=encoded[0])
-                self.statistics.record(
-                    self.objects, class_name, old_values, values
+                self._mutate(
+                    class_name, oid, old_values, values,
+                    lambda: self.objects.update(oid, values, payload=encoded[0]),
+                    _apply_op,
                 )
-                for (cls, attr), per_path in self._indexes.items():
-                    if cls != class_name:
-                        continue
-                    old_set = frozenset(old_values[attr])
-                    new_set = frozenset(values[attr])
-                    if old_set == new_set:
-                        continue
-                    for facility in per_path.values():
-                        facility.delete(old_set, oid)
-                        facility.insert(new_set, oid)
 
     def delete(self, oid: OID) -> None:
         class_name = self.objects.class_name_of(oid)
         with self.write_scope(class_name):
             values = self.objects.fetch(oid)
             with self._wal_op(lambda: ["delete", oid.to_int()]):
-                for (cls, attr), per_path in self._indexes.items():
-                    if cls == class_name:
-                        for facility in per_path.values():
-                            facility.delete(frozenset(values[attr]), oid)
-                self.objects.delete(oid)
-                self.statistics.record(self.objects, class_name, values, None)
+                self._mutate(
+                    class_name, oid, values, None,
+                    lambda: self.objects.delete(oid), _apply_op,
+                )
+
+    def _mutate(
+        self,
+        class_name: str,
+        oid: Optional[OID],
+        old: Optional[Dict[str, Any]],
+        new: Optional[Dict[str, Any]],
+        change: Callable[[], Optional[OID]],
+        maintain: Callable[[IndexKey, SetAccessFacility, FacilityOp], None],
+    ) -> OID:
+        """Mutate object ``oid`` from ``old`` to ``new`` (``None``: no object).
+
+        The one write path of the facade and of WAL replay; returns the
+        OID. ``change()`` makes the store change (an insert under
+        ``oid=None`` returns the OID it allocated); the running statistics
+        follow it. ``maintain(path, facility, op)`` takes each facility op
+        it implies, per facility the old set value's delete before the new
+        one's insert (none if the two are equal): the facade applies each
+        at once, replay queues it. A delete's ops come before the change.
+        """
+
+        def upkeep() -> None:
+            for path, per_path in self._indexes.items():
+                if path[0] != class_name:
+                    continue
+                old_set = None if old is None else frozenset(old[path[1]])
+                new_set = None if new is None else frozenset(new[path[1]])
+                if old_set == new_set:
+                    continue
+                for facility in per_path.values():
+                    if old_set is not None:
+                        maintain(path, facility, ("delete", old_set, oid))
+                    if new_set is not None:
+                        maintain(path, facility, ("insert", new_set, oid))
+
+        if new is None:
+            upkeep()
+        allocated = change()
+        if oid is None:
+            oid = allocated
+        self.statistics.record(self.objects, class_name, old, new)
+        if new is not None:
+            upkeep()
+        return oid
 
     def scan(self, class_name: str) -> Iterator[Tuple[OID, Dict[str, Any]]]:
         return self.objects.scan(class_name)

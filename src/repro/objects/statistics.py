@@ -15,12 +15,13 @@ automatically past ``REANALYZE_DRIFT``).
 
 A scan is only ever the *first* collection of a path. It leaves behind
 :class:`RunningAggregates` — a cardinality histogram and per-element
-reference counts — which the facade's insert/update/delete keep current
-under their write scope, so a drift refresh reads the same numbers off the
-aggregates in O(histogram). The aggregates are trusted only while the
-mutations they have followed equal the store's own mutation count; a
-write that went around the facade (WAL replay on a replica, a test poking
-the store) makes the next refresh scan again and re-seed them.
+reference counts — which every write through ``Database._mutate`` keeps
+current (the facade's insert/update/delete, and WAL replay, a replica's
+included), so a drift refresh reads the same numbers off the aggregates
+in O(histogram). The aggregates are trusted only while the mutations
+they have followed equal the store's own mutation count; a write that
+went around the facade (a test poking the store) makes the next refresh
+scan again and re-seed them.
 """
 
 from __future__ import annotations
@@ -258,7 +259,8 @@ class StatisticsCache:
     ) -> None:
         """Follow the mutation ``objects`` just counted: ``old`` out, ``new`` in.
 
-        Called by the facade under its write scope, once per store
+        Called by the facade's write path (``Database._mutate``: its
+        mutators under their write scope, and WAL replay), once per store
         mutation (an insert has no ``old``, a delete no ``new``).
         Aggregates that are not exactly one mutation behind missed a write
         that went around the facade: they are marked lost, and the next

@@ -63,11 +63,11 @@ def build_catalog(db: Database) -> Dict[str, Any]:
         for (cls, attr), per_path in sorted(db._indexes.items())
         for facility in per_path.values()
     ]
-    wal_stamp = (
-        {"checkpoint_lsn": db.wal.end_lsn} if db.wal is not None else None
-    )
+    wal_stamp = {} if db.wal is None else {
+        "wal": {"checkpoint_lsn": db.wal.end_lsn, "durability": db.durability}
+    }
     return {
-        **({"wal": wal_stamp} if wal_stamp is not None else {}),
+        **wal_stamp,
         "page_size": store.page_size,
         "files": [
             {
@@ -298,6 +298,10 @@ def populate_database(
         facility = facility_catalog.attach(db.storage, entry)
         per_path[facility.name] = facility
     # A WAL-stamped snapshot (a checkpoint) records the log position its
-    # state reflects; replay skips records below it.
-    db.wal_applied_lsn = (catalog.get("wal") or {}).get("checkpoint_lsn", 0)
+    # state reflects, where replay starts, and the durability mode, which
+    # only matters if it is "lsm" ("wal" follows from attaching the log).
+    stamp = catalog.get("wal") or {}
+    db.wal_applied_lsn = stamp.get("checkpoint_lsn", 0)
+    if stamp.get("durability") == "lsm":
+        db.durability = "lsm"
     return db

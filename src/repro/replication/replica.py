@@ -384,8 +384,7 @@ class ReplicaDatabase:
             ]
             if pending:
                 with self._applying():
-                    with self.wal.suspended():
-                        replay_records(db, pending)
+                    replay_records(db, pending)
             self._note_progress()
 
     def _stream_from(self, sock: socket.socket) -> None:
@@ -455,8 +454,7 @@ class ReplicaDatabase:
                 record = WalRecord(lsn, self.wal.end_lsn, tuple(fields))
                 try:
                     with self._applying():
-                        with self.wal.suspended():
-                            replay_records(db, [record])
+                        replay_records(db, [record])
                 except SimulatedCrashError:
                     raise
                 self._m_applied.inc()
@@ -573,6 +571,8 @@ class ReplicaDatabase:
             db._indexes = fresh._indexes
             db._degraded = fresh._degraded
             db.statistics = fresh.statistics
+            if fresh.durability == "lsm":  # the catalog's stamp named it
+                db.durability = "lsm"
             db.wal_applied_lsn = sync_lsn
             self.wal.reset(sync_lsn)
             self._note_progress()

@@ -175,11 +175,11 @@ class WriteAheadLog:
         # appender buffering against readers flushing from other threads.
         self._buffer = bytearray()
         self._io_lock = threading.Lock()
-        #: False while replay (or any caller) suspends logging entirely.
+        #: False while a caller (a replica's checkpoint) suspends logging.
         self.enabled = True
         #: True while a Database-level logical operation is in flight, so
-        #: facility-level maintenance records are suppressed (the logical
-        #: record already covers them).
+        #: an operation nested in it (a rebuild's create_index) logs no
+        #: record of its own (the logical record already covers it).
         self.in_logical_op = False
         #: optional :class:`~repro.storage.faults.FaultInjector` consulted
         #: before every append (crash / torn / transient wal faults).
@@ -212,14 +212,9 @@ class WriteAheadLog:
     def accepts_logical_records(self) -> bool:
         return self.enabled and not self.in_logical_op
 
-    @property
-    def accepts_facility_records(self) -> bool:
-        """Facility-level records log only outside logical-op scopes."""
-        return self.enabled and not self.in_logical_op
-
     @contextmanager
     def suspended(self):
-        """No records at all are appended inside this scope (replay)."""
+        """No records at all are appended inside this scope."""
         previous = self.enabled
         self.enabled = False
         try:
@@ -229,7 +224,7 @@ class WriteAheadLog:
 
     @contextmanager
     def logical_op(self):
-        """Suppress facility-level records while a logical record covers them."""
+        """Suppress nested logical records while one record covers them."""
         previous = self.in_logical_op
         self.in_logical_op = True
         try:

@@ -12,11 +12,13 @@ per-class serial; facility maintenance is a pure function of the operation
 and prior state), redoing the tail reproduces byte-for-byte the state a
 never-crashed run would have reached.
 
-An object record's change goes to the object store as the record is read;
-its facility upkeep is queued, in log order, with the direct facility
-records'. When the batch ends — before any other record (DDL, rebuild,
-flush, compact, checkpoint markers), at :data:`BATCH_OP_CAP` queued ops,
-and at the end of the tail — each facility gets its ops in one
+An object record is redone through the facade's write path,
+:meth:`Database._mutate`: the store change and the running statistics as
+the record is read, while the facility ops it derives are queued, in log
+order, with those of the facility records a log from an earlier build may
+hold. When the batch ends — before any other record (DDL, rebuild, flush,
+compact, checkpoint markers), at :data:`BATCH_OP_CAP` queued ops, and at
+the end of the tail — each facility gets its ops in one
 :meth:`SetAccessFacility.apply`, so a page they touch is written once. A
 facility whose ops cannot be applied is rebuilt from the objects, which
 hold every record of the batch by then (:func:`repro.recovery.rebuild.
@@ -27,7 +29,7 @@ correct repair.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.errors import ObjectStoreError, ReproError, SimulatedCrashError, WalError
 from repro.objects.oid import OID
@@ -81,7 +83,8 @@ def recover_database(
     except BaseException:
         wal.close()
         raise
-    # A database holding LSM facilities comes back in "lsm" durability.
+    # A database whose log or checkpoint names "lsm" durability, or that
+    # holds an LSM facility, comes back in that mode.
     db.attach_wal(wal, wal_dir)
     return db
 
@@ -120,27 +123,10 @@ class _Batch:
     def __init__(self, db: "Database"):
         self.db, self.queued, self.size = db, {}, 0
 
-    def add(self, class_name: str, attribute: str, name: str, op) -> None:
-        key = (class_name, attribute, name)
-        if key not in self.queued:
-            self.queued[key] = (self.db.index(class_name, attribute, name), [])
-        self.queued[key][1].append(op)
+    def add(self, path: Tuple[str, str], facility, op) -> None:
+        """Queue ``op`` for ``facility`` on ``path`` (``(class, attribute)``)."""
+        self.queued.setdefault(path + (facility.name,), (facility, []))[1].append(op)
         self.size += 1
-
-    def maintain(self, cls_name: str, oid: OID, old: Optional[dict], new) -> None:
-        """Queue the upkeep of one object mutation (``None``: no object)."""
-        for (cls, attr), per_path in self.db._indexes.items():
-            if cls != cls_name:
-                continue
-            old_set = frozenset(old[attr]) if old is not None else None
-            new_set = frozenset(new[attr]) if new is not None else None
-            if old_set == new_set:
-                continue
-            for name in per_path:
-                if old_set is not None:
-                    self.add(cls, attr, name, ("delete", old_set, oid))
-                if new_set is not None:
-                    self.add(cls, attr, name, ("insert", new_set, oid))
 
     def end(self) -> None:
         """Hand each facility its queued ops in one ``apply``."""
@@ -185,36 +171,46 @@ def _apply_insert(batch: _Batch, fields) -> None:
     # serial gaps are legitimate on a shard, whose log holds only its
     # hash slice of each class. A checkpoint/log disagreement surfaces as
     # "already live" here.
-    oid = OID.from_int(oid_int)
+    oid, objects = OID.from_int(oid_int), batch.db.objects
     try:
-        batch.db.objects.insert_with_oid(class_name, oid, values)
+        batch.db._mutate(
+            class_name, oid, None, values,
+            lambda: objects.insert_with_oid(class_name, oid, values), batch.add,
+        )
     except ObjectStoreError as exc:
         raise WalError(
             f"replayed insert of {oid} failed ({exc}); "
             f"the checkpoint and log disagree"
         ) from exc
-    batch.maintain(class_name, oid, None, values)
 
 
 def _apply_update(batch: _Batch, fields) -> None:
     _, oid_int, blob = fields
     oid, objects = OID.from_int(oid_int), batch.db.objects
-    old_values, values = objects.fetch(oid), decode_object(blob)
-    objects.update(oid, values)
-    batch.maintain(objects.class_name_of(oid), oid, old_values, values)
+    values = decode_object(blob)
+    batch.db._mutate(
+        objects.class_name_of(oid), oid, objects.fetch(oid), values,
+        lambda: objects.update(oid, values), batch.add,
+    )
 
 
 def _apply_delete(batch: _Batch, fields) -> None:
     oid, objects = OID.from_int(fields[1]), batch.db.objects
-    class_name, values = objects.class_name_of(oid), objects.fetch(oid)
-    objects.delete(oid)
-    batch.maintain(class_name, oid, values, None)
+    batch.db._mutate(
+        objects.class_name_of(oid), oid, objects.fetch(oid), None,
+        lambda: objects.delete(oid), batch.add,
+    )
 
 
 def _apply_facility_op(batch: _Batch, fields) -> None:
+    """A facility record, which only logs of earlier builds hold."""
     op, class_name, attribute, name, oid_int, elements = fields
     op = ("insert" if op == "facility_insert" else "delete", frozenset(elements))
-    batch.add(class_name, attribute, name, op + (OID.from_int(oid_int),))
+    batch.add(
+        (class_name, attribute),
+        batch.db.index(class_name, attribute, name),
+        op + (OID.from_int(oid_int),),
+    )
 
 
 def _apply_define_class(db: "Database", fields) -> None:
@@ -242,6 +238,11 @@ def _apply_lsm_op(db: "Database", fields) -> None:
         facility.compact()
 
 
+def _apply_durability(db: "Database", fields) -> None:
+    """The mode a ``durability="lsm"`` database was created in."""
+    db.durability = fields[1]
+
+
 def _apply_checkpoint(db: "Database", fields) -> None:
     """Checkpoint markers carry no state to redo."""
 
@@ -254,7 +255,8 @@ def _rebuild(db: "Database", class_name: str, attribute: str, name: str) -> None
     rebuild_facility(db, class_name, attribute, name)
 
 
-#: object and facility records: their facility upkeep joins the batch
+#: object records, and the facility records of logs from earlier builds:
+#: their facility upkeep joins the batch
 _BATCHED = {
     "insert": _apply_insert,
     "update": _apply_update,
@@ -270,6 +272,7 @@ _HANDLERS = {
     "rebuild": _apply_rebuild,
     "flush_index": _apply_lsm_op,
     "compact_index": _apply_lsm_op,
+    "durability": _apply_durability,
     "checkpoint_begin": _apply_checkpoint,
     "checkpoint_end": _apply_checkpoint,
 }

@@ -27,6 +27,7 @@ from repro.objects.schema import ClassSchema
 from repro.objects.statistics import REANALYZE_DRIFT, analyze
 from repro.query import planner
 from repro.query.executor import QueryExecutor
+from repro.wal.replay import replay_records
 
 PATHS = ("tags", "marks")
 _OPS = (
@@ -56,7 +57,8 @@ def _open(durability: str, wal_dir: str) -> Database:
 
 
 def _around_the_facade(db: Database, oid, old, new):
-    """One store write with its index upkeep done by hand, as replay does.
+    """One store write with its index upkeep done by hand, around the
+    facade's write path (which WAL replay takes too).
 
     ``oid`` is ``None`` for an insert, ``new`` for a delete; returns the OID.
     """
@@ -227,6 +229,29 @@ def test_a_write_around_the_facade_makes_the_next_refresh_scan(thing_db, class_s
     again = thing_db.analyze("Thing", "tags")
     assert class_scans == []
     assert again == analyze(thing_db.objects, "Thing", "tags")
+
+
+def test_a_replica_s_aggregates_follow_a_shipped_record(tmp_path, class_scans):
+    """Replay redoes a record through the facade's write path, so a
+    replica's aggregates follow shipped records as they follow writes."""
+    primary = _open("wal", str(tmp_path / "wal"))
+    rng = random.Random(9)
+    for _ in range(6):
+        primary.insert("Thing", _values(rng))
+    shipped = primary.wal.records()
+    primary.insert("Thing", _values(rng))
+    last = primary.wal.records()[-1]
+    primary.close()
+    replica = Database(pool_capacity=0)
+    replay_records(replica, shipped)
+    replica.analyze("Thing", "tags")
+    replay_records(replica, [last])
+    followed = replica.statistics._aggregates["Thing"]["tags"].followed
+    assert followed == replica.objects.mutation_count("Thing") == 7
+    del class_scans[:]
+    refreshed = replica.analyze("Thing", "tags")
+    assert class_scans == []  # read off the aggregates, no scan
+    assert refreshed == analyze(replica.objects, "Thing", "tags")
 
 
 def test_paths_seeded_at_different_times_each_follow_the_writes(thing_db, class_scans):

@@ -68,12 +68,10 @@ class ReferenceBSSF(BitSlicedSignatureFile):
     apply = SetAccessFacility.apply  # one insert or delete per op
 
     def delete(self, elements: SetValue, oid: OID) -> None:
-        self.log_wal_maintenance("facility_delete", elements, oid)
         self.oid_file.delete(oid)
 
     def insert(self, elements: SetValue, oid: OID) -> None:
         """Fetch, flip and write back one page per slice rewritten."""
-        self.log_wal_maintenance("facility_insert", elements, oid)
         index = self.oid_file.append(oid)
         self._format_slices_to(-(-(index + 1) // self.entries_per_slice_page))
         page_no = index // self.entries_per_slice_page

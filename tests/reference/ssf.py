@@ -29,7 +29,6 @@ class ReferenceSSF(SequentialSignatureFile):
 
     def insert(self, elements: SetValue, oid: OID) -> None:
         """Append the OID entry, then fetch, fill and write the signature page."""
-        self.log_wal_maintenance("facility_insert", elements, oid)
         signature = self.scheme.set_signature(elements)
         index = self.oid_file.append(oid)
         page_no, slot = divmod(index, self.sigs_per_page)
@@ -41,7 +40,6 @@ class ReferenceSSF(SequentialSignatureFile):
         self.signature_file.write_page(page_no, page)
 
     def delete(self, elements: SetValue, oid: OID) -> None:
-        self.log_wal_maintenance("facility_delete", elements, oid)
         self.oid_file.delete(oid)
 
     def bulk_load(self, pairs) -> int:

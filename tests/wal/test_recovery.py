@@ -169,28 +169,6 @@ def test_replay_repairs_a_facility_it_cannot_redo_into(tmp_path):
     recovered.close()
 
 
-def test_facility_records_logged_outside_logical_ops_and_replayed(tmp_path):
-    ops = workload_ops()
-    db = Database(wal_dir=str(tmp_path))
-    apply_ops(db, ops)
-    # A direct facility mutation (outside the Database facade) logs its own
-    # facility-level record...
-    facility = db.index("Student", "hobbies", "nix")
-    extra = OID(STUDENT_CLASS_ID, 4001)
-    facility.insert(frozenset({"Chess"}), extra)
-    types = [r.type for r in db.wal.records()]
-    assert types.count("facility_insert") == 1
-    # ...while facade operations suppress facility records entirely.
-    assert types.count("insert") == sum(
-        1 for label, _ in ops if label.startswith("insert")
-    )
-    expected = fingerprint(db)
-    db.close()
-    recovered = Database.open(str(tmp_path))
-    assert fingerprint(recovered) == expected
-    recovered.close()
-
-
 def test_rebuild_is_logged_and_replayed(tmp_path):
     ops = workload_ops()
     db = Database(wal_dir=str(tmp_path))

@@ -6,7 +6,9 @@ ops in one ``apply`` when a batch ends. :func:`tests.reference.replay.
 replay_one_at_a_time` maintains the facilities record by record, as replay
 once did. Seeded histories run live on a WAL database after a checkpoint —
 facade inserts, updates (some to an equal set) and deletes, direct
-facility mutations, objects of a second class, and every record kind that
+facility mutations under the ``facility_insert``/``facility_delete``
+records a log from an earlier build holds for them (facilities no longer
+log themselves), objects of a second class, and every record kind that
 ends a batch (``define_class``, ``create_index``, ``rebuild``,
 ``flush_index``, ``compact_index``) mid-tail. Recovered both ways, the
 state must equal the live run's byte for byte, every decode a facility
@@ -86,6 +88,14 @@ def live_history(wal_dir: str, variant: str, seed: int, pool: int, steps: int):
     facilities = sorted(db.indexes_on("Student", "hobbies"))
     fakes = []  # (facility name, set, OID) held by a facility, no object
 
+    def direct(op: str, name: str, elements: frozenset, oid: OID) -> None:
+        """Mutate a facility outside the facade, logged by hand as an
+        earlier build's facility logged itself: record first."""
+        db.wal.append(
+            [f"facility_{op}", "Student", "hobbies", name, oid.to_int(), elements]
+        )
+        getattr(db.index("Student", "hobbies", name), op)(elements, oid)
+
     def rebuild() -> None:  # from the objects: the facility's fakes are gone
         name = rng.choice(facilities)
         db.rebuild_facility("Student", "hobbies", name)
@@ -117,26 +127,24 @@ def live_history(wal_dir: str, variant: str, seed: int, pool: int, steps: int):
             db.delete(students.pop(rng.randrange(len(students))))
         elif roll < 0.85:
             name = rng.choice(facilities)
-            facility = db.index("Student", "hobbies", name)
             if fakes and rng.random() < 0.5:
-                name, elements, oid = fakes.pop(rng.randrange(len(fakes)))
-                db.index("Student", "hobbies", name).delete(elements, oid)
+                direct("delete", *fakes.pop(rng.randrange(len(fakes))))
             else:
                 elements = frozenset(draw(rng))
                 oid = OID(STUDENT_CLASS_ID, 50_000 + step)
-                facility.insert(elements, oid)
+                direct("insert", name, elements, oid)
                 fakes.append((name, elements, oid))
         elif roll < 0.92:
             # re-index a live object in place: a delete and an insert record
             oid = rng.choice(students)
             elements = frozenset(db.get(oid)["hobbies"])
-            facility = db.index("Student", "hobbies", rng.choice(facilities))
-            facility.delete(elements, oid)
-            facility.insert(elements, oid)
+            name = rng.choice(facilities)
+            direct("delete", name, elements, oid)
+            direct("insert", name, elements, oid)
         elif step > steps // 5 + 1:
             db.insert("Club", {"tags": draw(rng)})
-    for name, elements, oid in fakes:
-        db.index("Student", "hobbies", name).delete(elements, oid)
+    for fake in fakes:
+        direct("delete", *fake)
     return db
 
 

@@ -8,7 +8,9 @@ import struct
 import pytest
 
 from repro.errors import WalCorruptError, WalError
+from repro.objects.database import Database
 from repro.objects.oid import OID
+from repro.objects.schema import ClassSchema
 from repro.obs.metrics import REGISTRY
 from repro.wal.log import (
     WAL_FILE_NAME,
@@ -214,20 +216,29 @@ class TestTruncation:
 class TestGating:
     def test_suspended_blocks_all_records(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
-        assert wal.accepts_logical_records and wal.accepts_facility_records
+        assert wal.accepts_logical_records
         with wal.suspended():
             assert not wal.accepts_logical_records
-            assert not wal.accepts_facility_records
         assert wal.accepts_logical_records
         wal.close()
 
-    def test_logical_op_suppresses_facility_records(self, tmp_path):
+    def test_logical_op_suppresses_nested_records(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
         with wal.logical_op():
-            assert not wal.accepts_facility_records
             assert not wal.accepts_logical_records  # no nested logical records
-        assert wal.accepts_facility_records
+        assert wal.accepts_logical_records
         wal.close()
+
+    def test_a_vacuum_logs_one_rebuild_record_and_no_create_index(self, tmp_path):
+        # the rebuild's inner create_index runs inside its logical op
+        db = Database(wal_dir=str(tmp_path))
+        db.define_class(ClassSchema.build("Student", name="scalar", hobbies="set"))
+        db.insert("Student", {"name": "a", "hobbies": {"h01"}})
+        db.create_bssf_index("Student", "hobbies", 32, 2)
+        before = len(db.wal.records())
+        db.vacuum_index("Student", "hobbies", "bssf")
+        assert [r.type for r in db.wal.records()[before:]] == ["rebuild"]
+        db.close()
 
     def test_encode_record_is_deterministic(self):
         fields = ["insert", "Student", 3, b"\x00\x01"]

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Repo check: tier-1 test suite, the explicit gates below, the ledger
-# benchmark's tests and smoke run with its tracer ceiling, and the
-# loopback drills.
+# Repo check: tier-1 test suite, the explicit gates below, the loopback
+# drills, then the ledger benchmark's tests and smoke run with its tracer
+# ceiling. The script stops at its first red step (set -e), so the ledger
+# steps come last: a failure there cannot keep the drills from running.
 set -e
 
 cd "$(dirname "$0")/.."
@@ -66,11 +67,15 @@ python -m pytest tests/faults -q
 echo "== wal crash matrix (fixed seed) =="
 # Byte-equivalence of crash recovery at every sampled WAL-append, torn
 # write, and device-write crash point, and of batched replay against the
-# record-at-a-time oracle in tests/reference/replay.py (tier-1 covers
-# this too; an explicit gate so a tier-1 reshuffle cannot silently drop
-# it).
+# record-at-a-time oracle in tests/reference/replay.py; replay takes the
+# facade's write path, so a replica's running statistics follow shipped
+# records, and a durability="lsm" database stays "lsm" through reopen,
+# checkpoint and promotion (tier-1 covers this too; an explicit gate so
+# a tier-1 reshuffle cannot silently drop it).
 python -m pytest tests/faults/test_wal_crash_matrix.py \
-    tests/wal/test_replay_batch.py tests/wal -q
+    tests/wal/test_replay_batch.py tests/wal \
+    tests/objects/test_running_statistics.py \
+    tests/replication/test_promote_layout.py -q
 
 echo "== fault injection (randomized smoke) =="
 # A fresh seed each run widens coverage over time; the seed is printed so
@@ -111,6 +116,29 @@ echo "== serving =="
 # so a reshuffle cannot drop it).
 python -m pytest tests/serving -q
 
+echo "== replication smoke (loopback failover drill) =="
+# Primary + tailing replica over loopback, random workload with a
+# mid-stream checkpoint, hard primary kill, promote — the promoted
+# replica must be byte-identical to the primary's durable prefix and the
+# FailoverClient must ride the failover with zero transport errors.
+python tools/replication_smoke.py
+
+echo "== lsm smoke (flush/compact/crash drill) =="
+# Fixed-seed churn over paired in-place / LSM databases: every canonical
+# query must agree on plans, rows and object-file pages (with enough
+# churn that the LSM path really flushed and compacted), then crash
+# drills mid-run-file build and mid-manifest install must recover to the
+# durable prefix with a clean deep fsck.
+python tools/lsm_smoke.py
+
+echo "== sharding smoke (loopback chaos drill) =="
+# Three hash-partitioned shard servers behind a ShardRouter: healthy
+# merges must be bit-identical to unsharded answers (rows + object-file
+# page counts), a hard shard kill must raise the typed strict-mode error
+# and keep degraded mode answering exact subsets, and the restarted
+# shard must rejoin within the breaker cool-down.
+python tools/sharding_smoke.py
+
 echo "== ledger benchmark (its own tests + one smoke run) =="
 # The ledger (BENCHMARK.json) imports planner, facility, wire and
 # sharding internals from src/; running its tests and a smoke pass here
@@ -138,28 +166,5 @@ ratio = record["metrics"]["ledger.trace_overhead_ratio"]["value"]
 print(f"tracer overhead: {ratio:.2f}x (ceiling 1.4x)")
 sys.exit(0 if ratio <= 1.4 else 1)
 PY
-
-echo "== replication smoke (loopback failover drill) =="
-# Primary + tailing replica over loopback, random workload with a
-# mid-stream checkpoint, hard primary kill, promote — the promoted
-# replica must be byte-identical to the primary's durable prefix and the
-# FailoverClient must ride the failover with zero transport errors.
-python tools/replication_smoke.py
-
-echo "== lsm smoke (flush/compact/crash drill) =="
-# Fixed-seed churn over paired in-place / LSM databases: every canonical
-# query must agree on plans, rows and object-file pages (with enough
-# churn that the LSM path really flushed and compacted), then crash
-# drills mid-run-file build and mid-manifest install must recover to the
-# durable prefix with a clean deep fsck.
-python tools/lsm_smoke.py
-
-echo "== sharding smoke (loopback chaos drill) =="
-# Three hash-partitioned shard servers behind a ShardRouter: healthy
-# merges must be bit-identical to unsharded answers (rows + object-file
-# page counts), a hard shard kill must raise the typed strict-mode error
-# and keep degraded mode answering exact subsets, and the restarted
-# shard must rejoin within the breaker cool-down.
-python tools/sharding_smoke.py
 
 echo "OK"

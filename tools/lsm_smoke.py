@@ -177,8 +177,14 @@ def differential_drill() -> None:
 
 
 def durable_ops(wal_dir: str) -> int:
+    """Records that redo a workload op: not the checkpoint markers, nor the
+    mode record a ``durability="lsm"`` database logs when it is created."""
     scan = scan_wal(os.path.join(wal_dir, WAL_FILE_NAME))
-    return sum(1 for r in scan.records if not r.type.startswith("checkpoint"))
+    return sum(
+        1
+        for r in scan.records
+        if r.type != "durability" and not r.type.startswith("checkpoint")
+    )
 
 
 def crash_drill(label: str, rule: FaultRule) -> None:
