@@ -23,6 +23,9 @@ from typing import FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import kernels
+from repro.core.signature import SignatureScheme
+from repro.errors import AccessFacilityError, ConfigurationError
 from repro.objects.oid import OID
 
 SetValue = FrozenSet[Hashable]
@@ -44,6 +47,43 @@ class BatchQuerySpec:
     query: SetValue
     use_elements: Optional[int] = None
     slices_to_examine: Optional[int] = None
+
+
+def query_words(
+    scheme: SignatureScheme,
+    mode: str,
+    query: SetValue,
+    *,
+    use_elements: Optional[int] = None,
+    slices_to_examine: Optional[int] = None,
+) -> np.ndarray:
+    """The packed words a signature search of ``mode`` tests entries against.
+
+    ``superset`` and ``overlap`` test the query signature (for superset
+    with ``use_elements``, the §5.1.3 partial signature of that many
+    elements in repr-sorted order). ``subset`` tests the mask of the query
+    signature's zero positions, only the first ``slices_to_examine`` of
+    them in ascending order when given: an entry is a subset drop iff it
+    has no 1 inside the mask. The signature facilities derive their words
+    here, once per search, and hand them to ``search_words``; the LSM
+    facility hands the same words to its memtable and every run.
+    """
+    if mode not in kernels.ROW_TESTS:
+        raise ConfigurationError(f"unknown search mode: {mode!r}")
+    if use_elements is None:
+        words = scheme.set_signature(query).words
+    elif use_elements < 1:
+        raise AccessFacilityError(f"use_elements must be >= 1, got {use_elements}")
+    else:
+        words = scheme.partial_query_signature(
+            sorted(query, key=repr), use_elements
+        ).words
+    if mode != "subset":
+        return words
+    zeros = kernels.cleared_bit_indices(words, scheme.signature_bits)
+    mask = np.zeros(scheme.signature_bits, dtype=np.uint8)
+    mask[zeros[:slices_to_examine]] = 1
+    return kernels.pack_rows(mask[np.newaxis, :])[0]
 
 
 class SearchResult:

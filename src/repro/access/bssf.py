@@ -45,7 +45,13 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.access.base import FacilityOp, SearchResult, SetAccessFacility, SetValue
+from repro.access.base import (
+    FacilityOp,
+    SearchResult,
+    SetAccessFacility,
+    SetValue,
+    query_words,
+)
 from repro.access.oid_file import OIDFile
 from repro.core import kernels
 from repro.core.signature import SignatureScheme
@@ -339,12 +345,6 @@ class BitSlicedSignatureFile(SetAccessFacility):
 
     _SCAN_CHUNK = 128
 
-    def _query_bits(self, signature) -> np.ndarray:
-        """Query signature as a flat 0/1 uint8 array of length ``F``."""
-        return kernels.unpack_rows(
-            signature.words[np.newaxis, :], self.signature_bits
-        )[0]
-
     def _or_scan(self, positions):
         """OR the listed slices in order; return ``(acc_words, slices_read)``.
 
@@ -464,20 +464,10 @@ class BitSlicedSignatureFile(SetAccessFacility):
                                 detail={"mode": "superset", "slices_read": 0,
                                         "drops": self.entry_count,
                                         "live_drops": len(live)})
-        if use_elements is not None:
-            if use_elements < 1:
-                raise AccessFacilityError("use_elements must be >= 1")
-            signature = self.scheme.partial_query_signature(
-                sorted(query, key=repr), use_elements
-            )
-        else:
-            signature = self.scheme.set_signature(query)
-        positions = np.flatnonzero(self._query_bits(signature))
-        surviving, slices_read = self._and_scan(positions)
-        drop_indices = kernels.set_bit_indices(
-            surviving, self.entry_count
-        ).tolist()
-        return self._resolve(drop_indices, "superset", slices_read)
+        return self.search_words(
+            "superset",
+            query_words(self.scheme, "superset", query, use_elements=use_elements),
+        )
 
     @traced_search("bssf.search.subset")
     def search_subset(
@@ -505,15 +495,12 @@ class BitSlicedSignatureFile(SetAccessFacility):
                                 detail={"mode": "subset", "slices_read": 0,
                                         "drops": self.entry_count,
                                         "live_drops": len(live)})
-        signature = self.scheme.set_signature(query)
-        zero_positions = np.flatnonzero(self._query_bits(signature) == 0)
-        if slices_to_examine is not None:
-            zero_positions = zero_positions[:slices_to_examine]
-        eliminated, slices_read = self._or_scan(zero_positions)
-        drop_indices = kernels.cleared_bit_indices(
-            eliminated, self.entry_count
-        ).tolist()
-        return self._resolve(drop_indices, "subset", slices_read)
+        return self.search_words(
+            "subset",
+            query_words(
+                self.scheme, "subset", query, slices_to_examine=slices_to_examine
+            ),
+        )
 
     @traced_search("bssf.search.overlap")
     def search_overlap(self, query: SetValue) -> SearchResult:
@@ -526,14 +513,30 @@ class BitSlicedSignatureFile(SetAccessFacility):
             return SearchResult([], exact=True, facility=self.name,
                                 detail={"mode": "overlap", "slices_read": 0,
                                         "drops": 0, "live_drops": 0})
-        signature = self.scheme.set_signature(query)
-        overlapping, slices_read = self._or_scan(
-            np.flatnonzero(self._query_bits(signature))
+        return self.search_words(
+            "overlap", query_words(self.scheme, "overlap", query)
         )
-        drop_indices = kernels.set_bit_indices(
-            overlapping, self.entry_count
-        ).tolist()
-        return self._resolve(drop_indices, "overlap", slices_read)
+
+    def search_words(self, mode: str, words: np.ndarray) -> SearchResult:
+        """Scan the slices at the set bits of ``words`` for ``mode``.
+
+        ``words`` are what :func:`~repro.access.base.query_words` derives
+        for ``mode``. Superset ANDs the slices of the query signature's 1s
+        (the survivors are the drops); subset ORs the slices of the mask's
+        examined zero positions and overlap those of the signature's 1s
+        (subset drops are the entries left uncovered, overlap drops the
+        covered ones). Slices are read in ascending position order.
+        """
+        positions = kernels.set_bit_indices(words, self.signature_bits)
+        if mode == "superset":
+            acc, slices_read = self._and_scan(positions)
+        else:
+            acc, slices_read = self._or_scan(positions)
+        if mode == "subset":
+            drops = kernels.cleared_bit_indices(acc, self.entry_count)
+        else:
+            drops = kernels.set_bit_indices(acc, self.entry_count)
+        return self._resolve(drops.tolist(), mode, slices_read)
 
     # ------------------------------------------------------------------
     # Internals

@@ -299,9 +299,6 @@ class InternalNode:
         position = bisect.bisect_right(self.keys, key)
         return self.children[position]
 
-    def child_slot_for(self, key: bytes) -> int:
-        return bisect.bisect_right(self.keys, key)
-
     def insert_separator(self, key: bytes, right_child: int) -> None:
         """Install a separator produced by a child split."""
         position = bisect.bisect_left(self.keys, key)

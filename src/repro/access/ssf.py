@@ -28,7 +28,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.access.base import FacilityOp, SearchResult, SetAccessFacility, SetValue
+from repro.access.base import (
+    FacilityOp,
+    SearchResult,
+    SetAccessFacility,
+    SetValue,
+    query_words,
+)
 from repro.access.oid_file import OIDFile
 from repro.access.sigpack import signatures_per_page, write_signature_in_page
 from repro.core import kernels
@@ -267,11 +273,10 @@ class SequentialSignatureFile(SetAccessFacility):
         if not query:
             # Every target contains the empty set.
             return self._all_live("superset", drops=self.entry_count)
-        signature = self._query_signature(query, use_elements)
-        matrix = self._signature_matrix()
-        hits = kernels.rows_covering(matrix, signature.words)
-        drop_indices = np.nonzero(hits)[0].tolist()
-        return self._resolve(drop_indices, mode="superset")
+        return self.search_words(
+            "superset",
+            query_words(self.scheme, "superset", query, use_elements=use_elements),
+        )
 
     @traced_search("ssf.search.subset")
     def search_subset(
@@ -294,22 +299,12 @@ class SequentialSignatureFile(SetAccessFacility):
             return self._all_live(
                 "subset", drops=self.entry_count, exact=False
             )
-        signature = self.scheme.set_signature(query)
-        # target covered by query <=> target has 0 at every examined zero
-        # position of the query signature
-        zero_mask_bits = 1 - kernels.unpack_rows(
-            signature.words[np.newaxis, :], self.signature_bits
-        )[0]
-        zero_positions = np.nonzero(zero_mask_bits)[0]
-        if slices_to_examine is not None:
-            zero_positions = zero_positions[:slices_to_examine]
-            zero_mask_bits = np.zeros(self.signature_bits, dtype=np.uint8)
-            zero_mask_bits[zero_positions] = 1
-        mask_words = kernels.pack_rows(zero_mask_bits[np.newaxis, :])[0]
-        matrix = self._signature_matrix()
-        hits = kernels.rows_disjoint_from(matrix, mask_words)
-        drop_indices = np.nonzero(hits)[0].tolist()
-        return self._resolve(drop_indices, mode="subset")
+        return self.search_words(
+            "subset",
+            query_words(
+                self.scheme, "subset", query, slices_to_examine=slices_to_examine
+            ),
+        )
 
     @traced_search("ssf.search.overlap")
     def search_overlap(self, query: SetValue) -> SearchResult:
@@ -323,24 +318,24 @@ class SequentialSignatureFile(SetAccessFacility):
             return SearchResult([], exact=True, facility=self.name,
                                 detail={"mode": "overlap", "drops": 0,
                                         "live_drops": 0})
-        signature = self.scheme.set_signature(query)
-        matrix = self._signature_matrix()
-        hits = kernels.rows_intersecting(matrix, signature.words)
-        drop_indices = np.nonzero(hits)[0].tolist()
-        return self._resolve(drop_indices, mode="overlap")
+        return self.search_words(
+            "overlap", query_words(self.scheme, "overlap", query)
+        )
+
+    def search_words(self, mode: str, words: np.ndarray) -> SearchResult:
+        """Scan the signature file with ``mode``'s row test against ``words``.
+
+        ``words`` are what :func:`~repro.access.base.query_words` derives
+        for ``mode``: the query signature, or for ``subset`` the mask of
+        its examined zero positions (a target is covered by the query iff
+        it has no 1 inside the mask).
+        """
+        hits = kernels.ROW_TESTS[mode](self._signature_matrix(), words)
+        return self._resolve(np.nonzero(hits)[0].tolist(), mode=mode)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _query_signature(self, query: SetValue, use_elements: Optional[int]):
-        if use_elements is not None:
-            if use_elements < 1:
-                raise AccessFacilityError("use_elements must be >= 1")
-            return self.scheme.partial_query_signature(
-                sorted(query, key=repr), use_elements
-            )
-        return self.scheme.set_signature(query)
-
     def _entries_on_page(self, page_no: int) -> int:
         start = page_no * self.sigs_per_page
         return min(self.sigs_per_page, self.entry_count - start)

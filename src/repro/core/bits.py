@@ -179,10 +179,6 @@ class BitVector:
         self._require_same_length(other)
         np.bitwise_or(self.words, other.words, out=self.words)
 
-    def and_with(self, other: "BitVector") -> None:
-        self._require_same_length(other)
-        np.bitwise_and(self.words, other.words, out=self.words)
-
     def __or__(self, other: "BitVector") -> "BitVector":
         self._require_same_length(other)
         return BitVector(self.nbits, self.words | other.words)

@@ -133,3 +133,12 @@ def rows_disjoint_from(matrix: np.ndarray, mask_words: np.ndarray) -> np.ndarray
 def rows_intersecting(matrix: np.ndarray, query_words: np.ndarray) -> np.ndarray:
     """Per-row ``T ∩ Q ≠ ∅`` drop test: row shares a bit with the query."""
     return np.any(matrix & query_words, axis=1)
+
+
+#: the per-row drop test of each search mode, against the packed words
+#: :func:`repro.access.base.query_words` derives for that mode
+ROW_TESTS = {
+    "superset": rows_covering,
+    "subset": rows_disjoint_from,
+    "overlap": rows_intersecting,
+}

@@ -3,8 +3,10 @@
 :class:`LSMSignatureFacility` presents the same
 :class:`~repro.access.base.SetAccessFacility` contract as the in-place
 SSF/BSSF facilities — same ``name`` (so plans print identically), same
-maintenance WAL records, same search modes — but restructures the write
-path as memtable → immutable runs → tiered compaction.
+search modes, and the same WAL records, which the database writes for
+each object mutation (the facility logs nothing itself) — but
+restructures the write path as memtable → immutable runs → tiered
+compaction.
 
 Equivalence with the in-place path is by construction:
 
@@ -15,11 +17,14 @@ Equivalence with the in-place path is by construction:
   number and sorts merged candidates by it — the same order.
 * **Candidate sets.** Every drop test (superset, subset with
   ``slices_to_examine``, overlap, partial query signatures) depends only
-  on the entry's signature bits at positions fixed by the query. The
-  memtable mirrors the tests bit for bit and runs delegate to real
-  SSF/BSSF searches, so the union of live drops equals the in-place drop
-  set exactly — including false drops — whichever layout a run has
-  (flushes seal sequential runs; see :mod:`repro.lsm.run`).
+  on the entry's signature bits at positions fixed by the query. A
+  search derives those positions once, as packed words
+  (:func:`~repro.access.base.query_words`); the memtable tests them in
+  one row-kernel pass over its signature table and every run in its
+  inner SSF/BSSF ``search_words`` — the body the in-place searches end
+  in — so the union of live drops equals the in-place drop set exactly,
+  including false drops, whichever layout a run has (flushes seal
+  sequential runs; see :mod:`repro.lsm.run`).
 * **Shadowing.** The facility keeps an authoritative ``OID -> seq`` map
   of live versions (uncharged bookkeeping, like the object directory). A
   run candidate counts only if its entry's seq is the live seq; memtable
@@ -35,10 +40,8 @@ from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.access.base import SearchResult, SetAccessFacility
+from repro.access.base import SearchResult, SetAccessFacility, query_words
 from repro.access.catalog import DEFAULT_FANOUT, DEFAULT_FLUSH_THRESHOLD
-from repro.core import kernels
-from repro.core.bits import BitVector
 from repro.core.signature import SignatureScheme
 from repro.errors import AccessFacilityError, IndexCorruptionError
 from repro.lsm.manifest import RunManifest
@@ -88,7 +91,7 @@ class LSMSignatureFacility(SetAccessFacility):
         self.file_prefix = file_prefix
         self.flush_threshold = flush_threshold
         self.fanout = fanout
-        self.memtable = MemTable()
+        self.memtable = MemTable(self.scheme)
         # Oldest -> newest by data recency. Tiered merges keep levels
         # non-increasing along this list, so a level's runs are contiguous.
         self.runs: List[SignatureRun] = []
@@ -194,7 +197,7 @@ class LSMSignatureFacility(SetAccessFacility):
             raise AccessFacilityError("bulk_load requires an empty facility")
         count = 0
         for elements, oid in pairs:
-            self.memtable.insert(frozenset(elements), oid, self._next_seq, self.scheme)
+            self.memtable.insert(frozenset(elements), oid, self._next_seq)
             self._live[oid] = self._next_seq
             self._next_seq += 1
             count += 1
@@ -204,7 +207,7 @@ class LSMSignatureFacility(SetAccessFacility):
         return count
 
     def insert(self, elements: SetValue, oid: OID) -> None:
-        self.memtable.insert(elements, oid, self._next_seq, self.scheme)
+        self.memtable.insert(elements, oid, self._next_seq)
         self._live[oid] = self._next_seq
         self._next_seq += 1
         self._maybe_flush()
@@ -259,7 +262,7 @@ class LSMSignatureFacility(SetAccessFacility):
         if not entries and not tombstones:
             # e.g. an insert+delete pair that cancelled within one
             # memtable generation: nothing to persist, nothing to shadow.
-            self.memtable = MemTable()
+            self.memtable = MemTable(self.scheme)
             return None
         run = SignatureRun.build(
             self._storage,
@@ -272,7 +275,7 @@ class LSMSignatureFacility(SetAccessFacility):
             tombstones,
         )
         self.runs.append(run)
-        self.memtable = MemTable()
+        self.memtable = MemTable(self.scheme)
         self.counters["flushes"] += 1
         self._install()
         REGISTRY.histogram("lsm.flush_seconds").record(
@@ -384,12 +387,9 @@ class LSMSignatureFacility(SetAccessFacility):
     ) -> SearchResult:
         if not query:
             return self._all_live("superset", exact=True)
-        signature = self._query_signature(query, use_elements)
         return self._layered_search(
             "superset",
-            query,
-            memtable_hit=lambda entry_sig: entry_sig.covers(signature),
-            use_elements=use_elements,
+            query_words(self.scheme, "superset", query, use_elements=use_elements),
         )
 
     @traced_search("lsm.search.subset")
@@ -400,12 +400,11 @@ class LSMSignatureFacility(SetAccessFacility):
             raise AccessFacilityError("slices_to_examine must be >= 0")
         if not query:
             return self._all_live("subset", exact=False)
-        mask = self._subset_mask(query, slices_to_examine)
         return self._layered_search(
             "subset",
-            query,
-            memtable_hit=lambda entry_sig: not entry_sig.intersects(mask),
-            slices_to_examine=slices_to_examine,
+            query_words(
+                self.scheme, "subset", query, slices_to_examine=slices_to_examine
+            ),
         )
 
     @traced_search("lsm.search.overlap")
@@ -416,72 +415,23 @@ class LSMSignatureFacility(SetAccessFacility):
                 detail={"mode": "overlap", "drops": 0, "live_drops": 0,
                         "runs": len(self.runs)},
             )
-        signature = self.scheme.set_signature(query)
         return self._layered_search(
-            "overlap",
-            query,
-            memtable_hit=lambda entry_sig: entry_sig.intersects(signature),
+            "overlap", query_words(self.scheme, "overlap", query)
         )
 
-    def _query_signature(
-        self, query: SetValue, use_elements: Optional[int]
-    ) -> BitVector:
-        # Mirrors the in-place facilities: partial query signatures pick
-        # elements in the same deterministic (repr-sorted) order.
-        if use_elements is None:
-            return self.scheme.set_signature(query)
-        if use_elements < 1:
-            raise AccessFacilityError(
-                f"use_elements must be >= 1, got {use_elements}"
-            )
-        ordered = sorted(query, key=repr)
-        return self.scheme.partial_query_signature(ordered, use_elements)
+    def _layered_search(self, mode: str, words: np.ndarray) -> SearchResult:
+        """Test memtable + every run against ``words``; merge live drops in
+        seq order.
 
-    def _subset_mask(
-        self, query: SetValue, slices_to_examine: Optional[int]
-    ) -> BitVector:
-        """Bit mask of the examined zero positions of the query signature.
-
-        An entry is a subset drop iff it has no 1 at any examined zero
-        position — i.e. its signature does not intersect this mask. The
-        truncation order (ascending position) matches SSF/BSSF exactly.
+        ``words`` are derived once (:func:`query_words`): the memtable
+        tests them in one row-kernel pass, each run in its inner
+        facility's ``search_words``.
         """
-        signature = self.scheme.set_signature(query)
-        bits = kernels.unpack_rows(
-            signature.words[np.newaxis, :], self.scheme.signature_bits
-        )[0]
-        zero_positions = np.nonzero(1 - bits)[0]
-        if slices_to_examine is not None:
-            zero_positions = zero_positions[:slices_to_examine]
-        mask_bits = np.zeros(self.scheme.signature_bits, dtype=np.uint8)
-        mask_bits[zero_positions] = 1
-        words = kernels.pack_rows(mask_bits[np.newaxis, :])[0]
-        return BitVector(self.scheme.signature_bits, words)
-
-    def _layered_search(
-        self,
-        mode: str,
-        query: SetValue,
-        *,
-        memtable_hit,
-        use_elements: Optional[int] = None,
-        slices_to_examine: Optional[int] = None,
-    ) -> SearchResult:
-        """Evaluate memtable + every run; merge live drops in seq order."""
-        matches: List[Tuple[int, OID]] = []
-        drops = 0
+        matches = self.memtable.drops(mode, words)
+        drops = len(matches)
         per_run = []
-        for oid, (_, seq, entry_sig) in self.memtable.entries.items():
-            if memtable_hit(entry_sig):
-                drops += 1
-                matches.append((seq, oid))
         for run in self.runs:
-            result = run.search(
-                mode,
-                query,
-                use_elements=use_elements,
-                slices_to_examine=slices_to_examine,
-            )
+            result = run.inner.search_words(mode, words)
             run_live = 0
             for oid in result.candidates:
                 seq = run.seq_of(oid)

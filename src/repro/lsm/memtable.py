@@ -2,22 +2,27 @@
 
 The memtable is the newest layer of the facility: it holds every entry
 inserted since the last flush plus tombstones for every OID deleted since
-then. Durability comes from the WAL (the facility logs the maintenance
-record *before* touching the memtable), so nothing here touches storage —
-that is exactly what lets the write path amortize fsyncs.
+then. Durability comes from the WAL — the database logs each object
+mutation before it maintains the facility — so nothing here touches
+storage, which is exactly what lets the write path amortize fsyncs.
 
-Each entry keeps three things: the element set (needed to rebuild the
-signature when the memtable is sealed into a run and to merge runs later),
-the facility-wide sequence number of the insert (query results are ordered
-by it — see :mod:`repro.lsm.facility`), and the precomputed set signature
-(so memtable drop tests cost the same signature math as a stored entry).
+Each entry keeps its element set (needed to build the signature files
+when the memtable is sealed into a run and to merge runs later), the
+facility-wide sequence number of the insert (query results are ordered
+by it — see :mod:`repro.lsm.facility`) and the row its signature takes in
+a packed ``(buffer, rows)`` table, grown by :func:`kernels.append_rows`
+as SSF's signature matrix is. A search is then one row kernel over that
+table, ANDed with a live mask: an update or a delete clears the old row's
+live bit, and a row is never reused within a memtable generation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Set, Tuple
 
-from repro.core.bits import BitVector
+import numpy as np
+
+from repro.core import kernels
 from repro.core.signature import SignatureScheme
 from repro.objects.oid import OID
 
@@ -25,13 +30,18 @@ SetValue = FrozenSet[Hashable]
 
 
 class MemTable:
-    """Mutable newest layer: ``OID -> (elements, seq, signature)`` + tombstones."""
+    """Mutable newest layer: ``OID -> (elements, seq, row)`` + tombstones."""
 
-    def __init__(self) -> None:
-        self.entries: Dict[OID, Tuple[SetValue, int, BitVector]] = {}
+    def __init__(self, scheme: SignatureScheme) -> None:
+        self.scheme = scheme
+        self.entries: Dict[OID, Tuple[SetValue, int, int]] = {}
         self.tombstones: Set[OID] = set()
         # Operations absorbed since creation; drives the flush threshold.
         self.ops = 0
+        nwords = kernels.words_for_bits(scheme.signature_bits)
+        self._signatures = (np.zeros((0, nwords), dtype=np.uint64), 0)
+        self._live = bytearray()  # 1 while the row is its OID's entry
+        self._keys: List[Tuple[int, OID]] = []  # (seq, oid) of each row
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -40,19 +50,41 @@ class MemTable:
     def is_empty(self) -> bool:
         return not self.entries and not self.tombstones
 
-    def insert(
-        self, elements: SetValue, oid: OID, seq: int, scheme: SignatureScheme
-    ) -> None:
+    def insert(self, elements: SetValue, oid: OID, seq: int) -> None:
         """Record a new live version of ``oid`` with sequence number ``seq``."""
-        self.entries[oid] = (elements, seq, scheme.set_signature(elements))
+        self._retire(oid)
+        row = len(self._keys)
+        self._signatures = kernels.append_rows(
+            self._signatures, row, [self.scheme.set_signature(elements).words]
+        )
+        self._live.append(1)
+        self._keys.append((seq, oid))
+        self.entries[oid] = (elements, seq, row)
         self.tombstones.discard(oid)
         self.ops += 1
 
     def delete(self, oid: OID) -> None:
         """Record the deletion of ``oid`` (shadows any older layer)."""
-        self.entries.pop(oid, None)
+        self._retire(oid)
         self.tombstones.add(oid)
         self.ops += 1
+
+    def _retire(self, oid: OID) -> None:
+        entry = self.entries.pop(oid, None)
+        if entry is not None:
+            self._live[entry[2]] = 0
+
+    def drops(self, mode: str, words: np.ndarray) -> List[Tuple[int, OID]]:
+        """``(seq, oid)`` of each live entry ``mode``'s drop test keeps.
+
+        ``words`` are what :func:`repro.access.base.query_words` derives
+        for ``mode``; rows come back in row order, which is seq order.
+        """
+        buffer, rows = self._signatures
+        live = np.frombuffer(self._live, dtype=bool)
+        hits = kernels.ROW_TESTS[mode](buffer[:rows], words) & live
+        keys = self._keys
+        return [keys[row] for row in np.flatnonzero(hits).tolist()]
 
     # ------------------------------------------------------------------
     # Checkpoint descriptor
@@ -68,14 +100,10 @@ class MemTable:
 
     @classmethod
     def from_state(cls, state: list, scheme: SignatureScheme) -> "MemTable":
-        table = cls()
+        table = cls(scheme)
         entry_rows, tombstone_ints, ops = state
         for oid_int, seq, elements in entry_rows:
-            table.entries[OID.from_int(oid_int)] = (
-                frozenset(elements),
-                seq,
-                scheme.set_signature(elements),
-            )
+            table.insert(frozenset(elements), OID.from_int(oid_int), seq)
         table.tombstones = {OID.from_int(value) for value in tombstone_ints}
         table.ops = ops
         return table

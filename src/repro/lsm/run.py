@@ -27,7 +27,7 @@ decoded table in memory; the manifest carries only the table's checksum.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, FrozenSet, Hashable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Set, Tuple
 
 from repro.access.bssf import BitSlicedSignatureFile
 from repro.access.ssf import SequentialSignatureFile
@@ -209,32 +209,6 @@ class SignatureRun:
                 f"{self.inner.entry_count} entries, entry table says "
                 f"{len(self.entries)}"
             )
-
-    # ------------------------------------------------------------------
-    # Search
-    # ------------------------------------------------------------------
-    def search(
-        self,
-        mode: str,
-        query: SetValue,
-        *,
-        use_elements: Optional[int] = None,
-        slices_to_examine: Optional[int] = None,
-    ):
-        """Run the inner facility's charged drop test for one mode."""
-        if mode == "superset":
-            if use_elements is not None:
-                return self.inner.search_superset(query, use_elements=use_elements)
-            return self.inner.search_superset(query)
-        if mode == "subset":
-            if slices_to_examine is not None:
-                return self.inner.search_subset(
-                    query, slices_to_examine=slices_to_examine
-                )
-            return self.inner.search_subset(query)
-        if mode == "overlap":
-            return self.inner.search_overlap(query)
-        raise ConfigurationError(f"unknown search mode: {mode!r}")
 
     # ------------------------------------------------------------------
     # Manifest descriptor

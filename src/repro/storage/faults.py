@@ -183,14 +183,6 @@ class FaultInjector:
         """The wrapped store (used by ``detach_fault_injector``)."""
         return self._inner
 
-    def add_rule(self, rule: FaultRule) -> None:
-        self._rule_calls[len(self._rules)] = 0
-        self._rules.append(rule)
-
-    def clear_rules(self) -> None:
-        self._rules.clear()
-        self._rule_calls.clear()
-
     def rule_calls(self, index: int = 0) -> int:
         """Matching device calls rule ``index`` has seen so far.
 

@@ -13,7 +13,6 @@ durable prefix, run files and manifest slots included.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import List
 
@@ -26,9 +25,9 @@ from repro.objects.oid import OID
 from repro.objects.schema import ClassSchema
 from repro.recovery import run_fsck
 from repro.storage import FaultRule
-from repro.wal.log import WAL_FILE_NAME, scan_wal
 from tests.conftest import HOBBIES
 from tests.faults.conftest import warm_every_decode
+from tests.faults.wal_prefix import durable_ops
 from tests.wal.conftest import fingerprint
 
 MAX_POINTS = 12
@@ -142,17 +141,6 @@ def sampled(total: int) -> list:
     stride = total / MAX_POINTS
     points = sorted({round(1 + i * stride) for i in range(MAX_POINTS)} | {total})
     return [p for p in points if 1 <= p <= total]
-
-
-def durable_ops(wal_dir: str) -> int:
-    """Records that redo a workload op: not the checkpoint markers, nor the
-    mode record a ``durability="lsm"`` database logs when it is created."""
-    scan = scan_wal(os.path.join(wal_dir, WAL_FILE_NAME))
-    return sum(
-        1
-        for r in scan.records
-        if r.type != "durability" and not r.type.startswith("checkpoint")
-    )
 
 
 def crash_then_recover(tmp_path, rule: FaultRule, label: str) -> None:

@@ -20,16 +20,14 @@ mirroring ``tests/faults/test_crash_matrix.py``.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.errors import SimulatedCrashError
 from repro.objects.database import Database
 from repro.recovery import run_fsck
 from repro.storage import FaultRule
-from repro.wal.log import WAL_FILE_NAME, scan_wal
 from tests.faults.conftest import warm_every_decode
+from tests.faults.wal_prefix import durable_ops
 from tests.wal.conftest import (
     apply_ops,
     baseline_fingerprints,
@@ -61,12 +59,6 @@ def sampled(total: int) -> list:
     stride = total / MAX_POINTS
     points = sorted({round(1 + i * stride) for i in range(MAX_POINTS)} | {total})
     return [p for p in points if 1 <= p <= total]
-
-
-def durable_ops(wal_dir: str) -> int:
-    """Operation records that actually reached the log (checkpoints excluded)."""
-    scan = scan_wal(os.path.join(wal_dir, WAL_FILE_NAME))
-    return sum(1 for r in scan.records if not r.type.startswith("checkpoint"))
 
 
 def crash_then_recover(tmp_path, rule: FaultRule, label: str) -> None:

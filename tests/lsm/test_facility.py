@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.access.base import query_words
+from repro.core.signature import SignatureScheme
 from repro.errors import AccessFacilityError, IndexCorruptionError
 from repro.lsm import LSMSignatureFacility
 from repro.objects.oid import OID
@@ -259,6 +261,55 @@ class TestSearchSemantics:
         assert len(result.detail["per_run"]) == facility.run_count
 
 
+    @pytest.mark.parametrize("kind", ["ssf", "bssf"])
+    @pytest.mark.parametrize(
+        "mode, options",
+        [
+            ("superset", {}),
+            ("superset", {"use_elements": 1}),
+            ("subset", {}),
+            ("subset", {"slices_to_examine": 3}),
+            ("overlap", {}),
+        ],
+    )
+    def test_one_search_derives_one_query_signature(
+        self, kind, mode, options, monkeypatch
+    ):
+        """The memtable and every run test the words derived once; each
+        run's drops and live drops are what its public search gives."""
+        facility, _ = make_facility(kind, flush_threshold=3, fanout=10)
+        fill(facility, 11)
+        for i in (1, 4, 9):
+            old = frozenset({DOMAIN[i % len(DOMAIN)]})
+            facility.delete(old, OID(1, i))
+            facility.insert(old | {DOMAIN[5]}, OID(1, i))
+        assert facility.run_count >= 3 and len(facility.memtable) > 0
+        query = frozenset({DOMAIN[1], DOMAIN[5]})
+        calls = []
+        derive = SignatureScheme.set_signature
+
+        def counted(scheme, elements):
+            calls.append(elements)
+            return derive(scheme, elements)
+
+        monkeypatch.setattr(SignatureScheme, "set_signature", counted)
+        result = getattr(facility, f"search_{mode}")(query, **options)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        expected = []
+        for run in facility.runs:
+            public = getattr(run.inner, f"search_{mode}")(query, **options)
+            expected.append({
+                "run": run.run_id, "level": run.level,
+                "drops": public.detail["drops"],
+                "live_drops": sum(
+                    facility._live.get(oid) == run.seq_of(oid)
+                    for oid in public.candidates
+                ),
+            })
+        assert result.detail["per_run"] == expected
+
+
 class TestAccounting:
     @pytest.mark.parametrize("kind", ["ssf", "bssf"])
     def test_predicted_run_pages(self, kind):
@@ -268,7 +319,10 @@ class TestAccounting:
         assert len(predictions) == facility.run_count
         for prediction, run in zip(predictions, facility.runs):
             before = storage.snapshot()
-            run.search("superset", frozenset({DOMAIN[2]}))
+            run.inner.search_words(
+                "superset",
+                query_words(facility.scheme, "superset", frozenset({DOMAIN[2]})),
+            )
             delta = storage.snapshot() - before
             actual = sum(
                 delta.for_file(name).logical_reads

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.access.base import query_words
 from repro.errors import ConfigurationError, IndexCorruptionError
 from repro.lsm import SignatureRun
 from repro.lsm.run import run_prefix
@@ -17,6 +18,11 @@ def _entries(count, offset=0):
         OID(1, i): (frozenset({f"e{i}", f"e{i + 1}"}), offset + i)
         for i in range(count)
     }
+
+
+def _search(run, mode, query, **options):
+    words = query_words(run.inner.scheme, mode, query, **options)
+    return run.inner.search_words(mode, words)
 
 
 def _build(kind="ssf", count=6, tombstones=(), level=0, run_id=0):
@@ -35,7 +41,7 @@ def test_build_search_and_contains(kind):
     assert run.entry_count == 6
     assert OID(1, 0) in run
     assert OID(1, 99) not in run
-    result = run.search("superset", frozenset({"e2", "e3"}))
+    result = _search(run, "superset", frozenset({"e2", "e3"}))
     assert OID(1, 2) in result.candidates
     assert run.seq_of(OID(1, 2)) == 2
 
@@ -55,7 +61,7 @@ def test_unknown_kind_and_mode_rejected():
         )
     run, _ = _build()
     with pytest.raises(ConfigurationError):
-        run.search("between", frozenset({"e1"}))
+        _search(run, "between", frozenset({"e1"}))
 
 
 @pytest.mark.parametrize("kind", ["ssf", "bssf"])
@@ -67,8 +73,8 @@ def test_attach_reopens_identical_run(kind):
     reopened.verify()
     query = frozenset({"e1", "e2"})
     assert (
-        reopened.search("overlap", query).candidates
-        == run.search("overlap", query).candidates
+        _search(reopened, "overlap", query).candidates
+        == _search(run, "overlap", query).candidates
     )
 
 
@@ -156,8 +162,8 @@ def test_sequential_and_bit_sliced_runs_answer_identically():
             ("overlap", {}),
         ):
             assert (
-                sequential.search(mode, query, **options).candidates
-                == sliced.search(mode, query, **options).candidates
+                _search(sequential, mode, query, **options).candidates
+                == _search(sliced, mode, query, **options).candidates
             )
 
 

@@ -81,7 +81,14 @@ class ReferenceSSF(SequentialSignatureFile):
     ) -> SearchResult:
         if not query:
             return self._all_live("superset", drops=self.entry_count)
-        signature = self._query_signature(query, use_elements)
+        if use_elements is None:
+            signature = self.scheme.set_signature(query)
+        elif use_elements < 1:
+            raise AccessFacilityError("use_elements must be >= 1")
+        else:
+            signature = self.scheme.partial_query_signature(
+                sorted(query, key=repr), use_elements
+            )
         query_bits = signature_to_bits(signature)
         drop_indices: List[int] = []
         for page_no in range(self.signature_file.num_pages):

@@ -37,6 +37,17 @@ python -m pytest tests/access/test_golden_page_accesses.py \
     tests/access/test_verify_decodes.py tests/storage/test_decode_cache.py \
     tests/lsm/test_verify_decodes.py -q
 
+echo "== LSM search equals in-place =="
+# An LSM search derives the query's packed words once and tests the
+# memtable in one row-kernel pass and each run through its inner
+# facility's search_words: candidates (order included) must equal the
+# in-place facility's under random interleavings, layouts must answer
+# alike, and the memtable's drops must equal the per-entry oracle of
+# tests/reference/memtable.py (tier-1 covers this too; an explicit gate
+# so a reshuffle cannot drop it).
+python -m pytest tests/lsm/test_differential.py tests/lsm/test_run.py \
+    tests/lsm/test_memtable_oracle.py -q
+
 echo "== front-of-query parity =="
 # The scanner, the memoised plan pricing and the running statistics must
 # be indistinguishable from what they replaced: the tokenise-then-walk

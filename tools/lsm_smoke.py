@@ -27,9 +27,8 @@ import random
 import sys
 import tempfile
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 from repro.errors import SimulatedCrashError  # noqa: E402
 from repro.objects.database import Database  # noqa: E402
@@ -38,7 +37,7 @@ from repro.objects.schema import ClassSchema  # noqa: E402
 from repro.query.executor import QueryExecutor  # noqa: E402
 from repro.recovery import run_fsck  # noqa: E402
 from repro.storage import FaultRule  # noqa: E402
-from repro.wal.log import WAL_FILE_NAME, scan_wal  # noqa: E402
+from tests.faults.wal_prefix import durable_ops  # noqa: E402
 
 SEED = int(os.environ.get("LSM_SMOKE_SEED", "1993"))
 HOBBIES = [
@@ -173,17 +172,6 @@ def differential_drill() -> None:
             f"{kind}={lsm.index('Student', 'hobbies', kind).counters}"
             for kind in ("ssf", "bssf")
         )
-    )
-
-
-def durable_ops(wal_dir: str) -> int:
-    """Records that redo a workload op: not the checkpoint markers, nor the
-    mode record a ``durability="lsm"`` database logs when it is created."""
-    scan = scan_wal(os.path.join(wal_dir, WAL_FILE_NAME))
-    return sum(
-        1
-        for r in scan.records
-        if r.type != "durability" and not r.type.startswith("checkpoint")
     )
 
 
