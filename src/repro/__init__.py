@@ -31,7 +31,7 @@ Served over the network (``sigfile-repro serve`` on the other end)::
 """
 
 from repro.client import RemoteClient
-from repro.concurrency import RWLatch, ShardedLatch
+from repro.concurrency import RWLatch
 from repro.core.signature import SetPredicateKind, SignatureScheme
 from repro.objects.database import Database
 from repro.objects.oid import OID
@@ -62,7 +62,6 @@ __all__ = [
     "RWLatch",
     "RemoteClient",
     "SetPredicateKind",
-    "ShardedLatch",
     "SignatureScheme",
     "TcpQueryServer",
     "connect",

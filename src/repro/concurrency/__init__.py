@@ -7,10 +7,7 @@ golden page-access counts the reproduction depends on:
 * :class:`~repro.concurrency.latch.RWLatch` — a writer-preference,
   reentrant-read reader-writer latch installed at the
   :class:`~repro.objects.database.Database` facade (queries share it in
-  read mode; every mutating facade operation takes it in write mode);
-* :class:`~repro.concurrency.latch.ShardedLatch` — the same interface
-  sharded by class/file name, so mutations of one class never block
-  readers of another.
+  read mode; every mutating facade operation takes it in write mode).
 
 Thread-safety of the shared storage substrate (buffer pool, decode cache,
 disk store, metrics registry, per-thread I/O accounting) lives with the
@@ -19,6 +16,6 @@ hierarchy and the exact thread-safety contract. The worker-pool serving
 surface is :class:`repro.server.QueryService`.
 """
 
-from repro.concurrency.latch import RWLatch, ShardedLatch
+from repro.concurrency.latch import RWLatch
 
-__all__ = ["RWLatch", "ShardedLatch"]
+__all__ = ["RWLatch"]

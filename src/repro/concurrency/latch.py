@@ -1,28 +1,19 @@
-"""Reader-writer latches for concurrent query serving.
+"""The reader-writer latch for concurrent query serving.
 
 The paper evaluates the facilities one query at a time; the serving layer
-lets many readers drive them at once. Two latch shapes:
+lets many readers drive them at once. :class:`RWLatch` is one
+writer-preference reader-writer latch, and the
+:class:`~repro.objects.database.Database` facade holds one for the whole
+database. Any number of readers share it; a writer excludes everyone.
+Readers are *reentrant* (a thread holding the latch in read mode may
+re-acquire it freely — nested query execution and subquery resolution
+depend on this), a write holder may take read holds for free, and a single
+reader may *upgrade* to write (a reader that calls
+:meth:`~repro.objects.database.Database.rebuild_facility`). Writer
+preference: once a writer is waiting, new first-time readers queue behind
+it, so a steady read stream cannot starve mutations.
 
-:class:`RWLatch`
-    One writer-preference reader-writer latch. Any number of readers share
-    it; a writer excludes everyone. Readers are *reentrant* (a thread
-    holding the latch in read mode may re-acquire it freely — nested query
-    execution and subquery resolution depend on this), a write holder may
-    take read holds for free, and a single reader may *upgrade* to write
-    (the degraded-facility rebuild path runs under a read hold). Writer
-    preference: once a writer is waiting, new first-time readers queue
-    behind it, so a steady read stream cannot starve mutations.
-
-:class:`ShardedLatch`
-    A map of independent :class:`RWLatch` instances created on demand, keyed
-    by file or class name. Operations on different shards proceed fully in
-    parallel; :meth:`ShardedLatch.exclusive_scope` takes every shard in
-    sorted order for the rare whole-database critical sections (checkpoint,
-    snapshot save).
-
-Both expose the same scope API — ``read_scope(key)`` / ``write_scope(key)``
-/ ``exclusive_scope()`` — so the :class:`~repro.objects.database.Database`
-facade can hold either. Latch traffic feeds the ``latch.*`` metrics:
+Latch traffic feeds the ``latch.*`` metrics:
 ``latch.read_acquires`` / ``latch.write_acquires`` count grants,
 ``latch.read_waits`` / ``latch.write_waits`` count acquisitions that had to
 block at least once, and ``latch.upgrades`` counts read-to-write upgrades.
@@ -37,7 +28,7 @@ from typing import Dict, Optional
 from repro.errors import LatchError
 from repro.obs.metrics import REGISTRY
 
-__all__ = ["RWLatch", "ShardedLatch"]
+__all__ = ["RWLatch"]
 
 
 class RWLatch:
@@ -169,10 +160,10 @@ class RWLatch:
                 self._can_read.notify_all()
 
     # ------------------------------------------------------------------
-    # Scope API (shared with ShardedLatch; ``key`` is ignored here)
+    # Scope API
     # ------------------------------------------------------------------
     @contextmanager
-    def read_scope(self, key: Optional[str] = None):
+    def read_scope(self):
         self.acquire_read()
         try:
             yield self
@@ -180,16 +171,12 @@ class RWLatch:
             self.release_read()
 
     @contextmanager
-    def write_scope(self, key: Optional[str] = None):
+    def write_scope(self):
         self.acquire_write()
         try:
             yield self
         finally:
             self.release_write()
-
-    def exclusive_scope(self):
-        """Whole-latch exclusion (identical to a write scope here)."""
-        return self.write_scope()
 
     # ------------------------------------------------------------------
     # Introspection (tests, \health)
@@ -210,56 +197,3 @@ class RWLatch:
             f"writer_depth={s['writer_depth']}, "
             f"waiting_writers={s['waiting_writers']})"
         )
-
-
-class ShardedLatch:
-    """Independent :class:`RWLatch` per key (file or class name).
-
-    Shards are created on first use and never discarded, so a latch object,
-    once handed out, stays valid. The scope API matches :class:`RWLatch`
-    except that ``key`` is required — a sharded latch cannot guess which
-    shard an anonymous operation belongs to.
-    """
-
-    def __init__(self, name: str = "db"):
-        self.name = name
-        self._mutex = threading.Lock()
-        self._shards: Dict[str, RWLatch] = {}
-
-    def shard(self, key: str) -> RWLatch:
-        """The latch for ``key``, created on first use."""
-        if key is None:
-            raise LatchError(
-                f"sharded latch {self.name!r} needs an explicit key"
-            )
-        with self._mutex:
-            latch = self._shards.get(key)
-            if latch is None:
-                latch = self._shards[key] = RWLatch(f"{self.name}:{key}")
-            return latch
-
-    def read_scope(self, key: Optional[str] = None):
-        return self.shard(key).read_scope()
-
-    def write_scope(self, key: Optional[str] = None):
-        return self.shard(key).write_scope()
-
-    @contextmanager
-    def exclusive_scope(self):
-        """Write-hold every existing shard, in sorted order (no cycles)."""
-        with self._mutex:
-            latches = [self._shards[k] for k in sorted(self._shards)]
-        for latch in latches:
-            latch.acquire_write()
-        try:
-            yield self
-        finally:
-            for latch in reversed(latches):
-                latch.release_write()
-
-    def shard_names(self):
-        with self._mutex:
-            return sorted(self._shards)
-
-    def __repr__(self) -> str:
-        return f"ShardedLatch({self.name!r}, shards={len(self.shard_names())})"

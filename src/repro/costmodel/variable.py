@@ -172,11 +172,6 @@ class VariableCardinalityModel:
             self.false_drop_superset(Dq), self.actual_drops_superset(Dq)
         )
 
-    def ssf_retrieval_subset(self, Dq: int) -> float:
-        return self._ssf.signature_file_pages + self._resolution(
-            self.false_drop_subset(Dq), self.actual_drops_subset(Dq)
-        )
-
     # ------------------------------------------------------------------
     # NIX under variable cardinality
     # ------------------------------------------------------------------
@@ -184,12 +179,6 @@ class VariableCardinalityModel:
         """NIX geometry at the mean cardinality (posting density d̄)."""
         mean = max(1, round(self.distribution.mean()))
         return NIXCostModel(self.params, mean)
-
-    def nix_retrieval_superset(self, Dq: int) -> float:
-        nix = self.nix_model()
-        return nix.lookup_cost * Dq + (
-            self.params.pages_per_successful * self.actual_drops_superset(Dq)
-        )
 
     def nix_update_cost(self) -> float:
         """``rc · E[Dt]`` — one tree touch per element of the average set."""

@@ -27,14 +27,11 @@ class Compactor:
     def __init__(
         self,
         database: Database,
-        class_name: str,
-        attribute: str,
         facility: LSMSignatureFacility,
         *,
         interval: float = 0.05,
     ):
         self._database = database
-        self._class_name = class_name
         self._facility = facility
         self._interval = interval
         self._stop = threading.Event()
@@ -99,7 +96,7 @@ class Compactor:
         plan = self._facility.prepare_compaction()
         if plan is None:
             return False
-        with self._database.write_scope(self._class_name):
+        with self._database.write_scope():
             return self._facility.install_compaction(plan)
 
     def __repr__(self) -> str:

@@ -192,18 +192,23 @@ class LSMSignatureFacility(SetAccessFacility):
         return len(self.runs)
 
     def bulk_load(self, pairs) -> int:
-        """Backfill an empty facility: seal ``pairs`` directly into one run."""
+        """Backfill an empty facility: seal ``pairs`` directly into one run.
+
+        The pairs bypass the memtable, so each set is hashed once, by the
+        run's own bulk load.
+        """
         if self._live or self.runs or not self.memtable.is_empty:
             raise AccessFacilityError("bulk_load requires an empty facility")
+        entries: Dict[OID, Tuple[SetValue, int]] = {}
         count = 0
         for elements, oid in pairs:
-            self.memtable.insert(frozenset(elements), oid, self._next_seq)
+            entries.pop(oid, None)  # as a memtable re-insert: newest last
+            entries[oid] = (frozenset(elements), self._next_seq)
             self._live[oid] = self._next_seq
             self._next_seq += 1
             count += 1
-        if count:
-            self._seal(self.kind)
-        self.memtable.ops = 0
+        if entries:
+            self._seal(self.kind, entries, set())
         return count
 
     def insert(self, elements: SetValue, oid: OID) -> None:
@@ -234,22 +239,13 @@ class LSMSignatureFacility(SetAccessFacility):
         OID file, one entry table and a manifest of fixed-size descriptors,
         whatever the facility already holds. Bit-slicing waits for the
         merge that compaction was going to do anyway.
-        """
-        return self._seal(SEQUENTIAL)
-
-    def _seal(self, layout: str) -> Optional[SignatureRun]:
-        """Seal the memtable into a level-0 run of ``layout``; compact after.
 
         Tombstones are carried into the run only when some older run still
         holds a version of the OID; otherwise nothing needs shadowing.
-        Deterministic: the run id, entry order (by seq), entry table and
-        manifest bytes are functions of the operation history alone, which
-        is what lets WAL replay reproduce flushed state byte for byte.
         """
         if self.memtable.is_empty:
             self.memtable.ops = 0
             return None
-        started = time.perf_counter()
         entries = {
             oid: (elements, seq)
             for oid, (elements, seq, _) in self.memtable.entries.items()
@@ -264,6 +260,22 @@ class LSMSignatureFacility(SetAccessFacility):
             # memtable generation: nothing to persist, nothing to shadow.
             self.memtable = MemTable(self.scheme)
             return None
+        return self._seal(SEQUENTIAL, entries, tombstones)
+
+    def _seal(
+        self,
+        layout: str,
+        entries: Dict[OID, Tuple[SetValue, int]],
+        tombstones: Set[OID],
+    ) -> SignatureRun:
+        """Seal ``entries`` and ``tombstones`` into a level-0 run of
+        ``layout`` that replaces the memtable; compact after.
+
+        Deterministic: the run id, entry order (by seq), entry table and
+        manifest bytes are functions of the operation history alone, which
+        is what lets WAL replay reproduce flushed state byte for byte.
+        """
+        started = time.perf_counter()
         run = SignatureRun.build(
             self._storage,
             self.scheme,

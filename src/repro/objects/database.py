@@ -6,10 +6,8 @@ facilities may index the same path — that is exactly how the experiments
 compare SSF, BSSF and NIX on identical data). All object mutations keep
 every affected index synchronized.
 
-Concurrency: the facade carries a reader-writer latch
-(:class:`~repro.concurrency.RWLatch` by default, or a
-:class:`~repro.concurrency.ShardedLatch` keyed by class name with
-``latch="sharded"``). Queries hold it in read mode via
+Concurrency: the facade carries one database-wide reader-writer latch
+(:class:`~repro.concurrency.RWLatch`). Queries hold it in read mode via
 :meth:`Database.read_scope`; every mutating facade operation takes write
 mode, and checkpoint/snapshot hold :meth:`Database.exclusive_scope`. The
 latch serializes *structure* changes against readers — per-page counters
@@ -24,7 +22,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.access import catalog
 from repro.access.base import FacilityOp, SetAccessFacility
-from repro.concurrency import RWLatch, ShardedLatch
+from repro.concurrency import RWLatch
 from repro.errors import (
     AccessFacilityError,
     ConfigurationError,
@@ -47,8 +45,8 @@ IndexKey = Tuple[str, str]  # (class name, set attribute name)
 #: applies, so the last checkpoint plus the log tail survives any crash;
 #: ``"lsm"`` — WAL durability with the LSM write path: new signature
 #: facilities default to memtable + immutable runs, and log fsyncs are
-#: group-committed (``wal_fsync_interval``) since the WAL only needs to
-#: cover the memtable.
+#: group-committed (:data:`DEFAULT_LSM_FSYNC_INTERVAL`) since the WAL only
+#: needs to cover the memtable.
 DURABILITY_MODES = ("none", "snapshot", "wal", "lsm")
 
 #: Snapshot file a WAL directory's checkpoints are written to.
@@ -73,33 +71,12 @@ class Database:
         self,
         page_size: int = 4096,
         pool_capacity: int = 0,
-        auto_rebuild: bool = False,
         durability: Optional[str] = None,
         wal_dir: Optional[str] = None,
-        wal_fsync: bool = True,
-        wal_fsync_interval: Optional[int] = None,
-        latch: Any = None,
     ):
         # The facade-level reader-writer latch: queries share it in read
         # mode, every mutating facade operation takes it in write mode.
-        # ``None`` installs one database-wide RWLatch; ``"sharded"``
-        # installs a ShardedLatch keyed by class name (mutations of one
-        # class never block readers of another); any object exposing
-        # read_scope/write_scope/exclusive_scope is accepted as-is.
-        if latch is None:
-            latch = RWLatch("db")
-        elif latch == "sharded":
-            latch = ShardedLatch("db")
-        elif not (
-            hasattr(latch, "read_scope")
-            and hasattr(latch, "write_scope")
-            and hasattr(latch, "exclusive_scope")
-        ):
-            raise ConfigurationError(
-                "latch must be None, 'sharded', or expose "
-                "read_scope/write_scope/exclusive_scope"
-            )
-        self.latch = latch
+        self.latch = RWLatch("db")
         self.storage = StorageManager(page_size=page_size, pool_capacity=pool_capacity)
         self.objects = ObjectStore(self.storage)
         self._indexes: Dict[IndexKey, Dict[str, SetAccessFacility]] = {}
@@ -107,9 +84,6 @@ class Database:
         #: ``(class, attribute, facility name)`` -> reason. Queries answer
         #: via object-file scan until the facility is rebuilt.
         self._degraded: Dict[Tuple[str, str, str], str] = {}
-        #: When True, the executor rebuilds a degraded facility on its next
-        #: access instead of scanning around it.
-        self.auto_rebuild = auto_rebuild
         if durability is None:
             durability = "wal" if wal_dir is not None else "snapshot"
         if durability not in DURABILITY_MODES:
@@ -140,9 +114,7 @@ class Database:
                 )
             from repro.wal.log import WriteAheadLog
 
-            wal = WriteAheadLog(
-                wal_dir, fsync=wal_fsync, fsync_interval=wal_fsync_interval
-            )
+            wal = WriteAheadLog(wal_dir)
             if wal.end_lsn > 0 or os.path.exists(
                 os.path.join(wal_dir, CHECKPOINT_FILE_NAME)
             ):
@@ -168,9 +140,6 @@ class Database:
         wal_dir: str,
         page_size: int = 4096,
         pool_capacity: int = 0,
-        auto_rebuild: bool = False,
-        wal_fsync: bool = True,
-        wal_fsync_interval: Optional[int] = None,
     ) -> "Database":
         """Recover a WAL-mode database from its directory.
 
@@ -185,12 +154,7 @@ class Database:
         from repro.wal.replay import recover_database
 
         return recover_database(
-            wal_dir,
-            page_size=page_size,
-            pool_capacity=pool_capacity,
-            auto_rebuild=auto_rebuild,
-            wal_fsync=wal_fsync,
-            wal_fsync_interval=wal_fsync_interval,
+            wal_dir, page_size=page_size, pool_capacity=pool_capacity
         )
 
     def attach_wal(self, wal, wal_dir: str) -> None:
@@ -199,16 +163,16 @@ class Database:
         The database takes ``"lsm"`` durability if it is in that mode
         already (created so, or its log or checkpoint said so) or holds an
         LSM facility (as a directory written before the mode was logged
-        shows it), and ``"wal"`` otherwise. In ``"lsm"`` durability a log
-        opened without an fsync interval group-commits at
-        :data:`DEFAULT_LSM_FSYNC_INTERVAL`: the mode's write-path contract
-        holds after recovery and promotion too.
+        shows it), and ``"wal"`` otherwise. The mode sets the log's fsync
+        interval: ``"lsm"`` group-commits every
+        :data:`DEFAULT_LSM_FSYNC_INTERVAL` records, ``"wal"`` fsyncs every
+        record, so the mode's write-path contract holds after recovery and
+        promotion too.
         """
         lsm = self.durability == "lsm" or any(
             facility.is_lsm for _, _, facility in self._facilities()
         )
-        if lsm and wal.fsync_interval is None:
-            wal.fsync_interval = DEFAULT_LSM_FSYNC_INTERVAL
+        wal.fsync_interval = DEFAULT_LSM_FSYNC_INTERVAL if lsm else None
         self.wal, self.wal_dir = wal, wal_dir
         self.durability = "lsm" if lsm else "wal"
         self.wal_applied_lsn = wal.end_lsn
@@ -271,7 +235,7 @@ class Database:
         for class_name, attribute, facility in list(self._facilities()):
             if not facility.is_lsm:
                 continue
-            with self.write_scope(class_name):
+            with self.write_scope():
                 with self._wal_op(
                     lambda: [record, class_name, attribute, facility.name]
                 ):
@@ -309,22 +273,21 @@ class Database:
     # ------------------------------------------------------------------
     # Latching
     # ------------------------------------------------------------------
-    def read_scope(self, key: Optional[str] = None):
+    def read_scope(self):
         """Shared (read-mode) hold on the facade latch for the body.
 
-        ``key`` names the class being read — required when the latch is
-        sharded, ignored by a database-wide :class:`RWLatch`. The query
-        executor opens one of these around every plan execution.
+        The query executor opens one of these around every plan execution.
         """
-        return self.latch.read_scope(key)
+        return self.latch.read_scope()
 
-    def write_scope(self, key: Optional[str] = None):
-        """Exclusive (write-mode) hold for one class's mutations."""
-        return self.latch.write_scope(key)
+    def write_scope(self):
+        """Exclusive (write-mode) hold for a mutation."""
+        return self.latch.write_scope()
 
     def exclusive_scope(self):
-        """Whole-database exclusion (checkpoint, snapshot save)."""
-        return self.latch.exclusive_scope()
+        """Whole-database exclusion (checkpoint, snapshot save, replica
+        apply); the same hold as :meth:`write_scope`, named for intent."""
+        return self.latch.write_scope()
 
     def attach_fault_injector(self, injector=None, **kwargs):
         """Interpose a fault injector on the device *and* the WAL.
@@ -349,7 +312,7 @@ class Database:
     # Schema
     # ------------------------------------------------------------------
     def define_class(self, schema: ClassSchema) -> None:
-        with self.write_scope(schema.name):
+        with self.write_scope():
             if schema.name in self.objects.class_names():
                 # Pre-check so a failing DDL never reaches the log.
                 raise SchemaError(f"class already defined: {schema.name!r}")
@@ -452,7 +415,7 @@ class Database:
         """
         params = catalog.resolve(kind, params, self.durability == "lsm")
         key = (class_name, attribute)
-        with self.write_scope(class_name):
+        with self.write_scope():
             self._check_indexable(class_name, attribute)
             if kind in self._indexes.get(key, {}):  # before anything is logged
                 raise AccessFacilityError(
@@ -550,7 +513,7 @@ class Database:
                 class_name, oid, values, payload=encoded[0]
             )
 
-        with self.write_scope(class_name):
+        with self.write_scope():
             with self._wal_op(fields):
                 return self._mutate(class_name, oid, None, values, change, _apply_op)
 
@@ -567,7 +530,7 @@ class Database:
             encoded[0] = encode_object(values)
             return ["update", oid.to_int(), encoded[0]]
 
-        with self.write_scope(class_name):
+        with self.write_scope():
             old_values = self.objects.fetch(oid)
             with self._wal_op(fields):
                 self._mutate(
@@ -578,7 +541,7 @@ class Database:
 
     def delete(self, oid: OID) -> None:
         class_name = self.objects.class_name_of(oid)
-        with self.write_scope(class_name):
+        with self.write_scope():
             values = self.objects.fetch(oid)
             with self._wal_op(lambda: ["delete", oid.to_int()]):
                 self._mutate(
@@ -692,13 +655,13 @@ class Database:
         the degraded mark, and returns the new facility. The result is
         byte-for-byte what a fresh build over the same objects produces.
 
-        Takes the write latch for the class — when called from a reader
-        (the executor's auto-rebuild path) this is a read-to-write upgrade,
-        which the latch supports for a single upgrader at a time.
+        Takes the write latch; from a thread that holds the read latch this
+        is a read-to-write upgrade, which the latch supports for a single
+        upgrader at a time.
         """
         from repro.recovery.rebuild import rebuild_facility
 
-        with self.write_scope(class_name):
+        with self.write_scope():
             return rebuild_facility(self, class_name, attribute, facility_name)
 
     # ------------------------------------------------------------------
@@ -712,11 +675,11 @@ class Database:
 
         Each facility runs
         :meth:`~repro.access.base.SetAccessFacility.verify_decodes`, then
-        :meth:`~repro.access.base.SetAccessFacility.verify`, under its
-        class's read scope, so no write is half-seen.
+        :meth:`~repro.access.base.SetAccessFacility.verify`, under the
+        read scope, so no write is half-seen.
         """
-        for (class_name, _), per_path in sorted(self._indexes.items()):
-            with self.read_scope(class_name):
+        for _, per_path in sorted(self._indexes.items()):
+            with self.read_scope():
                 for facility in per_path.values():
                     facility.verify_decodes()
                     facility.verify()
@@ -745,15 +708,15 @@ class Database:
 
         Statistics within drift are returned as they are. Collecting them
         — a scan the first time, the path's running aggregates after —
-        holds the class's read scope, so no write is half-applied in what
-        it reads (re-entrant for a caller that already reads or writes).
+        holds the read scope, so no write is half-applied in what it
+        reads (re-entrant for a caller that already reads or writes).
         """
         self._check_indexable(class_name, attribute)
         if not refresh:
             cached = self.statistics.current(self.objects, class_name, attribute)
             if cached is not None:
                 return cached
-        with self.read_scope(class_name):
+        with self.read_scope():
             return self.statistics.get(
                 self.objects, class_name, attribute, refresh=refresh
             )
@@ -775,7 +738,7 @@ class Database:
         from repro.errors import IndexCorruptionError
 
         for class_name in self.objects.class_names():
-            with self.read_scope(class_name):  # no write half-seen
+            with self.read_scope():  # no write half-seen
                 self.objects.verify_decodes(class_name)
         self.verify_indexes()
         checked: Dict[str, int] = {}

@@ -103,8 +103,7 @@ class Span:
         While the span is open the tracer only holds an
         :class:`~repro.storage.stats.IOMeter` (two journal positions); the
         replay into an :class:`IOSnapshot` happens here, on demand, and is
-        cached. Returns ``None`` when the tracer had no I/O source or the
-        span was skipped by sampling.
+        cached. Returns ``None`` when the tracer had no I/O source.
         """
         if self._io_cache is None and self._meter is not None:
             self._io_cache = self._meter.delta()
@@ -190,16 +189,12 @@ class Tracer:
         self,
         io_source: Any = None,
         sinks: Optional[List[Any]] = None,
-        sample_every: Optional[int] = None,
         max_roots: int = 1024,
     ):
         self._stats = getattr(io_source, "stats", io_source)
         self.sinks = list(sinks or [])
         self._stack: List[Span] = []
         self._roots: Deque[Span] = deque(maxlen=max_roots)
-        self._sample_every = sample_every if sample_every and sample_every > 1 else None
-        self._root_seq = 0
-        self._capture_io = False
         self._pool = getattr(io_source, "pool", None)
 
     @property
@@ -225,16 +220,8 @@ class Tracer:
     def _enter(self, span: Span) -> None:
         if self._stack:
             self._stack[-1].children.append(span)
-        else:
-            # Sampling decides once per root tree: a skipped tree still
-            # records structure, attributes and timing, just no I/O deltas.
-            self._root_seq += 1
-            self._capture_io = self._stats is not None and (
-                self._sample_every is None
-                or (self._root_seq - 1) % self._sample_every == 0
-            )
         self._stack.append(span)
-        if self._capture_io:
+        if self._stats is not None:
             span._meter = self._stats.metered().__enter__()
             pool = self._pool
             if pool is not None:

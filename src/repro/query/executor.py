@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.access.base import SearchResult
-from repro.errors import AccessFacilityError, PlanningError, StorageError
+from repro.errors import PlanningError, StorageError
 from repro.objects.database import Database
 from repro.objects.oid import OID
 from repro.obs import tracer as trace
@@ -278,10 +278,10 @@ class QueryExecutor:
     # Plan execution
     # ------------------------------------------------------------------
     def execute_plan(self, plan: AccessPlan, query: ParsedQuery) -> QueryResult:
-        # Read latch for the whole plan execution (keyed by class for a
-        # sharded latch). The meter reads this thread's I/O journal, so
-        # under concurrent serving it sees only this query's page accesses.
-        with self.database.read_scope(plan.class_name):
+        # Read latch for the whole plan execution. The meter reads this
+        # thread's I/O journal, so under concurrent serving it sees only
+        # this query's page accesses.
+        with self.database.read_scope():
             with self.database.storage.stats.metered() as meter:
                 started = time.perf_counter()
                 if plan.is_scan:
@@ -408,44 +408,21 @@ class QueryExecutor:
 
         Returns ``(SearchResult, None)`` on success or ``(None, reason)``
         when the facility cannot answer — already degraded, or its storage
-        failed mid-search — and the query must fall back to a scan. With
-        ``auto_rebuild`` the facility is reconstructed from the object file
-        and searched once more before giving up.
+        failed mid-search — and the query must fall back to a scan. A
+        degraded facility stays out of use until
+        :meth:`~repro.objects.database.Database.rebuild_facility` repairs it.
         """
         database = self.database
         attribute = plan.driving_predicate.attribute
         key = (plan.class_name, attribute, plan.facility_name)
         if database.is_degraded(*key):
-            if not database.auto_rebuild:
-                return None, database.degraded_reason(*key) or "facility degraded"
-            if self._try_rebuild(*key) is None:
-                return None, database.degraded_reason(*key) or "facility degraded"
+            return None, database.degraded_reason(*key) or "facility degraded"
         facility = database.index(plan.class_name, attribute, plan.facility_name)
         try:
             return self._search(facility, plan), None
         except StorageError as exc:
             database.mark_degraded(*key, str(exc))
-            if database.auto_rebuild:
-                rebuilt = self._try_rebuild(*key)
-                if rebuilt is not None:
-                    try:
-                        return self._search(rebuilt, plan), None
-                    except StorageError as again:
-                        database.mark_degraded(*key, str(again))
-                        return None, str(again)
             return None, str(exc)
-
-    def _try_rebuild(self, class_name: str, attribute: str, facility_name: str):
-        """Rebuild one facility, returning it, or ``None`` if that failed."""
-        with trace.span(
-            "recovery.rebuild", facility=facility_name, attribute=attribute
-        ):
-            try:
-                return self.database.rebuild_facility(
-                    class_name, attribute, facility_name
-                )
-            except (StorageError, AccessFacilityError):
-                return None
 
     def _run_degraded_scan(self, plan: AccessPlan, query: ParsedQuery, reason):
         """Answer the query by sequential scan after a facility failure.

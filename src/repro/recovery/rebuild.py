@@ -5,8 +5,7 @@ function of the live objects, so losing or corrupting one is never fatal —
 it can be dropped and bulk-loaded again from the object store. This module
 is the single implementation of that rebuild, shared by
 :meth:`Database.rebuild_facility`, :meth:`Database.vacuum_index` (a rebuild
-is exactly a vacuum: tombstones do not survive it), auto-rebuild-on-access
-in the executor, and ``fsck --repair``.
+is exactly a vacuum: tombstones do not survive it), and ``fsck --repair``.
 """
 
 from __future__ import annotations

@@ -95,7 +95,6 @@ class ReplicaDatabase:
         token: Optional[str] = None,
         page_size: int = 4096,
         pool_capacity: int = 0,
-        wal_fsync: bool = True,
         chunk_pages: int = 8,
         reconnect_policy: Optional[RetryPolicy] = None,
         connect_timeout_seconds: float = 5.0,
@@ -121,10 +120,7 @@ class ReplicaDatabase:
         # back empty), then detach the log: replica state advances through
         # replay of *shipped* records, never through its own logging.
         db = recover_database(
-            wal_dir,
-            page_size=page_size,
-            pool_capacity=pool_capacity,
-            wal_fsync=wal_fsync,
+            wal_dir, page_size=page_size, pool_capacity=pool_capacity
         )
         self.wal = db.wal
         db.wal = None

@@ -179,7 +179,6 @@ class ShardRouter:
         retry_policy: Optional[RetryPolicy] = None,
         failure_threshold: int = 3,
         breaker_cooldown_seconds: float = 0.5,
-        max_workers: Optional[int] = None,
         owns_shards: bool = True,
     ):
         shards = list(shards)
@@ -210,7 +209,7 @@ class ShardRouter:
         self._closed = False
         self._lock = threading.Lock()
         self._pool = ThreadPoolExecutor(
-            max_workers=max_workers or 2 * len(shards),
+            max_workers=2 * len(shards),
             thread_name_prefix="shard-router",
         )
         self._submit_pool: Optional[ThreadPoolExecutor] = None

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import BufferPoolError
 from repro.obs.metrics import REGISTRY
@@ -52,14 +52,14 @@ class BufferPool:
         store: DiskStore,
         stats: IOStatistics,
         capacity: int = 64,
-        retry_policy: Optional[RetryPolicy] = None,
     ):
         if capacity < 0:
             raise BufferPoolError(f"capacity must be >= 0, got {capacity}")
         self.store = store
         self.stats = stats
         self.capacity = capacity
-        self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
+        #: the device-fault retry schedule (a fault drill may swap it)
+        self.retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY
         self._lock = threading.RLock()
         self._frames: "OrderedDict[_FrameKey, Page]" = OrderedDict()
         self._dirty: set = set()

@@ -21,7 +21,8 @@ injects faults at precisely keyed device operations:
 
 Faults are keyed by ``(file, page, op, call-count)`` through
 :class:`FaultRule` — the rule's Nth *matching* call triggers — or drawn
-from a seeded RNG (``seed=`` plus per-op rates) for randomized smoke runs.
+from a seeded RNG (``seed=`` plus ``transient_read_rate``) for randomized
+smoke runs.
 Every injected fault increments the ``storage.faults.injected`` metric and
 is appended to :attr:`FaultInjector.injected` for assertions.
 
@@ -141,7 +142,7 @@ class FaultInjector:
     """Fault-injecting proxy with the :class:`DiskStore` interface.
 
     Deterministic rules fire first; when ``seed`` is given, a private RNG
-    additionally injects transient/bitflip faults at the configured rates
+    additionally injects transient read faults at ``transient_read_rate``
     (same seed → same fault sequence, for reproducible randomized smoke
     runs). Operations that don't fault delegate verbatim to the wrapped
     store; everything not overridden here (versions, groups, file table,
@@ -154,19 +155,16 @@ class FaultInjector:
         rules: Sequence[FaultRule] = (),
         seed: Optional[int] = None,
         transient_read_rate: float = 0.0,
-        transient_write_rate: float = 0.0,
-        bitflip_write_rate: float = 0.0,
     ):
-        for rate in (transient_read_rate, transient_write_rate, bitflip_write_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise StorageError(f"fault rate must be in [0, 1], got {rate}")
+        if not 0.0 <= transient_read_rate <= 1.0:
+            raise StorageError(
+                f"fault rate must be in [0, 1], got {transient_read_rate}"
+            )
         self._inner = store
         self._rules: List[FaultRule] = list(rules)
         self._rule_calls: Dict[int, int] = {i: 0 for i in range(len(self._rules))}
         self._rng = random.Random(seed) if seed is not None else None
         self._transient_read_rate = transient_read_rate
-        self._transient_write_rate = transient_write_rate
-        self._bitflip_write_rate = bitflip_write_rate
         #: set False to pass every operation through untouched
         self.armed = True
         #: every fault fired, in order
@@ -209,16 +207,12 @@ class FaultInjector:
             seen = self._rule_calls[index]
             if rule.at_call <= seen < rule.at_call + rule.count:
                 return rule
-        if self._rng is not None:
-            if op == "read" and self._rng.random() < self._transient_read_rate:
-                return FaultRule("read", "transient")
-            if op == "write":
-                if self._rng.random() < self._transient_write_rate:
-                    return FaultRule("write", "transient")
-                if self._rng.random() < self._bitflip_write_rate:
-                    return FaultRule(
-                        "write", "bitflip", bit=self._rng.randrange(64)
-                    )
+        if (
+            self._rng is not None
+            and op == "read"
+            and self._rng.random() < self._transient_read_rate
+        ):
+            return FaultRule("read", "transient")
         return None
 
     def _record(self, rule: FaultRule, op: str, name: str, page_no: int) -> None:

@@ -143,31 +143,21 @@ class WriteAheadLog:
     """Append-only redo log in ``directory`` (one ``wal.log`` file).
 
     Opening an existing log validates it and truncates a torn tail in
-    place. ``fsync=False`` trades durability for speed (the update bench
-    uses it to separate framing cost from device cost); the default
-    fsyncs every append, which is the property recovery correctness
-    rests on.
+    place. Every append is fsynced before it returns, which is the
+    property recovery correctness rests on, unless ``fsync_interval``
+    group-commits them.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        fsync: bool = True,
-        fsync_interval: Optional[int] = None,
-    ):
+    def __init__(self, directory: str):
         os.makedirs(directory, exist_ok=True)
         self.directory = directory
         self.path = os.path.join(directory, WAL_FILE_NAME)
-        self._fsync = fsync
-        # Group commit: fsync only every Nth append (plus explicit sync()
-        # calls). The LSM write path uses this — the log only needs to
-        # cover the memtable, so a crash loses at most the records since
-        # the last interval boundary, never applied-but-unlogged state.
-        if fsync_interval is not None and fsync_interval < 1:
-            raise WalError(
-                f"fsync_interval must be >= 1, got {fsync_interval}"
-            )
-        self.fsync_interval = fsync_interval
+        #: Group commit: with an interval N, fsync only every Nth append
+        #: (plus explicit sync() calls). ``Database.attach_wal`` sets it
+        #: for ``durability="lsm"`` — the log only needs to cover the
+        #: memtable, so a crash loses at most the records since the last
+        #: interval boundary, never applied-but-unlogged state.
+        self.fsync_interval: Optional[int] = None
         self._appends_since_sync = 0
         # Group-commit buffer: with an fsync_interval, frames accumulate
         # here and reach the device in one write+flush+fsync per interval
@@ -238,8 +228,8 @@ class WriteAheadLog:
     def append(self, fields: Sequence[Any]) -> int:
         """Durably append one record; returns its LSN.
 
-        The frame is written, flushed and (by default) fsynced before this
-        method returns — only then may the caller mutate in-memory state.
+        The frame is written, flushed and fsynced (or, under group commit,
+        buffered up to the interval's fsync) before this method returns — only then may the caller mutate in-memory state.
         """
         frame = encode_record(fields)
         lsn = self.end_lsn
@@ -257,9 +247,8 @@ class WriteAheadLog:
             else:
                 self._stream.write(frame)
                 self._stream.flush()
-                if self._fsync:
-                    os.fsync(self._stream.fileno())
-                    REGISTRY.counter("wal.fsyncs").inc()
+                os.fsync(self._stream.fileno())
+                REGISTRY.counter("wal.fsyncs").inc()
         self._advance(lsn + len(frame))
         return lsn
 
@@ -269,7 +258,7 @@ class WriteAheadLog:
             self._stream.write(self._buffer)
             self._buffer.clear()
         self._stream.flush()
-        if self._fsync and self._appends_since_sync:
+        if self._appends_since_sync:
             os.fsync(self._stream.fileno())
             REGISTRY.counter("wal.fsyncs").inc()
         self._appends_since_sync = 0
@@ -300,9 +289,8 @@ class WriteAheadLog:
         self._stream.write(frame)
         self._stream.flush()
         REGISTRY.counter("wal.appends").inc()
-        if self._fsync:
-            os.fsync(self._stream.fileno())
-            REGISTRY.counter("wal.fsyncs").inc()
+        os.fsync(self._stream.fileno())
+        REGISTRY.counter("wal.fsyncs").inc()
         self._advance(lsn + len(frame))
         return lsn
 

@@ -29,7 +29,7 @@ correct repair.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.errors import ObjectStoreError, ReproError, SimulatedCrashError, WalError
 from repro.objects.oid import OID
@@ -50,9 +50,6 @@ def recover_database(
     wal_dir: str,
     page_size: int = 4096,
     pool_capacity: int = 0,
-    auto_rebuild: bool = False,
-    wal_fsync: bool = True,
-    wal_fsync_interval: Optional[int] = None,
 ) -> "Database":
     """Open a WAL directory: checkpoint + tail replay → live database.
 
@@ -69,16 +66,13 @@ def recover_database(
     from repro.persistence.snapshot import load_database
 
     # raises on interior damage
-    wal = WriteAheadLog(
-        wal_dir, fsync=wal_fsync, fsync_interval=wal_fsync_interval
-    )
+    wal = WriteAheadLog(wal_dir)
     try:
         checkpoint = os.path.join(wal_dir, CHECKPOINT_FILE_NAME)
         if os.path.exists(checkpoint):
             db = load_database(checkpoint, pool_capacity=pool_capacity)
         else:
             db = Database(page_size=page_size, pool_capacity=pool_capacity)
-        db.auto_rebuild = auto_rebuild
         replay_records(db, wal.records())
     except BaseException:
         wal.close()

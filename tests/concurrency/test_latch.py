@@ -1,4 +1,4 @@
-"""Unit tests for the reader-writer latches (repro.concurrency)."""
+"""Unit tests for the reader-writer latch (repro.concurrency)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.concurrency import RWLatch, ShardedLatch
+from repro.concurrency import RWLatch
 from repro.errors import LatchError
 
 
@@ -150,69 +150,3 @@ class TestUpgrade:
         # winner).
         assert len(failures) == 1
         assert len(upgraded) == 1
-
-
-class TestShardedLatch:
-    def test_shards_are_independent(self):
-        """A writer on one shard never blocks a reader on another."""
-        latch = ShardedLatch("t")
-        writer_in = threading.Event()
-        release = threading.Event()
-        reader_done = threading.Event()
-
-        def writer():
-            with latch.write_scope("file-a"):
-                writer_in.set()
-                release.wait(timeout=5)
-
-        def reader():
-            writer_in.wait(timeout=5)
-            with latch.read_scope("file-b"):
-                reader_done.set()
-
-        w = _spawn(writer)
-        r = _spawn(reader)
-        assert reader_done.wait(timeout=5)  # reader finished while writer held
-        release.set()
-        w.join(timeout=5)
-        r.join(timeout=5)
-
-    def test_key_required(self):
-        with pytest.raises(LatchError):
-            ShardedLatch("t").read_scope(None)
-
-    def test_exclusive_scope_holds_every_shard(self):
-        latch = ShardedLatch("t")
-        with latch.read_scope("a"):
-            pass
-        with latch.read_scope("b"):
-            pass
-        held = threading.Event()
-        release = threading.Event()
-        blocked_reader_ran = threading.Event()
-
-        def exclusive():
-            with latch.exclusive_scope():
-                held.set()
-                release.wait(timeout=5)
-
-        def reader():
-            held.wait(timeout=5)
-            with latch.read_scope("b"):
-                blocked_reader_ran.set()
-
-        e = _spawn(exclusive)
-        r = _spawn(reader)
-        held.wait(timeout=5)
-        time.sleep(0.05)
-        assert not blocked_reader_ran.is_set()
-        release.set()
-        e.join(timeout=5)
-        r.join(timeout=5)
-        assert blocked_reader_ran.is_set()
-
-    def test_shard_names(self):
-        latch = ShardedLatch("t")
-        latch.shard("b")
-        latch.shard("a")
-        assert latch.shard_names() == ["a", "b"]

@@ -3,7 +3,7 @@
 ``plan_query`` runs before the executor takes its read scope, so the
 statistics collection it may trigger — the seeding scan of a path, or a
 snapshot of its running aggregates once the class has drifted — has to
-take the class's read scope itself. Reader threads plan in a loop while
+take the read scope itself. Reader threads plan in a loop while
 one writer inserts, updates and deletes through the facade, far enough to
 cross the drift threshold many times: no thread may see an exception (a
 scan racing a write dies on a resized directory or a vanished OID), every
@@ -30,8 +30,8 @@ MUTATIONS = 400
 QUERY = parse_query('select Student where hobbies has-subset ("Chess", "Golf")')
 
 
-def _build(latch) -> Database:
-    db = Database(pool_capacity=0, latch=latch)
+def _build() -> Database:
+    db = Database(pool_capacity=0)
     db.define_class(ClassSchema.build("Student", name="scalar", hobbies="set"))
     db.create_ssf_index("Student", "hobbies", 128, 2)
     db.create_bssf_index("Student", "hobbies", 128, 2)
@@ -44,8 +44,8 @@ def _build(latch) -> Database:
     return db
 
 
-def _race(latch) -> None:
-    db = _build(latch)
+def test_readers_plan_across_drift_refreshes_against_one_writer():
+    db = _build()
     errors = []
     handed = {}
     boundaries = {}
@@ -71,7 +71,7 @@ def _race(latch) -> None:
                 }
                 roll = rng.random()
                 planned.clear()
-                with db.write_scope("Student"):
+                with db.write_scope():
                     if roll < 0.4 or len(live) < 10:
                         live.append(db.insert("Student", values))
                     elif roll < 0.7:
@@ -101,7 +101,7 @@ def _race(latch) -> None:
             errors.append(exc)
             raise
 
-    with db.write_scope("Student"):
+    with db.write_scope():
         note_boundary()
     threads = [threading.Thread(target=writer, name="writer")]
     threads += [
@@ -126,11 +126,3 @@ def _race(latch) -> None:
     assert db.analyze("Student", "hobbies", refresh=True) == analyze(
         db.objects, "Student", "hobbies"
     )
-
-
-def test_readers_plan_across_drift_refreshes_against_one_writer():
-    _race(None)
-
-
-def test_readers_plan_across_drift_refreshes_under_a_sharded_latch():
-    _race("sharded")

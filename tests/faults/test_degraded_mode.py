@@ -143,22 +143,6 @@ class TestDegradationBookkeeping:
         assert run_fsck(db, deep=True).ok
 
 
-class TestAutoRebuild:
-    def test_auto_rebuild_heals_on_next_access(self):
-        db = build_indexed_db()
-        db.auto_rebuild = True
-        corrupt_page(db, facility_files(db, "ssf")[0], 0)
-        oids, stats = superset_results(db, QUERY_SETS[0], "ssf")
-        assert oids == scan_ground_truth(db, QUERY_SETS[0])
-        # The rebuild happened inline: no fallback scan, healthy plan.
-        assert "degraded" not in stats.detail
-        assert "degraded-fallback" not in stats.plan
-        assert not db.is_degraded("Student", "hobbies", "ssf")
-        assert REGISTRY.counter("recovery.rebuilds").value == 1
-        assert REGISTRY.counter("query.degraded_fallbacks").value == 0
-        assert run_fsck(db).ok
-
-
 class TestIntersectionLeg:
     """A damaged second leg skips the intersection, never the answer."""
 

@@ -13,8 +13,7 @@ def test_background_compactor_preserves_answers():
     churn_students(reference)
 
     facility = subject.index("Student", "hobbies", "bssf")
-    compactor = Compactor(subject, "Student", "hobbies", facility,
-                          interval=0.005)
+    compactor = Compactor(subject, facility, interval=0.005)
     with compactor:
         assert facility.auto_compact is False
         churn_students(subject)
@@ -45,7 +44,7 @@ def test_queries_run_concurrently_with_merges():
     facility = subject.index("Student", "hobbies", "bssf")
     executor = QueryExecutor(subject)
     rng = random.Random(3)
-    with Compactor(subject, "Student", "hobbies", facility, interval=0.001):
+    with Compactor(subject, facility, interval=0.001):
         churn_students(subject, inserts=30, updates=8, deletes=4)
         for _ in range(25):
             text = rng.choice(QUERY_TEXTS)
@@ -57,7 +56,7 @@ def test_queries_run_concurrently_with_merges():
 def test_stop_without_drain_leaves_facility_consistent():
     subject = build_db(lsm=True)
     facility = subject.index("Student", "hobbies", "bssf")
-    compactor = Compactor(subject, "Student", "hobbies", facility)
+    compactor = Compactor(subject, facility)
     compactor.start()
     churn_students(subject, inserts=20, updates=4, deletes=2)
     compactor.stop(drain=False)

@@ -226,6 +226,41 @@ class TestBulkLoad:
         assert facility.entry_count == 10
         assert facility.memtable.ops == 0  # backfill does not count as churn
 
+    @pytest.mark.parametrize("kind", ["ssf", "bssf"])
+    def test_bulk_load_hashes_each_set_once(self, kind, monkeypatch):
+        """The pairs bypass the memtable: no per-set signature, and the
+        run's own bulk load hashes each set exactly once."""
+        facility, _ = make_facility(kind, flush_threshold=2)
+        pairs = [
+            (frozenset({DOMAIN[i % 16], DOMAIN[(i * 7) % 16]}), OID(1, i))
+            for i in range(1000)
+        ]
+        single, many = [], []
+        derive_one = SignatureScheme.set_signature
+        derive_many = SignatureScheme.set_signature_words_many
+
+        def counted_one(scheme, elements):
+            single.append(elements)
+            return derive_one(scheme, elements)
+
+        def counted_many(scheme, element_sets):
+            many.extend(element_sets)
+            return derive_many(scheme, element_sets)
+
+        monkeypatch.setattr(SignatureScheme, "set_signature", counted_one)
+        monkeypatch.setattr(SignatureScheme, "set_signature_words_many", counted_many)
+        assert facility.bulk_load(pairs) == 1000
+        assert single == []
+        assert sorted(many, key=sorted) == sorted(
+            (elements for elements, _ in pairs), key=sorted
+        )
+        monkeypatch.undo()
+        assert facility.run_count == 1 and facility.memtable.is_empty
+        query = frozenset({DOMAIN[3]})
+        assert facility.search_superset(query).candidates == (
+            facility.runs[0].inner.search_superset(query).candidates
+        )
+
     def test_bulk_load_requires_empty_facility(self):
         facility, _ = make_facility()
         facility.insert(frozenset({"e1"}), OID(1, 0))

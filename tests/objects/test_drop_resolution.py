@@ -579,7 +579,7 @@ def test_readers_share_the_record_decode_with_a_writer():
 
     def reader():
         for _ in range(150):
-            with db.read_scope("Item"):
+            with db.read_scope():
                 got = db.objects.resolve(words, predicate)
                 want = resolve_one_at_a_time(db.objects, words, predicate)
             if got != want:

@@ -1,11 +1,10 @@
-"""Near-zero-cost tracing: lazy I/O materialization, sampling, root ring.
+"""Near-zero-cost tracing: lazy I/O materialization and the root ring.
 
 The tracer's record-path work is one journal append per I/O call and one
 position capture per span; the per-file delta a span reports is replayed
 lazily from the journal on first ``span.io`` access. These tests pin the
 laziness contract (exactness after the fact, including the many-files
-record forms), the ``sample_every`` knob (unsampled trees keep their
-structure but skip I/O capture), and the bounded ``max_roots`` ring.
+record forms) and the bounded ``max_roots`` ring.
 """
 
 from repro.obs.tracer import Tracer, activate
@@ -75,39 +74,6 @@ class TestLazyIO:
                 touch(traced, "a", 3)
         touch(plain, "a", 3)
         assert traced.snapshot().total() == plain.snapshot().total()
-
-
-class TestSampling:
-    def test_unsampled_roots_keep_structure_but_skip_io(self):
-        manager = make_manager()
-        tracer = Tracer(io_source=manager, sample_every=2)
-        for i in range(4):
-            with tracer.span(f"q{i}"):
-                touch(manager, f"f{i}", 1)
-        roots = tracer.roots
-        assert [s.name for s in roots] == ["q0", "q1", "q2", "q3"]
-        assert roots[0].io is not None and roots[2].io is not None
-        assert roots[1].io is None and roots[3].io is None
-        assert roots[1].pages_by_file() == {}
-
-    def test_sample_every_one_captures_everything(self):
-        manager = make_manager()
-        tracer = Tracer(io_source=manager, sample_every=1)
-        for i in range(3):
-            with tracer.span(f"q{i}"):
-                touch(manager, "f", 1)
-        assert all(root.io is not None for root in tracer.roots)
-
-    def test_nested_spans_follow_their_roots_sampling_decision(self):
-        manager = make_manager()
-        tracer = Tracer(io_source=manager, sample_every=2)
-        for i in range(2):
-            with tracer.span(f"root{i}"):
-                with tracer.span("child"):
-                    touch(manager, "f", 1)
-        sampled, unsampled = tracer.roots
-        assert sampled.children[0].io is not None
-        assert unsampled.children[0].io is None
 
 
 class TestRootRing:

@@ -26,7 +26,7 @@ from tests.wal.conftest import apply_ops, workload_ops
 
 
 def _log_with(tmp_path, count: int, payload: bytes = b"x" * 40):
-    log = WriteAheadLog(str(tmp_path / "w"), fsync=False)
+    log = WriteAheadLog(str(tmp_path / "w"))
     for i in range(count):
         log.append(["noop", i, payload.decode()])
     return log

@@ -75,11 +75,15 @@ class TestAppendAndScan:
         assert REGISTRY.counter("wal.fsyncs").value == 2
         wal.close()
 
-    def test_fsync_false_skips_the_fsync_meter(self, tmp_path):
-        wal = WriteAheadLog(str(tmp_path), fsync=False)
-        wal.append(["delete", 1])
-        assert REGISTRY.counter("wal.appends").value == 1
-        assert REGISTRY.counter("wal.fsyncs").value == 0
+    def test_group_commit_fsyncs_once_per_interval(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path))
+        wal.fsync_interval = 2
+        for number in range(3):
+            wal.append(["delete", number])
+        assert REGISTRY.counter("wal.appends").value == 3
+        assert REGISTRY.counter("wal.fsyncs").value == 1
+        wal.sync()  # the third append's fsync is owed until now
+        assert REGISTRY.counter("wal.fsyncs").value == 2
         wal.close()
 
 

@@ -18,6 +18,14 @@ echo "== tracing overhead guard =="
 # future tier-1 reshuffle cannot silently drop it).
 python -m pytest tests/obs/test_no_overhead.py -q
 
+echo "== option census =="
+# Every defaulted constructor parameter of the documented API must name
+# what reaches it (a ledger workload, a paper experiment, a CLI flag, or
+# a claim with its ROADMAP item), and no census entry may outlive its
+# parameter (tier-1 covers this too; an explicit gate so a reshuffle
+# cannot drop it).
+python -m pytest tests/test_option_census.py -q
+
 echo "== page-count parity =="
 # Every path that answers from decoded state and *charges* the pages it
 # stands for (SSF/BSSF kernels, the OID table, drop resolution by page
@@ -71,6 +79,19 @@ echo "== facility catalog =="
 # this too; an explicit gate so a reshuffle cannot drop it).
 python -m pytest tests/access/test_catalog.py tests/persistence \
     tests/objects/test_database.py tests/sharding/test_partitioner.py -q
+
+echo "== REPORT.md is current =="
+# The checked-in report must be what the experiments print today: a
+# change that moves a figure or a table fails here until the report is
+# regenerated (python -m repro.cli report).
+report_tmp="$(mktemp)"
+python -m repro.cli report --output "$report_tmp" 2> /dev/null
+if ! cmp "$report_tmp" REPORT.md; then
+    rm -f "$report_tmp"
+    echo "REPORT.md is stale; run: python -m repro.cli report" >&2
+    exit 1
+fi
+rm -f "$report_tmp"
 
 echo "== fault injection (fixed seed) =="
 python -m pytest tests/faults -q
