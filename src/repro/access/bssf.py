@@ -156,23 +156,30 @@ class BitSlicedSignatureFile(SetAccessFacility):
         self._formatted_pages = pages_needed
 
     def bulk_load(self, pairs) -> int:
-        """Build the BSSF from scratch, slice-column-at-a-time.
+        """Build the BSSF from scratch: hash ``pairs`` (an iterable of
+        ``(set value, OID)``) in one batch, then :meth:`bulk_load_words`."""
+        pairs = list(pairs)
+        return self.bulk_load_words(
+            self.scheme.set_signature_words_many(
+                [elements for elements, _ in pairs]
+            ),
+            [oid for _, oid in pairs],
+        )
 
-        The full bit matrix is produced by one ``unpackbits`` over the
-        stacked signature words and written out with a single transpose +
+    def bulk_load_words(self, word_rows: np.ndarray, oids: List[OID]) -> int:
+        """Build the BSSF from packed signature rows, slice-column-at-a-time.
+
+        ``word_rows`` is the ``(n, W)`` uint64 signature of ``oids[i]`` in
+        row ``i``. The full bit matrix is produced by one ``unpackbits``
+        over the rows and written out with a single transpose +
         ``packbits`` covering every slice, charging two logical writes
         (append + write-back) per slice page. Only valid on an empty
         facility; returns the entry count.
         """
         if self.entry_count:
             raise AccessFacilityError("bulk_load requires an empty BSSF")
-        pairs = list(pairs)
-        oids: List[OID] = [oid for _, oid in pairs]
         if not oids:
             return 0
-        word_rows = self.scheme.set_signature_words_many(
-            [elements for elements, _ in pairs]
-        )
         matrix = kernels.unpack_rows(word_rows, self.signature_bits)
         entries = len(oids)
         pages_needed = -(-entries // self.entries_per_slice_page)
@@ -303,6 +310,18 @@ class BitSlicedSignatureFile(SetAccessFacility):
                     np.frombuffer(slice_file.peek_page(page_no).data, dtype="<u8")
                 )
         return matrix
+
+    def decode_signatures(self) -> np.ndarray:
+        """Every entry's signature as packed ``(entry_count, W)`` rows,
+        transposed from a fresh decode of every slice page (nothing
+        charged, nothing cached)."""
+        bits = np.unpackbits(
+            self._decode_slices().view(np.uint8),
+            axis=1,
+            bitorder="little",
+            count=self.entry_count,
+        )
+        return kernels.pack_rows(bits.T)
 
     def verify_decodes(self) -> None:
         """Check the slice matrix held at the slices' group version against

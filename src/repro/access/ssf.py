@@ -106,24 +106,30 @@ class SequentialSignatureFile(SetAccessFacility):
         return self.oid_file.entry_count
 
     def bulk_load(self, pairs) -> int:
-        """Build the SSF from scratch, page-at-a-time.
+        """Build the SSF from scratch: hash ``pairs`` (an iterable of
+        ``(set value, OID)``) in one batch, then :meth:`bulk_load_words`."""
+        pairs = list(pairs)
+        return self.bulk_load_words(
+            self.scheme.set_signature_words_many(
+                [elements for elements, _ in pairs]
+            ),
+            [oid for _, oid in pairs],
+        )
 
-        ``pairs`` is an iterable of ``(set value, OID)``. Each signature
-        page and each OID page is written once, instead of once per entry:
-        every page image comes out of one batched ``unpackbits``/``packbits``
-        pass over the stacked signature words. Only valid on an empty
-        facility; returns the entry count.
+    def bulk_load_words(self, word_rows: np.ndarray, oids: List[OID]) -> int:
+        """Build the SSF from packed signature rows, page-at-a-time.
+
+        ``word_rows`` is the ``(n, W)`` uint64 signature of ``oids[i]`` in
+        row ``i``. Each signature page and each OID page is written once,
+        instead of once per entry: every page image comes out of one
+        batched ``unpackbits``/``packbits`` pass over the rows. Only valid
+        on an empty facility; returns the entry count.
         """
         if self.entry_count:
             raise AccessFacilityError("bulk_load requires an empty SSF")
-        pairs = list(pairs)
-        oids: List[OID] = [oid for _, oid in pairs]
         if not oids:
             return 0
         entries = len(oids)
-        word_rows = self.scheme.set_signature_words_many(
-            [elements for elements, _ in pairs]
-        )
         bit_rows = kernels.unpack_rows(word_rows, self.signature_bits)
         pages_needed = -(-entries // self.sigs_per_page)
         page_bit_count = self.signature_file.page_size * 8
@@ -211,10 +217,10 @@ class SequentialSignatureFile(SetAccessFacility):
         return buffer[:rows]
 
     def _decoded_rows(self) -> Tuple[np.ndarray, int]:
-        matrix = self._decode_signatures()
+        matrix = self.decode_signatures()
         return matrix, len(matrix)
 
-    def _decode_signatures(self) -> np.ndarray:
+    def decode_signatures(self) -> np.ndarray:
         """Every stored signature, read with :meth:`PagedFile.peek_page`,
         as the packed matrix (nothing charged, nothing cached)."""
         if self.entry_count == 0:
@@ -243,7 +249,7 @@ class SequentialSignatureFile(SetAccessFacility):
 
     def _diff(self, decoded: Tuple[np.ndarray, int]) -> Optional[str]:
         buffer, rows = decoded
-        fresh = self._decode_signatures()
+        fresh = self.decode_signatures()
         if rows != len(fresh):
             bad = min(rows, len(fresh))
         else:

@@ -8,9 +8,10 @@ path restructures writes as append-only:
   memory; the WAL alone makes them durable, so fsyncs can be amortized
   with a group-commit interval.
 * :class:`~repro.lsm.run.SignatureRun` — an immutable signature segment
-  (reusing the packed kernels and per-page CRC sidecars) that owns its
-  entry table: sequential when sealed from a flushed memtable, in the
-  facility's kind when bulk-loaded or merged.
+  (reusing the packed kernels and per-page CRC sidecars) whose record is
+  its signature rows, held and written to its entry table: sequential
+  when sealed from a flushed memtable, in the facility's kind when
+  bulk-loaded or merged.
 * :class:`~repro.lsm.manifest.RunManifest` — dual-slot, versioned,
   checksummed installs of one fixed-size descriptor per live run; a torn
   install rolls back to the previous version.

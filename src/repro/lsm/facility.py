@@ -171,7 +171,7 @@ class LSMSignatureFacility(SetAccessFacility):
         for run in self.runs:  # oldest -> newest
             for oid in run.tombstones:
                 live.pop(oid, None)
-            for oid, (_, seq) in run.entries.items():
+            for oid, (seq, _) in run.entries.items():
                 live[oid] = seq
         for oid in self.memtable.tombstones:
             live.pop(oid, None)
@@ -194,21 +194,25 @@ class LSMSignatureFacility(SetAccessFacility):
     def bulk_load(self, pairs) -> int:
         """Backfill an empty facility: seal ``pairs`` directly into one run.
 
-        The pairs bypass the memtable, so each set is hashed once, by the
-        run's own bulk load.
+        The pairs bypass the memtable, so each surviving set is hashed
+        once, in one :meth:`SignatureScheme.set_signature_words_many` batch.
         """
         if self._live or self.runs or not self.memtable.is_empty:
             raise AccessFacilityError("bulk_load requires an empty facility")
-        entries: Dict[OID, Tuple[SetValue, int]] = {}
+        latest: Dict[OID, Tuple[int, SetValue]] = {}
         count = 0
         for elements, oid in pairs:
-            entries.pop(oid, None)  # as a memtable re-insert: newest last
-            entries[oid] = (frozenset(elements), self._next_seq)
+            latest.pop(oid, None)  # as a memtable re-insert: newest last
+            latest[oid] = (self._next_seq, elements)
             self._live[oid] = self._next_seq
             self._next_seq += 1
             count += 1
-        if entries:
-            self._seal(self.kind, entries, set())
+        if latest:
+            keys = [(seq, oid) for oid, (seq, _) in latest.items()]
+            words = self.scheme.set_signature_words_many(
+                [elements for _, elements in latest.values()]
+            )
+            self._seal(self.kind, keys, words, set())
         return count
 
     def insert(self, elements: SetValue, oid: OID) -> None:
@@ -246,29 +250,28 @@ class LSMSignatureFacility(SetAccessFacility):
         if self.memtable.is_empty:
             self.memtable.ops = 0
             return None
-        entries = {
-            oid: (elements, seq)
-            for oid, (elements, seq, _) in self.memtable.entries.items()
-        }
+        keys, words = self.memtable.live_rows()
         tombstones = {
             oid
             for oid in self.memtable.tombstones
             if any(oid in run for run in self.runs)
         }
-        if not entries and not tombstones:
+        if not keys and not tombstones:
             # e.g. an insert+delete pair that cancelled within one
             # memtable generation: nothing to persist, nothing to shadow.
             self.memtable = MemTable(self.scheme)
             return None
-        return self._seal(SEQUENTIAL, entries, tombstones)
+        return self._seal(SEQUENTIAL, keys, words, tombstones)
 
     def _seal(
         self,
         layout: str,
-        entries: Dict[OID, Tuple[SetValue, int]],
+        keys: List[Tuple[int, OID]],
+        words: np.ndarray,
         tombstones: Set[OID],
     ) -> SignatureRun:
-        """Seal ``entries`` and ``tombstones`` into a level-0 run of
+        """Seal ``keys`` — ``(seq, oid)`` in seq order — with their packed
+        signature rows ``words`` and ``tombstones`` into a level-0 run of
         ``layout`` that replaces the memtable; compact after.
 
         Deterministic: the run id, entry order (by seq), entry table and
@@ -283,7 +286,8 @@ class LSMSignatureFacility(SetAccessFacility):
             self._allocate_run_id(),
             0,
             layout,
-            entries,
+            keys,
+            words,
             tombstones,
         )
         self.runs.append(run)
@@ -335,15 +339,22 @@ class LSMSignatureFacility(SetAccessFacility):
             if victims is None:
                 return None
         started = time.perf_counter()
-        merged_entries: Dict[OID, Tuple[SetValue, int]] = {}
+        # OID -> (seq, row in the victims' concatenated rows)
+        merged: Dict[OID, Tuple[int, int]] = {}
         merged_tombstones: Set[OID] = set()
+        offset = 0
         for run in victims:  # oldest -> newest within the tier
             for oid in run.tombstones:
-                merged_entries.pop(oid, None)
+                merged.pop(oid, None)
                 merged_tombstones.add(oid)
-            for oid, (elements, seq) in run.entries.items():
+            for oid, (seq, row) in run.entries.items():
                 merged_tombstones.discard(oid)
-                merged_entries[oid] = (elements, seq)
+                merged[oid] = (seq, offset + row)
+            offset += len(run.words)
+        ordered = sorted(merged.items(), key=lambda item: item[1][0])
+        words = np.concatenate([run.words for run in victims])[
+            [row for _, (_, row) in ordered]
+        ]
         first = self.runs.index(victims[0])
         older = self.runs[:first]
         merged_tombstones = {
@@ -358,7 +369,8 @@ class LSMSignatureFacility(SetAccessFacility):
             self._allocate_run_id(),
             victims[0].level + 1,
             self.kind,
-            merged_entries,
+            [(seq, oid) for oid, (seq, _) in ordered],
+            words,
             merged_tombstones,
         )
         REGISTRY.histogram("lsm.compaction_seconds").record(
@@ -514,9 +526,10 @@ class LSMSignatureFacility(SetAccessFacility):
         }
 
     def verify_decodes(self) -> None:
-        """Check every run's held decodes against its pages."""
+        """Check every run's held decodes and signature rows against its
+        pages (:meth:`SignatureRun.verify_decodes`)."""
         for run in self.runs:
-            run.inner.verify_decodes()
+            run.verify_decodes()
 
     def verify(self) -> None:
         """Structural invariants: runs intact, shadowing map consistent."""

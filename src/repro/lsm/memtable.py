@@ -6,14 +6,16 @@ then. Durability comes from the WAL — the database logs each object
 mutation before it maintains the facility — so nothing here touches
 storage, which is exactly what lets the write path amortize fsyncs.
 
-Each entry keeps its element set (needed to build the signature files
-when the memtable is sealed into a run and to merge runs later), the
-facility-wide sequence number of the insert (query results are ordered
-by it — see :mod:`repro.lsm.facility`) and the row its signature takes in
-a packed ``(buffer, rows)`` table, grown by :func:`kernels.append_rows`
-as SSF's signature matrix is. A search is then one row kernel over that
-table, ANDed with a live mask: an update or a delete clears the old row's
-live bit, and a row is never reused within a memtable generation.
+Each entry keeps the facility-wide sequence number of the insert (query
+results are ordered by it — see :mod:`repro.lsm.facility`) and the row
+its signature takes in a packed ``(buffer, rows)`` table, grown by
+:func:`kernels.append_rows` as SSF's signature matrix is. A search is
+then one row kernel over that table, ANDed with a live mask: an update or
+a delete clears the old row's live bit, and a row is never reused within
+a memtable generation. A flush seals the live rows as they are
+(:meth:`MemTable.live_rows`), so a set is hashed once, on insert. The
+element sets are kept only for the checkpoint state (:meth:`to_state`),
+which re-inserts them on load.
 """
 
 from __future__ import annotations
@@ -85,6 +87,14 @@ class MemTable:
         hits = kernels.ROW_TESTS[mode](buffer[:rows], words) & live
         keys = self._keys
         return [keys[row] for row in np.flatnonzero(hits).tolist()]
+
+    def live_rows(self) -> Tuple[List[Tuple[int, OID]], np.ndarray]:
+        """``(seq, oid)`` of every live entry and its packed signature
+        rows, both in seq order (what a flush seals into a run)."""
+        buffer, _ = self._signatures
+        rows = np.flatnonzero(np.frombuffer(self._live, dtype=bool))
+        keys = self._keys
+        return [keys[row] for row in rows.tolist()], buffer[rows]
 
     # ------------------------------------------------------------------
     # Checkpoint descriptor

@@ -17,28 +17,39 @@ costs up to F page writes, paid once per merge). Drop tests depend only on
 signature bits at positions the query fixes, so either layout returns the
 same candidates.
 
-Signatures are not invertible, so the element sets must ride along for
-compaction merges. Each run writes its entry table — ``(oid, seq,
-elements)`` rows in seq order, then its tombstones — once, into a
-checksummed ``…:entries`` file beside the signature files, and keeps the
-decoded table in memory; the manifest carries only the table's checksum.
+A run's record is its signature rows: the packed ``(n, W)`` uint64
+signature of each entry, in seq order, held in memory as ``words`` and
+written once, at build, into a checksummed ``…:entries`` table beside
+the signature files, with each entry's OID and seq and the run's
+tombstones. Signatures are not invertible, and nothing needs the element
+sets back: a flush seals the memtable's rows, a merge gathers its
+victims' rows, so neither hashes a set again, and a restart reads the
+table back as arrays with no serde decode. The manifest carries only the
+table's checksum.
+
+The table (magic ``SIGENT02``) is a ``(entries, tombstones)`` counts
+header, then the OIDs (uint64), the seqs (int64), the sorted tombstones
+(uint64) and the rows, each little-endian. A ``SIGENT01`` table (serde
+element sets) fails the magic check and attaches as damaged, never as an
+empty run.
 """
 
 from __future__ import annotations
 
+import struct
 import zlib
-from typing import Dict, FrozenSet, Hashable, Set, Tuple
+from typing import Dict, List, Set, Tuple
+
+import numpy as np
 
 from repro.access.bssf import BitSlicedSignatureFile
 from repro.access.ssf import SequentialSignatureFile
+from repro.core import kernels
 from repro.core.signature import SignatureScheme
 from repro.errors import ConfigurationError, IndexCorruptionError
 from repro.lsm.manifest import read_blob, write_blob
 from repro.objects.oid import OID
-from repro.objects.serde import decode_value, encode_value
 from repro.storage.paged_file import StorageManager
-
-SetValue = FrozenSet[Hashable]
 
 #: layout -> (inner facility class, the signature files of an instance)
 _LAYOUTS = {
@@ -48,7 +59,8 @@ _LAYOUTS = {
 RUN_KINDS = tuple(_LAYOUTS)
 SEQUENTIAL = "ssf"
 
-_ENTRIES_MAGIC = b"SIGENT01"
+_ENTRIES_MAGIC = b"SIGENT02"
+_COUNTS = struct.Struct("<QQ")  # entries, tombstones
 
 
 def run_prefix(file_prefix: str, run_id: int) -> str:
@@ -70,7 +82,8 @@ def _layout(layout: str):
 
 
 class SignatureRun:
-    """One immutable run: inner signature facility + entry/tombstone tables."""
+    """One immutable run: inner signature facility + its signature rows,
+    entry map and tombstones."""
 
     def __init__(
         self,
@@ -78,7 +91,8 @@ class SignatureRun:
         level: int,
         layout: str,
         inner,
-        entries: Dict[OID, Tuple[SetValue, int]],
+        entries: Dict[OID, Tuple[int, int]],
+        words: np.ndarray,
         tombstones: Set[OID],
         entries_file,
         table_crc: int,
@@ -87,7 +101,8 @@ class SignatureRun:
         self.level = level
         self.layout = layout
         self.inner = inner
-        self.entries = entries
+        self.entries = entries  # OID -> (seq, row of words)
+        self.words = words
         self.tombstones = tombstones
         self.entries_file = entries_file
         self.table_crc = table_crc
@@ -104,23 +119,31 @@ class SignatureRun:
         run_id: int,
         level: int,
         layout: str,
-        entries: Dict[OID, Tuple[SetValue, int]],
+        keys: List[Tuple[int, OID]],
+        words: np.ndarray,
         tombstones: Set[OID],
     ) -> "SignatureRun":
-        """Seal ``entries`` into fresh storage files, bulk-loaded in seq order."""
+        """Seal ``keys`` — ``(seq, oid)`` pairs in seq order — and their
+        packed signature rows ``words`` into fresh storage files."""
         inner_class, _ = _layout(layout)
         prefix = run_prefix(file_prefix, run_id)
         inner = inner_class(storage, scheme, file_prefix=prefix)
-        ordered = sorted(entries.items(), key=lambda item: item[1][1])
-        inner.bulk_load([(elements, oid) for oid, (elements, _) in ordered])
-        blob = encode_value([
-            [[oid.to_int(), seq, elements] for oid, (elements, seq) in ordered],
-            sorted(oid.to_int() for oid in tombstones),
+        oids = [oid for _, oid in keys]
+        inner.bulk_load_words(words, oids)
+        blob = b"".join([
+            _COUNTS.pack(len(keys), len(tombstones)),
+            np.array([oid.to_int() for oid in oids], dtype="<u8").tobytes(),
+            np.array([seq for seq, _ in keys], dtype="<i8").tobytes(),
+            np.array(
+                sorted(oid.to_int() for oid in tombstones), dtype="<u8"
+            ).tobytes(),
+            np.ascontiguousarray(words, dtype="<u8").tobytes(),
         ])
         entries_file = storage.create_file(f"{prefix}:entries")
         write_blob(entries_file, _ENTRIES_MAGIC, run_id, blob)
+        entries = {oid: (seq, row) for row, (seq, oid) in enumerate(keys)}
         return cls(
-            run_id, level, layout, inner, dict(entries), set(tombstones),
+            run_id, level, layout, inner, entries, words, set(tombstones),
             entries_file, zlib.crc32(blob),
         )
 
@@ -138,7 +161,7 @@ class SignatureRun:
         prefix = run_prefix(file_prefix, run_id)
         entries_file = storage.open_file(f"{prefix}:entries")
         framed = read_blob(entries_file, _ENTRIES_MAGIC)
-        if framed is None:
+        if framed is None or len(framed[1]) < _COUNTS.size:
             raise IndexCorruptionError(
                 f"run {run_id}: entry table {entries_file.name!r} is damaged"
             )
@@ -148,23 +171,38 @@ class SignatureRun:
                 f"run {run_id}: entry table {entries_file.name!r} does not "
                 f"carry the checksum {table_crc:#010x} the manifest records"
             )
-        entry_rows, tombstone_ints = decode_value(blob)
-        if (len(entry_rows), len(tombstone_ints)) != (entry_count, tombstone_count):
+        entries, tombstones = _COUNTS.unpack_from(blob)
+        if (entries, tombstones) != (entry_count, tombstone_count):
             raise IndexCorruptionError(
-                f"run {run_id}: entry table holds {len(entry_rows)} entries and "
-                f"{len(tombstone_ints)} tombstones, manifest says "
+                f"run {run_id}: entry table holds {entries} entries and "
+                f"{tombstones} tombstones, manifest says "
                 f"{entry_count} and {tombstone_count}"
             )
+        width = kernels.words_for_bits(scheme.signature_bits)
+        if len(blob) != _COUNTS.size + 8 * (entries * (2 + width) + tombstones):
+            raise IndexCorruptionError(
+                f"run {run_id}: entry table {entries_file.name!r} is "
+                f"{len(blob)} bytes, not the size of {entries} rows of "
+                f"{width} words and {tombstones} tombstones"
+            )
+        body = np.frombuffer(blob, dtype="<u8", offset=_COUNTS.size)
+        oid_ints = body[:entries]
+        seqs = body[entries:2 * entries].view("<i8")
+        tombstone_ints = body[2 * entries:2 * entries + tombstones]
+        words = body[2 * entries + tombstones:].reshape(entries, width)
         inner = inner_class.attach(
             storage, scheme, file_prefix=prefix, entry_count=entry_count
         )
-        entries = {
-            OID.from_int(oid_int): (frozenset(elements), seq)
-            for oid_int, seq, elements in entry_rows
-        }
-        tombstones = {OID.from_int(value) for value in tombstone_ints}
         return cls(
-            run_id, level, layout, inner, entries, tombstones,
+            run_id, level, layout, inner,
+            {
+                OID.from_int(oid_int): (seq, row)
+                for row, (oid_int, seq) in enumerate(
+                    zip(oid_ints.tolist(), seqs.tolist())
+                )
+            },
+            words,
+            {OID.from_int(value) for value in tombstone_ints.tolist()},
             entries_file, table_crc,
         )
 
@@ -175,7 +213,7 @@ class SignatureRun:
         return oid in self.entries or oid in self.tombstones
 
     def seq_of(self, oid: OID) -> int:
-        return self.entries[oid][1]
+        return self.entries[oid][0]
 
     @property
     def entry_count(self) -> int:
@@ -203,12 +241,33 @@ class SignatureRun:
 
     def verify(self) -> None:
         self.inner.verify()
-        if self.inner.entry_count != len(self.entries):
+        if not self.inner.entry_count == len(self.entries) == len(self.words):
             raise IndexCorruptionError(
                 f"run {self.run_id}: inner facility holds "
                 f"{self.inner.entry_count} entries, entry table says "
-                f"{len(self.entries)}"
+                f"{len(self.entries)} with {len(self.words)} rows"
             )
+
+    def verify_decodes(self) -> None:
+        """Check the inner facility's held decodes, then the held rows,
+        against the signature pages.
+
+        A merge writes ``words`` into new durable pages with valid CRCs,
+        so a poisoned row must be caught here, before it is copied.
+        """
+        self.inner.verify_decodes()
+        stored = self.inner.decode_signatures()
+        if stored.shape != self.words.shape:
+            bad = min(len(stored), len(self.words))
+        else:
+            differs = np.flatnonzero((stored != self.words).any(axis=1))
+            if not len(differs):
+                return
+            bad = int(differs[0])
+        raise IndexCorruptionError(
+            f"run {self.run_id}: held signature row {bad} differs from "
+            f"the run's signature file"
+        )
 
     # ------------------------------------------------------------------
     # Manifest descriptor

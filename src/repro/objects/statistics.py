@@ -26,6 +26,7 @@ scan again and re-seed them.
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -215,6 +216,9 @@ class StatisticsCache:
         self._stats: Dict[tuple, AttributeStatistics] = {}
         #: class name -> attribute -> the aggregates of that analysed path
         self._aggregates: Dict[str, Dict[str, RunningAggregates]] = {}
+        # Readers collect under the shared read scope: one collects while
+        # the rest wait and take what it stored, so a path is scanned once.
+        self._collecting = threading.Lock()
 
     def current(
         self, objects, class_name: str, attribute: str
@@ -236,19 +240,24 @@ class StatisticsCache:
         A collection reads the path's aggregates, scanning to (re-)seed
         them first unless they have followed every mutation of the class.
         It must not overlap a write to the class: the facade takes its
-        read scope around this call.
+        read scope around this call. Concurrent readers collect one at a
+        time, each checking what the one before it stored, so a path that
+        has no statistics is scanned once, not once per reader.
         """
-        cached = None if refresh else self.current(objects, class_name, attribute)
-        if cached is None:
-            paths = self._aggregates.setdefault(class_name, {})
-            aggregates = paths.get(attribute)
-            if aggregates is None or aggregates.followed != _mutations_of(
-                objects, class_name
-            ):
-                aggregates = paths[attribute] = _scan(objects, class_name, attribute)
-            cached = aggregates.snapshot(class_name)
-            self._stats[(class_name, attribute)] = cached
-        return cached
+        with self._collecting:
+            cached = None if refresh else self.current(objects, class_name, attribute)
+            if cached is None:
+                paths = self._aggregates.setdefault(class_name, {})
+                aggregates = paths.get(attribute)
+                if aggregates is None or aggregates.followed != _mutations_of(
+                    objects, class_name
+                ):
+                    aggregates = paths[attribute] = _scan(
+                        objects, class_name, attribute
+                    )
+                cached = aggregates.snapshot(class_name)
+                self._stats[(class_name, attribute)] = cached
+            return cached
 
     def record(
         self,

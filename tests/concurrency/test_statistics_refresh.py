@@ -126,3 +126,54 @@ def test_readers_plan_across_drift_refreshes_against_one_writer():
     assert db.analyze("Student", "hobbies", refresh=True) == analyze(
         db.objects, "Student", "hobbies"
     )
+
+
+def test_planners_released_together_seed_a_path_once(monkeypatch):
+    """Planners that find no statistics for a path, all inside the shared
+    read scope at once, scan the object file once between them: the rest
+    wait for the collection and take what it stored. The counted scan
+    holds until every planner has reached the cache, so a cache that lets
+    each reader seed the path scans once per planner, every run."""
+    from repro.objects import statistics
+
+    db = _build()
+    db.statistics.invalidate()
+    planners = READERS + 2
+    arrived = threading.Condition()
+    gets, scans = [], []
+    scan, get = statistics._scan, statistics.StatisticsCache.get
+
+    def arriving_get(cache, *args, **kwargs):
+        with arrived:
+            gets.append(args)
+            arrived.notify_all()
+        return get(cache, *args, **kwargs)
+
+    def counted_scan(*args):
+        scans.append(args)
+        with arrived:  # every planner has entered get()
+            assert arrived.wait_for(lambda: len(gets) >= planners, timeout=10)
+        return scan(*args)
+
+    monkeypatch.setattr(statistics.StatisticsCache, "get", arriving_get)
+    monkeypatch.setattr(statistics, "_scan", counted_scan)
+    start = threading.Barrier(planners, timeout=10)
+    handed, errors = [], []
+
+    def planner() -> None:
+        try:
+            start.wait()
+            plan_query(db, QUERY)
+            handed.append(db.statistics.peek("Student", "hobbies"))
+        except BaseException as exc:  # noqa: BLE001 — reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=planner) for _ in range(planners)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert errors == []
+    assert len(scans) == 1
+    assert len(handed) == planners and all(s is handed[0] for s in handed)
+    assert handed[0] == analyze(db.objects, "Student", "hobbies")

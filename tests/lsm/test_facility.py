@@ -189,8 +189,48 @@ class TestCompaction:
         assert facility.run_count == 1
         merged = facility.runs[0]
         assert OID(1, 0) not in merged          # tombstone had no older run
-        assert merged.entries[OID(1, 1)][0] == frozenset({"e3"})
+        seq, row = merged.entries[OID(1, 1)]
+        assert seq == facility._live[OID(1, 1)]
+        assert (
+            merged.words[row] == facility.scheme.set_signature({"e3"}).words
+        ).all()
         facility.verify()
+
+    @pytest.mark.parametrize("kind", ["ssf", "bssf"])
+    def test_flush_and_merge_hash_nothing(self, kind, monkeypatch):
+        """A run's rows are its record: a flush seals the memtable's rows
+        and the merge it triggers gathers its victims' rows, so neither
+        derives a signature from a set."""
+        facility, _ = make_facility(kind, flush_threshold=100, fanout=2)
+        fill(facility, 12)
+        facility.flush()
+        fill(facility, 6, offset=20)
+        facility.delete(frozenset({DOMAIN[2]}), OID(1, 2))
+        facility.insert(frozenset({DOMAIN[5], DOMAIN[9]}), OID(1, 3))
+        queries = [frozenset({DOMAIN[i]}) for i in range(0, 16, 3)]
+        before = [facility.search_overlap(query).candidates for query in queries]
+        calls = []
+
+        def counted(name):
+            derive = getattr(SignatureScheme, name)
+
+            def call(scheme, *args, **kwargs):
+                calls.append(name)
+                return derive(scheme, *args, **kwargs)
+
+            return call
+
+        for name in ("set_signature", "set_signature_words_many"):
+            monkeypatch.setattr(SignatureScheme, name, counted(name))
+        facility.flush()  # seals a second run, which merges the tier of 2
+        assert calls == []
+        monkeypatch.undo()
+        assert facility.counters["compactions"] == 1
+        assert [run.layout for run in facility.runs] == [kind]
+        assert [
+            facility.search_overlap(query).candidates for query in queries
+        ] == before
+        facility.verify_decodes()
 
     def test_install_compaction_rejects_stale_plan(self):
         facility, storage = make_facility(flush_threshold=100, fanout=2)

@@ -1,5 +1,7 @@
 """Unit tests for immutable signature runs."""
 
+import zlib
+
 import pytest
 
 from repro.access.base import query_words
@@ -13,11 +15,13 @@ from repro.storage.paged_file import StorageManager
 from tests.lsm.conftest import make_scheme
 
 
-def _entries(count, offset=0):
-    return {
-        OID(1, i): (frozenset({f"e{i}", f"e{i + 1}"}), offset + i)
-        for i in range(count)
-    }
+def _rows(count, offset=0):
+    """``(seq, oid)`` keys in seq order and their packed signature rows."""
+    keys = [(offset + i, OID(1, i)) for i in range(count)]
+    words = make_scheme().set_signature_words_many(
+        [{f"e{i}", f"e{i + 1}"} for i in range(count)]
+    )
+    return keys, words
 
 
 def _search(run, mode, query, **options):
@@ -29,7 +33,7 @@ def _build(kind="ssf", count=6, tombstones=(), level=0, run_id=0):
     storage = StorageManager(page_size=4096, pool_capacity=0)
     run = SignatureRun.build(
         storage, make_scheme(), f"{kind}:T.s", run_id, level, kind,
-        _entries(count), {OID(1, s) for s in tombstones},
+        *_rows(count), {OID(1, s) for s in tombstones},
     )
     return run, storage
 
@@ -57,7 +61,7 @@ def test_unknown_kind_and_mode_rejected():
     storage = StorageManager(page_size=4096, pool_capacity=0)
     with pytest.raises(ConfigurationError):
         SignatureRun.build(
-            storage, make_scheme(), "x:T.s", 0, 0, "btree", _entries(1), set()
+            storage, make_scheme(), "x:T.s", 0, 0, "btree", *_rows(1), set()
         )
     run, _ = _build()
     with pytest.raises(ConfigurationError):
@@ -98,6 +102,7 @@ def test_state_roundtrip():
     reopened = SignatureRun.attach(storage, make_scheme(), "ssf:T.s", state)
     assert reopened.entries == run.entries
     assert reopened.tombstones == run.tombstones
+    assert (reopened.words == run.words).all()
     assert reopened.to_state() == state
 
 
@@ -122,7 +127,7 @@ def test_entry_table_is_counted_and_dropped_with_the_run():
 
 def test_verify_detects_entry_count_mismatch():
     run, _ = _build()
-    run.entries[OID(1, 77)] = (frozenset({"e9"}), 99)
+    run.entries[OID(1, 77)] = (99, 6)
     with pytest.raises(IndexCorruptionError):
         run.verify()
 
@@ -146,6 +151,38 @@ def test_attach_rejects_a_damaged_entry_table():
     storage.store._apply_corruption(table, 0, b"\xff" * 4096)
     with pytest.raises(IndexCorruptionError, match="damaged"):
         SignatureRun.attach(storage, make_scheme(), "ssf:T.s", run.to_state())
+
+
+@pytest.mark.parametrize("kind", ["ssf", "bssf"])
+def test_attach_gives_back_the_built_rows(kind):
+    """A run's rows are its record: what attach reads back from the entry
+    table is what build was handed, and what the signature file holds."""
+    keys, words = _rows(40)
+    run, storage = _build(kind, count=40, tombstones=[90, 91])
+    assert run.entries == {oid: (seq, row) for row, (seq, oid) in enumerate(keys)}
+    reopened = SignatureRun.attach(
+        storage, make_scheme(), f"{kind}:T.s", run.to_state()
+    )
+    assert reopened.words.dtype == words.dtype
+    assert (reopened.words == words).all() and reopened.words.shape == words.shape
+    assert reopened.entries == run.entries
+    assert (reopened.inner.decode_signatures() == words).all()
+    reopened.verify_decodes()
+
+
+def test_an_old_format_entry_table_attaches_as_damaged():
+    """A SIGENT01 table (serde element sets) must never read as an empty run."""
+    from repro.lsm.manifest import write_blob
+
+    run, storage = _build(count=0)
+    blob = encode_value([[[5, 0, ["a", "b"]]], []])
+    table = storage.open_file(f"{run_prefix('ssf:T.s', 0)}:entries")
+    write_blob(table, b"SIGENT01", 0, blob)
+    descriptor = run.to_state()
+    descriptor[3] = 1
+    descriptor[5] = zlib.crc32(blob)
+    with pytest.raises(IndexCorruptionError, match="damaged"):
+        SignatureRun.attach(storage, make_scheme(), "ssf:T.s", descriptor)
 
 
 def test_sequential_and_bit_sliced_runs_answer_identically():

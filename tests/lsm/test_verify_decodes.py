@@ -2,7 +2,9 @@
 
 Each run is an inner SSF or BSSF with its own held decodes, which
 ``check_consistency`` (and ``run_fsck --deep``) must check like those of
-an in-place facility: a poisoned run decode is named and dropped.
+an in-place facility: a poisoned run decode is named and dropped. A run
+also holds its signature rows, which a merge writes into new durable
+pages: a poisoned row must be named by its run before it is copied.
 """
 
 from __future__ import annotations
@@ -52,3 +54,19 @@ def test_a_poisoned_run_decode(poison):
         db.check_consistency()
     assert slot.held() is None
     db.check_consistency()  # dropped, decoded afresh
+
+
+@pytest.mark.parametrize("run_index", [0, 1])
+def test_a_poisoned_run_row(run_index):
+    """Rows are checked against the signature file: read directly for the
+    SSF run, transposed from the slice matrix for the BSSF run."""
+    db, lsm = two_runs()
+    run = lsm.runs[run_index]
+    run.words = run.words.copy()
+    run.words[3, 0] ^= 1
+    with pytest.raises(
+        IndexCorruptionError, match=rf"run {run.run_id}: held signature row 3 "
+    ):
+        db.check_consistency()
+    run.words[3, 0] ^= 1
+    db.check_consistency()

@@ -51,10 +51,15 @@ echo "== LSM search equals in-place =="
 # facility's search_words: candidates (order included) must equal the
 # in-place facility's under random interleavings, layouts must answer
 # alike, and the memtable's drops must equal the per-entry oracle of
-# tests/reference/memtable.py (tier-1 covers this too; an explicit gate
-# so a reshuffle cannot drop it).
+# tests/reference/memtable.py. A run's signature rows are its record: a
+# flush seals the memtable's rows and a merge gathers its victims' rows,
+# so neither hashes a set, the entry table round-trips the rows, and
+# verify_decodes checks the held rows against the signature pages a merge
+# copies them into (tier-1 covers this too; an explicit gate so a
+# reshuffle cannot drop it).
 python -m pytest tests/lsm/test_differential.py tests/lsm/test_run.py \
-    tests/lsm/test_memtable_oracle.py -q
+    tests/lsm/test_memtable_oracle.py tests/lsm/test_facility.py \
+    tests/lsm/test_verify_decodes.py -q
 
 echo "== front-of-query parity =="
 # The scanner, the memoised plan pricing and the running statistics must
