@@ -30,6 +30,7 @@ from repro.objects.oid import OID, SERIAL_BITS
 from repro.objects.schema import Attribute, AttributeKind, ClassSchema
 from repro.obs.metrics import REGISTRY
 from repro.persistence.format import read_header, read_pages, write_snapshot
+from repro.wal.log import fsync_directory
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -98,7 +99,8 @@ def save_database(db: Database, path: PathLike) -> None:
     """Flush and snapshot ``db`` into a single file at ``path``.
 
     The write is atomic: the snapshot is assembled in ``<path>.tmp``,
-    flushed and fsynced, then renamed over ``path`` with ``os.replace``.
+    flushed and fsynced, then renamed over ``path`` with ``os.replace``,
+    and the directory is fsynced so the rename itself is durable.
     A crash (or any exception) mid-save leaves a previous snapshot at
     ``path`` untouched and cleans up the partial temporary file.
 
@@ -134,6 +136,7 @@ def save_database(db: Database, path: PathLike) -> None:
             stream.flush()
             os.fsync(stream.fileno())
         os.replace(tmp_path, path_str)
+        fsync_directory(os.path.dirname(os.path.abspath(path_str)))
     except BaseException:
         try:
             os.unlink(tmp_path)
@@ -159,6 +162,7 @@ def _copy_file_durably(source: str, target: str) -> None:
             dst.flush()
             os.fsync(dst.fileno())
         os.replace(tmp_path, target)
+        fsync_directory(os.path.dirname(os.path.abspath(target)))
     except BaseException:
         try:
             os.unlink(tmp_path)
@@ -219,7 +223,7 @@ def load_database(
             header = read_header(stream)
             catalog = header.catalog
             _validate_catalog(catalog)
-            page_images = read_pages(stream, catalog, catalog["page_size"])
+            page_images = read_pages(stream, header)
     except OSError as exc:
         raise StorageError(f"cannot read snapshot {path_str!r}: {exc}") from exc
     except StorageError as exc:

@@ -80,6 +80,20 @@ class WalScan:
     torn_bytes: int  #: trailing bytes belonging to a half-written record
 
 
+def fsync_directory(directory: str) -> None:
+    """Make the renames and creates inside ``directory`` durable.
+
+    An fsynced file's data survives a power loss, but its directory entry
+    (the name a rename or create gave it) survives only once the
+    directory itself is fsynced.
+    """
+    fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def encode_record(fields: Sequence[Any]) -> bytes:
     """Frame one record: length prefix, CRC32, serde-encoded payload."""
     payload = encode_value(list(fields))
@@ -181,6 +195,7 @@ class WriteAheadLog:
                 stream.write(_HEADER.pack(WAL_MAGIC, 0))
                 stream.flush()
                 os.fsync(stream.fileno())
+            fsync_directory(directory)
             self.base_lsn = 0
             self.end_lsn = 0
         else:
@@ -443,6 +458,7 @@ class WriteAheadLog:
             os.fsync(stream.fileno())
         self._stream.close()
         os.replace(tmp_path, self.path)
+        fsync_directory(self.directory)
         self.base_lsn = lsn
         self._appends_since_sync = 0
         self._stream = open(self.path, "r+b")
@@ -462,6 +478,7 @@ class WriteAheadLog:
             os.fsync(stream.fileno())
         self._stream.close()
         os.replace(tmp_path, self.path)
+        fsync_directory(self.directory)
         self.base_lsn = base_lsn
         self._advance(base_lsn)
         self._buffer.clear()  # buffered records predate the sync point too

@@ -1,10 +1,13 @@
 """Tests for database snapshots (save / load)."""
 
 import io
+import json
+import struct
 
 import pytest
 
-from repro.errors import StorageError
+from repro.cli import main
+from repro.errors import CorruptPageError, StorageError
 from repro.persistence.format import (
     FORMAT_VERSION,
     MAGIC,
@@ -217,4 +220,176 @@ class TestFormatErrors:
         header = read_header(stream)
         assert header.version == FORMAT_VERSION
         assert header.catalog["page_size"] == 64
-        assert read_pages(stream, header.catalog, 64) == {}
+        assert read_pages(stream, header) == {}
+
+
+# ----------------------------------------------------------------------
+# The v2 container: each page stored up to its last nonzero byte
+# ----------------------------------------------------------------------
+HEADER = struct.Struct("<8sHI")
+KEPT = struct.Struct("<I")
+
+
+def page_images(db):
+    store = db.storage.store
+    return {
+        name: [
+            store.read_page(name, page_no).image()
+            for page_no in range(store.num_pages(name))
+        ]
+        for name in store.file_names()
+    }
+
+
+def page_checksums(db):
+    store = db.storage.store
+    return {name: store.page_checksums(name) for name in store.file_names()}
+
+
+def stored_pages(raw):
+    """``(file, page_no, offset, kept)`` of every page in a v2 snapshot."""
+    _, version, catalog_len = HEADER.unpack_from(raw, 0)
+    assert version == 2
+    catalog = json.loads(raw[HEADER.size:HEADER.size + catalog_len])
+    offset = HEADER.size + catalog_len
+    found = []
+    for entry in catalog["files"]:
+        for page_no in range(entry["pages"]):
+            (kept,) = KEPT.unpack_from(raw, offset)
+            offset += KEPT.size
+            found.append((entry["name"], page_no, offset, kept))
+            offset += kept
+    assert offset == len(raw)
+    return found
+
+
+def write_v1(path, catalog, images):
+    """The version-1 container by hand: every page as its full image."""
+    encoded = json.dumps(catalog, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    with open(path, "wb") as stream:
+        stream.write(HEADER.pack(MAGIC, 1, len(encoded)) + encoded)
+        for entry in catalog["files"]:
+            for image in images[entry["name"]]:
+                stream.write(image)
+
+
+def bare_container(version, page_section):
+    """A one-page, one-file snapshot around a hand-made page section."""
+    catalog = json.dumps({
+        "page_size": 64, "files": [{"name": "a", "pages": 1}],
+        "classes": [], "next_class_id": 1, "allocator": {},
+        "directory": [], "indexes": [],
+    }).encode("utf-8")
+    return HEADER.pack(MAGIC, version, len(catalog)) + catalog + page_section
+
+
+class TestPageContainer:
+    @pytest.fixture
+    def mixed_db(self, full_db):
+        """``full_db`` plus a file of one all-zero and one full page."""
+        store = full_db.storage.store
+        store.create_file("raw")
+        full = bytes(range(1, 256)) * (store.page_size // 255) + b"\x01" * (
+            store.page_size % 255
+        )
+        store.adopt_pages("raw", [bytes(store.page_size), full])
+        return full_db
+
+    def test_round_trip_restores_every_image_and_crc(self, mixed_db, tmp_path):
+        path = tmp_path / "db.sigdb"
+        save_database(mixed_db, path)
+        loaded = load_database(path)
+        assert page_images(loaded) == page_images(mixed_db)
+        assert page_checksums(loaded) == page_checksums(mixed_db)
+        kept = {
+            (name, page_no): length
+            for name, page_no, _, length in stored_pages(path.read_bytes())
+        }
+        page_size = mixed_db.storage.store.page_size
+        assert kept[("raw", 0)] == 0
+        assert kept[("raw", 1)] == page_size
+        # the kinds of page a database holds, each stored short of full
+        for name in (
+            "bssf:Student.hobbies:slice:0003",
+            "objects:Student",
+            "nix:Student.hobbies:btree",
+        ):
+            assert 0 < kept[(name, 0)] < page_size, name
+
+    def test_bssf_snapshot_is_smaller_than_its_pages(self, student_db, tmp_path):
+        student_db.create_bssf_index("Student", "hobbies", 64, 2, seed=3)
+        populate_students(student_db)
+        store = student_db.storage.store
+        pages = sum(store.num_pages(name) for name in store.file_names())
+        path = tmp_path / "db.sigdb"
+        save_database(student_db, path)
+        assert path.stat().st_size < pages * store.page_size
+
+    @pytest.mark.parametrize(
+        "page_section, message",
+        [
+            (KEPT.pack(65) + b"x" * 65, "more than the page size"),
+            (b"\x01\x00", "truncated page data"),
+            (KEPT.pack(3) + b"abc" + b"!", "trailing"),
+        ],
+        ids=["kept-above-page-size", "length-cut-short", "trailing-bytes"],
+    )
+    def test_malformed_page_section_names_path(
+        self, tmp_path, page_section, message
+    ):
+        path = tmp_path / "bad.sigdb"
+        path.write_bytes(bare_container(2, page_section))
+        with pytest.raises(StorageError) as info:
+            load_database(path)
+        assert str(path) in str(info.value)
+        assert message in str(info.value)
+
+    def test_flipped_kept_byte_is_a_corrupt_page(self, full_db, tmp_path, capsys):
+        path = tmp_path / "db.sigdb"
+        save_database(full_db, path)
+        raw = bytearray(path.read_bytes())
+        name, page_no, offset, kept = next(
+            page for page in stored_pages(bytes(raw))
+            if page[0] == "bssf:Student.hobbies:slice:0003"
+        )
+        raw[offset + kept // 2] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptPageError) as info:
+            load_database(path)
+        assert str(path) in str(info.value) and repr(name) in str(info.value)
+        assert main(["fsck", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert name in out and f"page(s) [{page_no}]" in out
+
+
+class TestVersionOneCompat:
+    def test_v1_snapshot_loads_like_v2(self, full_db, tmp_path):
+        v2 = tmp_path / "v2.sigdb"
+        v1 = tmp_path / "v1.sigdb"
+        save_database(full_db, v2)
+        write_v1(v1, build_catalog(full_db), page_images(full_db))
+        assert v1.stat().st_size > v2.stat().st_size
+        from_v1, from_v2 = load_database(v1), load_database(v2)
+        assert page_images(from_v1) == page_images(from_v2)
+        assert page_checksums(from_v1) == page_checksums(from_v2)
+        for prefer in ("ssf", "bssf", "nix"):
+            options = ExecutionOptions(context=CTX, prefer_facility=prefer)
+            assert sorted(
+                QueryExecutor(from_v1).execute_text(QUERY, options).oids()
+            ) == sorted(QueryExecutor(from_v2).execute_text(QUERY, options).oids())
+        # saving what a v1 file held writes the current version
+        resaved = tmp_path / "resaved.sigdb"
+        save_database(from_v1, resaved)
+        assert resaved.read_bytes() == v2.read_bytes()
+
+    def test_v1_page_section_is_full_pages(self, tmp_path):
+        path = tmp_path / "short.sigdb"
+        path.write_bytes(bare_container(1, b"\x00" * 63))
+        with pytest.raises(StorageError, match="truncated page data"):
+            load_database(path)
+
+    def test_version_three_is_unsupported(self, tmp_path):
+        path = tmp_path / "v3.sigdb"
+        path.write_bytes(bare_container(3, KEPT.pack(0)))
+        with pytest.raises(StorageError, match="unsupported snapshot version 3"):
+            load_database(path)

@@ -81,7 +81,10 @@ echo "== facility catalog =="
 # params through WAL replay, snapshot load, rebuild and partition, and the
 # create_index record and snapshot entry fields are pinned literally, so
 # logs and snapshots written by earlier builds still load (tier-1 covers
-# this too; an explicit gate so a reshuffle cannot drop it).
+# this too; an explicit gate so a reshuffle cannot drop it). The snapshot
+# container is written as version 2 (each page up to its last nonzero
+# byte) and read as version 1 or 2; tests/persistence/test_snapshot.py
+# loads a hand-written version-1 file.
 python -m pytest tests/access/test_catalog.py tests/persistence \
     tests/objects/test_database.py tests/sharding/test_partitioner.py -q
 
@@ -108,9 +111,13 @@ echo "== wal crash matrix (fixed seed) =="
 # facade's write path, so a replica's running statistics follow shipped
 # records, and a durability="lsm" database stays "lsm" through reopen,
 # checkpoint and promotion (tier-1 covers this too; an explicit gate so
-# a tier-1 reshuffle cannot silently drop it).
+# a tier-1 reshuffle cannot silently drop it). A checkpoint renames its
+# snapshot, then fsyncs the WAL directory, then truncates the log (whose
+# own rename is fsynced too): tests/wal/test_checkpoint_fsync.py holds
+# that order, so a power loss cannot keep the truncation and lose the
+# snapshot that covers the dropped records.
 python -m pytest tests/faults/test_wal_crash_matrix.py \
-    tests/wal/test_replay_batch.py tests/wal \
+    tests/wal/test_replay_batch.py tests/wal/test_checkpoint_fsync.py tests/wal \
     tests/objects/test_running_statistics.py \
     tests/replication/test_promote_layout.py -q
 
