@@ -118,6 +118,31 @@ class WalCorruptError(WalError):
         self.lsn = lsn
 
 
+class CheckpointMismatchError(WalError):
+    """A WAL directory's log does not cover its checkpoint's LSN.
+
+    Recovery needs ``base_lsn <= checkpoint_lsn <= end_lsn`` (no
+    checkpoint counts as LSN 0); otherwise records between the two are
+    lost, as when a replica's checkpoint install is cut short between
+    restarting its log and renaming the checkpoint into place, and the
+    directory is refused rather than reopened silently wrong.
+    """
+
+    code = "wal-checkpoint-mismatch"
+
+    def __init__(
+        self,
+        message: str,
+        checkpoint_lsn: int = -1,
+        base_lsn: int = -1,
+        end_lsn: int = -1,
+    ):
+        super().__init__(message)
+        self.checkpoint_lsn = checkpoint_lsn
+        self.base_lsn = base_lsn
+        self.end_lsn = end_lsn
+
+
 class ConcurrencyError(ReproError):
     """Base class for concurrency-layer failures (latches, admission)."""
 
@@ -275,8 +300,8 @@ class StaleSubscriberError(ReplicationError):
 
     A checkpoint truncated records the replica never received; tailing the
     log cannot close the gap. ``base_lsn`` names the oldest LSN the primary
-    still holds — the replica must run a merkle re-sync (ship only the
-    differing page ranges) before re-subscribing from the sync point.
+    still holds — the replica must install the primary's checkpoint file
+    (a ``SYNC``) and re-subscribe from that checkpoint's LSN.
     """
 
     code = "stale-subscriber"

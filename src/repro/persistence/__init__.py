@@ -4,7 +4,6 @@ from repro.persistence.format import FORMAT_VERSION, MAGIC
 from repro.persistence.snapshot import (
     build_catalog,
     load_database,
-    populate_database,
     save_database,
 )
 
@@ -13,6 +12,5 @@ __all__ = [
     "MAGIC",
     "build_catalog",
     "load_database",
-    "populate_database",
     "save_database",
 ]

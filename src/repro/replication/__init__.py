@@ -1,35 +1,20 @@
-"""Replicated serving: WAL log shipping, merkle anti-entropy, failover.
+"""Replicated serving: WAL log shipping, checkpoint install, failover.
 
 The primary side (:class:`ReplicationSource`) streams raw WAL record
 payloads to subscribers from their watermark LSN; the replica side
 (:class:`ReplicaDatabase`) appends them to its own byte-identical local
 log and redoes them through the recovery handlers, yielding a read-only
 mirror that is byte-equivalent to the primary's durable prefix. When a
-checkpoint truncation outruns a replica, :mod:`repro.replication.merkle`
-narrows re-sync to only the differing page ranges.
+checkpoint truncation outruns a replica (or its history diverged), the
+replica installs the primary's ``checkpoint.sigdb`` and tails from that
+checkpoint's LSN.
 """
 
-from repro.replication.merkle import (
-    DEFAULT_CHUNK_PAGES,
-    DEFAULT_FANOUT,
-    MerkleTree,
-    chunk_digests,
-    chunk_ranges,
-    diff_chunks,
-    store_trees,
-)
 from repro.replication.primary import ReplicaCursor, ReplicationSource
 from repro.replication.replica import ReplicaDatabase
 
 __all__ = [
-    "DEFAULT_CHUNK_PAGES",
-    "DEFAULT_FANOUT",
-    "MerkleTree",
     "ReplicaCursor",
     "ReplicaDatabase",
     "ReplicationSource",
-    "chunk_digests",
-    "chunk_ranges",
-    "diff_chunks",
-    "store_trees",
 ]

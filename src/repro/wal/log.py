@@ -374,7 +374,7 @@ class WriteAheadLog:
         bounds the summed payload size of one batch; ``end`` is the LSN
         just past the last *returned* record (or ``lsn`` when none).
         Raises :class:`~repro.errors.WalError` when ``lsn`` precedes the
-        log's base (the caller's cue that only an anti-entropy sync can
+        log's base (the caller's cue that only a checkpoint install can
         catch the subscriber up) or is not a record boundary.
         """
         self._drain_buffer()
@@ -467,9 +467,9 @@ class WriteAheadLog:
     def reset(self, base_lsn: int) -> None:
         """Replace the log with an empty one whose base is ``base_lsn``.
 
-        The anti-entropy landing: after a merkle sync rebuilt a replica's
-        state at the primary's LSN, its old log (whose records predate the
-        sync) is wholesale obsolete; tailing resumes from the sync point.
+        A replica's checkpoint install: once the primary's checkpoint file
+        is on disk and verified, the old log is wholesale obsolete; it
+        restarts at the checkpoint's LSN, and tailing resumes there.
         """
         tmp_path = f"{self.path}.tmp"
         with open(tmp_path, "wb") as stream:

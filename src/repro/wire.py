@@ -98,7 +98,7 @@ PING = 4  # liveness / latency probe
 GOODBYE = 5  # orderly close
 WAL_SUBSCRIBE = 6  # replica: stream WAL records from my watermark LSN
 WAL_ACK = 7  # replica: records through this LSN are durably applied
-SYNC = 8  # replica: merkle digests of my pages; ship what differs
+SYNC = 8  # replica: send me your checkpoint file (stale or diverged)
 
 # Response frame kinds (server -> client).
 OK = 16  # handshake accepted
@@ -109,8 +109,8 @@ PONG = 20
 BYE = 21  # server is closing this connection (drain or GOODBYE ack)
 WAL_RECORDS = 22  # a batch of [lsn, base64 payload] log records
 HEARTBEAT = 23  # idle stream liveness; carries the primary's end LSN
-SYNC_PAGES = 24  # merkle anti-entropy: differing page ranges, budgeted
-#                  into a frame sequence ("more" marks continuations)
+SYNC_PAGES = 24  # one base64 slice of the checkpoint file, budgeted into
+#                  a frame sequence ("offset"; "more" marks continuations)
 
 _KNOWN_KINDS = frozenset(
     (

@@ -163,10 +163,11 @@ def test_sharded_lsm_matches_unsharded(tmp_path):
         assert sorted(merged) == sorted(rows)
 
 
-def test_older_snapshot_descriptor_with_worst_case_insert_still_loads():
+def test_older_snapshot_descriptor_with_worst_case_insert_still_loads(tmp_path):
     """Snapshots written before the LSM facility dropped its inert
     ``worst_case_insert`` option carry the key in the index descriptor."""
-    from repro.persistence.snapshot import build_catalog, populate_database
+    from repro.persistence.format import write_snapshot
+    from repro.persistence.snapshot import build_catalog, load_database
 
     subject = build_db(lsm=True, kind="bssf")
     churn_students(subject)
@@ -178,16 +179,20 @@ def test_older_snapshot_descriptor_with_worst_case_insert_still_loads():
         assert "worst_case_insert" not in descriptor
         descriptor["worst_case_insert"] = True
     store = subject.storage.store
-    page_images = {
-        entry["name"]: [
-            store.page_image(entry["name"], page_no)
-            for page_no in range(entry["pages"])
-        ]
+    payloads = [
+        (
+            entry["name"],
+            [
+                store.page_image(entry["name"], page_no)
+                for page_no in range(entry["pages"])
+            ],
+        )
         for entry in catalog["files"]
-    }
-    loaded = populate_database(
-        Database(page_size=subject.storage.page_size), catalog, page_images
-    )
+    ]
+    path = tmp_path / "older.sigdb"
+    with open(path, "wb") as stream:
+        write_snapshot(stream, catalog, payloads)
+    loaded = load_database(path)
     reopened = loaded.index("Student", "hobbies", "bssf")
     assert getattr(reopened, "is_lsm", False)
     reopened.verify()

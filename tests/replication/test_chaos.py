@@ -9,7 +9,9 @@ of the primary's durable prefix up to the replica's watermark.
 
 from __future__ import annotations
 
+import base64
 import contextlib
+import os
 import random
 import socket
 import threading
@@ -19,8 +21,8 @@ from repro.errors import StaleSubscriberError
 from repro.objects.database import Database
 from repro.objects.serde import encode_value
 from repro.obs.metrics import REGISTRY
+from repro.persistence.snapshot import load_database
 from repro.replication import ReplicaDatabase
-from repro.replication.merkle import store_trees
 from repro.server.net import TcpQueryServer
 from repro.wal.replay import replay_records
 from tests.conftest import HOBBIES
@@ -180,7 +182,7 @@ class TestTornFrame:
             replica = make_replica(proxy.url)
             _caught_up(db, replica)
             assert fingerprint(replica.database) == fingerprint(db)
-            # Recovery path was reconnect + retransmit, never anti-entropy:
+            # Recovery path was reconnect + retransmit, never an install:
             # a torn frame is a transport fault, not divergence.
             assert REGISTRY.counter("replication.reconnects").value >= 1
             assert REGISTRY.counter("replication.resyncs").value == 0
@@ -262,10 +264,10 @@ def _force_stale_once(server, db):
 class TestStaleMidStream:
     def test_tail_survives_mid_stream_truncation(self, primary, make_replica):
         """A mid-stream stale-subscriber error must not kill the tail
-        thread: the replica runs anti-entropy and keeps replicating."""
+        thread: the replica installs the checkpoint and keeps replicating."""
         db, server = primary
         apply_ops(db, workload_ops(inserts=20))
-        replica = make_replica(server.url, chunk_pages=2)
+        replica = make_replica(server.url)
         _caught_up(db, replica)
 
         fired = _force_stale_once(server, db)
@@ -282,7 +284,7 @@ class TestStaleMidStream:
         assert replica._thread is not None and replica._thread.is_alive()
         assert REGISTRY.counter("replication.resyncs").value == 1
 
-    def test_in_band_sync_and_resubscribe_on_one_socket(self, primary):
+    def test_in_band_sync_and_resubscribe_on_one_socket(self, primary, tmp_path):
         """After a mid-stream stale error the primary must accept the
         subscriber's SYNC and a fresh WAL_SUBSCRIBE on the *same* socket
         (it drops the dead cursor before the error frame goes out)."""
@@ -320,19 +322,21 @@ class TestStaleMidStream:
             assert kind == wire.ERROR
             assert payload["code"] == "stale-subscriber"
 
-            # Same socket: anti-entropy (claiming no pages ships them all,
-            # possibly across several budgeted frames) ...
-            wire.write_frame(
-                sock,
-                wire.SYNC,
-                {"name": "raw-subscriber", "chunk_pages": 2, "files": {}},
-            )
-            lsn, more = None, True
+            # Same socket: the checkpoint install (the file may span
+            # several budgeted frames) ...
+            wire.write_frame(sock, wire.SYNC, {"name": "raw-subscriber"})
+            installed, more = bytearray(), True
             while more:
                 kind, payload = wire.read_frame(sock)
                 assert kind == wire.SYNC_PAGES
-                lsn = payload["lsn"]
+                assert payload["offset"] == len(installed)
+                installed += base64.b64decode(payload["data"])
                 more = bool(payload.get("more", False))
+            shipped = tmp_path / "installed.sigdb"
+            shipped.write_bytes(bytes(installed))
+            lsn = load_database(str(shipped)).wal_applied_lsn
+            # The primary never checkpointed, so it did on demand.
+            assert lsn == db.wal.base_lsn
 
             # ... then an in-band re-subscribe that must be accepted and
             # must stream subsequent writes.
@@ -351,11 +355,11 @@ class TestStaleMidStream:
             sock.close()
 
 
-class TestMerkleResync:
-    def test_resync_ships_only_differing_ranges(self, primary, make_replica):
+class TestCheckpointInstall:
+    def test_resync_installs_the_primary_checkpoint(self, primary, make_replica):
         db, server = primary
         apply_ops(db, workload_ops(inserts=40))
-        replica = make_replica(server.url, chunk_pages=2)
+        replica = make_replica(server.url)
         _caught_up(db, replica)
         replica.stop()
 
@@ -371,25 +375,18 @@ class TestMerkleResync:
         _caught_up(db, replica)
         assert fingerprint(replica.database) == fingerprint(db)
         assert REGISTRY.counter("replication.resyncs").value == 1
-
-        db.storage.flush()
-        total_chunks = sum(
-            tree.chunk_count
-            for tree in store_trees(db.storage.store, chunk_pages=2).values()
-        )
-        shipped = REGISTRY.counter("replication.sync_chunks_shipped").value
-        assert 0 < shipped < total_chunks, (
-            f"anti-entropy shipped {shipped} of {total_chunks} chunks — "
-            "expected a strict subset (only the differing ranges)"
-        )
+        # What travelled is the checkpoint file, once.
+        assert REGISTRY.counter(
+            "replication.sync_bytes_shipped"
+        ).value == os.path.getsize(db.checkpoint_path)
 
     def test_resync_larger_than_one_frame_completes(self, tmp_path):
-        """A diff bigger than the wire's frame cap must still sync: the
-        primary splits SYNC_PAGES into budgeted frames instead of tripping
-        the frame limit and retrying forever."""
+        """A checkpoint bigger than the wire's frame cap must still sync:
+        the primary splits SYNC_PAGES into budgeted frames instead of
+        tripping the frame limit and retrying forever."""
         db = Database(wal_dir=str(tmp_path / "small-frame-primary"))
-        # 16 KiB cap -> an 8 KiB sync budget that one base64'd 4 KiB page
-        # (~5.5 KiB) nearly fills; any multi-page diff needs several frames.
+        # 16 KiB cap -> an 8 KiB sync budget, about 6 KiB of file per
+        # frame; a multi-page checkpoint needs several frames.
         server = TcpQueryServer(
             db, heartbeat_seconds=0.1, max_frame_bytes=16384
         ).start()
@@ -400,7 +397,6 @@ class TestMerkleResync:
                 server.url,
                 str(tmp_path / "small-frame-replica"),
                 name="small-frame",
-                chunk_pages=2,
                 stall_timeout_seconds=3.0,
                 max_frame_bytes=16384,
             )
@@ -415,9 +411,9 @@ class TestMerkleResync:
             _caught_up(db, replica)
             assert fingerprint(replica.database) == fingerprint(db)
             assert REGISTRY.counter("replication.resyncs").value == 1
-            # Enough chunks travelled that one frame cannot have held them.
+            # More bytes travelled than one 8 KiB-budgeted frame can carry.
             assert (
-                REGISTRY.counter("replication.sync_chunks_shipped").value >= 2
+                REGISTRY.counter("replication.sync_bytes_shipped").value > 8192
             )
         finally:
             if replica is not None:

@@ -103,10 +103,10 @@ def test_an_lsm_database_without_an_lsm_facility_promotes_lsm(tmp_path, checkpoi
         replica.database.close()
 
 
-@pytest.mark.parametrize("checkpoint", [False, True], ids=["record", "merkle-sync"])
+@pytest.mark.parametrize("checkpoint", [False, True], ids=["record", "checkpoint-install"])
 def test_a_tailing_replica_of_an_lsm_primary_promotes_lsm(tmp_path, checkpoint):
     """The mode reaches a replica as a shipped record or, once a checkpoint
-    truncated that record away, in the catalog of a Merkle sync."""
+    truncated that record away, in the stamp of the installed checkpoint."""
     primary = Database(durability="lsm", wal_dir=str(tmp_path / "primary"))
     primary.define_class(ClassSchema.build("Student", name="scalar", hobbies="set"))
     primary.insert("Student", {"name": "s", "hobbies": {"x"}})

@@ -156,9 +156,6 @@ CENSUS: Dict[str, Tuple[str, str]] = {
         "claim", "a replica's recovered page size; ROADMAP 16"),
     "ReplicaDatabase.pool_capacity": (
         "claim", "a replica's buffer pool; ROADMAP 16"),
-    "ReplicaDatabase.chunk_pages": (
-        "claim", "Merkle leaf width for anti-entropy (replication chaos "
-        "tests); ROADMAP 16"),
     "ReplicaDatabase.reconnect_policy": (
         "claim", "reconnect backoff schedule (tests/test_resilience.py); "
         "ROADMAP 16"),
