@@ -679,13 +679,14 @@ def _run_wal_truncate(wal_dir: str, lsn: int) -> int:
     """Cut a log at a record boundary (the interior-corruption repair)."""
     import os
 
-    from repro.errors import WalError
-    from repro.wal.log import WAL_FILE_NAME, truncate_wal
+    from repro.errors import ReproError
+    from repro.wal.log import WAL_FILE_NAME
+    from repro.wal.replay import truncate_log
 
     path = os.path.join(wal_dir, WAL_FILE_NAME)
     try:
-        dropped, end_lsn = truncate_wal(path, lsn)
-    except (OSError, WalError) as exc:
+        dropped, end_lsn = truncate_log(wal_dir, lsn)
+    except (OSError, ReproError) as exc:
         print(f"wal: cannot truncate {path}: {exc}", file=sys.stderr)
         return 1
     print(

@@ -17,7 +17,7 @@ from repro.wal.log import (
     scan_wal,
     truncate_wal,
 )
-from repro.wal.replay import recover_database, replay_records
+from repro.wal.replay import recover_database, replay_records, truncate_log
 
 __all__ = [
     "WAL_FILE_NAME",
@@ -29,4 +29,5 @@ __all__ = [
     "truncate_wal",
     "recover_database",
     "replay_records",
+    "truncate_log",
 ]
